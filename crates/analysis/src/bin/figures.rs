@@ -6,7 +6,7 @@
 //! ```text
 //! figures [--smoke] [--bf-sample N] [--sa-cap N] [--threads N] [--node-budget N]
 //!         [--fallback-samples N] [--no-collapse] [--only figN,figM,...]
-//!         [--telemetry PATH] [--order identity|fanin-dfs|interleave|auto]
+//!         [--telemetry PATH] [--order identity|fanin-dfs|auto]
 //! ```
 //!
 //! `--smoke` runs a reduced workload (fast CI check); the default
@@ -201,7 +201,7 @@ fn main() {
                 eprintln!(
                     "usage: figures [--smoke] [--bf-sample N] [--sa-cap N] [--threads N] \
                      [--node-budget N] [--fallback-samples N] [--no-collapse] [--only fig1,...] \
-                     [--telemetry PATH] [--order identity|fanin-dfs|interleave|auto]"
+                     [--telemetry PATH] [--order identity|fanin-dfs|auto]"
                 );
                 std::process::exit(2);
             }

@@ -13,7 +13,7 @@
 //!   ([`double_fault_coverage`]).
 
 use dp_core::generate_tests;
-use dp_faults::{checkpoint_faults, Fault, StuckAtFault};
+use dp_faults::{checkpoint_faults, Fault, MultiStuckAt};
 use dp_netlist::Circuit;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -109,8 +109,8 @@ pub fn double_fault_coverage(
             continue;
         }
         sampled += 1;
-        let pair: [StuckAtFault; 2] = [a, b];
-        let analysis = dp.analyze_multi_stuck_at(&pair);
+        let pair = [a, b];
+        let analysis = dp.analyze(&Fault::MultiStuckAt(MultiStuckAt::new(pair.to_vec())));
         if !analysis.is_detectable() {
             continue;
         }

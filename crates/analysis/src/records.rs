@@ -1,6 +1,6 @@
 //! Batch fault analysis: one scalar record per fault.
 
-use dp_core::{analyze_universe, EngineConfig, FaultOutcome, Parallelism, SweepResult};
+use dp_core::{sweep_universe, FaultOutcome, Parallelism, SweepConfig, SweepResult};
 use dp_faults::{
     checkpoint_faults, collapse_checkpoint_faults, enumerate_bridges, enumerate_nfbfs,
     pair_multis, sample_nfbfs, sampled_multis, BridgeKind, BridgeTopology, Fault, SampleConfig,
@@ -65,7 +65,7 @@ pub fn analyze_faults(circuit: &Circuit, faults: &[Fault]) -> Vec<FaultRecord> {
 
 /// [`analyze_faults`] with an explicit execution strategy.
 ///
-/// The propagation work runs through [`dp_core::analyze_universe`], so the
+/// The propagation work runs through [`dp_core::sweep_universe`], so the
 /// records are bit-identical across all [`Parallelism`] settings; the
 /// topology fields are structural and computed once on the calling thread.
 pub fn analyze_faults_with(
@@ -76,14 +76,21 @@ pub fn analyze_faults_with(
     records_from_sweep(
         circuit,
         faults,
-        &analyze_universe(circuit, faults, EngineConfig::default(), parallelism),
+        &sweep_universe(
+            circuit,
+            faults,
+            &SweepConfig {
+                parallelism,
+                ..Default::default()
+            },
+        ),
     )
 }
 
 /// Joins a sweep's per-fault scalars with the circuit's topology facts.
 ///
 /// Exposed so callers that also want the sweep's [`ShardReport`]s (the
-/// `figures` binary, the benches) can run [`dp_core::analyze_universe`]
+/// `figures` binary, the benches) can run [`dp_core::sweep_universe`]
 /// themselves without analysing every fault twice.
 pub fn records_from_sweep(
     circuit: &Circuit,
@@ -358,18 +365,15 @@ mod tests {
         let records = analyze_faults(&c, &faults);
         assert!(records.iter().all(|r| r.outcome.is_exact()));
 
-        use dp_core::{analyze_universe_with, BudgetConfig, FallbackConfig};
-        let config = EngineConfig {
-            budget: BudgetConfig::with_max_nodes(2),
+        use dp_core::{BudgetConfig, EngineConfig};
+        let config = SweepConfig {
+            engine: EngineConfig {
+                budget: BudgetConfig::with_max_nodes(2),
+                ..Default::default()
+            },
             ..Default::default()
         };
-        let sweep = analyze_universe_with(
-            &c,
-            &faults,
-            config,
-            Parallelism::Serial,
-            FallbackConfig::default(),
-        );
+        let sweep = sweep_universe(&c, &faults, &config);
         let bounded = records_from_sweep(&c, &faults, &sweep);
         assert_eq!(bounded.len(), faults.len());
         assert!(bounded.iter().all(|r| !r.outcome.is_exact()));

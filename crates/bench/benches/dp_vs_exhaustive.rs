@@ -10,7 +10,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dp_bench::{parallelism_from_env, record_bench_result, some_stuck_faults, BenchRecord};
-use dp_core::{analyze_universe, EngineConfig};
+use dp_core::{sweep_universe, SweepConfig};
 use dp_netlist::generators::{alu74181, c17, c432_surrogate, c95};
 use dp_sim::exhaustive_detectability;
 use std::hint::black_box;
@@ -21,6 +21,10 @@ fn bench_dp_vs_exhaustive(c: &mut Criterion) {
     // Serial by default; DP_BENCH_THREADS=N shards the DP sweeps without
     // changing the computed detectabilities.
     let parallelism = parallelism_from_env();
+    let config = SweepConfig {
+        parallelism,
+        ..Default::default()
+    };
     let mut group = c.benchmark_group("dp_vs_exhaustive");
     group.sample_size(10);
 
@@ -34,8 +38,7 @@ fn bench_dp_vs_exhaustive(c: &mut Criterion) {
         ));
         group.bench_function(format!("{}/diffprop", circuit.name()), |b| {
             b.iter(|| {
-                let sweep =
-                    analyze_universe(&circuit, &faults, EngineConfig::default(), parallelism);
+                let sweep = sweep_universe(&circuit, &faults, &config);
                 let acc: f64 = sweep.summaries.iter().map(|s| s.detectability).sum();
                 black_box(acc)
             })
@@ -63,7 +66,7 @@ fn bench_dp_vs_exhaustive(c: &mut Criterion) {
     ));
     group.bench_function("c432s/diffprop_only", |b| {
         b.iter(|| {
-            let sweep = analyze_universe(&big, &faults, EngineConfig::default(), parallelism);
+            let sweep = sweep_universe(&big, &faults, &config);
             let acc: f64 = sweep.summaries.iter().map(|s| s.detectability).sum();
             black_box(acc)
         })

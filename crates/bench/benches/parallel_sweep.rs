@@ -1,9 +1,9 @@
-//! Serial vs sharded fault-universe sweeps (`dp_core::analyze_universe`).
+//! Serial vs sharded fault-universe sweeps (`dp_core::sweep_universe`).
 //!
 //! The workload the acceptance story cares about: the full collapsed
 //! checkpoint stuck-at universe of the 74LS181 ALU, analysed end to end
-//! (per-shard good-function build included, exactly as a cold sweep pays
-//! it). On a multicore host `threads=4` should finish the sweep at least
+//! (the one-off good-function build and freeze included, exactly as a cold
+//! sweep pays it). On a multicore host `threads=4` should finish the sweep at least
 //! ~2× faster than serial; on a single hardware thread the sharded runs
 //! only measure the sharding overhead. Either way the summaries are
 //! bit-identical — `verify_identical` asserts that before any timing runs.
@@ -19,9 +19,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dp_bench::{record_bench_result, BenchRecord};
-use dp_core::{
-    analyze_universe, sweep_universe, EngineConfig, Parallelism, SweepConfig, TelemetryLevel,
-};
+use dp_core::{sweep_universe, Parallelism, SweepConfig, TelemetryLevel};
 use dp_faults::{enumerate_nfbfs, BridgeKind, Fault};
 use dp_netlist::generators::alu74181;
 use dp_netlist::Circuit;
@@ -41,15 +39,17 @@ fn record_results(circuit: &Circuit, faults: &[Fault], model: &str) {
     }
 }
 
+fn with_parallelism(parallelism: Parallelism) -> SweepConfig {
+    SweepConfig {
+        parallelism,
+        ..Default::default()
+    }
+}
+
 fn verify_identical(circuit: &Circuit, faults: &[Fault]) {
-    let serial = analyze_universe(circuit, faults, EngineConfig::default(), Parallelism::Serial);
+    let serial = sweep_universe(circuit, faults, &with_parallelism(Parallelism::Serial));
     for n in THREAD_COUNTS {
-        let sharded = analyze_universe(
-            circuit,
-            faults,
-            EngineConfig::default(),
-            Parallelism::Threads(n),
-        );
+        let sharded = sweep_universe(circuit, faults, &with_parallelism(Parallelism::Threads(n)));
         assert_eq!(
             serial.summaries, sharded.summaries,
             "threads={n} diverged from serial"
@@ -63,23 +63,14 @@ fn sweep_group(c: &mut Criterion, group_name: &str, circuit: &Circuit, faults: &
     group.sample_size(10);
     group.bench_function("serial", |b| {
         b.iter(|| {
-            black_box(analyze_universe(
-                circuit,
-                faults,
-                EngineConfig::default(),
-                Parallelism::Serial,
-            ))
+            black_box(sweep_universe(circuit, faults, &with_parallelism(Parallelism::Serial)))
         })
     });
     for n in THREAD_COUNTS {
         group.bench_function(format!("threads_{n}"), |b| {
             b.iter(|| {
-                black_box(analyze_universe(
-                    circuit,
-                    faults,
-                    EngineConfig::default(),
-                    Parallelism::Threads(n),
-                ))
+                let config = with_parallelism(Parallelism::Threads(n));
+                black_box(sweep_universe(circuit, faults, &config))
             })
         });
     }

@@ -4,7 +4,7 @@
 //! bench results file (`BENCH_PR9.json`, or `DP_BENCH_JSON`).
 //!
 //! ```text
-//! iscas_scaleup [--order identity|fanin-dfs|interleave|auto] [--threads N]
+//! iscas_scaleup [--order identity|fanin-dfs|auto] [--threads N]
 //!               [--only c432s,c499s,...] [--model stuck_at|nfbf|fbridge|multi]
 //!               [--sample N] [--seed S]
 //! ```
@@ -37,7 +37,7 @@ use dp_netlist::generators;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: iscas_scaleup [--order identity|fanin-dfs|interleave|auto|random:SEED] \
+        "usage: iscas_scaleup [--order identity|fanin-dfs|auto|random:SEED] \
          [--threads N] [--only c432s,c499s,...] [--model stuck_at|nfbf|fbridge|multi] \
          [--sample N] [--seed S]"
     );

@@ -129,7 +129,7 @@ pub struct BenchRecord {
     /// Worker threads of the sweep.
     pub threads: usize,
     /// Variable-order strategy the sweep's engines were built with
-    /// (`"identity"`, `"fanin-dfs"`, `"interleave"`, `"auto"`, ...).
+    /// (`"identity"`, `"fanin-dfs"`, `"auto"`, `"random:<seed>"`).
     pub order: String,
     /// Wall-clock seconds for the end-to-end sweep (engine build included).
     pub seconds: f64,

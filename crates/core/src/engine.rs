@@ -1,10 +1,11 @@
 //! The Difference Propagation engine: selective-trace propagation of
 //! difference functions from fault sites to primary outputs.
 
-use std::collections::{BTreeSet, HashMap};
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, BinaryHeap, HashMap};
 
 use dp_bdd::{BudgetConfig, Cube, Manager, NodeId};
-use dp_faults::{BridgeKind, BridgingFault, Fault, FaultSite, StuckAtFault};
+use dp_faults::{BridgeKind, BridgingFault, Fault, FaultSite, MultiStuckAt, StuckAtFault};
 use dp_netlist::{Circuit, Driver, GateKind, NetId, Reachability};
 use dp_telemetry::{CounterKind, HistKind, SharedCollector, SpanKind};
 
@@ -38,9 +39,9 @@ pub struct EngineConfig {
     /// `f64::INFINITY` to restore threshold-only behaviour.
     pub gc_growth: f64,
     /// Work budget for the BDD manager. Only the fallible entry points
-    /// ([`DiffProp::try_analyze`], [`DiffProp::try_analyze_multi_stuck_at`],
-    /// [`DiffProp::try_with_config`]) honour it — the infallible methods
-    /// temporarily lift it so their answers stay exact. The default,
+    /// ([`DiffProp::try_analyze`], [`DiffProp::try_with_config`]) honour
+    /// it — the infallible methods temporarily lift it so their answers
+    /// stay exact. The default,
     /// [`BudgetConfig::UNLIMITED`], reproduces unbounded behaviour.
     pub budget: BudgetConfig,
     /// How the manager's variable order is chosen (and whether the engine
@@ -143,49 +144,6 @@ impl FaultAnalysis {
     }
 }
 
-/// The result of analysing a **multiple stuck-at fault** (all components
-/// present simultaneously). Same validity rules as [`FaultAnalysis`].
-#[derive(Debug, Clone)]
-pub struct MultiFaultAnalysis {
-    /// The simultaneous stuck-at components.
-    pub components: Vec<StuckAtFault>,
-    /// Difference observed at each primary output.
-    pub po_deltas: Vec<NodeId>,
-    /// The complete test set of the multiple fault.
-    pub test_set: NodeId,
-    /// Exact detection probability.
-    pub detectability: f64,
-    /// Exact number of detecting vectors (circuits of ≤ 127 inputs).
-    pub test_count: Option<u128>,
-    /// Per-output observability flags.
-    pub observable_outputs: Vec<bool>,
-    /// Gate deltas computed while propagating the combined fronts.
-    pub gates_propagated: u32,
-}
-
-impl MultiFaultAnalysis {
-    /// `true` when at least one input vector detects the multiple fault.
-    pub fn is_detectable(&self) -> bool {
-        !self.test_set.is_false()
-    }
-
-    /// Number of primary outputs at which the fault is observable.
-    pub fn num_observable(&self) -> usize {
-        self.observable_outputs.iter().filter(|&&b| b).count()
-    }
-}
-
-/// What one propagation run produced — the shared tail of
-/// [`FaultAnalysis`] and [`MultiFaultAnalysis`].
-struct Propagated {
-    po_deltas: Vec<NodeId>,
-    test_set: NodeId,
-    detectability: f64,
-    test_count: Option<u128>,
-    observable_outputs: Vec<bool>,
-    gates_propagated: u32,
-}
-
 /// Iteration cap for the feedback-bridge ternary fixpoint. The dual-rail
 /// Kleene iteration is monotone, so real netlists stabilise in a handful of
 /// sweeps (roughly the loop depth plus two); the cap turns a pathological
@@ -270,6 +228,15 @@ struct SiteInit {
     /// the fault only if it lies in the fanout cone of one of these, so
     /// outputs outside every cone carry a structurally ⊥ difference.
     flow_nets: Vec<usize>,
+}
+
+/// The net every effect of a stuck-at fault flows through: the stuck net
+/// itself, or a branch fault's sink gate.
+pub(crate) fn flow_net(f: &StuckAtFault) -> NetId {
+    match f.site {
+        FaultSite::Net(n) => n,
+        FaultSite::Branch(b) => b.sink,
+    }
 }
 
 /// The Difference Propagation analyser for one circuit.
@@ -534,25 +501,26 @@ impl<'c> DiffProp<'c> {
     /// After an error the engine has recovered (good functions collected,
     /// budget window reset) and is immediately reusable for the next fault.
     pub fn try_analyze(&mut self, fault: &Fault) -> Result<FaultAnalysis, AnalysisError> {
+        if let Fault::Bridging(f) = fault {
+            // A feedback pair (one wire in the other's fanout cone) breaks
+            // the one-pass delta propagation: the wired value depends on
+            // itself through the loop. Route it through the ternary fixpoint
+            // instead.
+            if self.reach.reaches(f.a, f.b) || self.reach.reaches(f.b, f.a) {
+                return self.try_analyze_bridge_fixpoint(f);
+            }
+        }
         self.maybe_gc();
         self.good.manager_mut().reset_budget_window();
 
-        // 1. Initialise site differences.
+        // 1. Initialise site differences. A stuck-at component pins a
+        // constant, so only a bridge's wired value can make the site
+        // function non-constant.
         let mut init = SiteInit::default();
-        let site_function_constant;
+        let mut site_function_constant = true;
         match fault {
-            Fault::StuckAt(f) => {
-                site_function_constant = true;
-                self.init_stuck_at(f, &mut init);
-            }
+            Fault::StuckAt(f) => self.init_stuck_at(f, &mut init),
             Fault::Bridging(f) => {
-                // A feedback pair (one wire in the other's fanout cone)
-                // breaks the one-pass delta propagation: the wired value
-                // depends on itself through the loop. Route it through the
-                // ternary fixpoint instead.
-                if self.reach.reaches(f.a, f.b) || self.reach.reaches(f.b, f.a) {
-                    return self.try_analyze_bridge_fixpoint(f);
-                }
                 let fa = self.good.node(f.a);
                 let fb = self.good.node(f.b);
                 let m = self.good.manager_mut();
@@ -578,32 +546,23 @@ impl<'c> DiffProp<'c> {
             }
             Fault::MultiStuckAt(mf) => {
                 // Every component pins its site, and the fronts propagate —
-                // and possibly mask each other — in one combined pass, same
-                // as `try_analyze_multi_stuck_at`. Each component site is a
-                // constant, so the composite site function is too.
-                site_function_constant = true;
+                // and possibly mask each other — in one combined pass. A
+                // downstream faulted site stays pinned whatever reaches it
+                // from upstream, as in Bossen & Hong's multiple-fault model.
                 for c in mf.components() {
                     self.init_stuck_at(c, &mut init);
                 }
             }
         }
 
-        let p = self.propagate(init);
-        if let Some(err) = self.check_budget() {
-            return Err(err);
+        // 2. Propagate them to the outputs and derive the metrics.
+        let (po_deltas, gates_propagated) = self.propagate(init);
+        let mut analysis = self.finish(fault.clone(), po_deltas, gates_propagated);
+        analysis.site_function_constant = site_function_constant;
+        match self.check_budget() {
+            Some(err) => Err(err),
+            None => Ok(analysis),
         }
-        Ok(FaultAnalysis {
-            fault: fault.clone(),
-            po_deltas: p.po_deltas,
-            test_set: p.test_set,
-            detectability: p.detectability,
-            test_count: p.test_count,
-            observable_outputs: p.observable_outputs,
-            site_function_constant,
-            gates_propagated: p.gates_propagated,
-            fixpoint_iterations: 0,
-            oscillation_density: 0.0,
-        })
     }
 
     /// Post-analysis budget check and recovery. A tripped manager never
@@ -618,6 +577,42 @@ impl<'c> DiffProp<'c> {
         Some(AnalysisError::BudgetExceeded(err))
     }
 
+    /// The shared result tail of every analysis: the complete test set is
+    /// the union of the per-output differences, and the exact metrics are
+    /// read off it. The acyclic defaults (constant site, no fixpoint, no
+    /// oscillation) are left for the caller to override.
+    fn finish(
+        &mut self,
+        fault: Fault,
+        po_deltas: Vec<NodeId>,
+        gates_propagated: u32,
+    ) -> FaultAnalysis {
+        let m = self.good.manager_mut();
+        let mut test_set = NodeId::FALSE;
+        for &d in &po_deltas {
+            // `or` with ⊥ is the identity; skipping it saves the op-cache
+            // traffic without touching the result.
+            if !d.is_false() {
+                test_set = m.or(test_set, d);
+            }
+        }
+        let detectability = m.density(test_set);
+        let test_count = (m.num_vars() <= 127).then(|| m.sat_count(test_set));
+        let observable_outputs = po_deltas.iter().map(|d| !d.is_false()).collect();
+        FaultAnalysis {
+            fault,
+            po_deltas,
+            test_set,
+            detectability,
+            test_count,
+            observable_outputs,
+            site_function_constant: true,
+            gates_propagated,
+            fixpoint_iterations: 0,
+            oscillation_density: 0.0,
+        }
+    }
+
     /// Analyses a bridging fault by **ternary fixpoint**: both wires are
     /// overridden to the wired value `w`, and the monotone dual-rail Kleene
     /// iteration `w ← wired(driven_a, driven_b)` runs from all-X until the
@@ -629,6 +624,11 @@ impl<'c> DiffProp<'c> {
     /// propagation does not apply. On a non-feedback pair it converges in
     /// exactly two sweeps to the same faulty functions as the one-pass
     /// path, so every scalar is bit-identical (OBDD canonicity).
+    ///
+    /// Each sweep is event-driven: it re-seeds the gates reading either
+    /// wire and re-evaluates a gate only when one of its fanin rails
+    /// changed, so `gates_propagated` counts real gate evaluations, never
+    /// more than one per net of the wires' fanout cones per sweep.
     ///
     /// Vectors whose loop never settles (residual X on the bridged wire
     /// after the fixpoint) are reported via
@@ -646,40 +646,52 @@ impl<'c> DiffProp<'c> {
         self.maybe_gc();
         self.good.manager_mut().reset_budget_window();
         let circuit = self.circuit;
-        let (a, b) = (fault.a, fault.b);
-        // Every net either bridged wire can influence (cones are reflexive,
-        // so a and b are included). Ascending index order is topological.
-        let affected: Vec<usize> = (0..circuit.num_nets())
-            .filter(|&i| {
-                let n = NetId::from_index(i);
-                self.reach.reaches(a, n) || self.reach.reaches(b, n)
-            })
-            .collect();
+        let (a, b) = (fault.a.index(), fault.b.index());
+        // Dual-rail state per net; `None` is fault-free and reads as the
+        // net's (fully defined) good function. Only nets in the wires'
+        // fanout cones ever leave `None`.
+        let mut state: Vec<Option<Rails>> = vec![None; circuit.num_nets()];
+        // Gates awaiting re-evaluation: the dirty flag keeps each queued at
+        // most once, and the min-heap pops them in ascending (topological)
+        // index order, so every fanin is final when a gate is evaluated.
+        let mut dirty = vec![false; circuit.num_nets()];
+        let mut queue: BinaryHeap<Reverse<usize>> = BinaryHeap::new();
+        let enqueue_fanout = |net: NetId, dirty: &mut [bool], queue: &mut BinaryHeap<_>| {
+            for &(sink, _) in circuit.fanout(net) {
+                if !std::mem::replace(&mut dirty[sink.index()], true) {
+                    queue.push(Reverse(sink.index()));
+                }
+            }
+        };
         let mut gates_propagated: u32 = 0;
-        // Dual-rail state of affected nets; a net absent from the map is
-        // fault-free and reads as its (fully defined) good function.
-        let mut state: HashMap<usize, Rails> = HashMap::new();
         let mut w: Rails = (NodeId::FALSE, NodeId::FALSE); // all-X start
         let mut iterations: u32 = 0;
         let mut converged = false;
         while iterations < MAX_FIXPOINT_ITERS {
             iterations += 1;
-            state.insert(a.index(), w);
-            state.insert(b.index(), w);
-            for &idx in &affected {
-                if idx == a.index() || idx == b.index() {
+            state[a] = Some(w);
+            state[b] = Some(w);
+            enqueue_fanout(fault.a, &mut dirty, &mut queue);
+            enqueue_fanout(fault.b, &mut dirty, &mut queue);
+            while let Some(Reverse(idx)) = queue.pop() {
+                dirty[idx] = false;
+                if idx == a || idx == b {
                     continue; // pinned to the wired value
                 }
-                // An affected net other than the wires themselves is always
-                // gate-driven (a primary input is reachable only from
-                // itself), so this evaluates its gate under the override.
+                // A net in a wire's fanout cone other than the wires
+                // themselves is always gate-driven (a primary input is
+                // reachable only from itself), so this evaluates its gate
+                // under the override.
                 let net = NetId::from_index(idx);
                 let rails = self.driven_rails(net, &state);
-                state.insert(idx, rails);
                 gates_propagated += 1;
+                if rails != state[idx].unwrap_or_else(|| self.good_rails(net)) {
+                    state[idx] = Some(rails);
+                    enqueue_fanout(net, &mut dirty, &mut queue);
+                }
             }
-            let da = self.driven_rails(a, &state);
-            let db = self.driven_rails(b, &state);
+            let da = self.driven_rails(fault.a, &state);
+            let db = self.driven_rails(fault.b, &state);
             let m = self.good.manager_mut();
             let w_next = match fault.kind {
                 BridgeKind::And => (m.and(da.0, db.0), m.or(da.1, db.1)),
@@ -705,12 +717,13 @@ impl<'c> DiffProp<'c> {
         }
 
         // Definite output differences only: faulty definitely 1 where the
-        // good circuit says 0, or definitely 0 where it says 1.
-        let outputs = circuit.outputs().to_vec();
-        let mut po_deltas: Vec<NodeId> = Vec::with_capacity(outputs.len());
-        for &o in &outputs {
-            let delta = match state.get(&o.index()) {
-                Some(&(hi, lo)) => {
+        // good circuit says 0, or definitely 0 where it says 1. A net still
+        // at `None` never saw the fault.
+        let po_deltas: Vec<NodeId> = circuit
+            .outputs()
+            .iter()
+            .map(|&o| match state[o.index()] {
+                Some((hi, lo)) => {
                     let g = self.good.node(o);
                     let m = self.good.manager_mut();
                     let ng = m.not(g);
@@ -719,25 +732,17 @@ impl<'c> DiffProp<'c> {
                     m.or(d1, d0)
                 }
                 None => NodeId::FALSE,
-            };
-            po_deltas.push(delta);
-        }
+            })
+            .collect();
+        let mut analysis = self.finish(Fault::Bridging(*fault), po_deltas, gates_propagated);
         let m = self.good.manager_mut();
-        let mut test_set = NodeId::FALSE;
-        for &d in &po_deltas {
-            if !d.is_false() {
-                test_set = m.or(test_set, d);
-            }
-        }
-        let detectability = m.density(test_set);
-        let test_count = (m.num_vars() <= 127).then(|| m.sat_count(test_set));
-        let observable_outputs: Vec<bool> = po_deltas.iter().map(|d| !d.is_false()).collect();
         let defined = m.or(w.0, w.1);
         let oscillating = m.not(defined);
-        let oscillation_density = m.density(oscillating);
+        analysis.oscillation_density = m.density(oscillating);
+        analysis.fixpoint_iterations = iterations;
         // Constant in the definite sense: the wire settles to the same
         // value on *every* vector — the §4.2 stuck-at-behaviour test.
-        let site_function_constant = w.0 == NodeId::TRUE || w.1 == NodeId::TRUE;
+        analysis.site_function_constant = w.0 == NodeId::TRUE || w.1 == NodeId::TRUE;
         if let Some(err) = self.check_budget() {
             return Err(err);
         }
@@ -746,142 +751,47 @@ impl<'c> DiffProp<'c> {
             tel.count_span(SpanKind::GateProp, gates_propagated as u64);
             tel.add(CounterKind::GatesPropagated, gates_propagated as u64);
             tel.record_hist(HistKind::FixpointIterations, iterations as u64);
-            if oscillation_density > 0.0 {
+            if analysis.oscillation_density > 0.0 {
                 tel.add(CounterKind::OscillatingFaults, 1);
             }
         }
-        Ok(FaultAnalysis {
-            fault: Fault::Bridging(*fault),
-            po_deltas,
-            test_set,
-            detectability,
-            test_count,
-            observable_outputs,
-            site_function_constant,
-            gates_propagated,
-            fixpoint_iterations: iterations,
-            oscillation_density,
-        })
+        Ok(analysis)
     }
 
     /// The dual-rail value a net's *driver* produces under `state`
-    /// (overridden fanins read from the map, fault-free fanins from the
-    /// good functions). A primary input drives its good rails.
-    fn driven_rails(&mut self, net: NetId, state: &HashMap<usize, Rails>) -> Rails {
+    /// (overridden fanins read their rails, fault-free fanins their good
+    /// functions). A primary input drives its good rails.
+    fn driven_rails(&mut self, net: NetId, state: &[Option<Rails>]) -> Rails {
         let circuit = self.circuit;
         let Driver::Gate { kind, fanins } = circuit.driver(net) else {
             return self.good_rails(net);
         };
-        let kind = *kind;
         let rails: Vec<Rails> = fanins
             .iter()
-            .map(|f| match state.get(&f.index()) {
-                Some(&r) => r,
-                None => self.good_rails(*f),
-            })
+            .map(|f| state[f.index()].unwrap_or_else(|| self.good_rails(*f)))
             .collect();
-        ternary_gate(self.good.manager_mut(), kind, &rails)
+        ternary_gate(self.good.manager_mut(), *kind, &rails)
     }
 
     /// A fault-free net's dual rails: `(f, ¬f)` — fully defined.
-    fn good_rails(&mut self, net: NetId) -> Rails {
+    fn good_rails(&self, net: NetId) -> Rails {
         let g = self.good.node(net);
         (g, self.good.manager().not(g))
-    }
-
-    /// Analyses a **multiple stuck-at fault**: all `components` present
-    /// simultaneously. The paper's §3 claim — "any fault whose effects are
-    /// restricted to the logical domain can be addressed" — in action: each
-    /// site's difference is pinned and the fronts propagate (and interfere,
-    /// possibly masking each other) together.
-    ///
-    /// Downstream faulted sites stay pinned at their stuck value regardless
-    /// of upstream faults, exactly as in the multiple-fault model of Bossen
-    /// & Hong.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `components` is empty or lists the same site twice.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use dp_core::DiffProp;
-    /// use dp_faults::checkpoint_faults;
-    /// use dp_netlist::generators::c17;
-    ///
-    /// let c = c17();
-    /// let faults = checkpoint_faults(&c);
-    /// let mut dp = DiffProp::new(&c);
-    /// let pair = [faults[0], faults[3]];
-    /// let multi = dp.analyze_multi_stuck_at(&pair);
-    /// // A double fault may be masked on vectors where each single fires.
-    /// assert!(multi.detectability <= 1.0);
-    /// ```
-    pub fn analyze_multi_stuck_at(&mut self, components: &[StuckAtFault]) -> MultiFaultAnalysis {
-        let saved = self.good.manager().budget();
-        self.good.manager_mut().set_budget(BudgetConfig::UNLIMITED);
-        let analysis = self
-            .try_analyze_multi_stuck_at(components)
-            .expect("unlimited budget cannot trip");
-        self.good.manager_mut().set_budget(saved);
-        analysis
-    }
-
-    /// Budget-honouring variant of [`DiffProp::analyze_multi_stuck_at`]:
-    /// either bit-identical to the unbudgeted engine or
-    /// [`AnalysisError::BudgetExceeded`], with the engine recovered and
-    /// reusable after an error.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `components` is empty or lists the same site twice (a
-    /// programming error, not a resource condition).
-    pub fn try_analyze_multi_stuck_at(
-        &mut self,
-        components: &[StuckAtFault],
-    ) -> Result<MultiFaultAnalysis, AnalysisError> {
-        assert!(!components.is_empty(), "a multiple fault needs components");
-        for (i, a) in components.iter().enumerate() {
-            for b in &components[i + 1..] {
-                assert_ne!(a.site, b.site, "duplicate fault site {a}");
-            }
-        }
-        self.maybe_gc();
-        self.good.manager_mut().reset_budget_window();
-        let mut init = SiteInit::default();
-        for f in components {
-            self.init_stuck_at(f, &mut init);
-        }
-        let p = self.propagate(init);
-        if let Some(err) = self.check_budget() {
-            return Err(err);
-        }
-        Ok(MultiFaultAnalysis {
-            components: components.to_vec(),
-            po_deltas: p.po_deltas,
-            test_set: p.test_set,
-            detectability: p.detectability,
-            test_count: p.test_count,
-            observable_outputs: p.observable_outputs,
-            gates_propagated: p.gates_propagated,
-        })
     }
 
     /// Analyses a **batch of cone-disjoint single stuck-at faults** in one
     /// propagation pass, returning one independent [`FaultAnalysis`] per
     /// fault, in input order.
     ///
-    /// Unlike [`DiffProp::try_analyze_multi_stuck_at`] — which models all
-    /// components present *simultaneously* — this treats each fault as a
-    /// separate single-fault analysis and merely shares the propagation
-    /// sweep. That is sound exactly when the faults' fanout cones are
-    /// pairwise disjoint: difference fronts then live in disjoint regions,
-    /// no gate ever sees two fronts, so the combined difference at every net
-    /// equals the single-fault difference of the unique fault whose cone
-    /// contains it. Per-fault results are recovered by masking each primary
-    /// output against the fault's own cone ([`Reachability::reaches`]) and
-    /// are **bit-identical** to analysing each fault alone (OBDD canonicity:
+    /// The pass is the analysis of the batch as one multiple stuck-at fault
+    /// ([`Fault::MultiStuckAt`]), split back into its members. That is sound
+    /// exactly when the faults' fanout cones are pairwise disjoint:
+    /// difference fronts then live in disjoint regions, no gate ever sees
+    /// two fronts, so the combined difference at every net equals the
+    /// single-fault difference of the unique fault whose cone contains it.
+    /// Per-fault results are recovered by masking each primary output
+    /// against the fault's own cone ([`Reachability::reaches`]) and are
+    /// **bit-identical** to analysing each fault alone (OBDD canonicity:
     /// identical functions give identical scalars).
     ///
     /// `gates_propagated` reports the shared sweep's combined count on every
@@ -903,80 +813,36 @@ impl<'c> DiffProp<'c> {
         if faults.len() == 1 {
             return Ok(vec![self.try_analyze(&Fault::StuckAt(faults[0]))?]);
         }
+        let batch = MultiStuckAt::new(faults.to_vec());
+        #[cfg(debug_assertions)]
         for (i, a) in faults.iter().enumerate() {
             for b in &faults[i + 1..] {
-                assert_ne!(a.site, b.site, "duplicate fault site {a}");
-            }
-        }
-        self.maybe_gc();
-        self.good.manager_mut().reset_budget_window();
-        let mut init = SiteInit::default();
-        for f in faults {
-            self.init_stuck_at(f, &mut init);
-        }
-        // One flow net per component, pushed by `init_stuck_at` in input
-        // order: the stuck net itself, or a branch fault's sink gate.
-        let flow_nets = init.flow_nets.clone();
-        debug_assert_eq!(flow_nets.len(), faults.len());
-        #[cfg(debug_assertions)]
-        for (i, &a) in flow_nets.iter().enumerate() {
-            for &b in &flow_nets[i + 1..] {
                 debug_assert!(
-                    self.reach
-                        .cones_disjoint(NetId::from_index(a), NetId::from_index(b)),
+                    self.reach.cones_disjoint(flow_net(a), flow_net(b)),
                     "batched faults must have disjoint fanout cones"
                 );
             }
         }
-        let p = self.propagate(init);
-        if let Some(err) = self.check_budget() {
-            return Err(err);
-        }
-        let outputs = self.circuit.outputs().to_vec();
+        let combined = self.try_analyze(&Fault::MultiStuckAt(batch))?;
+        let circuit = self.circuit;
         let mut analyses = Vec::with_capacity(faults.len());
-        for (f, &flow) in faults.iter().zip(&flow_nets) {
-            let flow_net = NetId::from_index(flow);
+        for f in faults {
+            let flow = flow_net(f);
             // An output outside this fault's cone carries another fault's
             // difference (or ⊥) — never this fault's, so mask it out.
-            let po_deltas: Vec<NodeId> = outputs
+            let po_deltas: Vec<NodeId> = circuit
+                .outputs()
                 .iter()
-                .zip(&p.po_deltas)
-                .map(|(&o, &d)| {
-                    if self.reach.reaches(flow_net, o) {
-                        d
-                    } else {
-                        NodeId::FALSE
-                    }
-                })
+                .zip(&combined.po_deltas)
+                .map(|(&o, &d)| if self.reach.reaches(flow, o) { d } else { NodeId::FALSE })
                 .collect();
-            let m = self.good.manager_mut();
-            let mut test_set = NodeId::FALSE;
-            for &d in &po_deltas {
-                if !d.is_false() {
-                    test_set = m.or(test_set, d);
-                }
-            }
-            let detectability = m.density(test_set);
-            let test_count = (m.num_vars() <= 127).then(|| m.sat_count(test_set));
-            let observable_outputs = po_deltas.iter().map(|d| !d.is_false()).collect();
-            analyses.push(FaultAnalysis {
-                fault: Fault::StuckAt(*f),
-                po_deltas,
-                test_set,
-                detectability,
-                test_count,
-                observable_outputs,
-                site_function_constant: true,
-                gates_propagated: p.gates_propagated,
-                fixpoint_iterations: 0,
-                oscillation_density: 0.0,
-            });
+            analyses.push(self.finish(Fault::StuckAt(*f), po_deltas, combined.gates_propagated));
         }
         // The per-fault or-folds and counts above also run under the budget.
-        if let Some(err) = self.check_budget() {
-            return Err(err);
+        match self.check_budget() {
+            Some(err) => Err(err),
+            None => Ok(analyses),
         }
-        Ok(analyses)
     }
 
     /// Adds one stuck-at component's pinned difference to a site
@@ -988,11 +854,11 @@ impl<'c> DiffProp<'c> {
         // Δ = f ⊕ v: the fault is excited where the line differs from its
         // stuck value.
         let delta = if f.value { m.not(fs) } else { fs };
+        init.flow_nets.push(flow_net(f).index());
         match f.site {
             FaultSite::Net(n) => {
                 init.deltas.insert(n.index(), delta);
                 init.site_nets.insert(n.index());
-                init.flow_nets.push(n.index());
                 for &(sink, _) in self.circuit.fanout(n) {
                     if self.feeds_output[sink.index()] {
                         init.worklist.insert(sink.index());
@@ -1004,7 +870,6 @@ impl<'c> DiffProp<'c> {
             FaultSite::Branch(b) => {
                 // A branch fault flows exclusively through its sink gate.
                 init.branch_deltas.insert((b.sink.index(), b.pin), delta);
-                init.flow_nets.push(b.sink.index());
                 if self.feeds_output[b.sink.index()] {
                     init.worklist.insert(b.sink.index());
                 }
@@ -1012,17 +877,18 @@ impl<'c> DiffProp<'c> {
         }
     }
 
-    /// Event-driven propagation in topological (index) order. Nets are
-    /// stored fanins-before-fanouts, so ascending index order guarantees
-    /// every fanin difference is final when a gate is processed.
+    /// Event-driven propagation in topological (index) order, returning the
+    /// difference at each primary output and the number of gate deltas
+    /// computed. Nets are stored fanins-before-fanouts, so ascending index
+    /// order guarantees every fanin difference is final when a gate is
+    /// processed.
     ///
     /// Cone-restricted: a primary output outside the fanout cone of every
     /// [`SiteInit::flow_nets`] entry carries a structurally ⊥ difference, so
-    /// it is skipped in the collection and in the test-set `or`-reduction;
-    /// gates that feed no primary output never enter the frontier. Both
-    /// skips elide work whose result is the identity, so every returned
-    /// value is bit-identical to the unrestricted engine's.
-    fn propagate(&mut self, init: SiteInit) -> Propagated {
+    /// it is not looked up; gates that feed no primary output never enter
+    /// the frontier. Both skips elide work whose result is the identity, so
+    /// every returned value is bit-identical to the unrestricted engine's.
+    fn propagate(&mut self, init: SiteInit) -> (Vec<NodeId>, u32) {
         let circuit = self.circuit;
         // Reading the level once keeps the per-gate path to a plain branch;
         // only `Detailed` pays for per-gate clock reads.
@@ -1098,10 +964,17 @@ impl<'c> DiffProp<'c> {
             }
         }
 
-        // Collect per-output differences; the union is the complete test
-        // set. A branch fault never reaches its own stem's PO directly, and
-        // an output off every fault cone is ⊥ without consulting the map.
-        let po_deltas: Vec<NodeId> = circuit
+        if let Some(tel) = &self.telemetry {
+            let mut tel = tel.borrow_mut();
+            if !detailed {
+                // Detailed mode already counted each gate span when timing it.
+                tel.count_span(SpanKind::GateProp, gates_propagated as u64);
+            }
+            tel.add(CounterKind::GatesPropagated, gates_propagated as u64);
+        }
+        // A branch fault never reaches its own stem's PO directly, and an
+        // output off every fault cone is ⊥ without consulting the map.
+        let po_deltas = circuit
             .outputs()
             .iter()
             .zip(&po_live)
@@ -1113,45 +986,12 @@ impl<'c> DiffProp<'c> {
                 }
             })
             .collect();
-        let m = self.good.manager_mut();
-        let mut test_set = NodeId::FALSE;
-        for (&d, &live) in po_deltas.iter().zip(&po_live) {
-            // `or` with ⊥ is the identity; skipping it saves the op-cache
-            // traffic without touching the result.
-            if live && !d.is_false() {
-                test_set = m.or(test_set, d);
-            }
-        }
-        let detectability = m.density(test_set);
-        let test_count = (m.num_vars() <= 127).then(|| m.sat_count(test_set));
-        let observable_outputs = po_deltas.iter().map(|d| !d.is_false()).collect();
-        if let Some(tel) = &self.telemetry {
-            let mut tel = tel.borrow_mut();
-            if !detailed {
-                // Detailed mode already counted each gate span when timing it.
-                tel.count_span(SpanKind::GateProp, gates_propagated as u64);
-            }
-            tel.add(CounterKind::GatesPropagated, gates_propagated as u64);
-        }
-        Propagated {
-            po_deltas,
-            test_set,
-            detectability,
-            test_count,
-            observable_outputs,
-            gates_propagated,
-        }
+        (po_deltas, gates_propagated)
     }
 
     /// One explicit test vector for the fault, or `None` if undetectable.
     pub fn pick_test(&self, analysis: &FaultAnalysis) -> Option<Vec<bool>> {
         self.good.manager().pick_minterm(analysis.test_set)
-    }
-
-    /// One satisfying vector of an arbitrary test-set BDD from this engine
-    /// (e.g. a [`MultiFaultAnalysis::test_set`] or a per-output delta).
-    pub fn pick_vector(&self, test_set: NodeId) -> Option<Vec<bool>> {
-        self.good.manager().pick_minterm(test_set)
     }
 
     /// The cubes of the complete test set (each cube's completions are all
@@ -1411,6 +1251,10 @@ mod tests {
         assert!(dp.pick_test(&analysis).is_none());
     }
 
+    fn multi(components: &[StuckAtFault]) -> Fault {
+        Fault::MultiStuckAt(MultiStuckAt::new(components.to_vec()))
+    }
+
     #[test]
     fn multi_stuck_at_matches_simulation() {
         use dp_sim::exhaustive_multi_detectability;
@@ -1422,7 +1266,7 @@ mod tests {
                 if w[0].site == w[1].site {
                     continue;
                 }
-                let analysis = dp.analyze_multi_stuck_at(w);
+                let analysis = dp.analyze(&multi(w));
                 let (det, _) = exhaustive_multi_detectability(&circuit, w);
                 assert_eq!(
                     analysis.test_count,
@@ -1437,7 +1281,7 @@ mod tests {
                 if w.len() < 3 || w[0].site == w[1].site || w[1].site == w[2].site {
                     continue;
                 }
-                let analysis = dp.analyze_multi_stuck_at(w);
+                let analysis = dp.analyze(&multi(w));
                 let (det, _) = exhaustive_multi_detectability(&circuit, w);
                 assert_eq!(analysis.test_count, Some(det as u128));
             }
@@ -1466,26 +1310,13 @@ mod tests {
         };
         let mut dp = DiffProp::new(&c);
         let single = dp.analyze(&Fault::from(f1));
-        let double = dp.analyze_multi_stuck_at(&[f1, f2]);
+        let double = dp.analyze(&multi(&[f1, f2]));
         // Single fault: detected whenever x = 1 (2 of 4 vectors).
         assert_eq!(single.test_count, Some(2));
         // Double fault: x=1,y=0 and x=0,y=1 detect; x=y=1 masks.
         assert_eq!(double.test_count, Some(2));
-        let v = dp.pick_vector(double.test_set).unwrap();
+        let v = dp.pick_test(&double).unwrap();
         assert_ne!(v, vec![true, true], "masked vector must not be picked");
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate fault site")]
-    fn multi_fault_rejects_duplicate_sites() {
-        let c = c17();
-        let f = checkpoint_faults(&c)[0];
-        let other = StuckAtFault {
-            site: f.site,
-            value: !f.value,
-        };
-        let mut dp = DiffProp::new(&c);
-        dp.analyze_multi_stuck_at(&[f, other]);
     }
 
     #[test]
@@ -1605,21 +1436,21 @@ mod tests {
     }
 
     #[test]
-    fn try_analyze_multi_stuck_at_recovers_like_the_single_path() {
+    fn budgeted_multi_stuck_at_recovers_like_the_single_path() {
         let c = c95();
         let faults = checkpoint_faults(&c);
-        let pair = [faults[0], faults[3]];
+        let pair = multi(&[faults[0], faults[3]]);
         let config = EngineConfig {
             budget: BudgetConfig::with_max_op_steps(2),
             ..Default::default()
         };
         let mut dp = DiffProp::with_config(&c, config);
         assert!(matches!(
-            dp.try_analyze_multi_stuck_at(&pair),
+            dp.try_analyze(&pair),
             Err(AnalysisError::BudgetExceeded(_))
         ));
-        let exact = DiffProp::new(&c).analyze_multi_stuck_at(&pair);
-        let after = dp.analyze_multi_stuck_at(&pair);
+        let exact = DiffProp::new(&c).analyze(&pair);
+        let after = dp.analyze(&pair);
         assert_eq!(after.test_count, exact.test_count);
     }
 
@@ -1648,14 +1479,10 @@ mod tests {
     /// cones (white-box: uses the engine's own reachability relation).
     fn disjoint_stuck_at_batch(dp: &DiffProp<'_>, faults: &[StuckAtFault]) -> Vec<StuckAtFault> {
         let mut picked: Vec<StuckAtFault> = Vec::new();
-        let flow = |f: &StuckAtFault| match f.site {
-            dp_faults::FaultSite::Net(n) => n,
-            dp_faults::FaultSite::Branch(b) => b.sink,
-        };
         for f in faults {
             if picked
                 .iter()
-                .all(|p| dp.reach.cones_disjoint(flow(p), flow(f)))
+                .all(|p| dp.reach.cones_disjoint(flow_net(p), flow_net(f)))
             {
                 picked.push(*f);
             }
@@ -1756,7 +1583,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "duplicate fault site")]
+    #[should_panic(expected = "pins one site twice")]
     fn batch_rejects_duplicate_sites() {
         let c = c17();
         let f = checkpoint_faults(&c)[0];

@@ -17,8 +17,11 @@
 //!
 //! All functions are OBDDs ([`dp_bdd`]). Because the identities are derived
 //! independently of the fault type, *any* fault whose effect is logical can
-//! be analysed — the crate handles single stuck-at faults (net or fanout
-//! branch) and two-wire AND/OR bridging faults out of the box.
+//! be analysed — one entry point, [`DiffProp::analyze`] (or the
+//! budget-honouring [`DiffProp::try_analyze`]), handles single stuck-at
+//! faults (net or fanout branch), two-wire AND/OR bridging faults (feedback
+//! pairs through a ternary fixpoint) and multiple stuck-at faults, and
+//! returns one [`FaultAnalysis`] for each.
 //!
 //! From the complete test set follow the paper's exact metrics:
 //!
@@ -30,8 +33,10 @@
 //!
 //! Applications and companions built on the engine:
 //!
+//! * [`sweep_universe`] — a collapsed, batched, work-stealing sweep of a
+//!   whole fault universe ([`sweep_universe_ext`] adds a warm snapshot and
+//!   an in-order record stream),
 //! * [`generate_tests`] — compact ATPG with exact redundancy proofs,
-//! * [`DiffProp::analyze_multi_stuck_at`] — multiple stuck-at faults,
 //! * [`FaultDictionary`] — full-response dictionaries and diagnosis,
 //! * [`find_redundancies`] — whole-circuit redundancy identification,
 //! * [`GoodFunctions::build_auto_decomposed`] — cut-point functional
@@ -75,16 +80,15 @@ pub use atpg::{generate_tests, generate_tests_with, TestSet};
 pub use delta::{delta_output, naive_delta_output};
 pub use dictionary::{Candidate, FaultDictionary, Signature};
 pub use dp_bdd::BudgetConfig;
-pub use engine::{DiffProp, EngineConfig, FaultAnalysis, MultiFaultAnalysis};
+pub use engine::{DiffProp, EngineConfig, FaultAnalysis};
 pub use error::AnalysisError;
 pub use good::{GoodFunctions, GoodSnapshot};
 pub use observability::Observability;
 pub use order::OrderStrategy;
 pub use dp_telemetry::TelemetryLevel;
 pub use parallel::{
-    analyze_universe, analyze_universe_with, plan_batches, sweep_universe, sweep_universe_ext,
-    sweep_universe_streamed, ClassId, FallbackConfig, FaultOutcome, FaultSummary, ManagerMode,
-    Parallelism, RecordSink, ShardReport, SweepConfig, SweepResult, WORKER_PANIC,
+    plan_batches, sweep_universe, sweep_universe_ext, ClassId, FallbackConfig, FaultOutcome,
+    FaultSummary, Parallelism, RecordSink, ShardReport, SweepConfig, SweepResult, WORKER_PANIC,
 };
 pub use redundancy::{find_redundancies, RedundancyReport};
 pub use report::{summaries_digest, summary_line, sweep_report};

@@ -26,18 +26,9 @@ pub enum OrderStrategy {
     /// Fanin-weighted depth-first traversal
     /// ([`dp_netlist::ordering::fanin_dfs_order`]).
     FaninDfs,
-    /// Topology-aware cone interleaving
-    /// ([`dp_netlist::ordering::interleave_order`]).
-    Interleave,
     /// [`OrderStrategy::FaninDfs`] statically, plus budget-exempt dynamic
     /// sifting mid-sweep whenever the live node count outgrows the last
     /// reordered size (see `DiffProp::maybe_gc`).
-    ///
-    /// Auto deliberately does *not* consider [`OrderStrategy::Interleave`]:
-    /// even after the support-locality rederivation, interleave has yet to
-    /// beat fanin-DFS on a surrogate (EXPERIMENTS.md "Static order shoot-out"
-    /// keeps the measurement current), so the static seed stays fanin-DFS
-    /// until the data says otherwise.
     Auto,
     /// A seeded pseudo-random permutation (Fisher–Yates over splitmix64).
     /// Exists for the order-invariance test layer; never a good idea for
@@ -46,13 +37,12 @@ pub enum OrderStrategy {
 }
 
 impl OrderStrategy {
-    /// Parses a command-line spelling: `identity`, `fanin-dfs`,
-    /// `interleave`, `auto`, or `random:<seed>`.
+    /// Parses a command-line spelling: `identity`, `fanin-dfs`, `auto`, or
+    /// `random:<seed>`.
     pub fn parse(s: &str) -> Option<OrderStrategy> {
         match s {
             "identity" => Some(OrderStrategy::Identity),
             "fanin-dfs" | "fanin_dfs" => Some(OrderStrategy::FaninDfs),
-            "interleave" => Some(OrderStrategy::Interleave),
             "auto" => Some(OrderStrategy::Auto),
             _ => s
                 .strip_prefix("random:")
@@ -67,7 +57,6 @@ impl OrderStrategy {
         match self {
             OrderStrategy::Identity => "identity".into(),
             OrderStrategy::FaninDfs => "fanin-dfs".into(),
-            OrderStrategy::Interleave => "interleave".into(),
             OrderStrategy::Auto => "auto".into(),
             OrderStrategy::Random(seed) => format!("random:{seed}"),
         }
@@ -87,7 +76,6 @@ impl OrderStrategy {
         match self {
             OrderStrategy::Identity => (0..n as Var).collect(),
             OrderStrategy::FaninDfs | OrderStrategy::Auto => ordering::fanin_dfs_order(circuit),
-            OrderStrategy::Interleave => ordering::interleave_order(circuit),
             OrderStrategy::Random(seed) => random_permutation(n, seed),
         }
     }
@@ -135,7 +123,6 @@ mod tests {
             for strategy in [
                 OrderStrategy::Identity,
                 OrderStrategy::FaninDfs,
-                OrderStrategy::Interleave,
                 OrderStrategy::Auto,
                 OrderStrategy::Random(7),
                 OrderStrategy::Random(u64::MAX),
@@ -156,7 +143,6 @@ mod tests {
         for strategy in [
             OrderStrategy::Identity,
             OrderStrategy::FaninDfs,
-            OrderStrategy::Interleave,
             OrderStrategy::Auto,
             OrderStrategy::Random(42),
         ] {
@@ -164,6 +150,7 @@ mod tests {
         }
         assert_eq!(OrderStrategy::parse("fanin_dfs"), Some(OrderStrategy::FaninDfs));
         assert_eq!(OrderStrategy::parse("sift-harder"), None);
+        assert_eq!(OrderStrategy::parse("interleave"), None, "retired strategy");
         assert_eq!(OrderStrategy::parse("random:x"), None);
     }
 

@@ -17,13 +17,11 @@
 //!
 //! On top of those, two shared-manager levers (both also output-invariant):
 //!
-//! * **Frozen good-function snapshots** ([`ManagerMode::SharedSnapshot`],
-//!   the default): the good functions are built **once**, frozen into an
-//!   immutable [`GoodSnapshot`](crate::GoodSnapshot), and every worker thaws
-//!   a lightweight delta manager over the shared base — the per-worker
-//!   build cost disappears, and the one-off build is accounted exactly once
-//!   in the sweep totals. [`ManagerMode::Private`] restores the
-//!   build-per-worker behaviour for ablations.
+//! * **Frozen good-function snapshots**: the good functions are built
+//!   **once**, frozen into an immutable [`GoodSnapshot`](crate::GoodSnapshot),
+//!   and every worker thaws a lightweight delta manager over the shared
+//!   base — there is no per-worker build, and the one-off build is
+//!   accounted exactly once in the sweep totals.
 //! * **Cone-disjoint fault batches** ([`SweepConfig::batch`]): stuck-at
 //!   classes whose representative fanout cones are pairwise disjoint are
 //!   greedily packed ([`plan_batches`]) into one fused propagation pass per
@@ -83,14 +81,18 @@
 //! # Examples
 //!
 //! ```
-//! use dp_core::{analyze_universe, EngineConfig, Parallelism};
+//! use dp_core::{sweep_universe, Parallelism, SweepConfig};
 //! use dp_faults::{checkpoint_faults, Fault};
 //! use dp_netlist::generators::c17;
 //!
 //! let circuit = c17();
 //! let faults: Vec<Fault> = checkpoint_faults(&circuit).into_iter().map(Fault::from).collect();
-//! let serial = analyze_universe(&circuit, &faults, EngineConfig::default(), Parallelism::Serial);
-//! let sharded = analyze_universe(&circuit, &faults, EngineConfig::default(), Parallelism::Threads(2));
+//! let serial = sweep_universe(&circuit, &faults, &SweepConfig::default());
+//! let sharded = sweep_universe(
+//!     &circuit,
+//!     &faults,
+//!     &SweepConfig { parallelism: Parallelism::Threads(2), ..Default::default() },
+//! );
 //! assert_eq!(serial.summaries, sharded.summaries);
 //! assert!(serial.is_complete());
 //! // Collapsing analysed fewer classes than there are faults…
@@ -106,16 +108,14 @@ use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use dp_bdd::ManagerStats;
-use dp_faults::{
-    collapse_faults, CollapseStats, CollapsedUniverse, Fault, FaultClass, FaultSite, StuckAtFault,
-};
+use dp_faults::{collapse_faults, CollapseStats, CollapsedUniverse, Fault, FaultClass, StuckAtFault};
 use dp_netlist::{Circuit, NetId, Reachability};
 use dp_sim::sampled_fault_estimate;
 use dp_telemetry::{
     Collector, CounterKind, HistKind, SharedCollector, SpanKind, TelemetryLevel, TelemetrySnapshot,
 };
 
-use crate::engine::{DiffProp, EngineConfig, FaultAnalysis};
+use crate::engine::{flow_net, DiffProp, EngineConfig, FaultAnalysis};
 use crate::good::GoodSnapshot;
 
 /// Index of an equivalence class in the sweep's collapsed class list — the
@@ -135,7 +135,8 @@ pub enum Parallelism {
     /// One worker on the calling thread — the reference execution.
     #[default]
     Serial,
-    /// Up to `n` scoped worker threads, each owning a private manager.
+    /// Up to `n` scoped worker threads, each owning a private delta manager
+    /// over the shared good-function snapshot.
     /// `Threads(0)` and `Threads(1)` degrade to one worker.
     Threads(usize),
 }
@@ -148,22 +149,6 @@ impl Parallelism {
             Parallelism::Threads(n) => n.max(1),
         }
     }
-}
-
-/// Where a sweep worker's good functions come from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ManagerMode {
-    /// Every worker builds its own BDD manager and good functions from
-    /// scratch — no sharing. The historical behaviour, kept for ablation:
-    /// results are bit-identical, only the build cost multiplies.
-    Private,
-    /// Build the good functions once, freeze them into an immutable
-    /// [`GoodSnapshot`](crate::GoodSnapshot), and hand every worker a thawed
-    /// delta manager over the shared base (copy-on-write lookup, private op
-    /// cache and stats). The default: per-worker build cost disappears and
-    /// the one-off build is accounted exactly once in the sweep totals.
-    #[default]
-    SharedSnapshot,
 }
 
 /// Default cap on stuck-at classes fused into one cone-disjoint batch.
@@ -185,9 +170,6 @@ pub struct SweepConfig {
     /// Work-queue chunk size in *batches*. `None` picks a size that gives
     /// each worker several claims without drowning the queue in contention.
     pub chunk: Option<usize>,
-    /// How workers obtain their good functions (shared frozen snapshot by
-    /// default; private build-per-worker for ablation). Output-invariant.
-    pub manager: ManagerMode,
     /// Maximum stuck-at classes fused into one cone-disjoint propagation
     /// batch (see [`plan_batches`]); `1` disables batching. Output-invariant
     /// at every value — batches are planned before workers spawn, so the
@@ -209,7 +191,6 @@ impl Default for SweepConfig {
             fallback: FallbackConfig::default(),
             collapse: true,
             chunk: None,
-            manager: ManagerMode::default(),
             batch: DEFAULT_BATCH,
             telemetry: TelemetryLevel::default(),
         }
@@ -253,18 +234,6 @@ impl FaultOutcome {
     /// `true` for [`FaultOutcome::Oscillating`].
     pub fn is_oscillating(self) -> bool {
         matches!(self, FaultOutcome::Oscillating { .. })
-    }
-}
-
-/// The outcome an exact analysis maps to: [`FaultOutcome::Exact`] unless
-/// the feedback fixpoint left oscillating vectors behind.
-fn analysis_outcome(analysis: &FaultAnalysis) -> FaultOutcome {
-    if analysis.oscillation_density > 0.0 {
-        FaultOutcome::Oscillating {
-            density_bits: analysis.oscillation_density.to_bits(),
-        }
-    } else {
-        FaultOutcome::Exact
     }
 }
 
@@ -391,7 +360,8 @@ pub struct SweepResult {
     /// Workers actually spawned (≤ the configured parallelism; never more
     /// than there were classes).
     pub workers: usize,
-    /// Work-queue chunk size actually used, in classes.
+    /// Work-queue chunk size actually used, in batches (see
+    /// [`SweepConfig::chunk`]).
     pub chunk: usize,
     /// Name of the variable-order strategy the workers built with
     /// (`SweepConfig.engine.order`); recorded in the execution section of
@@ -451,51 +421,17 @@ impl SweepResult {
     }
 }
 
-/// Analyses every fault in `faults` against `circuit` and returns summaries
-/// **in the input fault order**.
+/// The sweep entry point: collapse the universe, pack the classes into
+/// cone-disjoint batches, fan the batches out over a work-stealing queue,
+/// and merge summaries back into input order.
 ///
-/// Equivalent to [`sweep_universe`] with the given `parallelism`, default
-/// [`FallbackConfig`], and collapsing **on**. With the default unlimited
-/// [`EngineConfig::budget`] every summary is exact and the fallback is
-/// never consulted.
-pub fn analyze_universe(
-    circuit: &Circuit,
-    faults: &[Fault],
-    config: EngineConfig,
-    parallelism: Parallelism,
-) -> SweepResult {
-    analyze_universe_with(circuit, faults, config, parallelism, FallbackConfig::default())
-}
-
-/// [`analyze_universe`] with an explicit simulator-fallback configuration.
-pub fn analyze_universe_with(
-    circuit: &Circuit,
-    faults: &[Fault],
-    config: EngineConfig,
-    parallelism: Parallelism,
-    fallback: FallbackConfig,
-) -> SweepResult {
-    sweep_universe(
-        circuit,
-        faults,
-        &SweepConfig {
-            engine: config,
-            parallelism,
-            fallback,
-            ..Default::default()
-        },
-    )
-}
-
-/// The full sweep entry point: collapse the universe, fan the classes out
-/// over a work-stealing queue, and merge summaries back into input order.
-///
-/// Each worker builds its own [`GoodFunctions`](crate::GoodFunctions) once
-/// (lazily, on its first claimed chunk) and reuses them for all its classes,
-/// exactly like a serial [`DiffProp`] would; `Parallelism::Serial` runs the
-/// identical single-worker code path on the calling thread. Results are
-/// bit-identical across all `parallelism`, `chunk`, and `collapse` settings
-/// (see the module docs).
+/// The good functions are built once, on the calling thread, and frozen
+/// into a [`GoodSnapshot`]; each worker thaws its own delta manager over
+/// that shared base (lazily, on its first claimed chunk) and reuses it for
+/// all its classes, exactly like a serial [`DiffProp`] would.
+/// `Parallelism::Serial` runs the identical single-worker code path on the
+/// calling thread. Results are bit-identical across all `parallelism`,
+/// `chunk`, `batch` and `collapse` settings (see the module docs).
 ///
 /// This function does not panic on worker failure: class panics are caught
 /// and reported per worker, and budget trips degrade per fault to sampled
@@ -504,36 +440,24 @@ pub fn sweep_universe(circuit: &Circuit, faults: &[Fault], config: &SweepConfig)
     sweep_universe_ext(circuit, faults, config, None, None)
 }
 
-/// [`sweep_universe`] that additionally yields each summary to `on_record`
-/// **incrementally, in strict input-fault order**, as the work-stealing
-/// queue completes the prefix.
-///
-/// Workers report whole batches as they finish; a reorder buffer on the
-/// calling thread releases index `i` only once every index `< i` has been
-/// either emitted or lost to a class panic, so a consumer that concatenates
-/// the records sees exactly [`SweepResult::summaries`] — byte-identical,
-/// regardless of thread count or chunk size. The callback runs on the
-/// calling thread, inside the sweep; the returned [`SweepResult`] is the
-/// same merged result a batch call produces.
-pub fn sweep_universe_streamed(
-    circuit: &Circuit,
-    faults: &[Fault],
-    config: &SweepConfig,
-    on_record: RecordSink<'_>,
-) -> SweepResult {
-    sweep_universe_ext(circuit, faults, config, None, Some(on_record))
-}
-
 /// An in-order per-record sink for streamed sweeps: invoked with the input
 /// fault index and its summary, in strictly ascending index order.
 pub type RecordSink<'a> = &'a mut dyn FnMut(usize, &FaultSummary);
 
-/// The full-control sweep entry point behind [`sweep_universe`] and
-/// [`sweep_universe_streamed`]: an optional pre-built warm snapshot and an
-/// optional in-order record sink.
+/// [`sweep_universe`] with two extras: an optional pre-built warm snapshot
+/// and an optional in-order record sink.
 ///
-/// `warm_snapshot` is the resident-service path ([`ManagerMode::SharedSnapshot`]
-/// only; ignored under [`ManagerMode::Private`]): workers thaw the provided
+/// `on_record` receives each summary **incrementally, in strict input-fault
+/// order**, as the work-stealing queue completes the prefix. Workers report
+/// whole batches as they finish; a reorder buffer on the calling thread
+/// releases index `i` only once every index `< i` has been either emitted or
+/// lost to a class panic, so a consumer that concatenates the records sees
+/// exactly [`SweepResult::summaries`] — byte-identical, regardless of thread
+/// count or chunk size. The callback runs on the calling thread, inside the
+/// sweep; the returned [`SweepResult`] is the same merged result a batch
+/// call produces.
+///
+/// `warm_snapshot` is the resident-service path: workers thaw the provided
 /// frozen good functions instead of the sweep building its own, so the sweep
 /// performs **zero** good-function builds and its reported [`ManagerStats`]
 /// contain thaw-only work — the build cost stays attributed to whoever built
@@ -577,22 +501,18 @@ pub fn sweep_universe_ext(
     } else {
         (0..classes.len()).map(|c| vec![c]).collect()
     };
-    // Shared-manager mode: build and freeze the good functions once, on the
-    // sweeping thread — unless the caller supplied a warm snapshot, in which
-    // case this sweep builds nothing at all. A budget too small for the
-    // build leaves `None` and every class degrades to a sampled estimate —
-    // exactly as when each worker fails its own private build.
-    let built: Option<GoodSnapshot> = match config.manager {
-        ManagerMode::Private => None,
-        ManagerMode::SharedSnapshot if classes.is_empty() || warm_snapshot.is_some() => None,
-        ManagerMode::SharedSnapshot => DiffProp::build_snapshot(circuit, config.engine).ok(),
+    // Build and freeze the good functions once, on the sweeping thread —
+    // unless the caller supplied a warm snapshot, in which case this sweep
+    // builds nothing at all. A budget too small for the build leaves `None`
+    // and every class degrades to a sampled estimate.
+    let built: Option<GoodSnapshot> = if classes.is_empty() || warm_snapshot.is_some() {
+        None
+    } else {
+        DiffProp::build_snapshot(circuit, config.engine).ok()
     };
-    let snapshot: Option<&GoodSnapshot> = match config.manager {
-        ManagerMode::Private => None,
-        ManagerMode::SharedSnapshot => warm_snapshot.or(built.as_ref()),
-    };
-    // Never more workers than queue entries: an extra worker would thaw or
-    // build good functions only to find the queue drained.
+    let snapshot: Option<&GoodSnapshot> = warm_snapshot.or(built.as_ref());
+    // Never more workers than queue entries: an extra worker would thaw the
+    // good functions only to find the queue drained.
     let workers = config.parallelism.workers().min(batches.len()).max(1);
     let chunk = config
         .chunk
@@ -764,12 +684,9 @@ pub fn plan_batches(
 /// the stuck net, or a branch fault's sink gate — when the class is
 /// batchable; `None` keeps it singleton (bridges, foreign sites).
 fn class_flow_net(faults: &[Fault], class: &FaultClass, reach: &Reachability) -> Option<NetId> {
-    match faults[class.representative] {
+    match &faults[class.representative] {
         Fault::StuckAt(f) => {
-            let net = match f.site {
-                FaultSite::Net(n) => n,
-                FaultSite::Branch(b) => b.sink,
-            };
+            let net = flow_net(f);
             (net.index() < reach.num_nets()).then_some(net)
         }
         // Bridges and multiple faults have several sites and no single flow
@@ -778,21 +695,15 @@ fn class_flow_net(faults: &[Fault], class: &FaultClass, reach: &Reachability) ->
     }
 }
 
-/// Builds (or rebuilds) one worker's engine according to the manager mode:
-/// a thaw of the shared snapshot, or a private from-scratch build. `None`
-/// when the budget cannot even fit the good functions — the worker then
-/// estimates every class by simulation.
+/// Builds (or rebuilds) one worker's engine: a thaw of the shared snapshot.
+/// `None` when the budget could not even fit the good functions — the
+/// worker then estimates every class by simulation.
 fn build_worker_engine<'c>(
     circuit: &'c Circuit,
     snapshot: Option<&GoodSnapshot>,
     config: &SweepConfig,
 ) -> Option<DiffProp<'c>> {
-    match config.manager {
-        ManagerMode::Private => DiffProp::try_with_config(circuit, config.engine).ok(),
-        ManagerMode::SharedSnapshot => {
-            snapshot.map(|s| DiffProp::from_snapshot(circuit, s, config.engine))
-        }
-    }
+    snapshot.map(|s| DiffProp::from_snapshot(circuit, s, config.engine))
 }
 
 /// What a worker reports to the streaming drain after each finished batch:
@@ -1034,24 +945,7 @@ fn try_fused_batch<'c>(
     for (&c, analysis) in batch.iter().zip(&analyses) {
         let class = &classes[c];
         let class_timer = collector.borrow().start();
-        for &m in &class.members {
-            let fault = faults[m].clone();
-            let adherence = engine
-                .detectability_bound(&fault)
-                .and_then(|u| (u > 0.0).then(|| analysis.detectability / u));
-            out.push((
-                m,
-                FaultSummary {
-                    fault,
-                    detectability: analysis.detectability,
-                    test_count: analysis.test_count,
-                    observable_outputs: analysis.observable_outputs.clone(),
-                    site_function_constant: analysis.site_function_constant,
-                    adherence,
-                    outcome: analysis_outcome(analysis),
-                },
-            ));
-        }
+        expand_class(engine, faults, class, analysis, out);
         report.classes_done += 1;
         report.faults_done += class.members.len();
         let mut col = collector.borrow_mut();
@@ -1081,14 +975,50 @@ fn harvest_manager_stats(c: &mut Collector, s: &ManagerStats) {
     c.add(CounterKind::BudgetTrips, s.budget_trips);
 }
 
-/// Analyses one class's representative and expands the result to every
-/// member (or samples every member when the budget trips).
+/// Expands a class representative's exact analysis to every member.
 ///
 /// Shared scalars (detectability, test count, observability flags, site
-/// constancy) are equal for all members by fault equivalence + OBDD
+/// constancy, outcome) are equal for all members by fault equivalence + OBDD
 /// canonicity. Adherence is *not* shared: its syndrome bound belongs to the
 /// member's own site net, so it is recomputed per member — which keeps the
 /// expansion bit-identical to analysing each member directly.
+fn expand_class(
+    dp: &mut DiffProp<'_>,
+    faults: &[Fault],
+    class: &FaultClass,
+    analysis: &FaultAnalysis,
+    out: &mut Vec<(usize, FaultSummary)>,
+) {
+    // Exact unless the feedback fixpoint left oscillating vectors behind.
+    let outcome = if analysis.oscillation_density > 0.0 {
+        FaultOutcome::Oscillating {
+            density_bits: analysis.oscillation_density.to_bits(),
+        }
+    } else {
+        FaultOutcome::Exact
+    };
+    for &m in &class.members {
+        let fault = faults[m].clone();
+        let adherence = dp
+            .detectability_bound(&fault)
+            .and_then(|u| (u > 0.0).then(|| analysis.detectability / u));
+        out.push((
+            m,
+            FaultSummary {
+                fault,
+                detectability: analysis.detectability,
+                test_count: analysis.test_count,
+                observable_outputs: analysis.observable_outputs.clone(),
+                site_function_constant: analysis.site_function_constant,
+                adherence,
+                outcome,
+            },
+        ));
+    }
+}
+
+/// Analyses one class's representative and expands the result to every
+/// member (or samples every member when the budget trips).
 fn summarize_class(
     circuit: &Circuit,
     dp: &mut Option<DiffProp<'_>>,
@@ -1108,24 +1038,7 @@ fn summarize_class(
     match exact {
         Some((dp, analysis)) => {
             collector.borrow_mut().finish(SpanKind::Fault, fault_timer);
-            for &m in &class.members {
-                let fault = faults[m].clone();
-                let adherence = dp
-                    .detectability_bound(&fault)
-                    .and_then(|u| (u > 0.0).then(|| analysis.detectability / u));
-                out.push((
-                    m,
-                    FaultSummary {
-                        fault,
-                        detectability: analysis.detectability,
-                        test_count: analysis.test_count,
-                        observable_outputs: analysis.observable_outputs.clone(),
-                        site_function_constant: analysis.site_function_constant,
-                        adherence,
-                        outcome: analysis_outcome(&analysis),
-                    },
-                ));
-            }
+            expand_class(dp, faults, class, &analysis, out);
         }
         None => {
             // Budget trip (or no engine at all): every member gets its own
@@ -1190,6 +1103,13 @@ mod tests {
     use dp_faults::{checkpoint_faults, enumerate_nfbfs, BridgeKind};
     use dp_netlist::generators::{alu74181, c17, c95, full_adder};
 
+    fn with_parallelism(parallelism: Parallelism) -> SweepConfig {
+        SweepConfig {
+            parallelism,
+            ..Default::default()
+        }
+    }
+
     fn stuck_at_universe(circuit: &Circuit) -> Vec<Fault> {
         checkpoint_faults(circuit)
             .into_iter()
@@ -1217,12 +1137,7 @@ mod tests {
     fn serial_matches_engine_directly() {
         let circuit = c17();
         let faults = stuck_at_universe(&circuit);
-        let sweep = analyze_universe(
-            &circuit,
-            &faults,
-            EngineConfig::default(),
-            Parallelism::Serial,
-        );
+        let sweep = sweep_universe(&circuit, &faults, &with_parallelism(Parallelism::Serial));
         assert!(sweep.classes < faults.len(), "c17 checkpoints collapse");
         let mut dp = DiffProp::new(&circuit);
         assert_eq!(sweep.summaries.len(), faults.len());
@@ -1283,10 +1198,10 @@ mod tests {
     fn sharded_matches_serial_on_stuck_at() {
         let circuit = c17();
         let faults = stuck_at_universe(&circuit);
-        let config = EngineConfig::default();
-        let serial = analyze_universe(&circuit, &faults, config, Parallelism::Serial);
+        let serial = sweep_universe(&circuit, &faults, &with_parallelism(Parallelism::Serial));
         for n in [1, 2, 3, 4, 7] {
-            let sharded = analyze_universe(&circuit, &faults, config, Parallelism::Threads(n));
+            let sharded =
+                sweep_universe(&circuit, &faults, &with_parallelism(Parallelism::Threads(n)));
             assert_bit_identical(&serial.summaries, &sharded.summaries);
         }
     }
@@ -1299,9 +1214,8 @@ mod tests {
             faults.extend(enumerate_nfbfs(&circuit, kind).into_iter().map(Fault::from));
         }
         assert!(faults.len() > 8, "expected a non-trivial bridge universe");
-        let config = EngineConfig::default();
-        let serial = analyze_universe(&circuit, &faults, config, Parallelism::Serial);
-        let sharded = analyze_universe(&circuit, &faults, config, Parallelism::Threads(4));
+        let serial = sweep_universe(&circuit, &faults, &with_parallelism(Parallelism::Serial));
+        let sharded = sweep_universe(&circuit, &faults, &with_parallelism(Parallelism::Threads(4)));
         // Bridges never collapse: classes == universe size.
         assert_eq!(serial.classes, faults.len());
         assert_bit_identical(&serial.summaries, &sharded.summaries);
@@ -1311,12 +1225,7 @@ mod tests {
     fn more_workers_than_faults_degrades_gracefully() {
         let circuit = c17();
         let faults: Vec<Fault> = stuck_at_universe(&circuit).into_iter().take(3).collect();
-        let sweep = analyze_universe(
-            &circuit,
-            &faults,
-            EngineConfig::default(),
-            Parallelism::Threads(64),
-        );
+        let sweep = sweep_universe(&circuit, &faults, &with_parallelism(Parallelism::Threads(64)));
         assert_eq!(sweep.summaries.len(), 3);
         assert!(
             sweep.shards.len() <= 3,
@@ -1332,12 +1241,7 @@ mod tests {
     #[test]
     fn empty_universe_yields_one_idle_worker() {
         let circuit = c17();
-        let sweep = analyze_universe(
-            &circuit,
-            &[],
-            EngineConfig::default(),
-            Parallelism::Threads(4),
-        );
+        let sweep = sweep_universe(&circuit, &[], &with_parallelism(Parallelism::Threads(4)));
         assert!(sweep.summaries.is_empty());
         assert_eq!(sweep.classes, 0);
         assert_eq!(sweep.shards.len(), 1);
@@ -1351,12 +1255,7 @@ mod tests {
     fn shard_reports_cover_the_universe_and_carry_stats() {
         let circuit = c17();
         let faults = stuck_at_universe(&circuit);
-        let sweep = analyze_universe(
-            &circuit,
-            &faults,
-            EngineConfig::default(),
-            Parallelism::Threads(2),
-        );
+        let sweep = sweep_universe(&circuit, &faults, &with_parallelism(Parallelism::Threads(2)));
         assert_eq!(sweep.shards.len(), 2);
         assert_eq!(
             sweep.shards.iter().map(|s| s.faults_done).sum::<usize>(),
@@ -1396,12 +1295,7 @@ mod tests {
         assert_eq!(Parallelism::Threads(4).workers(), 4);
         let circuit = c17();
         let faults = stuck_at_universe(&circuit);
-        let sweep = analyze_universe(
-            &circuit,
-            &faults,
-            EngineConfig::default(),
-            Parallelism::Threads(0),
-        );
+        let sweep = sweep_universe(&circuit, &faults, &with_parallelism(Parallelism::Threads(0)));
         assert_eq!(sweep.shards.len(), 1);
     }
 
@@ -1421,12 +1315,7 @@ mod tests {
         // Append a poisoned fault; it forms a singleton class, so exactly
         // one class is lost and every healthy fault survives.
         faults.push(foreign_fault());
-        let sweep = analyze_universe(
-            &circuit,
-            &faults,
-            EngineConfig::default(),
-            Parallelism::Threads(2),
-        );
+        let sweep = sweep_universe(&circuit, &faults, &with_parallelism(Parallelism::Threads(2)));
         assert!(!sweep.is_complete());
         let failed = sweep.failed_shards();
         assert_eq!(failed.len(), 1, "one worker saw the poisoned class");
@@ -1435,12 +1324,7 @@ mod tests {
         // Every healthy fault's summary survives, bit-identical to a clean
         // serial run over the healthy universe.
         assert_eq!(sweep.summaries.len(), healthy);
-        let clean = analyze_universe(
-            &circuit,
-            &faults[..healthy],
-            EngineConfig::default(),
-            Parallelism::Serial,
-        );
+        let clean = sweep_universe(&circuit, &faults[..healthy], &SweepConfig::default());
         assert_bit_identical(&clean.summaries, &sweep.summaries);
         assert_eq!(
             sweep.shards.iter().map(|s| s.faults_done).sum::<usize>(),
@@ -1452,12 +1336,7 @@ mod tests {
     fn serial_panic_is_caught_too() {
         let circuit = c17();
         let faults = vec![foreign_fault()];
-        let sweep = analyze_universe(
-            &circuit,
-            &faults,
-            EngineConfig::default(),
-            Parallelism::Serial,
-        );
+        let sweep = sweep_universe(&circuit, &faults, &with_parallelism(Parallelism::Serial));
         assert!(!sweep.is_complete());
         assert!(sweep.summaries.is_empty());
         assert_eq!(sweep.shards.len(), 1);
@@ -1472,20 +1351,10 @@ mod tests {
         let mut faults = stuck_at_universe(&circuit);
         let healthy: Vec<Fault> = faults.clone();
         faults.insert(faults.len() / 2, foreign_fault());
-        let sweep = analyze_universe(
-            &circuit,
-            &faults,
-            EngineConfig::default(),
-            Parallelism::Serial,
-        );
+        let sweep = sweep_universe(&circuit, &faults, &with_parallelism(Parallelism::Serial));
         assert!(!sweep.is_complete());
         assert_eq!(sweep.summaries.len(), healthy.len());
-        let clean = analyze_universe(
-            &circuit,
-            &healthy,
-            EngineConfig::default(),
-            Parallelism::Serial,
-        );
+        let clean = sweep_universe(&circuit, &healthy, &with_parallelism(Parallelism::Serial));
         // Orders agree because merge is by global index and the poisoned
         // index simply drops out.
         for (s, c) in sweep.summaries.iter().zip(&clean.summaries) {
@@ -1505,9 +1374,13 @@ mod tests {
                 ..Default::default()
             };
             let mut seen: Vec<(usize, FaultSummary)> = Vec::new();
-            let streamed = sweep_universe_streamed(&circuit, &faults, &config, &mut |i, s| {
-                seen.push((i, s.clone()))
-            });
+            let streamed = sweep_universe_ext(
+                &circuit,
+                &faults,
+                &config,
+                None,
+                Some(&mut |i, s: &FaultSummary| seen.push((i, s.clone()))),
+            );
             assert!(streamed.is_complete());
             assert_eq!(seen.len(), faults.len(), "threads={threads}");
             for (expect, (i, _)) in seen.iter().enumerate() {
@@ -1535,7 +1408,7 @@ mod tests {
             ..Default::default()
         };
         let sweep =
-            sweep_universe_streamed(&circuit, &faults, &config, &mut |i, _| seen.push(i));
+            sweep_universe_ext(&circuit, &faults, &config, None, Some(&mut |i, _| seen.push(i)));
         assert!(!sweep.is_complete());
         // Every healthy index streamed exactly once, ascending; the poisoned
         // index is absent instead of blocking everything after it.
@@ -1566,17 +1439,20 @@ mod tests {
     fn tiny_budget_degrades_to_bounded_summaries() {
         let circuit = c95();
         let faults = stuck_at_universe(&circuit);
-        let config = EngineConfig {
-            // Too small for c95's good functions: every fault is estimated.
-            budget: BudgetConfig::with_max_nodes(8),
+        let config = SweepConfig {
+            engine: EngineConfig {
+                // Too small for c95's good functions: every fault is estimated.
+                budget: BudgetConfig::with_max_nodes(8),
+                ..Default::default()
+            },
+            parallelism: Parallelism::Threads(2),
+            fallback: FallbackConfig {
+                samples: 512,
+                seed: 7,
+            },
             ..Default::default()
         };
-        let fallback = FallbackConfig {
-            samples: 512,
-            seed: 7,
-        };
-        let sweep =
-            analyze_universe_with(&circuit, &faults, config, Parallelism::Threads(2), fallback);
+        let sweep = sweep_universe(&circuit, &faults, &config);
         assert!(sweep.is_complete(), "budget trips are not panics");
         assert_eq!(sweep.summaries.len(), faults.len());
         assert_eq!(sweep.num_bounded(), faults.len());
@@ -1592,16 +1468,17 @@ mod tests {
     fn bounded_estimates_are_thread_count_invariant() {
         let circuit = c95();
         let faults = stuck_at_universe(&circuit);
-        let config = EngineConfig {
-            budget: BudgetConfig::with_max_nodes(8),
+        let config = |parallelism| SweepConfig {
+            engine: EngineConfig {
+                budget: BudgetConfig::with_max_nodes(8),
+                ..Default::default()
+            },
+            parallelism,
             ..Default::default()
         };
-        let fallback = FallbackConfig::default();
-        let serial =
-            analyze_universe_with(&circuit, &faults, config, Parallelism::Serial, fallback);
+        let serial = sweep_universe(&circuit, &faults, &config(Parallelism::Serial));
         for n in [2, 3, 5] {
-            let sharded =
-                analyze_universe_with(&circuit, &faults, config, Parallelism::Threads(n), fallback);
+            let sharded = sweep_universe(&circuit, &faults, &config(Parallelism::Threads(n)));
             assert_bit_identical(&serial.summaries, &sharded.summaries);
         }
     }
@@ -1610,56 +1487,21 @@ mod tests {
     fn generous_budget_still_yields_exact_everywhere() {
         let circuit = c17();
         let faults = stuck_at_universe(&circuit);
-        let unbudgeted = analyze_universe(
+        let unbudgeted = sweep_universe(&circuit, &faults, &with_parallelism(Parallelism::Serial));
+        let budgeted = sweep_universe(
             &circuit,
             &faults,
-            EngineConfig::default(),
-            Parallelism::Serial,
-        );
-        let budgeted = analyze_universe(
-            &circuit,
-            &faults,
-            EngineConfig {
-                budget: BudgetConfig::with_max_nodes(1 << 20),
+            &SweepConfig {
+                engine: EngineConfig {
+                    budget: BudgetConfig::with_max_nodes(1 << 20),
+                    ..Default::default()
+                },
                 ..Default::default()
             },
-            Parallelism::Serial,
         );
         assert!(budgeted.summaries.iter().all(|s| s.outcome.is_exact()));
         assert_eq!(budgeted.num_bounded(), 0);
         assert_bit_identical(&unbudgeted.summaries, &budgeted.summaries);
-    }
-
-    #[test]
-    fn private_and_shared_managers_are_bit_identical() {
-        let circuit = c95();
-        let mut faults = stuck_at_universe(&circuit);
-        faults.extend(
-            enumerate_nfbfs(&circuit, BridgeKind::And)
-                .into_iter()
-                .take(6)
-                .map(Fault::from),
-        );
-        let private = sweep_universe(
-            &circuit,
-            &faults,
-            &SweepConfig {
-                manager: ManagerMode::Private,
-                ..Default::default()
-            },
-        );
-        for threads in [1, 2, 4] {
-            let shared = sweep_universe(
-                &circuit,
-                &faults,
-                &SweepConfig {
-                    manager: ManagerMode::SharedSnapshot,
-                    parallelism: Parallelism::Threads(threads),
-                    ..Default::default()
-                },
-            );
-            assert_bit_identical(&private.summaries, &shared.summaries);
-        }
     }
 
     #[test]

@@ -15,9 +15,8 @@
 //! * the paper's layout-estimate **topology model** (§2.2): X = level from
 //!   the primary inputs, Y = average of fanin Y coordinates
 //!   ([`Placement`]),
-//! * static OBDD **variable-ordering heuristics** derived from the circuit
-//!   DAG and the placement estimates ([`ordering::fanin_dfs_order`],
-//!   [`ordering::interleave_order`]),
+//! * a static OBDD **variable-ordering heuristic** derived from the circuit
+//!   DAG ([`ordering::fanin_dfs_order`]),
 //! * netlist **transformations**: n-input → 2-input gate decomposition and
 //!   the XOR → four-NAND expansion that derives C1355 from C499
 //!   ([`decompose_two_input`], [`expand_xor_to_nand`]),

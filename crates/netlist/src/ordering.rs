@@ -1,43 +1,23 @@
-//! Static variable-ordering heuristics for OBDD construction.
+//! Static variable-ordering heuristic for OBDD construction.
 //!
 //! The paper's §2.2 notes the declared input order of the benchmark netlists
 //! is "probably meaningful"; it is, but only barely — on the deeper
 //! surrogates (`c432s`, `c499s`, …) the identity order is the dominant cost
-//! of every sweep. This module derives better static orders from circuit
+//! of every sweep. This module derives a better static order from circuit
 //! structure alone, before a single BDD node is allocated:
+//! [`fanin_dfs_order`], the classical fanin-weighted depth-first traversal
+//! (Fujita / Malik). It walks each output cone depth-first, visiting the
+//! structurally *deepest* fanin first, and assigns OBDD levels to primary
+//! inputs in first-visit order. Inputs that feed the same reconvergent logic
+//! end up adjacent, which is exactly what keeps OBDD widths small.
 //!
-//! * [`fanin_dfs_order`] — the classical fanin-weighted depth-first
-//!   traversal (Fujita / Malik): walk each output cone depth-first, visiting
-//!   the structurally *deepest* fanin first, and assign OBDD levels to
-//!   primary inputs in first-visit order. Inputs that feed the same
-//!   reconvergent logic end up adjacent, which is exactly what keeps OBDD
-//!   widths small.
-//! * [`interleave_order`] — a topology-aware round-robin over output cones:
-//!   each cone lists its inputs in *support-locality* order (a depth-first
-//!   walk of the cone that finishes one reconvergent subtree before starting
-//!   the next, breaking depth ties by [`Placement`](crate::topology::Placement)
-//!   proximity to the consuming gate), and the cones take turns contributing
-//!   their next unplaced input. For multi-output circuits whose cones overlap
-//!   (the C499/C1355 shape) this interleaves the shared inputs instead of
-//!   clustering one cone at a time.
-//!
-//!   An earlier revision instead ranked each cone's inputs by placed distance
-//!   *to the output*. On wide XOR cones every leaf is (near-)equidistant from
-//!   the output, so the rank collapsed to declared order — and whenever the
-//!   declared order alternates between subtrees, each subtree's support was
-//!   scattered across the whole permutation: the exact opposite of the
-//!   grouping OBDD widths need, and the reason interleave lost to fanin-DFS
-//!   on every surrogate (see EXPERIMENTS.md). The DFS derivation keeps a
-//!   subtree's inputs contiguous within its cone by construction.
-//!
-//! Both heuristics return a permutation `order` of the input indices —
-//! `order[l]` is the position in [`Circuit::inputs`] placed at OBDD level
-//! `l` — ready for `dp_bdd::Manager::with_order` (via
-//! `dp_core::GoodFunctions::build_with_order`). They are deterministic
-//! functions of the circuit, so orders never drift between runs.
+//! The result is a permutation `order` of the input indices — `order[l]` is
+//! the position in [`Circuit::inputs`] placed at OBDD level `l` — ready for
+//! `dp_bdd::Manager::with_order` (via
+//! `dp_core::GoodFunctions::build_with_order`). It is a deterministic
+//! function of the circuit, so orders never drift between runs.
 
 use crate::circuit::{Circuit, Driver, NetId};
-use crate::topology::Placement;
 
 /// Fanin-weighted depth-first order: inputs in first-visit order of a DFS
 /// that explores the deepest fanin subtree first.
@@ -110,117 +90,6 @@ fn dfs(
     }
 }
 
-/// Topology-aware interleaved order: output cones take turns contributing
-/// their next not-yet-placed input, each cone listing its inputs in
-/// support-locality (depth-first subtree) order.
-///
-/// # Examples
-///
-/// ```
-/// use dp_netlist::generators::c95;
-/// use dp_netlist::ordering::interleave_order;
-///
-/// let c = c95();
-/// let order = interleave_order(&c);
-/// let mut sorted = order.clone();
-/// sorted.sort_unstable();
-/// assert_eq!(sorted, (0..c.num_inputs() as u32).collect::<Vec<_>>());
-/// ```
-pub fn interleave_order(circuit: &Circuit) -> Vec<u32> {
-    let placement = Placement::estimate(circuit);
-    let depth = circuit.levels_from_inputs();
-    let input_index = input_index_map(circuit);
-
-    let mut outputs: Vec<NetId> = circuit.outputs().to_vec();
-    outputs.sort_by_key(|o| std::cmp::Reverse(depth[o.index()]));
-
-    let cones: Vec<Vec<u32>> = outputs
-        .iter()
-        .map(|&o| cone_support_order(circuit, o, &placement, &depth, &input_index))
-        .collect();
-
-    let n = circuit.num_inputs();
-    let mut placed = vec![false; n];
-    let mut order: Vec<u32> = Vec::with_capacity(n);
-    let mut cursors = vec![0usize; cones.len()];
-    while order.len() < n {
-        let before = order.len();
-        for (cone, cursor) in cones.iter().zip(cursors.iter_mut()) {
-            while *cursor < cone.len() && placed[cone[*cursor] as usize] {
-                *cursor += 1;
-            }
-            if *cursor < cone.len() {
-                let i = cone[*cursor];
-                placed[i as usize] = true;
-                order.push(i);
-                *cursor += 1;
-            }
-        }
-        if order.len() == before {
-            // Inputs outside every output cone (dangling): declared order.
-            for (i, p) in placed.iter_mut().enumerate() {
-                if !*p {
-                    *p = true;
-                    order.push(i as u32);
-                }
-            }
-        }
-    }
-    order
-}
-
-/// The cone of `output` as a list of primary-input indices in
-/// *support-locality* order: a depth-first walk that explores the deepest
-/// fanin subtree of each gate first, breaking depth ties by placed proximity
-/// to the consuming gate, then declared position. Finishing one subtree
-/// before starting the next keeps each subfunction's support contiguous —
-/// ranking leaves by distance to the cone output (the previous derivation)
-/// does not, because on wide balanced cones all leaves are equidistant.
-fn cone_support_order(
-    circuit: &Circuit,
-    output: NetId,
-    placement: &Placement,
-    depth: &[u32],
-    input_index: &[Option<u32>],
-) -> Vec<u32> {
-    let mut pis = Vec::new();
-    let mut visited = vec![false; circuit.num_nets()];
-    let mut stack = vec![output];
-    while let Some(n) = stack.pop() {
-        if visited[n.index()] {
-            continue;
-        }
-        visited[n.index()] = true;
-        match circuit.driver(n) {
-            Driver::Input => {
-                if let Some(i) = input_index[n.index()] {
-                    pis.push(i);
-                }
-            }
-            Driver::Gate { fanins, .. } => {
-                let here = placement.point(n);
-                let mut fanins: Vec<NetId> = fanins.clone();
-                // Ascending (depth, −proximity, position) so popping from the
-                // stack end visits the deepest — nearest on ties — subtree
-                // first. `total_cmp` keeps the sort total even if a degenerate
-                // placement yields NaN/∞ distances (coincident points divide
-                // 0/0 in normalisation): a bad order is recoverable, a panic
-                // mid-sweep is not.
-                fanins.sort_by(|&a, &b| {
-                    let da = placement.point(a).distance(here);
-                    let db = placement.point(b).distance(here);
-                    depth[a.index()]
-                        .cmp(&depth[b.index()])
-                        .then(db.total_cmp(&da))
-                        .then(a.index().cmp(&b.index()))
-                });
-                stack.extend(fanins);
-            }
-        }
-    }
-    pis
-}
-
 /// `input_index[net] = Some(i)` when the net is the `i`-th declared input.
 fn input_index_map(circuit: &Circuit) -> Vec<Option<u32>> {
     let mut map = vec![None; circuit.num_nets()];
@@ -262,7 +131,7 @@ mod tests {
     }
 
     #[test]
-    fn both_heuristics_are_permutations_on_every_generator() {
+    fn fanin_dfs_is_a_permutation_on_every_generator() {
         for circuit in [
             c17(),
             full_adder(),
@@ -273,7 +142,6 @@ mod tests {
         ] {
             let n = circuit.num_inputs();
             assert_permutation(&fanin_dfs_order(&circuit), n);
-            assert_permutation(&interleave_order(&circuit), n);
         }
     }
 
@@ -281,58 +149,6 @@ mod tests {
     fn orders_are_deterministic() {
         let c = c432_surrogate();
         assert_eq!(fanin_dfs_order(&c), fanin_dfs_order(&c));
-        assert_eq!(interleave_order(&c), interleave_order(&c));
-    }
-
-    /// An 8-input balanced XOR tree whose *declared* input order alternates
-    /// between the two top-level subtrees: the left subtree reads i0/i2/i4/i6,
-    /// the right reads i1/i3/i5/i7. Distance-to-output ranking degenerates to
-    /// declared order here (all leaves equidistant from the root), scattering
-    /// each subtree's support; the support-locality DFS must keep each
-    /// subtree's four inputs contiguous.
-    fn alternating_xor_tree() -> Circuit {
-        use crate::circuit::{CircuitBuilder, GateKind};
-        let mut b = CircuitBuilder::new("xor8_alt");
-        let pis: Vec<NetId> = (0..8).map(|i| b.input(format!("i{i}"))).collect();
-        let l1 = b.gate("l1", GateKind::Xor, &[pis[0], pis[2]]).unwrap();
-        let l2 = b.gate("l2", GateKind::Xor, &[pis[4], pis[6]]).unwrap();
-        let left = b.gate("left", GateKind::Xor, &[l1, l2]).unwrap();
-        let r1 = b.gate("r1", GateKind::Xor, &[pis[1], pis[3]]).unwrap();
-        let r2 = b.gate("r2", GateKind::Xor, &[pis[5], pis[7]]).unwrap();
-        let right = b.gate("right", GateKind::Xor, &[r1, r2]).unwrap();
-        let out = b.gate("out", GateKind::Xor, &[left, right]).unwrap();
-        b.output(out);
-        b.finish().unwrap()
-    }
-
-    #[test]
-    fn interleave_groups_subtree_support_on_wide_xor_cone() {
-        let c = alternating_xor_tree();
-        let order = interleave_order(&c);
-        assert_permutation(&order, 8);
-        // Whichever subtree the DFS enters first, its four inputs must occupy
-        // the first four levels. The old distance-to-output rank produced
-        // declared order 0,1,2,… here — alternating subtrees every level.
-        let first: std::collections::BTreeSet<u32> = order[..4].iter().copied().collect();
-        let left: std::collections::BTreeSet<u32> = [0u32, 2, 4, 6].into_iter().collect();
-        let right: std::collections::BTreeSet<u32> = [1u32, 3, 5, 7].into_iter().collect();
-        assert!(
-            first == left || first == right,
-            "subtree support not contiguous: {order:?}"
-        );
-    }
-
-    #[test]
-    fn interleave_survives_coincident_placements() {
-        // The symmetric XOR tree places mirror-image nets at identical
-        // estimated coordinates, so the per-gate proximity tie-break sees
-        // equal (and potentially degenerate) distances everywhere. The order
-        // must still be a deterministic permutation — never a panic.
-        let c = alternating_xor_tree();
-        let o1 = interleave_order(&c);
-        let o2 = interleave_order(&c);
-        assert_eq!(o1, o2);
-        assert_permutation(&o1, c.num_inputs());
     }
 
     #[test]

@@ -739,6 +739,30 @@ mod tests {
     }
 
     #[test]
+    fn retired_interleave_spelling_is_an_unknown_strategy() {
+        let ok = Request::Sweep {
+            circuit: CircuitSpec::Builtin("c17".into()),
+            params: SweepParams {
+                order: OrderStrategy::FaninDfs,
+                ..Default::default()
+            },
+        }
+        .to_line();
+        for line in [
+            ok.replace("\"order\":\"fanin-dfs\"", "\"order\":\"interleave\""),
+            concat!(
+                r#"{"cmd":"detectability","circuit":{"builtin":"c17"},"#,
+                r#""order":"interleave","net":"n2","stuck_at":0}"#,
+            )
+            .to_string(),
+        ] {
+            assert!(line.contains("\"order\":\"interleave\""), "{line}");
+            let e = Request::from_line(&line).expect_err("interleave is retired");
+            assert!(e.to_string().contains("unknown order strategy `interleave`"), "{e}");
+        }
+    }
+
+    #[test]
     fn builtin_specs_compile_to_the_generator_circuits() {
         let spec = CircuitSpec::from_arg("c95").expect("builtin");
         assert_eq!(spec, CircuitSpec::Builtin("c95".into()));

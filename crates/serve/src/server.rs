@@ -19,7 +19,7 @@ use std::sync::{Arc, Mutex};
 use dp_analysis::fault_model_universe;
 use dp_core::{
     summary_line, sweep_report, sweep_universe_ext, DiffProp, EngineConfig, FallbackConfig,
-    FaultSummary, ManagerMode, OrderStrategy, Parallelism, SweepConfig,
+    FaultSummary, OrderStrategy, Parallelism, SweepConfig,
 };
 use dp_bdd::BudgetConfig;
 use dp_faults::{Fault, FaultSite, StuckAtFault};
@@ -246,7 +246,6 @@ fn stream_sweep(
             ..Default::default()
         },
         collapse: params.collapse,
-        manager: ManagerMode::SharedSnapshot,
         ..Default::default()
     };
     let mut records: u64 = 0;

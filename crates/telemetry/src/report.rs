@@ -91,7 +91,7 @@ pub struct SweepExecution {
     /// Whether structural fault collapsing was on.
     pub collapse: bool,
     /// Variable-order strategy the workers built their managers with
-    /// (`"identity"`, `"fanin-dfs"`, `"interleave"`, `"auto"`, ...). An
+    /// (`"identity"`, `"fanin-dfs"`, `"auto"`, `"random:<seed>"`). An
     /// execution fact: results never depend on it, cost always does.
     pub order: String,
     /// Sweep wall-clock nanoseconds, end to end.

@@ -11,7 +11,7 @@
 //! count, final node count, unique-table pressure and per-family op-cache
 //! hit rates.
 
-use diffprop::core::{analyze_universe, EngineConfig, Parallelism};
+use diffprop::core::{sweep_universe, SweepConfig};
 use diffprop::faults::{all_stuck_faults, Fault};
 use diffprop::netlist::generators::{alu74181, c95};
 
@@ -21,8 +21,7 @@ fn main() {
             .into_iter()
             .map(Fault::from)
             .collect();
-        let sweep =
-            analyze_universe(&circuit, &faults, EngineConfig::default(), Parallelism::Serial);
+        let sweep = sweep_universe(&circuit, &faults, &SweepConfig::default());
         let stats = sweep.merged_stats();
         let detected = sweep.summaries.iter().filter(|s| s.is_detectable()).count();
         println!(

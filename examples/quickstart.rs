@@ -2,7 +2,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use diffprop::core::{analyze_universe, DiffProp, EngineConfig, Parallelism};
+use diffprop::core::{sweep_universe, DiffProp, Parallelism, SweepConfig};
 use diffprop::faults::{
     checkpoint_faults, enumerate_nfbfs, BridgeKind, Fault,
 };
@@ -53,26 +53,24 @@ fn main() {
     }
 
     // --- A whole universe, sharded over worker threads --------------------
-    // `analyze_universe` partitions the fault list over scoped threads, each
-    // with its own BDD manager, and merges per-fault results in fault order.
-    // The summaries are bit-identical to a serial sweep; only the wall-clock
-    // and the per-shard manager statistics change.
+    // `sweep_universe` collapses the fault list, builds the good functions
+    // once, and hands work-stealing worker threads a delta manager each over
+    // that shared snapshot, merging per-fault results in fault order. The
+    // summaries are bit-identical to a serial sweep; only the wall-clock and
+    // the per-shard manager statistics change.
     let universe: Vec<Fault> = checkpoint_faults(&circuit)
         .into_iter()
         .map(Fault::from)
         .collect();
-    let sweep = analyze_universe(
+    let sweep = sweep_universe(
         &circuit,
         &universe,
-        EngineConfig::default(),
-        Parallelism::Threads(2),
+        &SweepConfig {
+            parallelism: Parallelism::Threads(2),
+            ..Default::default()
+        },
     );
-    let serial = analyze_universe(
-        &circuit,
-        &universe,
-        EngineConfig::default(),
-        Parallelism::Serial,
-    );
+    let serial = sweep_universe(&circuit, &universe, &SweepConfig::default());
     assert_eq!(sweep.summaries, serial.summaries);
     println!("\nsharded sweep over {} checkpoint faults:", universe.len());
     for report in &sweep.shards {

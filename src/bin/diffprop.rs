@@ -36,14 +36,10 @@
 //!   execution detail. Observation-only: the printed rows are byte-identical
 //!   with and without the flag.
 //! * `--order S` picks the OBDD variable-order strategy (`identity`,
-//!   `fanin-dfs`, `interleave`, `auto`); `auto` adds dynamic sifting when
+//!   `fanin-dfs`, `auto`); `auto` adds dynamic sifting when
 //!   the live node count outgrows the last reordered size. Execution-only:
 //!   the printed rows are byte-identical across strategies, but on the deep
 //!   surrogates (`c432s`...) a good order is orders of magnitude faster.
-//! * `--manager shared|private` selects how sweep workers get their good
-//!   functions: `shared` (the default) freezes one immutable snapshot that
-//!   every worker extends with a private delta table; `private` rebuilds
-//!   the good functions per worker. Execution-only: rows are identical.
 //! * `--batch N` caps the cone-disjoint fault batches fused into single
 //!   propagation passes (default 8; `1` disables fusion). Execution-only:
 //!   rows are identical at every batch size.
@@ -64,7 +60,7 @@ use diffprop::analysis::{
 };
 use diffprop::core::{
     find_redundancies, generate_tests, sweep_report, sweep_universe, BudgetConfig, EngineConfig,
-    FallbackConfig, ManagerMode, OrderStrategy, Parallelism, SweepConfig,
+    FallbackConfig, OrderStrategy, Parallelism, SweepConfig,
 };
 use diffprop::faults::BridgeKind;
 use diffprop::netlist::{generators, parse_bench, Circuit, Scoap};
@@ -96,7 +92,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: diffprop <stats|analyze|atpg|redundancy|bridges> <circuit> [n] \
          [--node-budget N] [--fallback-samples N] [--threads N] [--no-collapse] [--telemetry PATH]\n\
-         [--order identity|fanin-dfs|interleave|auto] [--connect ADDR]\n\
+         [--order identity|fanin-dfs|auto] [--connect ADDR]\n\
          or:    diffprop serve [HOST:PORT] [--cache-bytes N]\n\
          circuit: c17 | full_adder | c95 | alu74181 | c432s | c499s | c1355s | c1908s | path.bench\n\
          --model M             fault model for `analyze`: stuck (default), nfbf-and,\n\
@@ -111,8 +107,6 @@ fn usage() -> ! {
          --order S             OBDD variable-order strategy (default identity);\n\
                                auto = fanin-dfs + dynamic sifting. Rows are identical\n\
                                across strategies, wall clock is not\n\
-         --manager M           shared (default) = workers extend one frozen good-function\n\
-                               snapshot; private = per-worker rebuild. Rows are identical\n\
          --batch N             max cone-disjoint faults fused per propagation pass\n\
                                (default 8, 1 disables fusion; rows are identical)\n\
          --connect ADDR        run `analyze` through a resident sweep server instead of\n\
@@ -131,7 +125,6 @@ struct Opts {
     collapse: bool,
     telemetry_path: Option<String>,
     order: OrderStrategy,
-    manager: ManagerMode,
     batch: usize,
     connect: Option<String>,
     cache_bytes: Option<usize>,
@@ -166,7 +159,6 @@ fn parse_args(raw: Vec<String>) -> (Vec<String>, Opts) {
         collapse: true,
         telemetry_path: None,
         order: OrderStrategy::Identity,
-        manager: ManagerMode::default(),
         batch: SweepConfig::default().batch,
         connect: None,
         cache_bytes: None,
@@ -214,17 +206,6 @@ fn parse_args(raw: Vec<String>) -> (Vec<String>, Opts) {
                     eprintln!("--order: unknown strategy `{v}`");
                     usage()
                 });
-            }
-            "--manager" => {
-                let v = value("--manager");
-                opts.manager = match v.as_str() {
-                    "shared" => ManagerMode::SharedSnapshot,
-                    "private" => ManagerMode::Private,
-                    _ => {
-                        eprintln!("--manager: expected `shared` or `private`, got `{v}`");
-                        usage()
-                    }
-                };
             }
             "--batch" => {
                 let v = value("--batch");
@@ -351,7 +332,6 @@ fn analyze(circuit: &Circuit, n: usize, opts: &Opts) {
             fallback,
             collapse: opts.collapse,
             chunk: None,
-            manager: opts.manager,
             batch: opts.batch,
             ..Default::default()
         },

@@ -6,8 +6,8 @@
 
 use diffprop::analysis::stuck_at_universe;
 use diffprop::core::{
-    analyze_universe_with, AnalysisError, BudgetConfig, DiffProp, EngineConfig,
-    FallbackConfig, Parallelism,
+    sweep_universe, AnalysisError, BudgetConfig, DiffProp, EngineConfig, FallbackConfig,
+    Parallelism, SweepConfig,
 };
 use diffprop::faults::{checkpoint_faults, Fault};
 use diffprop::netlist::generators::{
@@ -93,21 +93,19 @@ proptest! {
 fn tiny_budget_sweep_degrades_instead_of_aborting() {
     for circuit in [c95(), alu74181()] {
         let faults = stuck_at_universe(&circuit, true);
-        let config = EngineConfig {
-            budget: BudgetConfig::with_max_nodes(16),
+        let config = SweepConfig {
+            engine: EngineConfig {
+                budget: BudgetConfig::with_max_nodes(16),
+                ..Default::default()
+            },
+            parallelism: Parallelism::Threads(3),
+            fallback: FallbackConfig {
+                samples: 256,
+                ..Default::default()
+            },
             ..Default::default()
         };
-        let fallback = FallbackConfig {
-            samples: 256,
-            ..Default::default()
-        };
-        let sweep = analyze_universe_with(
-            &circuit,
-            &faults,
-            config,
-            Parallelism::Threads(3),
-            fallback,
-        );
+        let sweep = sweep_universe(&circuit, &faults, &config);
         assert!(sweep.is_complete(), "no shard may fail on {}", circuit.name());
         assert_eq!(sweep.summaries.len(), faults.len());
         assert!(
@@ -126,24 +124,28 @@ fn tiny_budget_sweep_degrades_instead_of_aborting() {
     }
 }
 
-/// Without a configured budget the fallible sweep is the exact sweep: same
-/// scalars, every outcome `Exact`.
+/// With an explicitly unlimited budget the fallback is never consulted:
+/// whatever it is configured to, the sweep is the default exact sweep —
+/// same scalars, every outcome `Exact`.
 #[test]
 fn unlimited_budget_sweep_matches_the_default_path() {
     let circuit = c95();
     let faults = stuck_at_universe(&circuit, true);
-    let exact = diffprop::core::analyze_universe(
+    let exact = sweep_universe(&circuit, &faults, &SweepConfig::default());
+    let fallible = sweep_universe(
         &circuit,
         &faults,
-        EngineConfig::default(),
-        Parallelism::Serial,
-    );
-    let fallible = analyze_universe_with(
-        &circuit,
-        &faults,
-        EngineConfig::default(),
-        Parallelism::Serial,
-        FallbackConfig::default(),
+        &SweepConfig {
+            engine: EngineConfig {
+                budget: BudgetConfig::UNLIMITED,
+                ..Default::default()
+            },
+            fallback: FallbackConfig {
+                samples: 64,
+                seed: 3,
+            },
+            ..Default::default()
+        },
     );
     assert_eq!(exact.summaries.len(), fallible.summaries.len());
     for (a, b) in exact.summaries.iter().zip(&fallible.summaries) {

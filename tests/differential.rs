@@ -20,8 +20,7 @@ use common::{
     feedback_universe, multi_universe, stuck_at_universe, GOLDEN_PATH,
 };
 use diffprop::core::{
-    analyze_universe, plan_batches, sweep_universe, DiffProp, EngineConfig, OrderStrategy,
-    Parallelism, SweepConfig,
+    plan_batches, sweep_universe, DiffProp, EngineConfig, OrderStrategy, Parallelism, SweepConfig,
 };
 use diffprop::faults::{collapse_faults, Fault};
 use diffprop::netlist::generators::{alu74181, c17, c432_surrogate, c499_surrogate, c95, full_adder};
@@ -73,7 +72,7 @@ fn check_universe(circuit: &Circuit, faults: &[Fault]) {
     let n = circuit.num_inputs();
     let total = 1u128 << n;
     let good = good_output_table(circuit);
-    let sweep = analyze_universe(circuit, faults, EngineConfig::default(), Parallelism::Serial);
+    let sweep = sweep_universe(circuit, faults, &SweepConfig::default());
     for (fault, summary) in faults.iter().zip(&sweep.summaries) {
         let truth = ground_truth(circuit, fault, &good);
         assert_eq!(
@@ -242,8 +241,8 @@ fn full_adder_pairwise_multi_matches_exhaustive() {
 // fault) is out of reach, so the surrogates get the feasible projection of
 // the same idea, on a deterministic sample of stuck-at faults:
 //
-// * two *independently ordered* engines (fanin-DFS and interleave resolve
-//   to different permutations) must agree bit-for-bit on every exact
+// * two *independently ordered* engines (fanin-DFS and the declared
+//   identity order are different permutations) must agree bit-for-bit on every exact
 //   metric — OBDD canonicity makes shared mistakes across orders
 //   essentially impossible;
 // * the complete test set of each fault is spot-checked vector-by-vector
@@ -291,18 +290,18 @@ fn check_surrogate_sampled(circuit: &Circuit, fault_cap: usize, vectors_per_faul
         ..Default::default()
     };
     let mut dfs = DiffProp::with_config(circuit, config(OrderStrategy::FaninDfs));
-    let mut ilv = DiffProp::with_config(circuit, config(OrderStrategy::Interleave));
+    let mut declared = DiffProp::with_config(circuit, config(OrderStrategy::Identity));
     // The two engines really run different permutations.
     assert_ne!(
         dfs.good().manager().order(),
-        ilv.good().manager().order(),
+        declared.good().manager().order(),
         "heuristics coincide on {}; the cross-order check would be vacuous",
         circuit.name()
     );
     let vectors = sampled_vectors(circuit.num_inputs(), vectors_per_fault, 1990);
     for fault in &faults {
         let a = dfs.analyze(fault);
-        let b = ilv.analyze(fault);
+        let b = declared.analyze(fault);
         assert_eq!(
             a.test_count, b.test_count,
             "orders disagree on test_count for {fault} on {}",

@@ -10,9 +10,7 @@
 //! fault-by-fault analysis bit for bit (f64s via `to_bits`), including the
 //! per-member adherence that is *not* shared across a class.
 
-use diffprop::core::{
-    analyze_universe, DiffProp, EngineConfig, Parallelism,
-};
+use diffprop::core::{sweep_universe, DiffProp, EngineConfig, SweepConfig};
 use diffprop::faults::{collapse_faults, Fault, FaultSite, StuckAtFault};
 use diffprop::netlist::generators::{random_circuit, RandomCircuitConfig};
 use diffprop::netlist::Circuit;
@@ -107,12 +105,7 @@ proptest! {
     fn expanded_summaries_match_direct_analysis((seed, cfg) in config_strategy()) {
         let circuit = random_circuit(seed, cfg);
         let faults = pin_universe(&circuit);
-        let sweep = analyze_universe(
-            &circuit,
-            &faults,
-            EngineConfig::default(),
-            Parallelism::Serial,
-        );
+        let sweep = sweep_universe(&circuit, &faults, &SweepConfig::default());
         prop_assert!(sweep.classes <= faults.len());
         prop_assert_eq!(sweep.summaries.len(), faults.len());
         let mut dp = DiffProp::new(&circuit);

@@ -10,19 +10,22 @@
 //!   exactly (the loop converges in two sweeps to the same canonical
 //!   OBDDs), with a zero oscillation residual.
 //! * **Schedule invariance** — feedback-bridge and multi-fault sweeps are
-//!   bit-identical across thread counts, manager modes, and batch sizes;
+//!   bit-identical across thread counts and batch sizes;
 //!   the new models inherit the determinism contract of the sweep layer.
+//! * **Frontier economy** — the fixpoint's event-driven frontier never
+//!   evaluates more gates than a dense sweep of both wires' fanout cones
+//!   per iteration, and evaluates fewer on real feedback bridges.
 
 mod common;
 
 use common::{feedback_universe, multi_universe, summary_line};
-use diffprop::core::{
-    sweep_universe, DiffProp, ManagerMode, Parallelism, SweepConfig,
-};
+use diffprop::core::{sweep_universe, DiffProp, Parallelism, SweepConfig};
 use diffprop::faults::{
     checkpoint_faults, enumerate_nfbfs, BridgeKind, Fault, MultiStuckAt,
 };
-use diffprop::netlist::generators::{c17, c95};
+use diffprop::analysis::fault_model_universe;
+use diffprop::netlist::generators::{alu74181, c17, c432_surrogate, c95};
+use diffprop::netlist::{Circuit, NetId, Reachability};
 
 /// Every checkpoint fault, analysed both as a plain stuck-at and as a
 /// multiplicity-1 multiple fault, must yield bit-identical scalars.
@@ -116,9 +119,8 @@ fn sweep_lines(circuit: &diffprop::netlist::Circuit, faults: &[Fault], config: &
 }
 
 /// The determinism contract, extended to the new models: every schedule —
-/// serial or threaded, private managers or a shared frozen snapshot,
-/// batched or not — produces byte-identical summaries, oscillation
-/// densities included.
+/// serial or threaded, batched or not — produces byte-identical summaries,
+/// oscillation densities included.
 #[test]
 fn extended_models_are_schedule_invariant() {
     for circuit in [c17(), c95()] {
@@ -129,27 +131,92 @@ fn extended_models_are_schedule_invariant() {
             &faults,
             &SweepConfig {
                 parallelism: Parallelism::Serial,
-                manager: ManagerMode::Private,
+                batch: 1,
                 ..Default::default()
             },
         );
         for parallelism in [Parallelism::Serial, Parallelism::Threads(2), Parallelism::Threads(4)] {
-            for manager in [ManagerMode::Private, ManagerMode::SharedSnapshot] {
-                for batch in [1, 8] {
-                    let config = SweepConfig {
-                        parallelism,
-                        manager,
-                        batch,
-                        ..Default::default()
-                    };
-                    assert_eq!(
-                        baseline,
-                        sweep_lines(&circuit, &faults, &config),
-                        "summaries drift on {} under {parallelism:?}/{manager:?}/batch {batch}",
-                        circuit.name()
-                    );
-                }
+            for batch in [1, 8] {
+                let config = SweepConfig {
+                    parallelism,
+                    batch,
+                    ..Default::default()
+                };
+                assert_eq!(
+                    baseline,
+                    sweep_lines(&circuit, &faults, &config),
+                    "summaries drift on {} under {parallelism:?}/batch {batch}",
+                    circuit.name()
+                );
             }
         }
     }
+}
+
+/// The gate evaluations of a dense fixpoint that re-sweeps every net of
+/// both wires' fanout cones (the wires themselves excluded) per iteration.
+fn dense_sweep_gates(
+    circuit: &Circuit,
+    reach: &Reachability,
+    fault: &Fault,
+    iterations: u32,
+) -> u64 {
+    let Fault::Bridging(b) = fault else {
+        panic!("{fault} is not a bridge")
+    };
+    let cone = (0..circuit.num_nets())
+        .map(NetId::from_index)
+        .filter(|&n| reach.reaches(b.a, n) || reach.reaches(b.b, n))
+        .count() as u64;
+    u64::from(iterations) * (cone - 2)
+}
+
+/// A seeded sample of `per_kind` AND and `per_kind` OR feedback bridges.
+fn feedback_sample(circuit: &Circuit, per_kind: usize, seed: u64) -> Vec<Fault> {
+    let mut faults = Vec::new();
+    for model in ["fbridge-and", "fbridge-or"] {
+        faults.extend(fault_model_universe(circuit, model, Some(per_kind), seed).unwrap());
+    }
+    faults
+}
+
+/// The fixpoint re-evaluates a gate only when one of its fanin rails
+/// changed, so it never does more gate work than the dense sweep — checked
+/// on every feedback bridge of c95 and on seeded alu74181 and c432s
+/// samples. The saving needs a gate whose changed fanin is masked by its
+/// other inputs on every vector where the change happens. c95 and
+/// alu74181 have no such gate in any feedback bridge's cone: every bridge
+/// converges in two sweeps and every cone net changes in both. c432s, with
+/// its redundant logic, does, and there the frontier must do strictly less.
+#[test]
+fn fixpoint_frontier_never_exceeds_the_dense_sweep() {
+    let c95 = c95();
+    let alu = alu74181();
+    let c432 = c432_surrogate();
+    let cases = [
+        (&c95, feedback_universe(&c95, usize::MAX)),
+        (&alu, feedback_sample(&alu, 16, 4)),
+        (&c432, feedback_sample(&c432, 8, 4)),
+    ];
+    let mut strictly_lower = 0;
+    for (circuit, faults) in cases {
+        assert!(!faults.is_empty(), "no feedback bridges on {}", circuit.name());
+        let reach = Reachability::compute(circuit);
+        let mut dp = DiffProp::new(circuit);
+        for fault in &faults {
+            let a = dp.analyze(fault);
+            assert!(a.fixpoint_iterations > 0, "{fault} skipped the fixpoint");
+            let dense = dense_sweep_gates(circuit, &reach, fault, a.fixpoint_iterations);
+            let got = u64::from(a.gates_propagated);
+            assert!(
+                got <= dense,
+                "{fault} on {}: {got} gate evaluations, dense sweep {dense}",
+                circuit.name()
+            );
+            if got < dense {
+                strictly_lower += 1;
+            }
+        }
+    }
+    assert!(strictly_lower > 0, "the frontier never skipped a gate");
 }

@@ -56,7 +56,6 @@ proptest! {
 fn structural_orders_reproduce_golden_lines() {
     for order in [
         OrderStrategy::FaninDfs,
-        OrderStrategy::Interleave,
         OrderStrategy::Auto,
     ] {
         assert_matches_golden(&lines_with(order, Parallelism::Serial));

@@ -1,6 +1,6 @@
 //! Property tests for the sharded sweep driver and the manager counters.
 //!
-//! On random circuits, `analyze_universe` must return **byte-identical**
+//! On random circuits, `sweep_universe` must return **byte-identical**
 //! per-fault summaries for `Serial` and `Threads(n)`, n ∈ {1, 2, 4} — f64
 //! fields compared via `to_bits`, not tolerance. The per-shard
 //! `ManagerStats` must also be internally consistent: independently
@@ -8,7 +8,7 @@
 //! that brackets what the unique table ever created.
 
 use diffprop::bdd::OpKind;
-use diffprop::core::{analyze_universe, DiffProp, EngineConfig, Parallelism, SweepResult};
+use diffprop::core::{sweep_universe, DiffProp, Parallelism, SweepConfig, SweepResult};
 use diffprop::faults::{checkpoint_faults, enumerate_nfbfs, BridgeKind, Fault};
 use diffprop::netlist::generators::{random_circuit, RandomCircuitConfig};
 use diffprop::netlist::Circuit;
@@ -116,7 +116,7 @@ fn every_panicked_class_is_reported() {
     faults.insert(0, f1);
     faults.push(f2);
 
-    let sweep = analyze_universe(&circuit, &faults, EngineConfig::default(), Parallelism::Serial);
+    let sweep = sweep_universe(&circuit, &faults, &SweepConfig::default());
     assert!(!sweep.is_complete());
     let panics = sweep.panicked_classes();
     assert_eq!(panics.len(), 2, "both poisoned classes reported: {panics:?}");
@@ -136,12 +136,15 @@ proptest! {
     fn sharded_sweeps_are_byte_identical((seed, cfg) in config_strategy()) {
         let circuit = random_circuit(seed, cfg);
         let faults = mixed_universe(&circuit);
-        let config = EngineConfig::default();
-        let serial = analyze_universe(&circuit, &faults, config, Parallelism::Serial);
+        let serial = sweep_universe(&circuit, &faults, &SweepConfig::default());
         prop_assert_eq!(serial.summaries.len(), faults.len());
         assert_stats_consistent(&serial);
         for n in [1usize, 2, 4] {
-            let sharded = analyze_universe(&circuit, &faults, config, Parallelism::Threads(n));
+            let config = SweepConfig {
+                parallelism: Parallelism::Threads(n),
+                ..Default::default()
+            };
+            let sharded = sweep_universe(&circuit, &faults, &config);
             prop_assert_eq!(sharded.summaries.len(), faults.len(), "threads={}", n);
             for (s, t) in serial.summaries.iter().zip(&sharded.summaries) {
                 prop_assert_eq!(s.fault, t.fault, "threads={}", n);

@@ -1,53 +1,45 @@
-//! Shared-manager snapshot layer: scheduling and manager-mode invariance.
+//! Shared-manager snapshot layer: scheduling and order invariance.
 //!
-//! PR7's shared-manager parallelism must be a pure execution-strategy
-//! change: the golden TSV (`tests/golden/universe_summaries.tsv`, f64s as
-//! bit patterns) has to come out byte-identical whether workers get private
-//! managers or delta managers over one frozen snapshot, at any thread
-//! count, under any variable-order strategy. A white-box layer then pins
-//! the freeze contract itself: the frozen base is immutable — its node
-//! count and table digest are unchanged after engines have analysed whole
-//! universes on top of it.
+//! Shared-manager parallelism must be a pure execution-strategy change: the
+//! golden TSV (`tests/golden/universe_summaries.tsv`, f64s as bit patterns)
+//! has to come out byte-identical when workers run delta managers over one
+//! frozen snapshot, at any thread count, under any variable-order strategy.
+//! A white-box layer then pins the freeze contract itself: the frozen base
+//! is immutable — its node count and table digest are unchanged after
+//! engines have analysed whole universes on top of it.
 
 mod common;
 
 use common::{assert_matches_golden, current_golden_lines, stuck_at_universe};
-use diffprop::core::{
-    DiffProp, EngineConfig, ManagerMode, OrderStrategy, Parallelism, SweepConfig,
-};
+use diffprop::core::{DiffProp, EngineConfig, OrderStrategy, Parallelism, SweepConfig};
 use diffprop::netlist::generators::c95;
 
-fn config(parallelism: Parallelism, manager: ManagerMode, order: OrderStrategy) -> SweepConfig {
+fn config(parallelism: Parallelism, order: OrderStrategy) -> SweepConfig {
     SweepConfig {
         engine: EngineConfig {
             order,
             ..Default::default()
         },
         parallelism,
-        manager,
         ..Default::default()
     }
 }
 
-/// The full cross product the issue pins: {serial, 2T, 4T} ×
-/// {private-manager, shared-snapshot} × {identity, fanin-dfs, auto} all
-/// reproduce the committed golden file byte for byte.
+/// The full cross product: {serial, 2T, 4T} × {identity, fanin-dfs, auto}
+/// all reproduce the committed golden file byte for byte.
 #[test]
-fn golden_summaries_are_invariant_under_manager_mode_threads_and_order() {
+fn golden_summaries_are_invariant_under_threads_and_order() {
     for order in [
         OrderStrategy::Identity,
         OrderStrategy::FaninDfs,
         OrderStrategy::Auto,
     ] {
-        for manager in [ManagerMode::Private, ManagerMode::SharedSnapshot] {
-            for parallelism in [
-                Parallelism::Serial,
-                Parallelism::Threads(2),
-                Parallelism::Threads(4),
-            ] {
-                let lines = current_golden_lines(&config(parallelism, manager, order));
-                assert_matches_golden(&lines);
-            }
+        for parallelism in [
+            Parallelism::Serial,
+            Parallelism::Threads(2),
+            Parallelism::Threads(4),
+        ] {
+            assert_matches_golden(&current_golden_lines(&config(parallelism, order)));
         }
     }
 }
@@ -70,7 +62,7 @@ fn frozen_base_is_immutable_while_workers_analyze() {
             let circuit = &circuit;
             scope.spawn(move || {
                 let mut dp = DiffProp::from_snapshot(circuit, snapshot, EngineConfig::default());
-                // Interleaved shares so every worker allocates delta nodes
+                // Alternating shares so every worker allocates delta nodes
                 // and garbage-collects over the same base concurrently.
                 for fault in faults.iter().skip(w).step_by(2) {
                     let analysis = dp.analyze(fault);
