@@ -144,26 +144,45 @@ impl Lab {
     }
 }
 
+fn usage() -> ! {
+    eprintln!(
+        "usage: figures [--smoke] [--bf-sample N] [--sa-cap N] [--threads N] \
+         [--node-budget N] [--fallback-samples N] [--no-collapse] [--only fig1,...] \
+         [--telemetry PATH] [--order identity|fanin-dfs|auto]"
+    );
+    std::process::exit(2);
+}
+
+/// The value following flag `name`; a missing value prints the usage line.
+fn value(args: &mut impl Iterator<Item = String>, name: &str) -> String {
+    args.next().unwrap_or_else(|| {
+        eprintln!("{name} needs a value");
+        usage()
+    })
+}
+
+/// The numeric value following flag `name`; a missing or non-numeric value
+/// prints the usage line.
+fn number<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>, name: &str) -> T {
+    let v = value(args, name);
+    v.parse().unwrap_or_else(|_| {
+        eprintln!("{name}: `{v}` is not a number");
+        usage()
+    })
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut args = std::env::args().skip(1);
     let mut config = ExperimentConfig::default();
     let mut only: Option<Vec<String>> = None;
     let mut telemetry_path: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
             "--smoke" => config = ExperimentConfig::smoke(),
-            "--bf-sample" => {
-                i += 1;
-                config.bf_sample = args[i].parse().expect("--bf-sample takes a number");
-            }
-            "--sa-cap" => {
-                i += 1;
-                config.sa_cap = args[i].parse().expect("--sa-cap takes a number");
-            }
+            "--bf-sample" => config.bf_sample = number(&mut args, "--bf-sample"),
+            "--sa-cap" => config.sa_cap = number(&mut args, "--sa-cap"),
             "--threads" => {
-                i += 1;
-                let n: usize = args[i].parse().expect("--threads takes a number");
+                let n: usize = number(&mut args, "--threads");
                 config.parallelism = if n <= 1 {
                     Parallelism::Serial
                 } else {
@@ -171,42 +190,28 @@ fn main() {
                 };
             }
             "--node-budget" => {
-                i += 1;
-                let n: usize = args[i].parse().expect("--node-budget takes a number");
-                config.budget = BudgetConfig::with_max_nodes(n);
+                config.budget = BudgetConfig::with_max_nodes(number(&mut args, "--node-budget"));
             }
             "--fallback-samples" => {
-                i += 1;
-                config.fallback.samples =
-                    args[i].parse().expect("--fallback-samples takes a number");
+                config.fallback.samples = number(&mut args, "--fallback-samples");
             }
             "--no-collapse" => config.collapse = false,
             "--only" => {
-                i += 1;
-                only = Some(args[i].split(',').map(str::to_string).collect());
+                only = Some(value(&mut args, "--only").split(',').map(str::to_string).collect());
             }
-            "--telemetry" => {
-                i += 1;
-                telemetry_path = Some(args[i].clone());
-            }
+            "--telemetry" => telemetry_path = Some(value(&mut args, "--telemetry")),
             "--order" => {
-                i += 1;
-                config.order = OrderStrategy::parse(&args[i]).unwrap_or_else(|| {
-                    eprintln!("--order: unknown strategy `{}`", args[i]);
-                    std::process::exit(2);
+                let v = value(&mut args, "--order");
+                config.order = OrderStrategy::parse(&v).unwrap_or_else(|| {
+                    eprintln!("--order: unknown strategy `{v}`");
+                    usage()
                 });
             }
             other => {
                 eprintln!("unknown argument `{other}`");
-                eprintln!(
-                    "usage: figures [--smoke] [--bf-sample N] [--sa-cap N] [--threads N] \
-                     [--node-budget N] [--fallback-samples N] [--no-collapse] [--only fig1,...] \
-                     [--telemetry PATH] [--order identity|fanin-dfs|auto]"
-                );
-                std::process::exit(2);
+                usage()
             }
         }
-        i += 1;
     }
     let wants = |name: &str| only.as_ref().is_none_or(|o| o.iter().any(|x| x == name));
     let mut lab = Lab::new(config);

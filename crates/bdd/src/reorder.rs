@@ -17,11 +17,9 @@
 //! for every stored node. Each dead rewrite allocates fresh cofactor
 //! nodes, so garbage begets garbage: left unchecked, a full sift grows the
 //! arena *exponentially* in the number of swaps (observed: 1.4M
-//! allocations sifting a 1.2k-node table). [`Manager::sift_compacting`]
+//! allocations sifting a 1.2k-node table). [`Manager::sift`] therefore
 //! interleaves garbage collections into the walk to keep the arena within
-//! a constant factor of the live size; the plain [`Manager::sift`] keeps
-//! the historical id-stable contract for callers that hold node ids across
-//! the call and accept the garbage.
+//! a constant factor of the live size.
 
 use crate::manager::{Manager, NodeId, Var};
 
@@ -157,9 +155,17 @@ impl Manager {
     /// and parked where the live size (over `roots`) is smallest. Returns
     /// the final live size.
     ///
-    /// `NodeId`s in `roots` (and all others) keep their meaning. Garbage
-    /// accumulates during the search; callers should [`Manager::gc`]
-    /// afterwards.
+    /// Garbage collections are interleaved into the walk: whenever the
+    /// arena has outgrown a small multiple of the live size, dead nodes are
+    /// collected before the next swap. This caps the otherwise-exponential
+    /// garbage compounding (dead nodes of the moving variable are rewritten
+    /// too, and every dead rewrite allocates fresh cofactors), so large
+    /// tables sift in time proportional to live work.
+    ///
+    /// Collections remap node ids: `roots` is rewritten in place (order
+    /// preserved) to the post-sift ids, and every *other* externally held
+    /// [`NodeId`] is invalidated — the caller owns the only handles that
+    /// survive.
     ///
     /// # Examples
     ///
@@ -177,31 +183,14 @@ impl Manager {
     ///     f = m.or(f, t);
     /// }
     /// let before = m.live_size(&[f]);
-    /// let after = m.sift(&[f]);
+    /// let mut roots = [f];
+    /// let after = m.sift(&mut roots);
+    /// let f = roots[0]; // the post-sift handle
     /// assert!(after < before); // sifting interleaves the pairs
+    /// assert_eq!(m.live_size(&[f]), after);
     /// # Ok::<(), dp_bdd::BddError>(())
     /// ```
-    pub fn sift(&mut self, roots: &[NodeId]) -> usize {
-        let mut roots = roots.to_vec();
-        self.sift_walk(&mut roots, false)
-    }
-
-    /// [`Manager::sift`] with garbage collections interleaved into the
-    /// walk: whenever the arena has outgrown a small multiple of the live
-    /// size, dead nodes are collected before the next swap. This caps the
-    /// otherwise-exponential garbage compounding (dead nodes of the moving
-    /// variable are rewritten too, and every dead rewrite allocates fresh
-    /// cofactors), so large tables sift in time proportional to live work.
-    ///
-    /// Collections remap node ids: `roots` is rewritten in place (order
-    /// preserved) to the post-sift ids, and every *other* externally held
-    /// [`NodeId`] is invalidated — the caller owns the only handles that
-    /// survive. Returns the final live size, like [`Manager::sift`].
-    pub fn sift_compacting(&mut self, roots: &mut [NodeId]) -> usize {
-        self.sift_walk(roots, true)
-    }
-
-    fn sift_walk(&mut self, roots: &mut [NodeId], compact: bool) -> usize {
+    pub fn sift(&mut self, roots: &mut [NodeId]) -> usize {
         assert!(
             !self.has_frozen_base(),
             "frozen-base managers have a fixed order; sift before freezing"
@@ -238,23 +227,23 @@ impl Manager {
                         best_total = size;
                         best_level = level;
                     }
-                    self.maybe_compact(roots, size, compact);
+                    self.maybe_compact(roots, size);
                 }
             }
             self.move_var_to_level(var, best_level);
             best_total = self.live_size(roots);
-            self.maybe_compact(roots, best_total, compact);
+            self.maybe_compact(roots, best_total);
         }
         best_total
     }
 
-    /// The interleaved collection of [`Manager::sift_compacting`]: collect
+    /// The interleaved collection of [`Manager::sift`]: collect
     /// when the arena exceeds 4× the live size (with a floor, so small
     /// tables never bother), remapping `roots` in place.
-    fn maybe_compact(&mut self, roots: &mut [NodeId], live: usize, compact: bool) {
+    fn maybe_compact(&mut self, roots: &mut [NodeId], live: usize) {
         const GROWTH: usize = 4;
         const FLOOR: usize = 1 << 12;
-        if !compact || self.num_nodes() <= (GROWTH * live).max(FLOOR) {
+        if self.num_nodes() <= (GROWTH * live).max(FLOOR) {
             return;
         }
         let remap = self.gc(roots);
@@ -370,10 +359,11 @@ mod tests {
         let f = disjoint_pairs(&mut m, 4);
         let before_eval = eval_all(&m, f, 8);
         let before = m.live_size(&[f]);
-        let after = m.sift(&[f]);
+        let mut roots = [f];
+        let after = m.sift(&mut roots);
         assert!(after < before, "sift did not shrink: {before} -> {after}");
         assert!(after <= 12, "expected near-linear size, got {after}");
-        assert_eq!(eval_all(&m, f, 8), before_eval);
+        assert_eq!(eval_all(&m, roots[0], 8), before_eval);
     }
 
     #[test]
@@ -381,7 +371,9 @@ mod tests {
         let mut m = Manager::new(6);
         let f = disjoint_pairs(&mut m, 3);
         let before = eval_all(&m, f, 6);
-        m.sift(&[f]);
+        let mut roots = [f];
+        m.sift(&mut roots);
+        let f = roots[0];
         let remap = m.gc(&[f]);
         let f = remap.map(f);
         assert_eq!(eval_all(&m, f, 6), before);
@@ -403,7 +395,7 @@ mod tests {
         }
         let count_before = m.sat_count(f);
         let mut roots = [f];
-        let live = m.sift_compacting(&mut roots);
+        let live = m.sift(&mut roots);
         f = roots[0];
         assert_eq!(m.sat_count(f), count_before);
         let bound = (4 * live.max(1)).max(1 << 12) + (1 << 12);
@@ -412,17 +404,6 @@ mod tests {
             "arena {} nodes after compacting sift of {live} live",
             m.num_nodes()
         );
-    }
-
-    #[test]
-    fn plain_sift_keeps_handles_stable() {
-        // The historical contract: `sift` never moves nodes, so pre-sift
-        // handles stay valid without remapping.
-        let mut m = Manager::new(8);
-        let f = disjoint_pairs(&mut m, 4);
-        let before = eval_all(&m, f, 8);
-        m.sift(&[f]);
-        assert_eq!(eval_all(&m, f, 8), before);
     }
 
     #[test]

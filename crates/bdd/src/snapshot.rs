@@ -318,6 +318,6 @@ mod tests {
     fn sifting_a_delta_manager_is_rejected() {
         let (frozen, f) = frozen_xor();
         let mut w = frozen.thaw();
-        let _ = w.sift(&[f]);
+        let _ = w.sift(&mut [f]);
     }
 }

@@ -136,7 +136,7 @@ fn sift_is_budget_exempt() {
     // Reordering rewrites nodes in place and must never see dummy edges,
     // even on a manager whose (tiny) budget is already tripped.
     let mut m = Manager::new(6);
-    let roots: Vec<NodeId> = {
+    let mut roots: Vec<NodeId> = {
         let mut acc = Vec::new();
         let mut f = m.constant(false);
         for v in 0..6 {
@@ -152,7 +152,7 @@ fn sift_is_budget_exempt() {
     let b = m.var(1);
     let _ = m.and(a, b); // trips
     assert!(m.budget_exceeded().is_some());
-    m.sift(&roots);
+    m.sift(&mut roots);
     m.assert_canonical();
     let after: Vec<u128> = roots.iter().map(|&r| m.sat_count(r)).collect();
     assert_eq!(counts, after, "sifting on a tripped manager changed functions");

@@ -345,7 +345,9 @@ proptest! {
         let f2 = build(&mut m, &g);
         let before1: Vec<bool> = assignments().map(|env| m.eval(f1, &env)).collect();
         let before2: Vec<bool> = assignments().map(|env| m.eval(f2, &env)).collect();
-        let size = m.sift(&[f1, f2]);
+        let mut roots = [f1, f2];
+        let size = m.sift(&mut roots);
+        let [f1, f2] = roots;
         prop_assert!(size <= m.live_size(&[f1, f2]) + 1);
         let after1: Vec<bool> = assignments().map(|env| m.eval(f1, &env)).collect();
         let after2: Vec<bool> = assignments().map(|env| m.eval(f2, &env)).collect();
@@ -396,7 +398,9 @@ proptest! {
             m.swap_adjacent_levels(level);
             m.assert_canonical();
         }
-        m.sift(&[f1, f2, n]);
+        let mut roots = [f1, f2, n];
+        m.sift(&mut roots);
+        let [f1, _, n] = roots;
         m.assert_canonical();
         let _remap = m.gc(&[f1, n]);
         m.assert_canonical();

@@ -200,7 +200,7 @@ proptest! {
                     if frozen {
                         continue; // delta managers have a fixed order
                     }
-                    m.sift(&pool);
+                    m.sift(&mut pool);
                     shadow = rebuild_shadow(&m, &pool);
                 }
                 // freeze-thaw: same ids, lookups now cross the base table.

@@ -88,7 +88,9 @@ proptest! {
             max_nodes: Some(m.num_nodes()),
             max_op_steps: Some(0),
         });
-        m.sift(&[f1, f2]);
+        let mut roots = [f1, f2];
+        m.sift(&mut roots);
+        let [f1, f2] = roots;
 
         prop_assert!(m.budget_exceeded().is_none(), "sift must be budget-exempt");
         prop_assert_eq!(m.op_steps(), 0, "sift charged the budget window");
@@ -118,7 +120,11 @@ proptest! {
                 // discarded, exactly as a budget-aware engine would.
                 0 => { let _ = m.xor(f1, f2); }
                 1 => { let _ = m.ite(f1, f2, NodeId::FALSE); }
-                2 => { m.sift(&[f1, f2]); }
+                2 => {
+                    let mut roots = [f1, f2];
+                    m.sift(&mut roots);
+                    [f1, f2] = roots;
+                }
                 3 => {
                     let remap = m.gc(&[f1, f2]);
                     f1 = remap.map(f1);

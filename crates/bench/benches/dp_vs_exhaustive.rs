@@ -9,7 +9,7 @@
 //! keeps going (`c432s`, 36 inputs, appears DP-only).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dp_bench::{parallelism_from_env, record_bench_result, some_stuck_faults, BenchRecord};
+use dp_bench::some_stuck_faults;
 use dp_core::{sweep_universe, SweepConfig};
 use dp_netlist::generators::{alu74181, c17, c432_surrogate, c95};
 use dp_sim::exhaustive_detectability;
@@ -18,24 +18,12 @@ use std::hint::black_box;
 const FAULTS: usize = 12;
 
 fn bench_dp_vs_exhaustive(c: &mut Criterion) {
-    // Serial by default; DP_BENCH_THREADS=N shards the DP sweeps without
-    // changing the computed detectabilities.
-    let parallelism = parallelism_from_env();
-    let config = SweepConfig {
-        parallelism,
-        ..Default::default()
-    };
+    let config = SweepConfig::default();
     let mut group = c.benchmark_group("dp_vs_exhaustive");
     group.sample_size(10);
 
     for circuit in [c17(), c95(), alu74181()] {
         let faults = some_stuck_faults(&circuit, FAULTS);
-        record_bench_result(&BenchRecord::measure(
-            &circuit,
-            &faults,
-            "stuck_at_batch",
-            parallelism,
-        ));
         group.bench_function(format!("{}/diffprop", circuit.name()), |b| {
             b.iter(|| {
                 let sweep = sweep_universe(&circuit, &faults, &config);
@@ -58,12 +46,6 @@ fn bench_dp_vs_exhaustive(c: &mut Criterion) {
     // only DP appears.
     let big = c432_surrogate();
     let faults = some_stuck_faults(&big, FAULTS);
-    record_bench_result(&BenchRecord::measure(
-        &big,
-        &faults,
-        "stuck_at_batch",
-        parallelism,
-    ));
     group.bench_function("c432s/diffprop_only", |b| {
         b.iter(|| {
             let sweep = sweep_universe(&big, &faults, &config);

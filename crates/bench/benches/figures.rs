@@ -21,9 +21,6 @@ fn cfg() -> ExperimentConfig {
         bf_sample: 60,
         sa_cap: 120,
         seed: 1990,
-        // Serial unless DP_BENCH_THREADS=N opts a run into sharded sweeps;
-        // the figure series themselves are identical either way.
-        parallelism: dp_bench::parallelism_from_env(),
         ..Default::default()
     }
 }

@@ -1,7 +1,7 @@
 //! `kernel` — raw BDD-kernel microbenchmarks for the open-addressing
 //! unique table and the direct-mapped op cache.
 //!
-//! The sweep benches (`parallel_sweep`, `iscas_scaleup`) measure the kernel
+//! The sweep benches (`parallel_sweep`, `perfbench/`) measure the kernel
 //! through four layers of engine machinery; this target isolates the two
 //! data structures the PR-9 rewrite touched, so a table regression shows up
 //! here first and unambiguously:
@@ -16,18 +16,10 @@
 //! * `ite_mix` — random `ite` triples over the built pool: op-cache hits
 //!   and misses interleaved with unique-table traffic, the sweep kernel's
 //!   actual instruction mix.
-//!
-//! Besides the criterion statistics, one timed run of each phase is merged
-//! into the bench results file (`BENCH_PR9.json`, or `DP_BENCH_JSON`) keyed
-//! `kernel/<phase>/threads=1/order=identity`, with `faults` = kernel calls
-//! and `faults_per_sec` = calls/second, so kernel throughput is tracked
-//! release over release alongside the sweep records.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dp_bench::{record_bench_result, BenchRecord};
 use dp_bdd::{Manager, NodeId, Var};
 use std::hint::black_box;
-use std::time::Instant;
 
 const NVARS: usize = 24;
 const PER_LEVEL: usize = 4096;
@@ -87,27 +79,6 @@ fn run_script(m: &mut Manager, steps: &[(Var, u64, u64)]) -> Vec<NodeId> {
     pool
 }
 
-/// One timed, counter-attributed run of a kernel phase, merged into the
-/// bench results file. `faults` holds the kernel-call count and the two
-/// counter columns hold the *deltas* this phase produced, so each record
-/// reads as "this many calls cost this many probes".
-fn record_phase(phase: &str, calls: usize, run: impl FnOnce() -> (f64, u64, u64, usize)) {
-    let (seconds, unique_lookups, op_steps, peak_nodes) = run();
-    record_bench_result(&BenchRecord {
-        circuit: "kernel".to_string(),
-        fault_model: phase.to_string(),
-        faults: calls,
-        classes: 0,
-        threads: 1,
-        order: "identity".to_string(),
-        seconds,
-        faults_per_sec: calls as f64 / seconds.max(f64::MIN_POSITIVE),
-        op_steps,
-        unique_lookups,
-        peak_nodes,
-    });
-}
-
 fn ite_picks(pool: &[NodeId]) -> Vec<(NodeId, NodeId, NodeId)> {
     let mut state = SEED ^ 0xabcd_ef01;
     let mut next = || {
@@ -153,65 +124,6 @@ fn bench_kernel(c: &mut Criterion) {
         })
     });
     group.finish();
-
-    // The recorded runs: one measurement per phase, counters attributed by
-    // delta so each phase's record is self-contained.
-    record_phase("mk_cold", steps.len(), || {
-        let mut m = Manager::new(NVARS);
-        let t0 = Instant::now();
-        black_box(run_script(&mut m, &steps));
-        let s = m.stats();
-        (
-            t0.elapsed().as_secs_f64(),
-            s.unique.lookups,
-            s.op_cumulative_total().lookups,
-            s.peak_nodes,
-        )
-    });
-    record_phase("mk_presized", steps.len(), || {
-        let mut m = Manager::new(NVARS);
-        m.reserve_nodes(steps.len() + 1);
-        let t0 = Instant::now();
-        black_box(run_script(&mut m, &steps));
-        let s = m.stats();
-        (
-            t0.elapsed().as_secs_f64(),
-            s.unique.lookups,
-            s.op_cumulative_total().lookups,
-            s.peak_nodes,
-        )
-    });
-    record_phase("mk_hit", steps.len(), || {
-        let mut m = Manager::new(NVARS);
-        run_script(&mut m, &steps);
-        let (l0, o0) = (m.stats().unique.lookups, m.stats().op_cumulative_total().lookups);
-        let t0 = Instant::now();
-        black_box(run_script(&mut m, &steps));
-        let s = m.stats();
-        (
-            t0.elapsed().as_secs_f64(),
-            s.unique.lookups - l0,
-            s.op_cumulative_total().lookups - o0,
-            s.peak_nodes,
-        )
-    });
-    record_phase("ite_mix", picks.len(), || {
-        let mut m = Manager::new(NVARS);
-        let pool = run_script(&mut m, &steps);
-        let picks = ite_picks(&pool);
-        let (l0, o0) = (m.stats().unique.lookups, m.stats().op_cumulative_total().lookups);
-        let t0 = Instant::now();
-        for &(f, g, h) in &picks {
-            black_box(m.ite(f, g, h));
-        }
-        let s = m.stats();
-        (
-            t0.elapsed().as_secs_f64(),
-            s.unique.lookups - l0,
-            s.op_cumulative_total().lookups - o0,
-            s.peak_nodes,
-        )
-    });
 
     // The memory half of the story, visible in the bench log: the table
     // holds one u32 arena index per slot.

@@ -16,9 +16,11 @@
 //! cheap: `aggregate` (the default) must stay within ~5% of `off`;
 //! `detailed` additionally reads the clock around every gate propagation
 //! and is expected to cost more.
+//!
+//! Criterion keeps the statistics; repeatable end-to-end and per-layer
+//! measurements with host facts come from `perfbench/`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dp_bench::{record_bench_result, BenchRecord};
 use dp_core::{sweep_universe, Parallelism, SweepConfig, TelemetryLevel};
 use dp_faults::{enumerate_nfbfs, BridgeKind, Fault};
 use dp_netlist::generators::alu74181;
@@ -28,16 +30,6 @@ use std::hint::black_box;
 use dp_analysis::stuck_at_universe;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
-
-/// One measured sweep per thread count into `BENCH_PR4.json` — the
-/// machine-readable record of this workload (criterion keeps the statistics;
-/// this keeps circuit, fault model, faults/sec and the manager counters).
-fn record_results(circuit: &Circuit, faults: &[Fault], model: &str) {
-    for n in THREAD_COUNTS {
-        let record = BenchRecord::measure(circuit, faults, model, Parallelism::Threads(n));
-        record_bench_result(&record);
-    }
-}
 
 fn with_parallelism(parallelism: Parallelism) -> SweepConfig {
     SweepConfig {
@@ -106,7 +98,6 @@ fn bench_parallel_sweep(c: &mut Criterion) {
     let sa_faults = stuck_at_universe(&circuit, true);
     sweep_group(c, "parallel_sweep/alu74181_stuck_at", &circuit, &sa_faults);
     telemetry_overhead_group(c, &circuit, &sa_faults);
-    record_results(&circuit, &sa_faults, "stuck_at");
 
     // Bridging sweep: all AND-type NFBFs of the same ALU.
     let bf_faults: Vec<Fault> = enumerate_nfbfs(&circuit, BridgeKind::And)
@@ -114,7 +105,6 @@ fn bench_parallel_sweep(c: &mut Criterion) {
         .map(Fault::from)
         .collect();
     sweep_group(c, "parallel_sweep/alu74181_nfbf_and", &circuit, &bf_faults);
-    record_results(&circuit, &bf_faults, "nfbf_and");
 }
 
 criterion_group!(benches, bench_parallel_sweep);

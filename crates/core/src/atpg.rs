@@ -148,7 +148,7 @@ mod tests {
             site: dp_faults::FaultSite::Net(a),
             value: false,
         });
-        let tests = generate_tests(&c, &[fault.clone()]);
+        let tests = generate_tests(&c, std::slice::from_ref(&fault));
         assert_eq!(tests.undetectable, vec![fault]);
         assert_eq!(tests.covered, 0);
         assert!(tests.vectors.is_empty());

@@ -133,8 +133,7 @@ fn splitmix64(mut z: u64) -> u64 {
 /// stuck-at faults over the checkpoint universe.
 ///
 /// Components are drawn from a splitmix64 stream keyed only by `seed`, so
-/// the sample — like the NFBF sampling in `dp-bench` — is invariant to
-/// thread count and scheduling. Draws that collide on a site or repeat an
+/// the sample is invariant to thread count and scheduling. Draws that collide on a site or repeat an
 /// already-sampled multi are skipped, so the result holds `count` distinct
 /// faults whenever the universe is large enough (and every distinct fault
 /// the stream reached otherwise).

@@ -51,5 +51,5 @@ pub use collector::{
 pub use report::{
     fnv1a64, key_paths, parse_and_validate, report_to_json, snapshot_to_json, validate_report,
     ReportFile, ShardExecution, StreamInfo, SweepExecution, SweepOutcome, SweepReport,
-    KNOWN_SCHEMA_VERSIONS, SCHEMA_VERSION,
+    SCHEMA_VERSION,
 };

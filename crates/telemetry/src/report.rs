@@ -29,11 +29,6 @@ use crate::json::{self, JsonValue};
 ///   Batch reports omit it, so every valid v1 document is also valid v2.
 pub const SCHEMA_VERSION: u64 = 2;
 
-/// Schema versions [`validate_report`] accepts. v1 documents contain no
-/// `stream` sections but are otherwise identical, so the v2 validator reads
-/// them unchanged.
-pub const KNOWN_SCHEMA_VERSIONS: [u64; 2] = [1, 2];
-
 /// 64-bit FNV-1a. Used for the `summaries_fnv` digest so reports can assert
 /// cross-configuration result identity without embedding every summary.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -296,9 +291,9 @@ pub fn snapshot_to_json(snap: &TelemetrySnapshot) -> JsonValue {
 /// members (additive evolution is allowed within a version).
 pub fn validate_report(doc: &JsonValue) -> Result<(), String> {
     let version = require_u64(doc, "schema_version", "$")?;
-    if !KNOWN_SCHEMA_VERSIONS.contains(&version) {
+    if version != SCHEMA_VERSION {
         return Err(format!(
-            "unknown schema_version {version} (this validator knows versions {KNOWN_SCHEMA_VERSIONS:?})"
+            "unknown schema_version {version} (this validator knows version {SCHEMA_VERSION})"
         ));
     }
     require_str(doc, "tool", "$")?;
@@ -351,8 +346,7 @@ pub fn validate_report(doc: &JsonValue) -> Result<(), String> {
         }
 
         // `stream` is optional (batch reports omit it) but strict when
-        // present — and present is legal even in a v1 document, since v1
-        // tolerates additive members.
+        // present.
         if report.get("stream").is_some() {
             let stream = require_obj(report, "stream", &at)?;
             let tat = format!("{at}.stream");
@@ -560,16 +554,18 @@ mod tests {
     }
 
     #[test]
-    fn validator_accepts_every_known_version() {
-        // v1 documents are identical minus the optional stream section; the
-        // v2 validator must keep reading them.
-        for version in KNOWN_SCHEMA_VERSIONS {
+    fn validator_accepts_only_the_current_version() {
+        // Only the current version is read; v1 documents are retired.
+        let with_version = |version: u64| {
             let mut file = sample_file().to_json();
             if let JsonValue::Obj(pairs) = &mut file {
                 pairs[0].1 = JsonValue::Int(version as i128);
             }
-            validate_report(&file).unwrap_or_else(|e| panic!("version {version}: {e}"));
-        }
+            validate_report(&file)
+        };
+        with_version(2).expect("v2 is the current schema");
+        let err = with_version(1).unwrap_err();
+        assert!(err.contains("knows version 2"), "{err}");
     }
 
     #[test]
