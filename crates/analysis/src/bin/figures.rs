@@ -9,7 +9,8 @@
 //!         [--telemetry PATH] [--order identity|fanin-dfs|auto]
 //! ```
 //!
-//! `--smoke` runs a reduced workload (fast CI check); the default
+//! `--smoke` runs a reduced workload (fast CI check) and leaves every sweep
+//! flag alone, wherever it stands on the line; the default
 //! configuration is paper scale (≈1000 sampled bridging faults per circuit
 //! and kind, full collapsed checkpoint sets). Each circuit's fault records
 //! are computed once and shared across figures. `--threads N` shards each
@@ -89,7 +90,7 @@ impl Lab {
             let mut faults = stuck_at_universe(c, true);
             faults.truncate(self.config.sa_cap);
             let t = Instant::now();
-            let sweep = sweep_universe(c, &faults, &self.config.sweep_config());
+            let sweep = sweep_universe(c, &faults, &self.config.sweep);
             let records = records_from_sweep(c, &faults, &sweep);
             eprintln!(
                 "  [sa] {name}: {} faults ({} classes) in {:?}",
@@ -113,7 +114,7 @@ impl Lab {
             let c = self.circuit(name);
             let faults = bridging_universe(c, kind, Some(self.config.bf_sample), self.config.seed);
             let t = Instant::now();
-            let sweep = sweep_universe(c, &faults, &self.config.sweep_config());
+            let sweep = sweep_universe(c, &faults, &self.config.sweep);
             let records = records_from_sweep(c, &faults, &sweep);
             eprintln!(
                 "  [bf {kind}] {name}: {} faults in {:?}",
@@ -178,31 +179,38 @@ fn main() {
     let mut telemetry_path: Option<String> = None;
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--smoke" => config = ExperimentConfig::smoke(),
+            // The smoke workload keeps whatever sweep settings came before.
+            "--smoke" => {
+                config = ExperimentConfig {
+                    sweep: config.sweep,
+                    ..ExperimentConfig::smoke()
+                }
+            }
             "--bf-sample" => config.bf_sample = number(&mut args, "--bf-sample"),
             "--sa-cap" => config.sa_cap = number(&mut args, "--sa-cap"),
             "--threads" => {
                 let n: usize = number(&mut args, "--threads");
-                config.parallelism = if n <= 1 {
+                config.sweep.parallelism = if n <= 1 {
                     Parallelism::Serial
                 } else {
                     Parallelism::Threads(n)
                 };
             }
             "--node-budget" => {
-                config.budget = BudgetConfig::with_max_nodes(number(&mut args, "--node-budget"));
+                config.sweep.engine.budget =
+                    BudgetConfig::with_max_nodes(number(&mut args, "--node-budget"));
             }
             "--fallback-samples" => {
-                config.fallback.samples = number(&mut args, "--fallback-samples");
+                config.sweep.fallback_samples = number(&mut args, "--fallback-samples");
             }
-            "--no-collapse" => config.collapse = false,
+            "--no-collapse" => config.sweep.collapse = false,
             "--only" => {
                 only = Some(value(&mut args, "--only").split(',').map(str::to_string).collect());
             }
             "--telemetry" => telemetry_path = Some(value(&mut args, "--telemetry")),
             "--order" => {
                 let v = value(&mut args, "--order");
-                config.order = OrderStrategy::parse(&v).unwrap_or_else(|| {
+                config.sweep.engine.order = OrderStrategy::parse(&v).unwrap_or_else(|| {
                     eprintln!("--order: unknown strategy `{v}`");
                     usage()
                 });
@@ -375,7 +383,7 @@ fn main() {
                     fault_model_universe(c, model, Some(lab.config.bf_sample), lab.config.seed)
                         .expect("builtin model name");
                 let t = Instant::now();
-                let sweep = sweep_universe(c, &faults, &lab.config.sweep_config());
+                let sweep = sweep_universe(c, &faults, &lab.config.sweep);
                 eprintln!(
                     "  [{model}] {name}: {} faults in {:?}",
                     faults.len(),

@@ -4,10 +4,7 @@
 //! full set (recorded in `EXPERIMENTS.md`) and the Criterion harness in
 //! `crates/bench` times each one.
 
-use dp_core::{
-    sweep_universe, BudgetConfig, EngineConfig, FallbackConfig, OrderStrategy, Parallelism,
-    SweepConfig, TelemetryLevel,
-};
+use dp_core::{sweep_universe, SweepConfig};
 use dp_faults::BridgeKind;
 use dp_netlist::Circuit;
 
@@ -21,7 +18,7 @@ use crate::topology::{
 };
 use crate::trends::{trend_point, TrendPoint};
 
-/// Workload knobs shared by all figure drivers.
+/// Workload knobs shared by all figure drivers, plus the sweep they run.
 #[derive(Debug, Clone, Copy)]
 pub struct ExperimentConfig {
     /// Histogram bin count (the paper uses fine-grained profiles; 20 bins
@@ -35,26 +32,12 @@ pub struct ExperimentConfig {
     pub sa_cap: usize,
     /// Sampling seed.
     pub seed: u64,
-    /// How fault sweeps execute. Serial by default; any setting produces
-    /// bit-identical figure series (see `dp_core::parallel`).
-    pub parallelism: Parallelism,
-    /// BDD work budget per fault analysis. Unlimited by default, which
-    /// keeps every record exact; with a budget, over-budget faults carry
-    /// sampled estimates flagged by `FaultRecord::outcome`.
-    pub budget: BudgetConfig,
-    /// Simulator fallback used for over-budget faults.
-    pub fallback: FallbackConfig,
-    /// Structural fault collapsing in the sweeps (default on). Off restores
-    /// one BDD propagation per fault — an ablation knob; the printed series
-    /// are bit-identical either way.
-    pub collapse: bool,
-    /// Telemetry level of the sweeps. Observation-only: the printed figure
-    /// series are byte-identical at every level.
-    pub telemetry: TelemetryLevel,
-    /// OBDD variable-order strategy of the sweeps. Execution-only: the
-    /// printed figure series are byte-identical under every strategy, but
-    /// the deep surrogates only finish in reasonable time with a good one.
-    pub order: OrderStrategy,
+    /// How the fault sweeps execute: threads, budget, fallback samples,
+    /// collapsing, telemetry and variable order. Every setting other than
+    /// a finite budget prints byte-identical figure series (see
+    /// `dp_core::parallel`); with a budget, over-budget faults carry sampled
+    /// estimates flagged by `FaultRecord::outcome`.
+    pub sweep: SweepConfig,
 }
 
 impl Default for ExperimentConfig {
@@ -65,61 +48,20 @@ impl Default for ExperimentConfig {
             bf_sample: 1000,
             sa_cap: usize::MAX,
             seed: 1990,
-            parallelism: Parallelism::Serial,
-            budget: BudgetConfig::UNLIMITED,
-            fallback: FallbackConfig::default(),
-            collapse: true,
-            telemetry: TelemetryLevel::default(),
-            order: OrderStrategy::Identity,
+            sweep: SweepConfig::default(),
         }
     }
 }
 
 impl ExperimentConfig {
-    /// A configuration small enough for unit tests and smoke runs.
+    /// A workload small enough for unit tests and smoke runs.
     pub fn smoke() -> Self {
         ExperimentConfig {
             bins: 10,
             bf_sample: 40,
             sa_cap: 60,
-            seed: 1990,
-            parallelism: Parallelism::Serial,
-            budget: BudgetConfig::UNLIMITED,
-            fallback: FallbackConfig::default(),
-            collapse: true,
-            telemetry: TelemetryLevel::default(),
-            order: OrderStrategy::Identity,
-        }
-    }
-
-    /// The engine configuration the drivers run with (defaults plus this
-    /// workload's budget and order strategy).
-    pub fn engine_config(&self) -> EngineConfig {
-        EngineConfig {
-            budget: self.budget,
-            order: self.order,
             ..Default::default()
         }
-    }
-
-    /// The full sweep configuration the drivers hand to
-    /// [`dp_core::sweep_universe`].
-    pub fn sweep_config(&self) -> SweepConfig {
-        SweepConfig {
-            engine: self.engine_config(),
-            parallelism: self.parallelism,
-            fallback: self.fallback,
-            collapse: self.collapse,
-            chunk: None,
-            telemetry: self.telemetry,
-            ..Default::default()
-        }
-    }
-
-    /// The same workload with an explicit execution strategy.
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
-        self
     }
 }
 
@@ -127,7 +69,7 @@ impl ExperimentConfig {
 pub fn stuck_at_records(circuit: &Circuit, config: &ExperimentConfig) -> Vec<FaultRecord> {
     let mut faults = stuck_at_universe(circuit, true);
     faults.truncate(config.sa_cap);
-    let sweep = sweep_universe(circuit, &faults, &config.sweep_config());
+    let sweep = sweep_universe(circuit, &faults, &config.sweep);
     records_from_sweep(circuit, &faults, &sweep)
 }
 
@@ -138,7 +80,7 @@ pub fn bridging_records(
     config: &ExperimentConfig,
 ) -> Vec<FaultRecord> {
     let faults = bridging_universe(circuit, kind, Some(config.bf_sample), config.seed);
-    let sweep = sweep_universe(circuit, &faults, &config.sweep_config());
+    let sweep = sweep_universe(circuit, &faults, &config.sweep);
     records_from_sweep(circuit, &faults, &sweep)
 }
 

@@ -1,5 +1,5 @@
 //! Argument handling of the `figures` binary: a bad value flag is a usage
-//! error (exit 2), never a panic.
+//! error (exit 2), never a panic, and flags compose in any order.
 
 use std::process::Command;
 
@@ -44,5 +44,25 @@ fn numeric_flag_with_a_non_number_is_a_usage_error() {
         "--fallback-samples",
     ] {
         assert_usage_error(&[flag, "x"]);
+    }
+}
+
+#[test]
+fn smoke_keeps_the_sweep_flags_given_before_it() {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("figures_smoke_threads.json");
+    let path = path.to_str().expect("utf-8 temp path");
+    let (code, stderr) =
+        run(&["--threads", "2", "--smoke", "--only", "fig1", "--telemetry", path]);
+    assert_eq!(code, Some(0), "{stderr}");
+    let text = std::fs::read_to_string(path).expect("telemetry written");
+    let doc = dp_telemetry::parse_and_validate(&text).expect("schema-valid report");
+    let reports = doc.get("reports").and_then(|r| r.as_arr()).expect("reports");
+    assert!(!reports.is_empty());
+    for report in reports {
+        let threads = report
+            .get("execution")
+            .and_then(|e| e.get("threads"))
+            .and_then(|t| t.as_u64());
+        assert_eq!(threads, Some(2), "--smoke dropped --threads 2");
     }
 }

@@ -167,6 +167,11 @@ impl Manager {
     /// [`NodeId`] is invalidated — the caller owns the only handles that
     /// survive.
     ///
+    /// Each run adds one to
+    /// [`ManagerStats::sift_runs`](crate::ManagerStats::sift_runs) and its
+    /// live-size drop to
+    /// [`ManagerStats::sift_nodes_reclaimed`](crate::ManagerStats::sift_nodes_reclaimed).
+    ///
     /// # Examples
     ///
     /// ```
@@ -188,6 +193,8 @@ impl Manager {
     /// let f = roots[0]; // the post-sift handle
     /// assert!(after < before); // sifting interleaves the pairs
     /// assert_eq!(m.live_size(&[f]), after);
+    /// assert_eq!(m.stats().sift_runs, 1);
+    /// assert_eq!(m.stats().sift_nodes_reclaimed, (before - after) as u64);
     /// # Ok::<(), dp_bdd::BddError>(())
     /// ```
     pub fn sift(&mut self, roots: &mut [NodeId]) -> usize {
@@ -196,9 +203,8 @@ impl Manager {
             "frozen-base managers have a fixed order; sift before freezing"
         );
         let n = self.num_vars() as u32;
-        if n < 2 {
-            return self.live_size(roots);
-        }
+        let before = self.live_size(roots);
+        let mut best_total = before;
         // Sift variables in decreasing order of how many live nodes carry
         // them (the standard heuristic).
         let mut occupancy: Vec<(usize, Var)> = (0..n)
@@ -206,7 +212,6 @@ impl Manager {
             .collect();
         occupancy.sort_by_key(|&(count, _)| std::cmp::Reverse(count));
 
-        let mut best_total = self.live_size(roots);
         for &(_, var) in &occupancy {
             let start = self.level_of(var);
             let mut best_level = start;
@@ -234,6 +239,8 @@ impl Manager {
             best_total = self.live_size(roots);
             self.maybe_compact(roots, best_total);
         }
+        self.stats.sift_runs += 1;
+        self.stats.sift_nodes_reclaimed += before.saturating_sub(best_total) as u64;
         best_total
     }
 

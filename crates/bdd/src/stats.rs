@@ -8,9 +8,9 @@
 //!
 //! # Counter lifetimes
 //!
-//! * **Unique-table counters, `gc_runs`, `peak_nodes`, `op_steps` and
-//!   `budget_trips` are cumulative** over the manager's lifetime; nothing
-//!   resets them.
+//! * **Unique-table counters, `gc_runs`, the sift counters, `peak_nodes`,
+//!   `op_steps` and `budget_trips` are cumulative** over the manager's
+//!   lifetime; nothing resets them.
 //! * **Op-cache counters exist in two views.** The per-generation view
 //!   (`stats[OpKind::Xor]`, [`ManagerStats::op_total`]) restarts whenever the
 //!   cache itself is dropped — by [`Manager::gc`](crate::Manager::gc) or
@@ -177,6 +177,11 @@ pub struct ManagerStats {
     op_prior: [CacheCounters; 9],
     /// Completed [`Manager::gc`](crate::Manager::gc) runs. Cumulative.
     pub gc_runs: u64,
+    /// Completed [`Manager::sift`](crate::Manager::sift) runs. Cumulative.
+    pub sift_runs: u64,
+    /// Live nodes the sift runs removed (live size before minus after,
+    /// summed over runs). Cumulative.
+    pub sift_nodes_reclaimed: u64,
     /// Largest node-table length ever observed (terminals included).
     /// Cumulative; never shrinks, even across GC compactions.
     pub peak_nodes: usize,
@@ -250,6 +255,8 @@ impl ManagerStats {
             op,
             op_prior,
             gc_runs: self.gc_runs + other.gc_runs,
+            sift_runs: self.sift_runs + other.sift_runs,
+            sift_nodes_reclaimed: self.sift_nodes_reclaimed + other.sift_nodes_reclaimed,
             peak_nodes: self.peak_nodes.max(other.peak_nodes),
             op_steps: self.op_steps + other.op_steps,
             budget_trips: self.budget_trips + other.budget_trips,
@@ -339,6 +346,8 @@ mod tests {
         a[OpKind::Xor].miss();
         a.peak_nodes = 10;
         a.gc_runs = 1;
+        a.sift_runs = 1;
+        a.sift_nodes_reclaimed = 30;
         a.op_steps = 100;
         a.budget_trips = 2;
         b.unique.miss();
@@ -346,6 +355,8 @@ mod tests {
         b.peak_nodes = 7;
         b.op_steps = 50;
         b.base_nodes = 5;
+        b.sift_runs = 2;
+        b.sift_nodes_reclaimed = 12;
         let m = a.merged(&b);
         assert_eq!(m.base_nodes, 5, "shared base is not double counted");
         assert_eq!(m.unique.lookups, 2);
@@ -353,6 +364,8 @@ mod tests {
         assert_eq!(m[OpKind::Xor].hits, 1);
         assert_eq!(m.peak_nodes, 10);
         assert_eq!(m.gc_runs, 1);
+        assert_eq!(m.sift_runs, 3);
+        assert_eq!(m.sift_nodes_reclaimed, 42);
         assert_eq!(m.op_steps, 150);
         assert_eq!(m.budget_trips, 2);
     }

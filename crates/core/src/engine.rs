@@ -4,7 +4,7 @@
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, HashMap};
 
-use dp_bdd::{BudgetConfig, Cube, Manager, NodeId};
+use dp_bdd::{BddError, BudgetConfig, Cube, Manager, NodeId};
 use dp_faults::{BridgeKind, BridgingFault, Fault, FaultSite, MultiStuckAt, StuckAtFault};
 use dp_netlist::{Circuit, Driver, GateKind, NetId, Reachability};
 use dp_telemetry::{CounterKind, HistKind, SharedCollector, SpanKind};
@@ -39,25 +39,17 @@ pub struct EngineConfig {
     /// `f64::INFINITY` to restore threshold-only behaviour.
     pub gc_growth: f64,
     /// Work budget for the BDD manager. Only the fallible entry points
-    /// ([`DiffProp::try_analyze`], [`DiffProp::try_with_config`]) honour
+    /// ([`DiffProp::try_analyze`], [`DiffProp::build_snapshot`]) honour
     /// it — the infallible methods temporarily lift it so their answers
     /// stay exact. The default,
     /// [`BudgetConfig::UNLIMITED`], reproduces unbounded behaviour.
     pub budget: BudgetConfig,
-    /// How the manager's variable order is chosen (and whether the engine
-    /// sifts dynamically mid-sweep). Execution-only: every analysis result
-    /// is bit-identical across strategies, only cost moves. The default,
+    /// How the manager's variable order is chosen (and, for
+    /// [`OrderStrategy::Auto`], whether the good-function build is sifted
+    /// once). Execution-only: every analysis result is bit-identical across
+    /// strategies, only cost moves. The default,
     /// [`OrderStrategy::Identity`], reproduces the declared input order.
     pub order: OrderStrategy,
-    /// Starting slot count for the manager's direct-mapped operation cache
-    /// (rounded up to a power of two by the kernel, and treated as a floor:
-    /// the kernel doubles the cache as the node arena outgrows it, up to an
-    /// internal hard cap). The cache is lossy — a collision overwrites — so
-    /// this is a pure speed/memory dial with no effect on any analysis
-    /// result; only the layout-dependent execution counters (cache hit
-    /// rates, `op_steps`) move with it. The default suits the ISCAS-scale
-    /// surrogates; shrink it to bound small-worker memory harder.
-    pub op_cache_capacity: usize,
 }
 
 impl Default for EngineConfig {
@@ -69,7 +61,6 @@ impl Default for EngineConfig {
             gc_growth: 4.0,
             budget: BudgetConfig::UNLIMITED,
             order: OrderStrategy::Identity,
-            op_cache_capacity: 1 << 18,
         }
     }
 }
@@ -82,11 +73,12 @@ const GC_TABLE_FLOOR: usize = 1 << 10;
 /// pass over a few thousand nodes costs more than any order could save.
 const SIFT_TABLE_FLOOR: usize = 1 << 12;
 
-/// Auto-sift trigger: reorder when the post-collection *live* size exceeds
-/// this multiple of the size right after the previous sift (or the initial
-/// build). Growth of the live set — not of the table, which gc already
-/// bounds — is the signal that the current order has gone stale.
-const SIFT_GROWTH: f64 = 2.0;
+/// Starting slot count of every engine's operation cache, treated as a
+/// floor: the kernel doubles the cache as the node arena outgrows it, up to
+/// an internal hard cap. The cache is lossy, so the size moves only the
+/// layout-dependent execution counters (hit rates, `op_steps`), never a
+/// result.
+const OP_CACHE_CAPACITY: usize = 1 << 18;
 
 /// The result of analysing one fault: the complete test set and the exact
 /// metrics derived from it.
@@ -239,6 +231,25 @@ pub(crate) fn flow_net(f: &StuckAtFault) -> NetId {
     }
 }
 
+/// The one good-function build every engine starts from: the strategy's
+/// static order under `budget`, then, for [`OrderStrategy::Auto`] over
+/// [`SIFT_TABLE_FLOOR`] nodes, one Rudell sift. Returns whether it sifted.
+///
+/// The sift is budget-exempt (`prop_sift_budget.rs` pins it) and preserves
+/// every function, so it moves cost only, never a result.
+fn build_good(
+    circuit: &Circuit,
+    order: OrderStrategy,
+    budget: BudgetConfig,
+) -> Result<(GoodFunctions, bool), BddError> {
+    let mut good = GoodFunctions::try_build_with_order(circuit, &order.resolve(circuit), budget)?;
+    let sift = order.autosifts() && good.num_nodes() > SIFT_TABLE_FLOOR;
+    if sift {
+        good.sift();
+    }
+    Ok((good, sift))
+}
+
 /// The Difference Propagation analyser for one circuit.
 ///
 /// Builds the good functions once, then analyses any number of faults
@@ -252,12 +263,6 @@ pub struct DiffProp<'c> {
     /// Node-table size right after the last collection (or the initial
     /// build); the reference point for [`EngineConfig::gc_growth`].
     gc_baseline: usize,
-    /// Live size right after the last dynamic reordering (or the initial
-    /// build); the reference point for [`OrderStrategy::Auto`]'s
-    /// [`SIFT_GROWTH`] trigger.
-    sift_baseline: usize,
-    /// Dynamic reorderings this engine has run (Auto order only).
-    sift_runs: u64,
     /// Transitive-fanout relation, built once per engine. Drives the
     /// cone-restricted propagation: per fault, the set of live primary
     /// outputs (those in a fault site's fanout cone).
@@ -284,23 +289,23 @@ impl<'c> DiffProp<'c> {
     ///
     /// The good functions are built *without* a budget (construction cannot
     /// fail), then [`EngineConfig::budget`] is armed for subsequent fallible
-    /// analyses. Use [`DiffProp::try_with_config`] to bound the build too.
+    /// analyses. Use [`DiffProp::build_snapshot`] to bound the build too.
     pub fn with_config(circuit: &'c Circuit, config: EngineConfig) -> Self {
-        let mut good = GoodFunctions::build_with_order(circuit, &config.order.resolve(circuit));
+        let (mut good, _) = build_good(circuit, config.order, BudgetConfig::UNLIMITED)
+            .expect("unlimited budget cannot trip");
         good.manager_mut().set_budget(config.budget);
         Self::assemble(circuit, good, config)
     }
 
     /// Shared constructor tail: derive the structural caches and size the
-    /// kernel's operation cache for the configured workload. The configured
-    /// capacity is a floor — a cache the kernel already grew past it (it
-    /// doubles with the node arena) is left alone rather than shrunk and
-    /// re-grown. (Resizing starts a fresh cache generation; results are
-    /// unaffected — the cache is lossy by design — and cumulative counters
-    /// survive the fold.)
+    /// kernel's operation cache. [`OP_CACHE_CAPACITY`] is a floor — a cache
+    /// the kernel already grew past it (it doubles with the node arena) is
+    /// left alone rather than shrunk and re-grown. (Resizing starts a fresh
+    /// cache generation; results are unaffected — the cache is lossy by
+    /// design — and cumulative counters survive the fold.)
     fn assemble(circuit: &'c Circuit, mut good: GoodFunctions, config: EngineConfig) -> Self {
-        if good.manager().op_cache_capacity() < config.op_cache_capacity.next_power_of_two().max(1024) {
-            good.manager_mut().set_op_cache_capacity(config.op_cache_capacity);
+        if good.manager().op_cache_capacity() < OP_CACHE_CAPACITY {
+            good.manager_mut().set_op_cache_capacity(OP_CACHE_CAPACITY);
         }
         let gc_baseline = good.num_nodes();
         let reach = Reachability::compute(circuit);
@@ -310,8 +315,6 @@ impl<'c> DiffProp<'c> {
             good,
             config,
             gc_baseline,
-            sift_baseline: gc_baseline.max(1),
-            sift_runs: 0,
             reach,
             feeds_output,
             telemetry: None,
@@ -324,22 +327,6 @@ impl<'c> DiffProp<'c> {
     /// keep a handle to record their own spans into the same sink).
     pub fn attach_collector(&mut self, collector: SharedCollector) {
         self.telemetry = Some(collector);
-    }
-
-    /// Creates an analyser with an explicit configuration, honouring
-    /// [`EngineConfig::budget`] already during the good-function build.
-    ///
-    /// Returns [`AnalysisError::BudgetExceeded`] when the circuit's good
-    /// functions alone exceed the budget — analysis cannot even start, and
-    /// the caller should fall back to simulation for the whole circuit.
-    pub fn try_with_config(
-        circuit: &'c Circuit,
-        config: EngineConfig,
-    ) -> Result<Self, AnalysisError> {
-        let good =
-            GoodFunctions::try_build_with_order(circuit, &config.order.resolve(circuit), config.budget)
-                .map_err(AnalysisError::BudgetExceeded)?;
-        Ok(Self::assemble(circuit, good, config))
     }
 
     /// Creates an analyser around pre-built good functions (e.g. with a
@@ -356,25 +343,21 @@ impl<'c> DiffProp<'c> {
     /// shareable [`GoodSnapshot`] — the one-time setup of shared-manager
     /// parallelism. Honours [`EngineConfig::budget`] during the build.
     ///
-    /// The base variable order is fixed at freeze time by
-    /// [`OrderStrategy::resolve`]; for [`OrderStrategy::Auto`] a single
-    /// static sift runs here (over the floor size) instead of dynamically in
-    /// the workers, because a frozen base cannot reorder. The table is
-    /// collected before freezing so the base carries only the live good
-    /// functions, not build intermediates.
+    /// Returns [`AnalysisError::BudgetExceeded`] when the circuit's good
+    /// functions alone exceed the budget — analysis cannot even start, and
+    /// the caller should fall back to simulation for the whole circuit.
+    ///
+    /// The build is [`DiffProp::with_config`]'s, sift included, so a thawed
+    /// engine runs in the same variable order as a private one. An unsifted
+    /// table is collected before freezing so the base carries only the live
+    /// good functions, not build intermediates (a sift already collects).
     pub fn build_snapshot(
         circuit: &Circuit,
         config: EngineConfig,
     ) -> Result<GoodSnapshot, AnalysisError> {
-        let mut good = GoodFunctions::try_build_with_order(
-            circuit,
-            &config.order.resolve(circuit),
-            config.budget,
-        )
-        .map_err(AnalysisError::BudgetExceeded)?;
-        if config.order.autosifts() && good.num_nodes() > SIFT_TABLE_FLOOR {
-            good.sift();
-        } else {
+        let (mut good, sifted) = build_good(circuit, config.order, config.budget)
+            .map_err(AnalysisError::BudgetExceeded)?;
+        if !sifted {
             good.gc();
         }
         Ok(good.freeze())
@@ -408,51 +391,7 @@ impl<'c> DiffProp<'c> {
         if n > self.config.gc_threshold || n > adaptive.max(GC_TABLE_FLOOR) {
             self.good.gc();
             self.gc_baseline = self.good.num_nodes();
-            self.maybe_sift();
         }
-    }
-
-    /// [`OrderStrategy::Auto`]'s dynamic half: after a collection, when even
-    /// the *live* set has outgrown [`SIFT_GROWTH`] × its size at the last
-    /// reordering, run a Rudell sift over the good functions.
-    ///
-    /// Sifting is budget-exempt by construction (it rewrites levels through
-    /// the manager's raw path; `prop_sift_budget.rs` pins that it completes,
-    /// never charges the window, and never trips even a zero-step budget),
-    /// so a budget-starved analysis can still recover a better order. It is
-    /// also invisible in results: functions are preserved node-for-node, so
-    /// every downstream scalar is bit-identical — only cost changes.
-    fn maybe_sift(&mut self) {
-        let live = self.gc_baseline;
-        // A delta manager extends a frozen base whose order is fixed; Auto's
-        // static half already sifted once before the freeze.
-        if self.good.manager().has_frozen_base() {
-            return;
-        }
-        if !self.config.order.autosifts()
-            || live <= SIFT_TABLE_FLOOR
-            || (live as f64) <= self.sift_baseline as f64 * SIFT_GROWTH
-        {
-            return;
-        }
-        let (before, after) = self.good.sift();
-        self.gc_baseline = self.good.num_nodes();
-        self.sift_baseline = self.gc_baseline.max(1);
-        self.sift_runs += 1;
-        if let Some(t) = &self.telemetry {
-            let mut c = t.borrow_mut();
-            c.add(CounterKind::SiftRuns, 1);
-            c.add(
-                CounterKind::SiftNodesReclaimed,
-                before.saturating_sub(after) as u64,
-            );
-        }
-    }
-
-    /// Dynamic reorderings this engine has run so far (always 0 unless
-    /// [`EngineConfig::order`] is [`OrderStrategy::Auto`]).
-    pub fn sift_runs(&self) -> u64 {
-        self.sift_runs
     }
 
     /// The circuit under analysis.
@@ -1034,7 +973,7 @@ impl<'c> DiffProp<'c> {
 mod tests {
     use super::*;
     use dp_faults::{checkpoint_faults, enumerate_nfbfs, BridgingFault, StuckAtFault};
-    use dp_netlist::generators::{alu74181, c17, c95, full_adder};
+    use dp_netlist::generators::{alu74181, c17, c1908_surrogate, c95, full_adder};
     use dp_sim::exhaustive_detectability;
 
     /// DP's exact counts must equal brute-force simulation for every
@@ -1367,9 +1306,10 @@ mod tests {
                 budget: BudgetConfig::with_max_nodes(max_nodes),
                 ..Default::default()
             };
-            let Ok(mut dp) = DiffProp::try_with_config(&c, config) else {
+            let Ok(snapshot) = DiffProp::build_snapshot(&c, config) else {
                 continue;
             };
+            let mut dp = DiffProp::from_snapshot(&c, &snapshot, config);
             for fault in &faults {
                 match dp.try_analyze(fault) {
                     Ok(a) => {
@@ -1400,13 +1340,13 @@ mod tests {
     }
 
     #[test]
-    fn try_with_config_rejects_impossible_budgets() {
+    fn build_snapshot_rejects_impossible_budgets() {
         let c = c95();
         let config = EngineConfig {
             budget: BudgetConfig::with_max_nodes(4),
             ..Default::default()
         };
-        match DiffProp::try_with_config(&c, config) {
+        match DiffProp::build_snapshot(&c, config) {
             Err(AnalysisError::BudgetExceeded(e)) => {
                 assert!(e.to_string().contains("budget"), "{e}");
             }
@@ -1609,94 +1549,30 @@ mod tests {
         );
     }
 
-    // -----------------------------------------------------------------
-    // The Auto-sift trigger policy, pinned white-box: the real workloads
-    // that cross SIFT_TABLE_FLOOR live nodes (the deep surrogates) are too
-    // big for unit tests, so these fabricate the trigger's inputs directly
-    // and check the decision, the baseline resets, and result invariance.
-    // -----------------------------------------------------------------
-
-    fn auto_dp(c: &Circuit) -> DiffProp<'_> {
-        DiffProp::with_config(
-            c,
-            EngineConfig {
-                order: OrderStrategy::Auto,
-                ..Default::default()
-            },
-        )
-    }
-
     #[test]
-    fn auto_sift_fires_above_floor_and_growth_and_preserves_results() {
-        let c = c95();
-        let mut reference = DiffProp::new(&c);
-        let mut dp = auto_dp(&c);
-        // Fabricate a post-gc live set over the floor and over 2x the last
-        // sift baseline: the trigger must fire exactly once.
-        dp.gc_baseline = SIFT_TABLE_FLOOR + 1;
-        dp.sift_baseline = 1;
-        dp.maybe_sift();
-        assert_eq!(dp.sift_runs(), 1);
-        // Both baselines re-anchor to the actual (small) live size, so an
-        // immediate re-check cannot fire again.
-        assert_eq!(dp.gc_baseline, dp.good.num_nodes());
-        assert_eq!(dp.sift_baseline, dp.gc_baseline.max(1));
-        dp.maybe_sift();
-        assert_eq!(dp.sift_runs(), 1, "re-fire without growth");
-        // Reordering is invisible in results: every scalar bit-identical.
-        for f in checkpoint_faults(&c).into_iter().take(8) {
+    fn auto_means_one_sift_at_build_for_every_engine() {
+        // c1908s's fanin-DFS build is well over SIFT_TABLE_FLOOR, so Auto
+        // sifts it: a private engine and a thawed snapshot must agree on
+        // the sifted order, and it must differ from plain fanin-DFS.
+        let c = c1908_surrogate();
+        let auto = EngineConfig {
+            order: OrderStrategy::Auto,
+            ..Default::default()
+        };
+        let mut private = DiffProp::with_config(&c, auto);
+        let snapshot = DiffProp::build_snapshot(&c, auto).unwrap();
+        let mut thawed = DiffProp::from_snapshot(&c, &snapshot, auto);
+        let fanin = GoodFunctions::build_with_order(&c, &OrderStrategy::FaninDfs.resolve(&c));
+        assert_eq!(private.good.manager().order(), thawed.good.manager().order());
+        assert_ne!(private.good.manager().order(), fanin.manager().order());
+        for f in checkpoint_faults(&c).into_iter().step_by(97) {
             let fault = Fault::from(f);
-            let a = dp.analyze(&fault);
-            let e = reference.analyze(&fault);
-            assert_eq!(a.test_count, e.test_count, "{fault}");
-            assert_eq!(a.detectability.to_bits(), e.detectability.to_bits());
-            assert_eq!(a.observable_outputs, e.observable_outputs);
+            let a = private.analyze(&fault);
+            let b = thawed.analyze(&fault);
+            assert_eq!(a.test_count, b.test_count, "{fault}");
+            assert_eq!(a.detectability.to_bits(), b.detectability.to_bits(), "{fault}");
+            assert_eq!(a.observable_outputs, b.observable_outputs, "{fault}");
+            assert_eq!(a.gates_propagated, b.gates_propagated, "{fault}");
         }
-    }
-
-    #[test]
-    fn auto_sift_holds_below_floor_or_growth_or_without_auto() {
-        let c = c95();
-        // At the floor exactly: too small to be worth reordering.
-        let mut dp = auto_dp(&c);
-        dp.gc_baseline = SIFT_TABLE_FLOOR;
-        dp.sift_baseline = 1;
-        dp.maybe_sift();
-        assert_eq!(dp.sift_runs(), 0, "at/below SIFT_TABLE_FLOOR");
-        // Over the floor but within 2x of the last baseline: no churn.
-        let mut dp = auto_dp(&c);
-        dp.gc_baseline = SIFT_TABLE_FLOOR + 1;
-        dp.sift_baseline = SIFT_TABLE_FLOOR;
-        dp.maybe_sift();
-        assert_eq!(dp.sift_runs(), 0, "within SIFT_GROWTH of baseline");
-        // Static strategies never sift, whatever the table does.
-        let mut dp = DiffProp::with_config(
-            &c,
-            EngineConfig {
-                order: OrderStrategy::FaninDfs,
-                ..Default::default()
-            },
-        );
-        dp.gc_baseline = usize::MAX / 2;
-        dp.sift_baseline = 1;
-        dp.maybe_sift();
-        assert_eq!(dp.sift_runs(), 0, "non-auto strategy");
-    }
-
-    #[test]
-    fn auto_sift_records_telemetry_counters() {
-        use dp_telemetry::{Collector, TelemetryLevel};
-        use std::cell::RefCell;
-        use std::rc::Rc;
-        let c = c95();
-        let collector: SharedCollector =
-            Rc::new(RefCell::new(Collector::new(TelemetryLevel::Aggregate)));
-        let mut dp = auto_dp(&c);
-        dp.attach_collector(Rc::clone(&collector));
-        dp.gc_baseline = SIFT_TABLE_FLOOR + 1;
-        dp.sift_baseline = 1;
-        dp.maybe_sift();
-        let snapshot = collector.borrow().snapshot();
-        assert_eq!(snapshot.counter(CounterKind::SiftRuns), 1);
     }
 }

@@ -59,16 +59,8 @@ impl GoodFunctions {
     /// Builds the good functions with the declared-input-order variable
     /// assignment.
     pub fn build(circuit: &Circuit) -> Self {
-        Self::try_build(circuit, BudgetConfig::UNLIMITED).expect("unlimited budget cannot trip")
-    }
-
-    /// Builds the good functions under a work budget, with the
-    /// declared-input-order variable assignment. Returns
-    /// [`BddError::BudgetExceeded`] instead of growing without bound when
-    /// the budget trips mid-build.
-    pub fn try_build(circuit: &Circuit, budget: BudgetConfig) -> Result<Self, BddError> {
         let order: Vec<Var> = (0..circuit.num_inputs() as Var).collect();
-        Self::try_build_with_order(circuit, &order, budget)
+        Self::build_with_order(circuit, &order)
     }
 
     /// Builds the good functions with an explicit variable order: `order[l]`
@@ -83,9 +75,11 @@ impl GoodFunctions {
             .expect("unlimited budget cannot trip")
     }
 
-    /// Budgeted variant of [`GoodFunctions::build_with_order`]. The returned
-    /// manager keeps `budget` armed (with a fresh window) so subsequent
-    /// analyses are bounded by the same configuration.
+    /// Budgeted variant of [`GoodFunctions::build_with_order`]. Returns
+    /// [`BddError::BudgetExceeded`] instead of growing without bound when
+    /// the budget trips mid-build. The returned manager keeps `budget` armed
+    /// (with a fresh window) so subsequent analyses are bounded by the same
+    /// configuration.
     ///
     /// # Panics
     ///

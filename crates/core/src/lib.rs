@@ -87,7 +87,7 @@ pub use observability::Observability;
 pub use order::OrderStrategy;
 pub use dp_telemetry::TelemetryLevel;
 pub use parallel::{
-    plan_batches, sweep_universe, sweep_universe_ext, ClassId, FallbackConfig, FaultOutcome,
+    plan_batches, sweep_universe, sweep_universe_ext, ClassId, FaultOutcome,
     FaultSummary, Parallelism, RecordSink, ShardReport, SweepConfig, SweepResult, WORKER_PANIC,
 };
 pub use redundancy::{find_redundancies, RedundancyReport};

@@ -26,9 +26,10 @@ pub enum OrderStrategy {
     /// Fanin-weighted depth-first traversal
     /// ([`dp_netlist::ordering::fanin_dfs_order`]).
     FaninDfs,
-    /// [`OrderStrategy::FaninDfs`] statically, plus budget-exempt dynamic
-    /// sifting mid-sweep whenever the live node count outgrows the last
-    /// reordered size (see `DiffProp::maybe_gc`).
+    /// [`OrderStrategy::FaninDfs`], plus one budget-exempt Rudell sift of
+    /// the good functions right after they are built, when the table is
+    /// big enough to be worth it. Every engine (private or thawed from a
+    /// snapshot) runs in that one sifted order.
     Auto,
     /// A seeded pseudo-random permutation (Fisher–Yates over splitmix64).
     /// Exists for the order-invariance test layer; never a good idea for
@@ -62,7 +63,8 @@ impl OrderStrategy {
         }
     }
 
-    /// `true` when the engine should also sift dynamically mid-sweep.
+    /// `true` when the good-function build is sifted once after the static
+    /// order (above a small-table floor).
     pub fn autosifts(self) -> bool {
         matches!(self, OrderStrategy::Auto)
     }

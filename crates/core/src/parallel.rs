@@ -48,7 +48,7 @@
 //! computed, never *what* its canonical result is.
 //!
 //! The same holds for the degraded path: a fallback estimate is seeded per
-//! *global* fault index ([`FallbackConfig::seed`] `+ index`), so a
+//! *global* fault index (a fixed base seed `+ index`), so a
 //! [`FaultOutcome::Bounded`] summary does not depend on which worker
 //! produced it. (Under a *finite budget* the set of faults that trip can
 //! still vary with scheduling, because a manager's budget window depends on
@@ -154,6 +154,11 @@ impl Parallelism {
 /// Default cap on stuck-at classes fused into one cone-disjoint batch.
 const DEFAULT_BATCH: usize = 8;
 
+/// Base seed of the simulator fallback: fault `i` (global index) samples
+/// with `FALLBACK_SEED + i`, which makes estimates independent of sharding
+/// and thread count. The paper's publication year; any constant works.
+const FALLBACK_SEED: u64 = 1990;
+
 /// Full configuration of a fault-universe sweep — see [`sweep_universe`].
 #[derive(Debug, Clone, Copy)]
 pub struct SweepConfig {
@@ -161,15 +166,13 @@ pub struct SweepConfig {
     pub engine: EngineConfig,
     /// Worker threads.
     pub parallelism: Parallelism,
-    /// Simulator fallback used when the budget trips.
-    pub fallback: FallbackConfig,
+    /// Random vectors per simulator-fallback estimate when the budget trips
+    /// (rounded up to a multiple of 64, the packed-simulation width).
+    pub fallback_samples: u64,
     /// Structural fault collapsing: analyse one representative per
     /// equivalence class (default). `false` restores one propagation per
     /// fault — useful for ablation, never for results (they are identical).
     pub collapse: bool,
-    /// Work-queue chunk size in *batches*. `None` picks a size that gives
-    /// each worker several claims without drowning the queue in contention.
-    pub chunk: Option<usize>,
     /// Maximum stuck-at classes fused into one cone-disjoint propagation
     /// batch (see [`plan_batches`]); `1` disables batching. Output-invariant
     /// at every value — batches are planned before workers spawn, so the
@@ -188,9 +191,8 @@ impl Default for SweepConfig {
         SweepConfig {
             engine: EngineConfig::default(),
             parallelism: Parallelism::Serial,
-            fallback: FallbackConfig::default(),
+            fallback_samples: 4096,
             collapse: true,
-            chunk: None,
             batch: DEFAULT_BATCH,
             telemetry: TelemetryLevel::default(),
         }
@@ -234,26 +236,6 @@ impl FaultOutcome {
     /// `true` for [`FaultOutcome::Oscillating`].
     pub fn is_oscillating(self) -> bool {
         matches!(self, FaultOutcome::Oscillating { .. })
-    }
-}
-
-/// Configuration of the simulator fallback used when the budget trips.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FallbackConfig {
-    /// Random vectors per estimated fault (rounded up to a multiple of 64,
-    /// the packed-simulation width).
-    pub samples: u64,
-    /// Base RNG seed; fault `i` (global index) uses `seed + i`, which makes
-    /// estimates independent of sharding and thread count.
-    pub seed: u64,
-}
-
-impl Default for FallbackConfig {
-    fn default() -> Self {
-        FallbackConfig {
-            samples: 4096,
-            seed: 1990, // the paper's publication year — any constant works
-        }
     }
 }
 
@@ -360,8 +342,9 @@ pub struct SweepResult {
     /// Workers actually spawned (≤ the configured parallelism; never more
     /// than there were classes).
     pub workers: usize,
-    /// Work-queue chunk size actually used, in batches (see
-    /// [`SweepConfig::chunk`]).
+    /// Work-queue chunk size, in batches: derived from the queue length and
+    /// the worker count so each worker gets several claims without drowning
+    /// the queue in contention.
     pub chunk: usize,
     /// Name of the variable-order strategy the workers built with
     /// (`SweepConfig.engine.order`); recorded in the execution section of
@@ -431,7 +414,7 @@ impl SweepResult {
 /// all its classes, exactly like a serial [`DiffProp`] would.
 /// `Parallelism::Serial` runs the identical single-worker code path on the
 /// calling thread. Results are bit-identical across all `parallelism`,
-/// `chunk`, `batch` and `collapse` settings (see the module docs).
+/// `batch` and `collapse` settings (see the module docs).
 ///
 /// This function does not panic on worker failure: class panics are caught
 /// and reported per worker, and budget trips degrade per fault to sampled
@@ -514,10 +497,7 @@ pub fn sweep_universe_ext(
     // Never more workers than queue entries: an extra worker would thaw the
     // good functions only to find the queue drained.
     let workers = config.parallelism.workers().min(batches.len()).max(1);
-    let chunk = config
-        .chunk
-        .unwrap_or_else(|| batches.len().div_ceil(workers * 8).clamp(1, 32))
-        .max(1);
+    let chunk = batches.len().div_ceil(workers * 8).clamp(1, 32);
     let next = AtomicUsize::new(0);
     let batches = batches.as_slice();
 
@@ -866,7 +846,7 @@ fn process_class<'c>(
     let class_timer = collector.borrow().start();
     let mark = out.len();
     let caught = catch_unwind(AssertUnwindSafe(|| {
-        summarize_class(circuit, dp, faults, class, config.fallback, collector, out)
+        summarize_class(circuit, dp, faults, class, config.fallback_samples, collector, out)
     }));
     match caught {
         Ok(()) => {
@@ -960,7 +940,7 @@ fn try_fused_batch<'c>(
 /// Folds a manager's final [`ManagerStats`] into a collector, so snapshots
 /// carry the cumulative view — op-cache counters included, which survive GC
 /// generations by design. Used for each worker's manager and, in shared
-/// mode, once for the snapshot build.
+/// mode, once for the snapshot build (the only place an `Auto` sift runs).
 fn harvest_manager_stats(c: &mut Collector, s: &ManagerStats) {
     c.add(CounterKind::UniqueLookups, s.unique.lookups);
     c.add(CounterKind::UniqueHits, s.unique.hits);
@@ -971,6 +951,8 @@ fn harvest_manager_stats(c: &mut Collector, s: &ManagerStats) {
     c.add(CounterKind::OpCacheHits, op.hits);
     c.add(CounterKind::OpSteps, s.op_steps);
     c.add(CounterKind::GcRuns, s.gc_runs);
+    c.add(CounterKind::SiftRuns, s.sift_runs);
+    c.add(CounterKind::SiftNodesReclaimed, s.sift_nodes_reclaimed);
     c.raise(CounterKind::PeakNodes, s.peak_nodes as u64);
     c.add(CounterKind::BudgetTrips, s.budget_trips);
 }
@@ -1024,7 +1006,7 @@ fn summarize_class(
     dp: &mut Option<DiffProp<'_>>,
     faults: &[Fault],
     class: &FaultClass,
-    fallback: FallbackConfig,
+    fallback_samples: u64,
     collector: &SharedCollector,
     out: &mut Vec<(usize, FaultSummary)>,
 ) {
@@ -1047,7 +1029,7 @@ fn summarize_class(
             let _ = fault_timer;
             for &m in &class.members {
                 let member_timer = collector.borrow().start();
-                let summary = sampled_summary(circuit, &faults[m], m, fallback);
+                let summary = sampled_summary(circuit, &faults[m], m, fallback_samples);
                 {
                     let mut c = collector.borrow_mut();
                     c.finish(SpanKind::Fault, member_timer);
@@ -1075,13 +1057,13 @@ fn sampled_summary(
     circuit: &Circuit,
     fault: &Fault,
     global_index: usize,
-    fallback: FallbackConfig,
+    samples: u64,
 ) -> FaultSummary {
     let est = sampled_fault_estimate(
         circuit,
         fault,
-        fallback.samples,
-        fallback.seed.wrapping_add(global_index as u64),
+        samples,
+        FALLBACK_SEED.wrapping_add(global_index as u64),
     );
     FaultSummary {
         fault: fault.clone(),
@@ -1101,7 +1083,7 @@ mod tests {
     use super::*;
     use dp_bdd::BudgetConfig;
     use dp_faults::{checkpoint_faults, enumerate_nfbfs, BridgeKind};
-    use dp_netlist::generators::{alu74181, c17, c95, full_adder};
+    use dp_netlist::generators::{alu74181, c17, c1908_surrogate, c432_surrogate, c95, full_adder};
 
     fn with_parallelism(parallelism: Parallelism) -> SweepConfig {
         SweepConfig {
@@ -1173,25 +1155,6 @@ mod tests {
         assert!(on.classes < off.classes);
         assert_eq!(off.classes, faults.len());
         assert_bit_identical(&on.summaries, &off.summaries);
-    }
-
-    #[test]
-    fn chunk_size_does_not_change_results() {
-        let circuit = c17();
-        let faults = stuck_at_universe(&circuit);
-        let reference = sweep_universe(&circuit, &faults, &SweepConfig::default());
-        for chunk in [1, 3, 1000] {
-            let other = sweep_universe(
-                &circuit,
-                &faults,
-                &SweepConfig {
-                    parallelism: Parallelism::Threads(3),
-                    chunk: Some(chunk),
-                    ..Default::default()
-                },
-            );
-            assert_bit_identical(&reference.summaries, &other.summaries);
-        }
     }
 
     #[test]
@@ -1446,10 +1409,7 @@ mod tests {
                 ..Default::default()
             },
             parallelism: Parallelism::Threads(2),
-            fallback: FallbackConfig {
-                samples: 512,
-                seed: 7,
-            },
+            fallback_samples: 512,
             ..Default::default()
         };
         let sweep = sweep_universe(&circuit, &faults, &config);
@@ -1593,6 +1553,41 @@ mod tests {
         }
         assert_eq!(snapshot.table_digest(), digest, "frozen base mutated");
         assert_eq!(snapshot.num_nodes(), nodes);
+    }
+
+    #[test]
+    fn sweep_reports_the_build_sift_and_nothing_else() {
+        use crate::{GoodFunctions, OrderStrategy};
+        let sweep = |circuit: &Circuit, order: OrderStrategy| {
+            let faults: Vec<Fault> = stuck_at_universe(circuit).into_iter().take(8).collect();
+            let config = SweepConfig {
+                engine: EngineConfig {
+                    order,
+                    ..Default::default()
+                },
+                ..Default::default()
+            };
+            sweep_universe(circuit, &faults, &config).totals
+        };
+        // c1908s's build is over SIFT_TABLE_FLOOR: Auto sifts it once, and
+        // the sweep reports exactly what that sift reclaimed.
+        let c = c1908_surrogate();
+        let mut good = GoodFunctions::build_with_order(&c, &OrderStrategy::Auto.resolve(&c));
+        let (before, after) = good.sift();
+        assert!(after < before);
+        let auto = sweep(&c, OrderStrategy::Auto);
+        assert_eq!(auto.counter(CounterKind::SiftRuns), 1);
+        assert_eq!(
+            auto.counter(CounterKind::SiftNodesReclaimed),
+            (before - after) as u64
+        );
+        // Static orders never sift, and neither does Auto below the floor.
+        let fanin = sweep(&c, OrderStrategy::FaninDfs);
+        let small = sweep(&c432_surrogate(), OrderStrategy::Auto);
+        for totals in [fanin, small] {
+            assert_eq!(totals.counter(CounterKind::SiftRuns), 0);
+            assert_eq!(totals.counter(CounterKind::SiftNodesReclaimed), 0);
+        }
     }
 
     #[test]

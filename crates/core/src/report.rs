@@ -169,7 +169,6 @@ mod tests {
             &faults,
             &SweepConfig {
                 parallelism: Parallelism::Threads(3),
-                chunk: Some(1),
                 ..Default::default()
             },
         );

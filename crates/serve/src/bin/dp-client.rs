@@ -1,4 +1,4 @@
-//! `dp-client` — command-line client for a running `dp-serve`.
+//! `dp-client` — command-line client for a running `diffprop serve`.
 //!
 //! ```text
 //! dp-client sweep --circuit c432s --order auto [--model M] [--threads N]

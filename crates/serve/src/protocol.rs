@@ -28,6 +28,11 @@ use dp_telemetry::json::JsonValue;
 /// an unparseable request, which is where a mismatch would surface.
 pub const PROTOCOL_VERSION: u64 = 1;
 
+/// Largest `fallback_samples` a sweep request may ask for. Each degraded
+/// fault simulates this many vectors, so an unbounded value would let one
+/// request pin a worker indefinitely; larger requests get an `error` frame.
+pub const MAX_FALLBACK_SAMPLES: u64 = 1 << 20;
+
 /// A protocol-level failure: a line that is not valid JSON, or valid JSON
 /// that is not a valid request/frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -153,9 +158,11 @@ pub struct SweepParams {
     pub count: usize,
     /// Structural fault collapsing (rows identical either way).
     pub collapse: bool,
-    /// Worker threads the server should use for this sweep.
+    /// Worker threads the server should use for this sweep; the server
+    /// clamps it to its core count.
     pub threads: usize,
-    /// Random vectors per budget-degraded estimate.
+    /// Random vectors per budget-degraded estimate, at most
+    /// [`MAX_FALLBACK_SAMPLES`].
     pub fallback_samples: u64,
     /// Per-request BDD work budget. Applies to the fault propagations of
     /// this request; the cache key deliberately excludes it.
@@ -364,14 +371,18 @@ impl Request {
                         .transpose()?
                         .map(|t| (t as usize).max(1))
                         .unwrap_or(defaults.threads),
-                    fallback_samples: v
-                        .get("fallback_samples")
-                        .map(|s| {
-                            s.as_u64()
-                                .ok_or_else(|| err("fallback_samples must be an integer"))
-                        })
-                        .transpose()?
-                        .unwrap_or(defaults.fallback_samples),
+                    fallback_samples: match v.get("fallback_samples") {
+                        None => defaults.fallback_samples,
+                        Some(s) => match s.as_u64() {
+                            Some(n) if n <= MAX_FALLBACK_SAMPLES => n,
+                            Some(_) => {
+                                return Err(err(format!(
+                                    "fallback_samples exceeds the maximum of {MAX_FALLBACK_SAMPLES}"
+                                )))
+                            }
+                            None => return Err(err("fallback_samples must be an integer")),
+                        },
+                    },
                     budget: budget_from_json(v.get("budget"))?,
                 };
                 Ok(Request::Sweep { circuit, params })

@@ -18,8 +18,8 @@ use std::sync::{Arc, Mutex};
 
 use dp_analysis::fault_model_universe;
 use dp_core::{
-    summary_line, sweep_report, sweep_universe_ext, DiffProp, EngineConfig, FallbackConfig,
-    FaultSummary, OrderStrategy, Parallelism, SweepConfig,
+    summary_line, sweep_report, sweep_universe_ext, DiffProp, EngineConfig, FaultSummary,
+    OrderStrategy, Parallelism, SweepConfig,
 };
 use dp_bdd::BudgetConfig;
 use dp_faults::{Fault, FaultSite, StuckAtFault};
@@ -49,6 +49,9 @@ struct ServerState {
     cache: Mutex<SnapshotCache>,
     shutdown: AtomicBool,
     addr: SocketAddr,
+    /// The host's core count, read once at bind: no request's sweep runs
+    /// more workers than this, whatever `threads` it asks for.
+    max_threads: usize,
 }
 
 /// A bound-but-not-yet-running server. [`Server::run`] blocks until a
@@ -69,6 +72,7 @@ impl Server {
                 cache: Mutex::new(SnapshotCache::new(config.cache_bytes)),
                 shutdown: AtomicBool::new(false),
                 addr,
+                max_threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
             }),
         })
     }
@@ -104,7 +108,7 @@ fn handle_connection(stream: TcpStream, state: Arc<ServerState>) {
     if let Err(e) = serve_connection(stream, &state) {
         // A dropped client mid-stream is routine, not a server fault.
         if e.kind() != io::ErrorKind::BrokenPipe && e.kind() != io::ErrorKind::ConnectionReset {
-            eprintln!("dp-serve: connection error: {e}");
+            eprintln!("diffprop serve: connection error: {e}");
         }
     }
 }
@@ -165,7 +169,7 @@ fn handle_request(
             params.budget,
         ) {
             Err(message) => send(out, &Frame::Error { message })?,
-            Ok((entry, cache)) => stream_sweep(&entry, cache, &params, out)?,
+            Ok((entry, cache)) => stream_sweep(&entry, cache, &params, state.max_threads, out)?,
         },
         Request::Detectability { circuit, point } | Request::Adherence { circuit, point } => {
             match resolve_entry(state, &circuit, point.order, point.budget) {
@@ -213,13 +217,14 @@ fn resolve_entry(
     Ok((entry, "miss"))
 }
 
-/// Runs a warm-snapshot sweep, framing each summary as it clears the
-/// in-order reorder buffer, then the `done` frame with the schema-v2
-/// report (stream section filled in).
+/// Runs a warm-snapshot sweep on at most `max_threads` workers, framing
+/// each summary as it clears the in-order reorder buffer, then the `done`
+/// frame with the schema-v2 report (stream section filled in).
 fn stream_sweep(
     entry: &CacheEntry,
     cache: &'static str,
     params: &SweepParams,
+    max_threads: usize,
     out: &mut impl Write,
 ) -> io::Result<()> {
     let circuit = &entry.circuit;
@@ -230,21 +235,19 @@ fn stream_sweep(
     if params.count > 0 {
         faults.truncate(params.count);
     }
+    let threads = params.threads.min(max_threads);
     let config = SweepConfig {
         engine: EngineConfig {
             order: params.order,
             budget: params.budget,
             ..Default::default()
         },
-        parallelism: if params.threads <= 1 {
+        parallelism: if threads <= 1 {
             Parallelism::Serial
         } else {
-            Parallelism::Threads(params.threads)
+            Parallelism::Threads(threads)
         },
-        fallback: FallbackConfig {
-            samples: params.fallback_samples,
-            ..Default::default()
-        },
+        fallback_samples: params.fallback_samples,
         collapse: params.collapse,
         ..Default::default()
     };

@@ -11,7 +11,10 @@ use dp_core::{
     Parallelism, SweepConfig,
 };
 use dp_netlist::generators;
-use dp_serve::{CircuitSpec, Client, PointParams, Server, ServerConfig, SweepParams, WireSummary};
+use dp_serve::{
+    CircuitSpec, Client, PointParams, Server, ServerConfig, SweepParams, WireSummary,
+    MAX_FALLBACK_SAMPLES,
+};
 use dp_telemetry::json::JsonValue;
 
 /// Starts a server on an OS-assigned loopback port; the returned guard
@@ -328,5 +331,41 @@ fn request_errors_keep_the_connection_usable() {
     // Same connection still answers real requests afterwards.
     let (lines, outcome) = sweep_lines(&mut client, "c17", 1);
     assert!(!lines.is_empty());
+    assert_eq!(outcome.skipped, 0);
+}
+
+#[test]
+fn thread_requests_are_clamped_to_the_core_count() {
+    let server = TestServer::start();
+    let mut client = server.client();
+    let (serial, _) = sweep_lines(&mut client, "c95", 1);
+    let (lines, outcome) = sweep_lines(&mut client, "c95", 1_000_000);
+    assert_eq!(lines, serial, "a clamped sweep streams the same records");
+    let nproc = thread::available_parallelism().map_or(1, |n| n.get());
+    assert!(
+        outcome.workers() as usize <= nproc,
+        "{} workers on a {nproc}-core host",
+        outcome.workers()
+    );
+}
+
+#[test]
+fn fallback_samples_above_the_cap_get_an_error_frame() {
+    let server = TestServer::start();
+    let mut client = server.client();
+    let sweep = |client: &mut Client, fallback_samples| {
+        client.sweep(
+            CircuitSpec::Builtin("c17".into()),
+            SweepParams {
+                fallback_samples,
+                ..Default::default()
+            },
+            |_, _| {},
+        )
+    };
+    let err = sweep(&mut client, MAX_FALLBACK_SAMPLES + 1).expect_err("over the cap");
+    assert!(err.to_string().contains("fallback_samples"), "{err}");
+    // The cap itself is a legal request, on the same connection.
+    let outcome = sweep(&mut client, MAX_FALLBACK_SAMPLES).expect("at the cap");
     assert_eq!(outcome.skipped, 0);
 }

@@ -6,7 +6,8 @@
 //! diffprop atpg       <circuit>            compact test set + redundancy report
 //! diffprop redundancy <circuit>            prove every net fault detectable or not
 //! diffprop bridges    <circuit> [N]        NFBF study with N sampled faults per kind
-//! diffprop serve      [HOST:PORT]          resident sweep server (see dp-serve)
+//! diffprop serve      [HOST:PORT]          resident sweep server (the dp-serve crate;
+//!                     [--cache-bytes N]    default 127.0.0.1:4590)
 //! ```
 //!
 //! `<circuit>` is a built-in benchmark name (`c17`, `full_adder`, `c95`,
@@ -36,8 +37,8 @@
 //!   execution detail. Observation-only: the printed rows are byte-identical
 //!   with and without the flag.
 //! * `--order S` picks the OBDD variable-order strategy (`identity`,
-//!   `fanin-dfs`, `auto`); `auto` adds dynamic sifting when
-//!   the live node count outgrows the last reordered size. Execution-only:
+//!   `fanin-dfs`, `auto`); `auto` sifts the fanin-dfs good functions once,
+//!   right after they are built. Execution-only:
 //!   the printed rows are byte-identical across strategies, but on the deep
 //!   surrogates (`c432s`...) a good order is orders of magnitude faster.
 //! * `--batch N` caps the cone-disjoint fault batches fused into single
@@ -45,7 +46,7 @@
 //!   rows are identical at every batch size.
 //!
 //! * `--connect ADDR` routes `analyze` through a running `diffprop serve`
-//!   (or `dp-serve`) instead of sweeping locally: the server streams the
+//!   instead of sweeping locally: the server streams the
 //!   per-fault records back over TCP and this client re-renders them.
 //!   Stdout is byte-identical to the batch run; the win is that the server
 //!   keeps the good-function snapshot cached, so repeat analyses skip the
@@ -60,7 +61,7 @@ use diffprop::analysis::{
 };
 use diffprop::core::{
     find_redundancies, generate_tests, sweep_report, sweep_universe, BudgetConfig, EngineConfig,
-    FallbackConfig, OrderStrategy, Parallelism, SweepConfig,
+    OrderStrategy, Parallelism, SweepConfig,
 };
 use diffprop::faults::BridgeKind;
 use diffprop::netlist::{generators, parse_bench, Circuit, Scoap};
@@ -105,7 +106,7 @@ fn usage() -> ! {
          --telemetry PATH      write a machine-readable sweep_report.json to PATH\n\
                                (analyze command; printed rows are unchanged)\n\
          --order S             OBDD variable-order strategy (default identity);\n\
-                               auto = fanin-dfs + dynamic sifting. Rows are identical\n\
+                               auto = fanin-dfs + one sift at build. Rows are identical\n\
                                across strategies, wall clock is not\n\
          --batch N             max cone-disjoint faults fused per propagation pass\n\
                                (default 8, 1 disables fusion; rows are identical)\n\
@@ -319,19 +320,14 @@ fn analyze(circuit: &Circuit, n: usize, opts: &Opts) {
         order: opts.order,
         ..Default::default()
     };
-    let fallback = FallbackConfig {
-        samples: opts.fallback_samples,
-        ..Default::default()
-    };
     let sweep = sweep_universe(
         circuit,
         &faults,
         &SweepConfig {
             engine: config,
             parallelism: opts.parallelism(),
-            fallback,
+            fallback_samples: opts.fallback_samples,
             collapse: opts.collapse,
-            chunk: None,
             batch: opts.batch,
             ..Default::default()
         },
@@ -354,7 +350,7 @@ fn analyze(circuit: &Circuit, n: usize, opts: &Opts) {
             }
         }
     }
-    print_analysis(circuit, &faults, &sweep.summaries, fallback.samples);
+    print_analysis(circuit, &faults, &sweep.summaries, opts.fallback_samples);
 }
 
 /// Runs `analyze` through a resident sweep server. The server streams one

@@ -6,8 +6,8 @@
 
 use diffprop::analysis::stuck_at_universe;
 use diffprop::core::{
-    sweep_universe, AnalysisError, BudgetConfig, DiffProp, EngineConfig, FallbackConfig,
-    Parallelism, SweepConfig,
+    sweep_universe, AnalysisError, BudgetConfig, DiffProp, EngineConfig, Parallelism,
+    SweepConfig,
 };
 use diffprop::faults::{checkpoint_faults, Fault};
 use diffprop::netlist::generators::{
@@ -51,7 +51,8 @@ proptest! {
         let config = EngineConfig { budget, ..Default::default() };
         // The build itself may blow the budget; that is a legal outcome,
         // not a test failure.
-        if let Ok(mut budgeted) = DiffProp::try_with_config(&circuit, config) {
+        if let Ok(snapshot) = DiffProp::build_snapshot(&circuit, config) {
+            let mut budgeted = DiffProp::from_snapshot(&circuit, &snapshot, config);
             for f in checkpoint_faults(&circuit).into_iter().take(12) {
                 let fault = Fault::from(f);
                 let exact = reference.analyze(&fault);
@@ -99,10 +100,7 @@ fn tiny_budget_sweep_degrades_instead_of_aborting() {
                 ..Default::default()
             },
             parallelism: Parallelism::Threads(3),
-            fallback: FallbackConfig {
-                samples: 256,
-                ..Default::default()
-            },
+            fallback_samples: 256,
             ..Default::default()
         };
         let sweep = sweep_universe(&circuit, &faults, &config);
@@ -140,10 +138,7 @@ fn unlimited_budget_sweep_matches_the_default_path() {
                 budget: BudgetConfig::UNLIMITED,
                 ..Default::default()
             },
-            fallback: FallbackConfig {
-                samples: 64,
-                seed: 3,
-            },
+            fallback_samples: 64,
             ..Default::default()
         },
     );

@@ -18,7 +18,6 @@ fn cfg() -> ExperimentConfig {
         bf_sample: 150,
         sa_cap: usize::MAX,
         seed: 1990,
-        parallelism: diffprop::core::Parallelism::Serial,
         ..Default::default()
     }
 }

@@ -5,7 +5,7 @@
 //! flags, adherence, site constancy) is derived from sat counts and
 //! densities of canonical OBDDs, so re-running the golden universes under
 //! any valid variable order — the structural heuristics, `auto` with its
-//! dynamic sifting, or an arbitrary random permutation — must reproduce the
+//! one build sift, or an arbitrary random permutation — must reproduce the
 //! committed golden TSV byte for byte, serial and sharded alike. The golden
 //! file itself was captured under the identity order, which makes it the
 //! cross-order baseline for free.

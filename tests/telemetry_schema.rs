@@ -9,7 +9,8 @@
 //!   regenerate the file with `DP_UPDATE_GOLDEN=1` (and stay within
 //!   [`SCHEMA_VERSION`]; incompatible changes must bump it).
 //! * A differential check: re-running the same sweep with different thread
-//!   and chunk counts may change `execution.*` freely, but must leave the
+//!   counts (and so different derived chunk sizes) may change `execution.*`
+//!   freely, but must leave the
 //!   whole `result` subtree — fault counts, class structure, exact/bounded
 //!   split, and the FNV digest of every summary line — identical.
 
@@ -24,12 +25,11 @@ const SCHEMA_GOLDEN_PATH: &str = "tests/golden/sweep_report_schema.txt";
 
 /// A real end-to-end report: c95's collapsed checkpoint universe, swept by
 /// the work-stealing path so `execution.shards` has several entries.
-fn real_report(parallelism: Parallelism, chunk: Option<usize>) -> SweepReport {
+fn real_report(parallelism: Parallelism) -> SweepReport {
     let circuit = c95();
     let faults = stuck_at_universe(&circuit);
     let config = SweepConfig {
         parallelism,
-        chunk,
         ..Default::default()
     };
     let sweep = sweep_universe(&circuit, &faults, &config);
@@ -39,7 +39,7 @@ fn real_report(parallelism: Parallelism, chunk: Option<usize>) -> SweepReport {
 #[test]
 fn report_schema_matches_golden_key_paths() {
     let mut file = ReportFile::new("tests/telemetry_schema");
-    file.reports.push(real_report(Parallelism::Threads(2), None));
+    file.reports.push(real_report(Parallelism::Threads(2)));
     let text = file.to_pretty_string();
 
     // The serialised document must satisfy its own validator.
@@ -63,22 +63,19 @@ fn report_schema_matches_golden_key_paths() {
 
 #[test]
 fn result_subtree_is_invariant_under_scheduling_changes() {
-    let baseline = real_report(Parallelism::Serial, None);
-    for (parallelism, chunk) in [
-        (Parallelism::Serial, Some(1)),
-        (Parallelism::Threads(2), None),
-        (Parallelism::Threads(4), Some(1)),
-        (Parallelism::Threads(3), Some(7)),
+    let baseline = real_report(Parallelism::Serial);
+    for parallelism in [
+        Parallelism::Serial,
+        Parallelism::Threads(2),
+        Parallelism::Threads(4),
+        Parallelism::Threads(3),
     ] {
-        let other = real_report(parallelism, chunk);
+        let other = real_report(parallelism);
         assert_eq!(
             baseline.result, other.result,
-            "result subtree changed under {parallelism:?} chunk={chunk:?}"
+            "result subtree changed under {parallelism:?}"
         );
         // The execution record is the part that is *supposed* to move.
         assert_eq!(other.execution.threads, parallelism.workers().max(1) as u32);
-        if let Some(c) = chunk {
-            assert_eq!(other.execution.chunk, c as u32);
-        }
     }
 }
