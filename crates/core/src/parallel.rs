@@ -423,22 +423,26 @@ pub fn sweep_universe(circuit: &Circuit, faults: &[Fault], config: &SweepConfig)
     sweep_universe_ext(circuit, faults, config, None, None)
 }
 
-/// An in-order per-record sink for streamed sweeps: invoked with the input
-/// fault index and its summary, in strictly ascending index order.
-pub type RecordSink<'a> = &'a mut dyn FnMut(usize, &FaultSummary);
+/// An in-order sink for streamed sweeps: invoked with each run of records
+/// the reorder buffer can release, as `(input fault index, summary)` pairs.
+/// Indices ascend strictly within a run and across runs.
+pub type RecordSink<'a> = &'a mut dyn FnMut(&[(usize, FaultSummary)]);
 
 /// [`sweep_universe`] with two extras: an optional pre-built warm snapshot
 /// and an optional in-order record sink.
 ///
-/// `on_record` receives each summary **incrementally, in strict input-fault
+/// `on_record` receives the summaries **incrementally, in strict input-fault
 /// order**, as the work-stealing queue completes the prefix. Workers report
-/// whole batches as they finish; a reorder buffer on the calling thread
-/// releases index `i` only once every index `< i` has been either emitted or
-/// lost to a class panic, so a consumer that concatenates the records sees
-/// exactly [`SweepResult::summaries`] — byte-identical, regardless of thread
-/// count or chunk size. The callback runs on the calling thread, inside the
-/// sweep; the returned [`SweepResult`] is the same merged result a batch
-/// call produces.
+/// whole batches as they finish; a reorder buffer releases index `i` only
+/// once every index `< i` has been either emitted or lost to a class panic,
+/// and hands the sink each released run in one call, so a consumer that
+/// concatenates the runs sees exactly [`SweepResult::summaries`] —
+/// byte-identical, regardless of thread count or chunk size. The sink runs
+/// on the calling thread, inside the sweep. With one worker the sweep itself
+/// runs there too and feeds the sink after every batch, so a slow sink slows
+/// the sweep (backpressure) instead of queueing records; with several
+/// workers the calling thread drains their events from a channel. The
+/// returned [`SweepResult`] is the same merged result a batch call produces.
 ///
 /// `warm_snapshot` is the resident-service path: workers thaw the provided
 /// frozen good functions instead of the sweep building its own, so the sweep
@@ -501,24 +505,45 @@ pub fn sweep_universe_ext(
     let next = AtomicUsize::new(0);
     let batches = batches.as_slice();
 
-    let streaming = on_record.is_some();
-    let parts: Vec<(Vec<(usize, FaultSummary)>, ShardReport)> = if !streaming && workers <= 1 {
-        vec![run_worker(
-            circuit, faults, classes, batches, snapshot, &next, chunk, 0, config, None,
-        )]
+    let parts: Vec<(Vec<(usize, FaultSummary)>, ShardReport)> = if workers <= 1 {
+        let part = match on_record {
+            None => run_worker(
+                circuit, faults, classes, batches, snapshot, &next, chunk, 0, config, None,
+            ),
+            Some(sink) => {
+                // Every class ends as records or skips here, so the last
+                // batch releases everything: there is no tail to finish.
+                let mut reorder = Reorder::default();
+                let mut release = |event| {
+                    reorder.absorb(event);
+                    reorder.release(sink);
+                };
+                let emit: Option<&mut dyn FnMut(StreamEvent)> = Some(&mut release);
+                run_worker(
+                    circuit, faults, classes, batches, snapshot, &next, chunk, 0, config, emit,
+                )
+            }
+        };
+        vec![part]
     } else {
-        // Streaming always spawns, even for one worker: the calling thread
-        // stays free to drain the record channel while the worker sweeps.
         std::thread::scope(|scope| {
             let (tx, rx) = mpsc::channel::<StreamEvent>();
             let handles: Vec<_> = (0..workers)
                 .map(|w| {
                     let next = &next;
-                    let tx = streaming.then(|| tx.clone());
+                    let tx = on_record.is_some().then(|| tx.clone());
                     scope.spawn(move || {
+                        // A dropped receiver just means nobody is listening
+                        // any more; the sweep still completes and merges.
+                        let mut send = tx.map(|tx| {
+                            move |event| {
+                                let _ = tx.send(event);
+                            }
+                        });
+                        let emit = send.as_mut().map(|f| f as &mut dyn FnMut(StreamEvent));
                         run_worker(
                             circuit, faults, classes, batches, snapshot, next, chunk, w, config,
-                            tx,
+                            emit,
                         )
                     })
                 })
@@ -526,8 +551,18 @@ pub fn sweep_universe_ext(
             // Close the channel once every worker's clone is gone, so the
             // drain loop terminates when the last worker exits.
             drop(tx);
-            if let Some(on_record) = on_record {
-                drain_stream(rx, on_record);
+            if let Some(sink) = on_record {
+                let mut reorder = Reorder::default();
+                while let Ok(event) = rx.recv() {
+                    reorder.absorb(event);
+                    // Take everything already queued before releasing, so
+                    // the sink gets one run rather than one per batch.
+                    while let Ok(event) = rx.try_recv() {
+                        reorder.absorb(event);
+                    }
+                    reorder.release(sink);
+                }
+                reorder.finish(sink);
             }
             handles
                 .into_iter()
@@ -686,8 +721,8 @@ fn build_worker_engine<'c>(
     snapshot.map(|s| DiffProp::from_snapshot(circuit, s, config.engine))
 }
 
-/// What a worker reports to the streaming drain after each finished batch:
-/// the batch's freshly summarised `(global index, summary)` records plus the
+/// What a worker reports to the stream after each finished batch: the
+/// batch's freshly summarised `(global index, summary)` records plus the
 /// global indices of any members lost to a class panic in the batch. Skips
 /// matter: without them a gap would stall the in-order release forever.
 struct StreamEvent {
@@ -696,33 +731,47 @@ struct StreamEvent {
 }
 
 /// The in-order release side of a streamed sweep: buffers out-of-order
-/// batch completions and invokes `on_record` for index `i` only once every
-/// index `< i` is emitted or skipped. Runs on the sweeping thread until
-/// every worker has dropped its sender.
-fn drain_stream(rx: mpsc::Receiver<StreamEvent>, on_record: &mut dyn FnMut(usize, &FaultSummary)) {
-    // `None` marks an index lost to a panic: released silently.
-    let mut pending: BTreeMap<usize, Option<FaultSummary>> = BTreeMap::new();
-    let mut next_emit = 0usize;
-    for event in rx {
+/// batch completions and releases index `i` only once every index `< i` is
+/// emitted or skipped.
+#[derive(Default)]
+struct Reorder {
+    /// `None` marks an index lost to a panic: released silently.
+    pending: BTreeMap<usize, Option<FaultSummary>>,
+    next: usize,
+}
+
+impl Reorder {
+    fn absorb(&mut self, event: StreamEvent) {
         for i in event.skips {
-            pending.insert(i, None);
+            self.pending.insert(i, None);
         }
         for (i, s) in event.records {
-            pending.insert(i, Some(s));
-        }
-        while let Some(slot) = pending.remove(&next_emit) {
-            if let Some(s) = slot {
-                on_record(next_emit, &s);
-            }
-            next_emit += 1;
+            self.pending.insert(i, Some(s));
         }
     }
-    // A worker that died outside per-class isolation leaves a permanent gap;
-    // release the tail in index order rather than dropping it. Indices here
-    // are all ≥ `next_emit`, so the stream stays strictly ascending.
-    for (i, slot) in pending {
-        if let Some(s) = slot {
-            on_record(i, &s);
+
+    /// Hands the sink, in one run, every record the prefix now allows.
+    fn release(&mut self, sink: RecordSink<'_>) {
+        let mut run = Vec::new();
+        while let Some(slot) = self.pending.remove(&self.next) {
+            if let Some(s) = slot {
+                run.push((self.next, s));
+            }
+            self.next += 1;
+        }
+        if !run.is_empty() {
+            sink(&run);
+        }
+    }
+
+    /// Releases the tail. A worker that died outside per-class isolation
+    /// leaves a permanent gap; the tail still goes out in index order rather
+    /// than being dropped. Its indices are all ≥ `next`, so the stream stays
+    /// strictly ascending.
+    fn finish(mut self, sink: RecordSink<'_>) {
+        while let Some(&gap_end) = self.pending.keys().next() {
+            self.next = gap_end;
+            self.release(sink);
         }
     }
 }
@@ -743,7 +792,7 @@ fn run_worker<'c>(
     chunk: usize,
     worker: usize,
     config: &SweepConfig,
-    stream: Option<mpsc::Sender<StreamEvent>>,
+    mut stream: Option<&mut dyn FnMut(StreamEvent)>,
 ) -> (Vec<(usize, FaultSummary)>, ShardReport) {
     let mut out: Vec<(usize, FaultSummary)> = Vec::new();
     let mut report = ShardReport {
@@ -795,7 +844,7 @@ fn run_worker<'c>(
                     );
                 }
             }
-            if let Some(tx) = stream.as_ref() {
+            if let Some(emit) = stream.as_mut() {
                 let records = out[out_mark..].to_vec();
                 let skips: Vec<usize> = report.panics[panic_mark..]
                     .iter()
@@ -803,9 +852,7 @@ fn run_worker<'c>(
                     .flat_map(|&(id, _)| classes[id].members.iter().copied())
                     .collect();
                 if !records.is_empty() || !skips.is_empty() {
-                    // A dropped receiver just means nobody is listening any
-                    // more; the sweep still completes and merges normally.
-                    let _ = tx.send(StreamEvent { records, skips });
+                    emit(StreamEvent { records, skips });
                 }
             }
         }
@@ -1342,7 +1389,7 @@ mod tests {
                 &faults,
                 &config,
                 None,
-                Some(&mut |i, s: &FaultSummary| seen.push((i, s.clone()))),
+                Some(&mut |run: &[(usize, FaultSummary)]| seen.extend_from_slice(run)),
             );
             assert!(streamed.is_complete());
             assert_eq!(seen.len(), faults.len(), "threads={threads}");
@@ -1365,19 +1412,29 @@ mod tests {
         let mut faults = stuck_at_universe(&circuit);
         let healthy = faults.len();
         faults.insert(faults.len() / 2, foreign_fault());
-        let mut seen: Vec<usize> = Vec::new();
-        let config = SweepConfig {
-            parallelism: Parallelism::Threads(2),
-            ..Default::default()
-        };
-        let sweep =
-            sweep_universe_ext(&circuit, &faults, &config, None, Some(&mut |i, _| seen.push(i)));
-        assert!(!sweep.is_complete());
-        // Every healthy index streamed exactly once, ascending; the poisoned
-        // index is absent instead of blocking everything after it.
-        assert_eq!(seen.len(), healthy);
-        assert!(seen.windows(2).all(|w| w[0] < w[1]), "not ascending: {seen:?}");
-        assert!(!seen.contains(&(faults.len() / 2)));
+        // Serial runs the sweep inline on the calling thread; two threads
+        // drain a channel. Both must step over the lost index.
+        for parallelism in [Parallelism::Serial, Parallelism::Threads(2)] {
+            let mut seen: Vec<usize> = Vec::new();
+            let sweep = sweep_universe_ext(
+                &circuit,
+                &faults,
+                &with_parallelism(parallelism),
+                None,
+                Some(&mut |run: &[(usize, FaultSummary)]| {
+                    seen.extend(run.iter().map(|&(i, _)| i))
+                }),
+            );
+            assert!(!sweep.is_complete(), "{parallelism:?}");
+            // Every healthy index streamed exactly once, ascending; the
+            // poisoned index is absent instead of blocking everything after.
+            assert_eq!(seen.len(), healthy, "{parallelism:?}");
+            assert!(
+                seen.windows(2).all(|w| w[0] < w[1]),
+                "not ascending: {seen:?}"
+            );
+            assert!(!seen.contains(&(faults.len() / 2)), "{parallelism:?}");
+        }
     }
 
     #[test]

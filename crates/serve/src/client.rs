@@ -75,6 +75,9 @@ impl Client {
     /// Connects to a running server.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
+        // Requests are single small writes answered by the server; Nagle's
+        // algorithm would only delay them.
+        stream.set_nodelay(true)?;
         let reader = BufReader::new(stream.try_clone()?);
         Ok(Client {
             reader,

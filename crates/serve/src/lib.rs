@@ -36,6 +36,6 @@ pub use cache::{CacheEntry, CacheKey, SnapshotCache};
 pub use client::{Client, SweepOutcome};
 pub use protocol::{
     CacheStatus, CircuitSpec, Frame, PointParams, ProtocolError, Request, SweepParams,
-    WireSummary, MAX_FALLBACK_SAMPLES, PROTOCOL_VERSION,
+    WireSummary, MAX_FALLBACK_SAMPLES, MAX_REQUEST_BYTES, PROTOCOL_VERSION,
 };
 pub use server::{Server, ServerConfig};

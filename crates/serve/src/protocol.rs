@@ -33,6 +33,12 @@ pub const PROTOCOL_VERSION: u64 = 1;
 /// request pin a worker indefinitely; larger requests get an `error` frame.
 pub const MAX_FALLBACK_SAMPLES: u64 = 1 << 20;
 
+/// Longest request line the server reads, newline excluded. Inline
+/// `.bench` sources of the builtin surrogates stay far below it (c1908s is
+/// about 15 KB); a longer line gets an `error` frame and the connection is
+/// closed without the rest of the line being read.
+pub const MAX_REQUEST_BYTES: usize = 1 << 20;
+
 /// A protocol-level failure: a line that is not valid JSON, or valid JSON
 /// that is not a valid request/frame.
 #[derive(Debug, Clone, PartialEq, Eq)]

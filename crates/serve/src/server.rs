@@ -11,10 +11,10 @@
 //! of seconds on the deep surrogates) must not stall a concurrent request
 //! that would hit a resident entry.
 
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use dp_analysis::fault_model_universe;
 use dp_core::{
@@ -27,7 +27,7 @@ use dp_telemetry::json::JsonValue;
 use dp_telemetry::{report_to_json, StreamInfo};
 
 use crate::cache::{CacheEntry, CacheKey, SnapshotCache};
-use crate::protocol::{CircuitSpec, Frame, PointParams, Request, SweepParams};
+use crate::protocol::{CircuitSpec, Frame, PointParams, Request, SweepParams, MAX_REQUEST_BYTES};
 
 /// Server construction knobs.
 #[derive(Debug, Clone, Copy)]
@@ -52,6 +52,15 @@ struct ServerState {
     /// The host's core count, read once at bind: no request's sweep runs
     /// more workers than this, whatever `threads` it asks for.
     max_threads: usize,
+}
+
+impl ServerState {
+    /// The cache, even after a handler panicked while holding its lock:
+    /// every cache operation leaves the LRU consistent between calls, so
+    /// one failed request must not fail every later one.
+    fn cache(&self) -> MutexGuard<'_, SnapshotCache> {
+        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// A bound-but-not-yet-running server. [`Server::run`] blocks until a
@@ -114,14 +123,34 @@ fn handle_connection(stream: TcpStream, state: Arc<ServerState>) {
 }
 
 fn serve_connection(stream: TcpStream, state: &ServerState) -> io::Result<()> {
-    let reader = BufReader::new(stream.try_clone()?);
+    // Frames are flushed as soon as they are ready; Nagle's algorithm would
+    // hold each small write back until the client's delayed ACK arrives.
+    stream.set_nodelay(true)?;
+    let mut reader = BufReader::new(stream.try_clone()?);
     let mut out = BufWriter::new(stream);
-    for line in reader.lines() {
-        let line = line?;
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        // Read at most one byte past the limit: enough to tell an over-long
+        // line from one that fits, never the whole line.
+        let limit = MAX_REQUEST_BYTES as u64 + 1;
+        if reader.by_ref().take(limit).read_until(b'\n', &mut buf)? == 0 {
+            return Ok(());
+        }
+        if buf.len() > MAX_REQUEST_BYTES && buf.last() != Some(&b'\n') {
+            return send(&mut out, &Frame::Error {
+                message: format!(
+                    "request line exceeds MAX_REQUEST_BYTES ({MAX_REQUEST_BYTES} bytes)"
+                ),
+            });
+        }
+        let line = std::str::from_utf8(&buf)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?
+            .trim_end_matches(['\r', '\n']);
         if line.trim().is_empty() {
             continue;
         }
-        let quit = match Request::from_line(&line) {
+        let quit = match Request::from_line(line) {
             Err(e) => {
                 send(&mut out, &Frame::Error {
                     message: e.to_string(),
@@ -134,7 +163,6 @@ fn serve_connection(stream: TcpStream, state: &ServerState) -> io::Result<()> {
             return Ok(());
         }
     }
-    Ok(())
 }
 
 fn send(out: &mut impl Write, frame: &Frame) -> io::Result<()> {
@@ -152,7 +180,7 @@ fn handle_request(
 ) -> io::Result<bool> {
     match request {
         Request::Status => {
-            let status = state.cache.lock().unwrap().status();
+            let status = state.cache().status();
             send(out, &Frame::Status(status))?;
         }
         Request::Shutdown => {
@@ -198,7 +226,7 @@ fn resolve_entry(
         digest: circuit.digest(),
         order: order.name(),
     };
-    if let Some(entry) = state.cache.lock().unwrap().lookup(&key) {
+    if let Some(entry) = state.cache().lookup(&key) {
         return Ok((entry, "hit"));
     }
     // Only successful builds are admitted: a budget-tripped build answers
@@ -213,13 +241,14 @@ fn resolve_entry(
     )
     .map_err(|e| format!("good-function snapshot build failed: {e}"))?;
     let entry = Arc::new(CacheEntry { circuit, snapshot });
-    let entry = state.cache.lock().unwrap().admit(key, entry);
+    let entry = state.cache().admit(key, entry);
     Ok((entry, "miss"))
 }
 
 /// Runs a warm-snapshot sweep on at most `max_threads` workers, framing
-/// each summary as it clears the in-order reorder buffer, then the `done`
-/// frame with the schema-v2 report (stream section filled in).
+/// each run of summaries the in-order reorder buffer releases and flushing
+/// once per run, then the `done` frame with the schema-v2 report (stream
+/// section filled in).
 fn stream_sweep(
     entry: &CacheEntry,
     cache: &'static str,
@@ -253,16 +282,19 @@ fn stream_sweep(
     };
     let mut records: u64 = 0;
     let mut io_failure: Option<io::Error> = None;
-    let mut on_record = |index: usize, summary: &FaultSummary| {
+    let mut on_run = |run: &[(usize, FaultSummary)]| {
         if io_failure.is_some() {
             return;
         }
-        let frame = Frame::Record {
-            index,
-            line: summary_line(index, summary),
-        };
-        match send(out, &frame) {
-            Ok(()) => records += 1,
+        let written = run.iter().try_for_each(|(index, summary)| {
+            let frame = Frame::Record {
+                index: *index,
+                line: summary_line(*index, summary),
+            };
+            writeln!(out, "{}", frame.to_line())
+        });
+        match written.and_then(|()| out.flush()) {
+            Ok(()) => records += run.len() as u64,
             Err(e) => io_failure = Some(e),
         }
     };
@@ -271,7 +303,7 @@ fn stream_sweep(
         &faults,
         &config,
         Some(&entry.snapshot),
-        Some(&mut on_record),
+        Some(&mut on_run),
     );
     if let Some(e) = io_failure {
         return Err(e);
@@ -355,4 +387,126 @@ fn point_value(
         ("adherence", opt_f64(adherence)),
         ("adherence_bits", opt_bits(adherence)),
     ]))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dp_core::sweep_universe;
+
+    fn test_state() -> ServerState {
+        ServerState {
+            cache: Mutex::new(SnapshotCache::new(ServerConfig::default().cache_bytes)),
+            shutdown: AtomicBool::new(false),
+            addr: "127.0.0.1:0".parse().expect("loopback address"),
+            max_threads: 1,
+        }
+    }
+
+    /// Keeps every byte written and counts `flush` calls.
+    #[derive(Default)]
+    struct FlushCounter {
+        bytes: Vec<u8>,
+        flushes: usize,
+    }
+
+    impl Write for FlushCounter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            self.flushes += 1;
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_poisoned_cache_lock_still_answers() {
+        let state = test_state();
+        let poisoner = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = state.cache.lock().unwrap();
+                panic!("a handler dies holding the cache lock");
+            })
+            .join()
+        });
+        assert!(poisoner.is_err());
+        assert!(state.cache.is_poisoned());
+        let spec = CircuitSpec::Builtin("c17".into());
+        for expect in ["miss", "hit"] {
+            let (_, cache) = resolve_entry(
+                &state,
+                &spec,
+                OrderStrategy::Identity,
+                BudgetConfig::UNLIMITED,
+            )
+            .expect("resolves through the poisoned lock");
+            assert_eq!(cache, expect);
+        }
+        let mut out = Vec::new();
+        assert!(!handle_request(Request::Status, &state, &mut out).expect("status"));
+        let line = std::str::from_utf8(&out).expect("utf-8");
+        match Frame::from_line(line.trim_end()).expect("one frame") {
+            Frame::Status(status) => {
+                assert_eq!((status.entries, status.misses, status.hits), (1, 1, 1));
+            }
+            other => panic!("expected a status frame, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn serial_stream_flushes_once_per_released_run() {
+        let spec = CircuitSpec::Builtin("alu74181".into());
+        let circuit = spec.compile().expect("builtin");
+        let params = SweepParams::default();
+        let engine = EngineConfig {
+            order: params.order,
+            ..Default::default()
+        };
+        let snapshot = DiffProp::build_snapshot(&circuit, engine).expect("snapshot");
+        let faults = fault_model_universe(&circuit, &params.model, None, 0).expect("universe");
+        let batch = sweep_universe(
+            &circuit,
+            &faults,
+            &SweepConfig {
+                engine,
+                ..Default::default()
+            },
+        );
+        let entry = CacheEntry { circuit, snapshot };
+        let mut out = FlushCounter::default();
+        stream_sweep(&entry, "hit", &params, 1, &mut out).expect("in-memory stream");
+
+        // Byte-identical to one record frame per summary, in index order…
+        let expected: String = batch
+            .summaries
+            .iter()
+            .enumerate()
+            .map(|(index, s)| {
+                let frame = Frame::Record {
+                    index,
+                    line: summary_line(index, s),
+                };
+                format!("{}\n", frame.to_line())
+            })
+            .collect();
+        let text = std::str::from_utf8(&out.bytes).expect("utf-8");
+        let (records, done) = text.split_at(expected.len());
+        assert_eq!(records, expected);
+        // …then the `done` frame, last.
+        assert_eq!(done.matches('\n').count(), 1);
+        assert!(matches!(
+            Frame::from_line(done.trim_end()),
+            Ok(Frame::Done { .. })
+        ));
+        let frames = batch.summaries.len();
+        assert!(frames > 1);
+        assert!(
+            out.flushes < frames,
+            "{} flushes for {frames} record frames",
+            out.flushes
+        );
+    }
 }

@@ -2,6 +2,8 @@
 //! golden stream/batch identity, snapshot-cache reuse (the zero-rebuild
 //! acceptance criterion), concurrency, and protocol error handling.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
 use std::thread;
 
@@ -12,8 +14,8 @@ use dp_core::{
 };
 use dp_netlist::generators;
 use dp_serve::{
-    CircuitSpec, Client, PointParams, Server, ServerConfig, SweepParams, WireSummary,
-    MAX_FALLBACK_SAMPLES,
+    CircuitSpec, Client, Frame, PointParams, Server, ServerConfig, SweepParams, WireSummary,
+    MAX_FALLBACK_SAMPLES, MAX_REQUEST_BYTES,
 };
 use dp_telemetry::json::JsonValue;
 
@@ -367,5 +369,42 @@ fn fallback_samples_above_the_cap_get_an_error_frame() {
     assert!(err.to_string().contains("fallback_samples"), "{err}");
     // The cap itself is a legal request, on the same connection.
     let outcome = sweep(&mut client, MAX_FALLBACK_SAMPLES).expect("at the cap");
+    assert_eq!(outcome.skipped, 0);
+}
+
+#[test]
+fn an_over_long_request_line_gets_an_error_frame_and_the_connection_closes() {
+    let server = TestServer::start();
+    let mut stream = TcpStream::connect(server.addr).expect("connect");
+    // One byte over the limit, all of it before any newline. Closing the
+    // write half lets a server that buffers the whole line see its end.
+    let mut line = br#"{"op":"sweep","circuit":{"name":"big.bench","bench":""#.to_vec();
+    line.resize(MAX_REQUEST_BYTES + 1, b'#');
+    stream.write_all(&line).expect("send the long line");
+    stream.shutdown(Shutdown::Write).expect("half-close");
+    let frames: Vec<String> = BufReader::new(stream)
+        .lines()
+        .collect::<Result<_, _>>()
+        .expect("read until the server closes");
+    assert_eq!(
+        frames.len(),
+        1,
+        "one frame, then the connection closes: {frames:?}"
+    );
+    match Frame::from_line(&frames[0]).expect("a frame") {
+        Frame::Error { message } => {
+            assert!(message.contains("MAX_REQUEST_BYTES"), "{message}");
+            assert!(
+                message.contains(&MAX_REQUEST_BYTES.to_string()),
+                "{message}"
+            );
+        }
+        other => panic!("expected an error frame, got {other:?}"),
+    }
+    // The server itself is unharmed: a fresh connection answers a golden
+    // sweep byte-identically.
+    let (golden, _) = batch_tsv("c95", 1);
+    let (lines, outcome) = sweep_lines(&mut server.client(), "c95", 1);
+    assert_eq!(lines.join("\n"), golden.join("\n"));
     assert_eq!(outcome.skipped, 0);
 }
