@@ -6,7 +6,7 @@ use std::collections::{BTreeSet, BinaryHeap, HashMap};
 
 use dp_bdd::{BddError, BudgetConfig, Cube, Manager, NodeId};
 use dp_faults::{BridgeKind, BridgingFault, Fault, FaultSite, MultiStuckAt, StuckAtFault};
-use dp_netlist::{Circuit, Driver, GateKind, NetId, Reachability};
+use dp_netlist::{find_xor_quads, Circuit, Driver, GateKind, NetId, Reachability, XorQuads};
 use dp_telemetry::{CounterKind, HistKind, SharedCollector, SpanKind};
 
 use crate::delta::{delta_output, naive_delta_output};
@@ -109,7 +109,8 @@ pub struct FaultAnalysis {
     pub site_function_constant: bool,
     /// Gate deltas the propagation loop computed for this fault — a
     /// scheduling-invariant measure of propagation work (selective trace
-    /// skips do not count).
+    /// skips do not count, and a four-NAND XOR quad propagated as one XOR
+    /// counts once).
     pub gates_propagated: u32,
     /// Ternary fixpoint sweeps a feedback-bridge analysis ran before the
     /// bridged wire stabilised. Zero for every acyclic fault model (single
@@ -271,6 +272,9 @@ pub struct DiffProp<'c> {
     /// `false` entry compute nothing observable, so the propagation frontier
     /// never enters them.
     feeds_output: Vec<bool>,
+    /// The circuit's four-NAND XORs, found once per engine. On the default
+    /// path a quad with no fault site inside propagates as one XOR gate.
+    quads: XorQuads,
     /// Optional telemetry sink. Strictly observational: attaching one never
     /// changes an analysis result, only records spans and counters. The
     /// engine touches it once per propagation (plus once per gate at
@@ -310,6 +314,7 @@ impl<'c> DiffProp<'c> {
         let gc_baseline = good.num_nodes();
         let reach = Reachability::compute(circuit);
         let feeds_output = reach.feeds_output_flags(circuit);
+        let quads = find_xor_quads(circuit);
         DiffProp {
             circuit,
             good,
@@ -317,6 +322,7 @@ impl<'c> DiffProp<'c> {
             gc_baseline,
             reach,
             feeds_output,
+            quads,
             telemetry: None,
         }
     }
@@ -827,6 +833,13 @@ impl<'c> DiffProp<'c> {
     /// it is not looked up; gates that feed no primary output never enter
     /// the frontier. Both skips elide work whose result is the identity, so
     /// every returned value is bit-identical to the unrestricted engine's.
+    ///
+    /// On the default path (Table 1 with selective trace) a *clean* XOR
+    /// quad — no site net inside it, no pinned branch into it — runs as one
+    /// XOR gate: its output gets `Δa ⊕ Δc` and counts as one gate, and its
+    /// internal nets only hand the output to the worklist. The quad
+    /// computes `a ⊕ c` whatever its inputs carry, so this is Table 1's XOR
+    /// row and bit-identical to the gate-by-gate result.
     fn propagate(&mut self, init: SiteInit) -> (Vec<NodeId>, u32) {
         let circuit = self.circuit;
         // Reading the level once keeps the per-gate path to a plain branch;
@@ -852,6 +865,12 @@ impl<'c> DiffProp<'c> {
                     .any(|&f| self.reach.reaches(NetId::from_index(f), o))
             })
             .collect();
+        let shortcut = self.config.table1 && self.config.selective_trace;
+        let dirty = if shortcut {
+            self.dirty_quads(&site_nets, &branch_deltas)
+        } else {
+            Vec::new()
+        };
         let mut goods_buf: Vec<NodeId> = Vec::new();
         let mut deltas_buf: Vec<NodeId> = Vec::new();
         while let Some(idx) = worklist.pop_first() {
@@ -859,8 +878,20 @@ impl<'c> DiffProp<'c> {
                 continue; // site differences are fixed by the fault model
             }
             let net = NetId::from_index(idx);
-            let Driver::Gate { kind, fanins } = circuit.driver(net) else {
-                continue;
+            let quad = match self.quads.member(net) {
+                Some(q) if shortcut && !dirty.contains(&q) => Some(&self.quads.quads()[q]),
+                _ => None,
+            };
+            // A clean quad is one XOR of its inputs; no branch is pinned
+            // into it, so the pin lookups below all miss.
+            let (kind, fanins): (GateKind, &[NetId]) = match (quad, circuit.driver(net)) {
+                (Some(q), _) if q.output != net => {
+                    worklist.insert(q.output.index());
+                    continue;
+                }
+                (Some(q), _) => (GateKind::Xor, &q.inputs),
+                (None, Driver::Gate { kind, fanins }) => (*kind, fanins),
+                (None, Driver::Input) => continue,
             };
             goods_buf.clear();
             deltas_buf.clear();
@@ -880,9 +911,9 @@ impl<'c> DiffProp<'c> {
             let gate_t0 = detailed.then(std::time::Instant::now);
             let m = self.good.manager_mut();
             let dg = if self.config.table1 {
-                delta_output(m, *kind, &goods_buf, &deltas_buf)
+                delta_output(m, kind, &goods_buf, &deltas_buf)
             } else {
-                naive_delta_output(m, *kind, &goods_buf, &deltas_buf)
+                naive_delta_output(m, kind, &goods_buf, &deltas_buf)
             };
             gates_propagated += 1;
             if let Some(t0) = gate_t0 {
@@ -926,6 +957,22 @@ impl<'c> DiffProp<'c> {
             })
             .collect();
         (po_deltas, gates_propagated)
+    }
+
+    /// The quads a fault cannot shortcut: those with a site net inside, or
+    /// with a pinned branch into one of their gates. They run gate by gate.
+    fn dirty_quads(
+        &self,
+        site_nets: &BTreeSet<usize>,
+        branch_deltas: &HashMap<(usize, usize), NodeId>,
+    ) -> Vec<usize> {
+        let inside = site_nets
+            .iter()
+            .filter_map(|&n| self.quads.owner_of(NetId::from_index(n)));
+        let pinned = branch_deltas
+            .keys()
+            .filter_map(|&(sink, _)| self.quads.member(NetId::from_index(sink)));
+        inside.chain(pinned).collect()
     }
 
     /// One explicit test vector for the fault, or `None` if undetectable.
@@ -973,7 +1020,7 @@ impl<'c> DiffProp<'c> {
 mod tests {
     use super::*;
     use dp_faults::{checkpoint_faults, enumerate_nfbfs, BridgingFault, StuckAtFault};
-    use dp_netlist::generators::{alu74181, c17, c1908_surrogate, c95, full_adder};
+    use dp_netlist::generators::{alu74181, c1355_surrogate, c17, c1908_surrogate, c95, full_adder};
     use dp_sim::exhaustive_detectability;
 
     /// DP's exact counts must equal brute-force simulation for every
@@ -1574,5 +1621,66 @@ mod tests {
             assert_eq!(a.observable_outputs, b.observable_outputs, "{fault}");
             assert_eq!(a.gates_propagated, b.gates_propagated, "{fault}");
         }
+    }
+    #[test]
+    fn c1908s_quad_shortcut_matches_the_gate_by_gate_engine() {
+        let c = c1908_surrogate();
+        let mut dp = DiffProp::new(&c);
+        assert!(!dp.quads.is_empty());
+        let mut gate_by_gate = DiffProp::with_config(
+            &c,
+            EngineConfig {
+                table1: false,
+                ..Default::default()
+            },
+        );
+        let stuck: Vec<StuckAtFault> = checkpoint_faults(&c).into_iter().step_by(23).collect();
+        let pairs = stuck.windows(2).step_by(3).map(multi);
+        let mut fewer_gates = 0;
+        for fault in stuck.iter().map(|&f| Fault::from(f)).chain(pairs) {
+            let a = dp.analyze(&fault);
+            let b = gate_by_gate.analyze(&fault);
+            assert_eq!(a.test_count, b.test_count, "{fault}");
+            assert_eq!(a.detectability.to_bits(), b.detectability.to_bits(), "{fault}");
+            assert_eq!(a.observable_outputs, b.observable_outputs, "{fault}");
+            for (&d, &e) in a.po_deltas.iter().zip(&b.po_deltas) {
+                assert_eq!(
+                    dp.good.manager().density(d).to_bits(),
+                    gate_by_gate.good.manager().density(e).to_bits(),
+                    "{fault}"
+                );
+            }
+            if a.gates_propagated < b.gates_propagated {
+                fewer_gates += 1;
+            }
+        }
+        assert!(fewer_gates > 0, "no fault took the quad shortcut");
+    }
+
+    #[test]
+    fn c1355s_batches_are_bit_identical_to_singles() {
+        let c = c1355_surrogate();
+        let mut dp = DiffProp::new(&c);
+        let mut reference = DiffProp::new(&c);
+        let mut rest: Vec<StuckAtFault> = checkpoint_faults(&c).into_iter().step_by(5).collect();
+        let mut batches = 0;
+        while rest.len() > 1 && batches < 3 {
+            // Eight members, the sweep's default batch size.
+            let mut batch = disjoint_stuck_at_batch(&dp, &rest);
+            batch.truncate(8);
+            rest.retain(|f| !batch.contains(f));
+            if batch.len() < 2 {
+                continue;
+            }
+            batches += 1;
+            let analyses = dp.try_analyze_stuck_at_batch(&batch).unwrap();
+            for (f, a) in batch.iter().zip(&analyses) {
+                let single = reference.analyze(&Fault::StuckAt(*f));
+                assert_eq!(a.test_count, single.test_count, "{f}");
+                assert_eq!(a.detectability.to_bits(), single.detectability.to_bits(), "{f}");
+                assert_eq!(a.observable_outputs, single.observable_outputs, "{f}");
+            }
+        }
+        assert_eq!(batches, 3, "c1355s has cone-disjoint checkpoint faults");
     }
 }

@@ -174,6 +174,13 @@ pub fn c1355_surrogate() -> Circuit {
 /// assert_eq!(c.num_outputs(), 18);
 /// ```
 pub fn c1908_surrogate() -> Circuit {
+    let mut c = expand_xor_to_nand(&c1908_pre_expansion()).expect("expansion is closed");
+    c.set_name("c1908s");
+    c
+}
+
+/// [`c1908_surrogate`] before its XORs are expanded into NANDs.
+pub(crate) fn c1908_pre_expansion() -> Circuit {
     let mut b = CircuitBuilder::new("c1908s_pre");
     let nd = 16;
     let nc = 6;
@@ -271,10 +278,7 @@ pub fn c1908_surrogate() -> Circuit {
     }
     b.output(err_single);
     b.output(err_double);
-    let pre = b.finish().expect("SEC/DED circuit is well-formed");
-    let mut c = expand_xor_to_nand(&pre).expect("expansion is closed");
-    c.set_name("c1908s");
-    c
+    b.finish().expect("SEC/DED circuit is well-formed")
 }
 
 #[cfg(test)]

@@ -19,7 +19,8 @@
 //!   DAG ([`ordering::fanin_dfs_order`]),
 //! * netlist **transformations**: n-input → 2-input gate decomposition and
 //!   the XOR → four-NAND expansion that derives C1355 from C499
-//!   ([`decompose_two_input`], [`expand_xor_to_nand`]),
+//!   ([`decompose_two_input`], [`expand_xor_to_nand`]), and the finder
+//!   that recognises the expanded XORs again ([`find_xor_quads`]),
 //! * programmatic **generators** for the paper's benchmark set
 //!   ([`generators`]).
 //!
@@ -50,4 +51,4 @@ pub use error::NetlistError;
 pub use reach::Reachability;
 pub use scoap::Scoap;
 pub use topology::{Placement, Point};
-pub use transform::{decompose_two_input, expand_xor_to_nand};
+pub use transform::{decompose_two_input, expand_xor_to_nand, find_xor_quads, XorQuad, XorQuads};

@@ -9,6 +9,9 @@
 //!   equivalent (and XNOR with four NANDs plus an inverter). This is the
 //!   relationship between C499 and C1355, which the paper leans on to show
 //!   detectability decreasing with added circuitry.
+//!
+//! [`find_xor_quads`] is the inverse of the expansion: it recognises the
+//! four-NAND XORs of a netlist so that analyses can treat each as one XOR.
 
 use crate::circuit::{Circuit, CircuitBuilder, Driver, GateKind, NetId};
 use crate::error::NetlistError;
@@ -118,6 +121,145 @@ pub fn expand_xor_to_nand(circuit: &Circuit) -> Result<Circuit, NetlistError> {
         }
         _ => b.gate(name, kind, fanins),
     })
+}
+
+/// A four-NAND XOR, [`expand_xor_to_nand`]'s realisation of `a ⊕ c`:
+/// `out = NAND(t2, t3)`, `t2 = NAND(a, t1)`, `t3 = NAND(c, t1)`,
+/// `t1 = NAND(a, c)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct XorQuad {
+    /// The XOR's operands `[a, c]` (distinct nets).
+    pub inputs: [NetId; 2],
+    /// `[t1, t2, t3]`: nets read only inside the quad, none of them a
+    /// primary output.
+    pub internal: [NetId; 3],
+    /// The net that carries `a ⊕ c`.
+    pub output: NetId,
+}
+
+/// The XOR quads of a circuit ([`find_xor_quads`]), indexed by net.
+#[derive(Debug, Clone)]
+pub struct XorQuads {
+    quads: Vec<XorQuad>,
+    /// Per net: the index of the quad it outputs or is internal to, or
+    /// `u32::MAX` for none. A net belongs to at most one quad.
+    member: Vec<u32>,
+}
+
+impl XorQuads {
+    /// The quads, in topological order of their outputs.
+    pub fn quads(&self) -> &[XorQuad] {
+        &self.quads
+    }
+
+    /// Number of quads found.
+    pub fn len(&self) -> usize {
+        self.quads.len()
+    }
+
+    /// `true` when the circuit has no quad.
+    pub fn is_empty(&self) -> bool {
+        self.quads.is_empty()
+    }
+
+    /// The quad `n` belongs to, as output or internal net.
+    pub fn member(&self, n: NetId) -> Option<usize> {
+        match self.member.get(n.index()) {
+            Some(&q) if q != u32::MAX => Some(q as usize),
+            _ => None,
+        }
+    }
+
+    /// The quad whose output is `n`.
+    pub fn output_of(&self, n: NetId) -> Option<usize> {
+        self.member(n).filter(|&q| self.quads[q].output == n)
+    }
+
+    /// The quad that owns `n` as one of its internal nets.
+    pub fn owner_of(&self, n: NetId) -> Option<usize> {
+        self.member(n).filter(|&q| self.quads[q].output != n)
+    }
+}
+
+/// Finds every four-NAND XOR ([`XorQuad`]) of `circuit`: the inverse of
+/// [`expand_xor_to_nand`].
+///
+/// Pin order does not matter. A quad is accepted only if `t1` fans out to
+/// `t2` and `t3` alone, `t2` and `t3` to `out` alone, none of the three is
+/// a primary output and `a ≠ c`, so `out = a ⊕ c` is the only function of
+/// the quad any other gate can see. An expanded XNOR is found as a quad
+/// followed by its NOT.
+///
+/// # Examples
+///
+/// ```
+/// use dp_netlist::{expand_xor_to_nand, find_xor_quads, CircuitBuilder, GateKind};
+/// # fn main() -> Result<(), dp_netlist::NetlistError> {
+/// let mut b = CircuitBuilder::new("x");
+/// let a = b.input("a");
+/// let c = b.input("b");
+/// let g = b.gate("g", GateKind::Xor, &[a, c])?;
+/// b.output(g);
+/// let nands = expand_xor_to_nand(&b.finish()?)?;
+/// let quads = find_xor_quads(&nands);
+/// assert_eq!(quads.len(), 1);
+/// assert_eq!(quads.quads()[0].output, nands.outputs()[0]);
+/// # Ok(())
+/// # }
+/// ```
+pub fn find_xor_quads(circuit: &Circuit) -> XorQuads {
+    let mut is_output = vec![false; circuit.num_nets()];
+    for &o in circuit.outputs() {
+        is_output[o.index()] = true;
+    }
+    let nand2 = |n: NetId| match circuit.driver(n) {
+        Driver::Gate {
+            kind: GateKind::Nand,
+            fanins,
+        } if fanins.len() == 2 => Some([fanins[0], fanins[1]]),
+        _ => None,
+    };
+    let sole_sinks = |n: NetId, sinks: &[NetId]| {
+        !is_output[n.index()]
+            && circuit.fanout(n).len() == sinks.len()
+            && circuit.fanout(n).iter().all(|(s, _)| sinks.contains(s))
+    };
+    let mut found = XorQuads {
+        quads: Vec::new(),
+        member: vec![u32::MAX; circuit.num_nets()],
+    };
+    for out in circuit.gates() {
+        let Some([t2, t3]) = nand2(out) else { continue };
+        let (Some(f2), Some(f3)) = (nand2(t2), nand2(t3)) else {
+            continue;
+        };
+        // t1 is the pin t2 and t3 share; a and c are their other pins.
+        let quad = (0..2).find_map(|i| {
+            let (t1, a) = (f2[i], f2[1 - i]);
+            let j = f3.iter().position(|&f| f == t1)?;
+            let c = f3[1 - j];
+            let f1 = nand2(t1)?;
+            (a != c && (f1 == [a, c] || f1 == [c, a])).then_some(XorQuad {
+                inputs: [a, c],
+                internal: [t1, t2, t3],
+                output: out,
+            })
+        });
+        let Some(quad) = quad else { continue };
+        // The fences also keep quads disjoint: an internal net's sinks pin
+        // down its quad's output, and an output cannot be another quad's
+        // internal net (each of those reads a net feeding two gates of its
+        // quad, while an output reads nets that feed it alone).
+        let [t1, ..] = quad.internal;
+        if sole_sinks(t1, &[t2, t3]) && sole_sinks(t2, &[out]) && sole_sinks(t3, &[out]) {
+            let q = found.quads.len() as u32;
+            for n in quad.internal.iter().chain([&out]) {
+                found.member[n.index()] = q;
+            }
+            found.quads.push(quad);
+        }
+    }
+    found
 }
 
 /// Shared rebuild driver: walks `circuit` topologically and lets `emit`
@@ -266,5 +408,148 @@ mod tests {
             assert_eq!(c.net_name(*a), t.net_name(*b));
         }
         assert_eq!(t.net_name(t.outputs()[0]), "g");
+    }
+    /// The two-input XORs of `pre` by name, paired with their operand names.
+    fn xor_gates(pre: &Circuit) -> Vec<(String, [String; 2])> {
+        pre.gates()
+            .filter_map(|n| match pre.driver(n) {
+                Driver::Gate {
+                    kind: GateKind::Xor,
+                    fanins,
+                } => {
+                    assert_eq!(fanins.len(), 2, "decomposed first");
+                    let name = |f: NetId| pre.net_name(f).to_string();
+                    Some((name(n), [name(fanins[0]), name(fanins[1])]))
+                }
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// `expanded` has exactly one quad per two-input XOR of `pre`, each
+    /// computing that XOR of the same operands (matched by net name).
+    fn assert_one_quad_per_xor(pre: &Circuit, expanded: &Circuit) {
+        let xors = xor_gates(pre);
+        let quads = find_xor_quads(expanded);
+        assert_eq!(quads.len(), xors.len(), "{}", expanded.name());
+        let mut found: Vec<(String, [String; 2])> = quads
+            .quads()
+            .iter()
+            .map(|q| {
+                let name = |n: NetId| expanded.net_name(n).to_string();
+                let mut ops = [name(q.inputs[0]), name(q.inputs[1])];
+                ops.sort();
+                (name(q.output), ops)
+            })
+            .collect();
+        let mut want: Vec<(String, [String; 2])> = xors
+            .into_iter()
+            .map(|(n, mut ops)| {
+                ops.sort();
+                (n, ops)
+            })
+            .collect();
+        found.sort();
+        want.sort();
+        assert_eq!(found, want);
+        for (k, q) in quads.quads().iter().enumerate() {
+            assert_eq!(quads.output_of(q.output), Some(k));
+            assert_eq!(quads.owner_of(q.output), None);
+            for &t in &q.internal {
+                assert_eq!(quads.owner_of(t), Some(k));
+                assert_eq!(quads.output_of(t), None);
+            }
+        }
+    }
+
+    #[test]
+    fn c1355_has_one_quad_per_c499_xor() {
+        use crate::generators::{c1355_surrogate, c499_surrogate};
+        let pre = decompose_two_input(&c499_surrogate()).unwrap();
+        assert_one_quad_per_xor(&pre, &c1355_surrogate());
+        assert!(find_xor_quads(&c499_surrogate()).is_empty());
+    }
+
+    #[test]
+    fn c1908_has_one_quad_per_pre_expansion_xor() {
+        use crate::generators::{c1908_pre_expansion, c1908_surrogate};
+        let pre = decompose_two_input(&c1908_pre_expansion()).unwrap();
+        assert_one_quad_per_xor(&pre, &c1908_surrogate());
+    }
+
+    /// One XOR of `a` and `b` as four NANDs wired with the given pin
+    /// orders, plus whatever `extra` adds; `out` is a primary output.
+    fn hand_quad(
+        swap: [bool; 4],
+        extra: impl FnOnce(&mut CircuitBuilder, [NetId; 3]),
+    ) -> Circuit {
+        let mut b = CircuitBuilder::new("quad");
+        let a = b.input("a");
+        let c = b.input("c");
+        let pins = |x: NetId, y: NetId, s: bool| if s { [y, x] } else { [x, y] };
+        let t1 = b.gate("t1", GateKind::Nand, &pins(a, c, swap[0])).unwrap();
+        let t2 = b.gate("t2", GateKind::Nand, &pins(a, t1, swap[1])).unwrap();
+        let t3 = b.gate("t3", GateKind::Nand, &pins(c, t1, swap[2])).unwrap();
+        let out = b.gate("out", GateKind::Nand, &pins(t2, t3, swap[3])).unwrap();
+        b.output(out);
+        extra(&mut b, [t1, t2, t3]);
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn quads_are_found_under_every_pin_order() {
+        for bits in 0u8..16 {
+            let swap = [0, 1, 2, 3].map(|i| bits >> i & 1 == 1);
+            let c = hand_quad(swap, |_, _| {});
+            let quads = find_xor_quads(&c);
+            assert_eq!(quads.len(), 1, "pin order {swap:?}");
+            let q = quads.quads()[0];
+            // t2 reads inputs[0] and t3 inputs[1], whichever way round.
+            let names = (q.inputs.map(|n| c.net_name(n)), q.internal.map(|n| c.net_name(n)));
+            assert!(
+                names == (["a", "c"], ["t1", "t2", "t3"]) || names == (["c", "a"], ["t1", "t3", "t2"]),
+                "{names:?}"
+            );
+            assert_eq!(c.net_name(q.output), "out");
+        }
+    }
+
+    #[test]
+    fn leaky_or_degenerate_quads_are_rejected() {
+        for k in 0..3 {
+            // An internal net with a sink outside the quad.
+            let leaky = hand_quad([false; 4], |b, t| {
+                let tap = b.gate("tap", GateKind::Buf, &[t[k]]).unwrap();
+                b.output(tap);
+            });
+            assert!(find_xor_quads(&leaky).is_empty(), "t{} read outside", k + 1);
+            // An internal net that is a primary output.
+            let exposed = hand_quad([false; 4], |b, t| b.output(t[k]));
+            assert!(find_xor_quads(&exposed).is_empty(), "t{} is a PO", k + 1);
+        }
+        // XOR(a, a) expanded: a = c, so the NANDs do not compute a ⊕ c.
+        let mut b = CircuitBuilder::new("aa");
+        let a = b.input("a");
+        let g = b.gate("g", GateKind::Xor, &[a, a]).unwrap();
+        b.output(g);
+        let aa = expand_xor_to_nand(&b.finish().unwrap()).unwrap();
+        assert_eq!(aa.num_gates(), 4);
+        assert!(find_xor_quads(&aa).is_empty());
+    }
+
+    #[test]
+    fn an_expanded_xnor_is_a_quad_and_a_not() {
+        let e = expand_xor_to_nand(&wide_gate(GateKind::Xnor, 2)).unwrap();
+        let quads = find_xor_quads(&e);
+        assert_eq!(quads.len(), 1);
+        let g = e.outputs()[0];
+        let Driver::Gate {
+            kind: GateKind::Not,
+            fanins,
+        } = e.driver(g)
+        else {
+            panic!("XNOR output is not a NOT");
+        };
+        assert_eq!(quads.output_of(fanins[0]), Some(0));
     }
 }

@@ -222,7 +222,8 @@ pub enum Request {
     },
     /// Snapshot-cache counters.
     Status,
-    /// Stop the server after answering.
+    /// Stop the server after answering. Honoured only from a loopback
+    /// peer; any other peer gets an `error` frame.
     Shutdown,
 }
 

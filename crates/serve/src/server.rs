@@ -12,7 +12,7 @@
 //! that would hit a resident entry.
 
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -64,7 +64,7 @@ impl ServerState {
 }
 
 /// A bound-but-not-yet-running server. [`Server::run`] blocks until a
-/// client sends `shutdown`.
+/// loopback client sends `shutdown`.
 pub struct Server {
     listener: TcpListener,
     state: Arc<ServerState>,
@@ -91,8 +91,9 @@ impl Server {
         self.state.addr
     }
 
-    /// Serves until a client sends `shutdown`, then joins every connection
-    /// handler before returning (in-flight sweeps finish their streams).
+    /// Serves until a loopback client sends `shutdown`, then joins every
+    /// connection handler before returning (in-flight sweeps finish their
+    /// streams).
     pub fn run(self) -> io::Result<()> {
         let mut handlers = Vec::new();
         loop {
@@ -126,6 +127,7 @@ fn serve_connection(stream: TcpStream, state: &ServerState) -> io::Result<()> {
     // Frames are flushed as soon as they are ready; Nagle's algorithm would
     // hold each small write back until the client's delayed ACK arrives.
     stream.set_nodelay(true)?;
+    let loopback = stream.peer_addr().is_ok_and(|peer| may_shut_down(&peer));
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut out = BufWriter::new(stream);
     let mut buf = Vec::new();
@@ -157,11 +159,20 @@ fn serve_connection(stream: TcpStream, state: &ServerState) -> io::Result<()> {
                 })?;
                 false
             }
-            Ok(request) => handle_request(request, state, &mut out)?,
+            Ok(request) => handle_request(request, state, loopback, &mut out)?,
         };
         if quit {
             return Ok(());
         }
+    }
+}
+
+/// Whether a peer may stop the server: only one on this host's loopback
+/// interface (an IPv4-mapped IPv6 loopback address included).
+fn may_shut_down(peer: &SocketAddr) -> bool {
+    match peer.ip() {
+        IpAddr::V4(ip) => ip.is_loopback(),
+        IpAddr::V6(ip) => ip.to_ipv4_mapped().map_or(ip.is_loopback(), |v4| v4.is_loopback()),
     }
 }
 
@@ -172,10 +183,13 @@ fn send(out: &mut impl Write, frame: &Frame) -> io::Result<()> {
 
 /// Handles one request; `Ok(true)` means the connection (and server) is
 /// done. Request-level failures become `error` frames; only transport
-/// failures surface as `Err`.
+/// failures surface as `Err`. `loopback` is [`may_shut_down`] of the peer:
+/// any other peer's `shutdown` gets an `error` frame and the server keeps
+/// serving.
 fn handle_request(
     request: Request,
     state: &ServerState,
+    loopback: bool,
     out: &mut impl Write,
 ) -> io::Result<bool> {
     match request {
@@ -183,6 +197,9 @@ fn handle_request(
             let status = state.cache().status();
             send(out, &Frame::Status(status))?;
         }
+        Request::Shutdown if !loopback => send(out, &Frame::Error {
+            message: "shutdown is accepted only from a loopback peer".into(),
+        })?,
         Request::Shutdown => {
             send(out, &Frame::Bye)?;
             state.shutdown.store(true, Ordering::SeqCst);
@@ -446,13 +463,33 @@ mod tests {
             assert_eq!(cache, expect);
         }
         let mut out = Vec::new();
-        assert!(!handle_request(Request::Status, &state, &mut out).expect("status"));
+        assert!(!handle_request(Request::Status, &state, true, &mut out).expect("status"));
         let line = std::str::from_utf8(&out).expect("utf-8");
         match Frame::from_line(line.trim_end()).expect("one frame") {
             Frame::Status(status) => {
                 assert_eq!((status.entries, status.misses, status.hits), (1, 1, 1));
             }
             other => panic!("expected a status frame, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn only_a_loopback_peer_may_shut_down() {
+        for peer in ["127.0.0.1:9", "127.8.0.1:9", "[::1]:9", "[::ffff:127.0.0.1]:9"] {
+            assert!(may_shut_down(&peer.parse().unwrap()), "{peer}");
+        }
+        for peer in ["10.0.0.1:9", "192.168.1.2:9", "[2001:db8::1]:9", "[::ffff:10.0.0.1]:9"] {
+            assert!(!may_shut_down(&peer.parse().unwrap()), "{peer}");
+        }
+        // A remote peer's shutdown is a typed error, and the server stays up.
+        let state = test_state();
+        let mut out = Vec::new();
+        assert!(!handle_request(Request::Shutdown, &state, false, &mut out).expect("frame"));
+        assert!(!state.shutdown.load(Ordering::SeqCst));
+        let line = std::str::from_utf8(&out).expect("utf-8");
+        match Frame::from_line(line.trim_end()).expect("one frame") {
+            Frame::Error { message } => assert!(message.contains("loopback"), "{message}"),
+            other => panic!("expected an error frame, got {other:?}"),
         }
     }
 

@@ -64,7 +64,7 @@ use diffprop::core::{
     OrderStrategy, Parallelism, SweepConfig,
 };
 use diffprop::faults::BridgeKind;
-use diffprop::netlist::{generators, parse_bench, Circuit, Scoap};
+use diffprop::netlist::{find_xor_quads, generators, parse_bench, Circuit, Scoap};
 
 fn load(arg: &str) -> Circuit {
     match arg {
@@ -293,6 +293,7 @@ fn stats(circuit: &Circuit) {
     let levels = circuit.levels_from_inputs();
     println!("  depth:   {}", levels.iter().max().unwrap_or(&0));
     println!("  fanout branches: {}", circuit.fanout_branches().len());
+    println!("  xor quads: {}", find_xor_quads(circuit).len());
     let scoap = Scoap::compute(circuit);
     let worst = circuit
         .nets()
