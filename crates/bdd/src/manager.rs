@@ -155,6 +155,10 @@ pub struct Manager {
     base: Option<Arc<FrozenBase>>,
     pub(crate) nodes: Vec<Node>,
     pub(crate) unique: UniqueTable,
+    /// Arena slots a running [`Manager::sift`] has freed; `mk` fills them
+    /// before it grows the arena. Empty outside a sift (its closing
+    /// [`Manager::gc`] drops them).
+    pub(crate) free: Vec<u32>,
     pub(crate) op_cache: OpCache,
     /// `var_to_level[v]` is the position of variable `v` in the order.
     var_to_level: Vec<u32>,
@@ -183,6 +187,7 @@ impl Manager {
             base: None,
             nodes: Vec::with_capacity(1024),
             unique: UniqueTable::with_capacity(1024),
+            free: Vec::new(),
             op_cache: OpCache::with_capacity(DEFAULT_OP_CACHE_CAPACITY),
             var_to_level: (0..num_vars as u32).collect(),
             level_to_var: (0..num_vars as u32).collect(),
@@ -262,6 +267,7 @@ impl Manager {
             base: Some(base),
             nodes: Vec::new(),
             unique: UniqueTable::with_capacity(64),
+            free: Vec::new(),
             op_cache: OpCache::with_capacity(DEFAULT_OP_CACHE_CAPACITY),
             stats: ManagerStats::default(),
             budget: BudgetConfig::UNLIMITED,
@@ -486,8 +492,16 @@ impl Manager {
             }
             self.stats.unique.miss();
             self.stats.delta_lookups += 1;
-            let index = self.num_nodes();
-            self.nodes.push(node);
+            let index = match self.free.pop() {
+                Some(slot) => {
+                    self.nodes[slot as usize - base_len] = node;
+                    slot as usize
+                }
+                None => {
+                    self.nodes.push(node);
+                    self.num_nodes() - 1
+                }
+            };
             self.unique.insert(index, &node, &self.nodes, base_len);
             self.stats.peak_nodes = self.stats.peak_nodes.max(self.num_nodes());
             // Keep the lossy op cache tracking the arena (base included —
@@ -884,6 +898,7 @@ impl Manager {
             }
         }
         self.nodes = new_nodes;
+        self.free.clear();
         // Rebuild the unique table in place: clear keeps the allocation, so
         // the rebuild is a straight re-insertion pass with no rehash storms
         // (the surviving set is never larger than the pre-gc set).

@@ -12,63 +12,186 @@
 //! functions represented are untouched. See the module tests for the
 //! function-preservation properties.
 //!
-//! Swaps rewrite *every* node of the moving variable — dead ones included,
-//! because the arena has no free list and the level invariant must hold
-//! for every stored node. Each dead rewrite allocates fresh cofactor
-//! nodes, so garbage begets garbage: left unchecked, a full sift grows the
-//! arena *exponentially* in the number of swaps (observed: 1.4M
-//! allocations sifting a 1.2k-node table). [`Manager::sift`] therefore
-//! interleaves garbage collections into the walk to keep the arena within
-//! a constant factor of the live size.
+//! Both run on one swap kernel over [`Levels`]: a per-variable list of the
+//! counted nodes, a reference count per slot (parents plus root handles)
+//! and the running count of live nodes. A swap visits only the nodes of the
+//! upper variable and rewrites those with a child on the lower one, so it
+//! costs time in the nodes at the two swapped levels, not in the arena.
+//! The sift counts only the nodes its roots reach: a slot whose count drops
+//! to zero leaves the unique table at once and its slot is handed to the
+//! next new node, so dead nodes are never rewritten and the live size at
+//! each step is the running count, canonical for the current order. The
+//! public swaps pin every stored node instead, so no handle dies.
 
-use crate::manager::{Manager, NodeId, Var};
+use crate::manager::{Manager, Node, NodeId, Var};
+
+/// The bookkeeping of one reordering run, kept beside the arena.
+struct Levels {
+    /// Per slot: edges from counted parents plus root handles (and the
+    /// pin, when every node is pinned). Zero for free slots.
+    refs: Vec<u32>,
+    /// `by_var[v]`: the counted nodes labelled `v`, in no particular order.
+    by_var: Vec<Vec<u32>>,
+    /// `pos[i]`: the position of slot `i` in its `by_var` list.
+    pos: Vec<u32>,
+    /// Counted internal nodes: the live size when roots are counted.
+    live: usize,
+    /// Whether every node — stored or new — holds a pin, so none dies.
+    pinned: bool,
+    /// Scratch stack of [`Manager::release`].
+    stack: Vec<usize>,
+}
+
+impl Levels {
+    fn link(&mut self, i: usize, var: Var) {
+        let list = &mut self.by_var[var as usize];
+        self.pos[i] = list.len() as u32;
+        list.push(i as u32);
+    }
+
+    fn unlink(&mut self, i: usize, var: Var) {
+        let list = &mut self.by_var[var as usize];
+        let p = self.pos[i] as usize;
+        list.swap_remove(p);
+        if let Some(&moved) = list.get(p) {
+            self.pos[moved as usize] = p as u32;
+        }
+    }
+
+    fn retain(&mut self, e: NodeId) {
+        if !e.is_terminal() {
+            self.refs[e.index()] += 1;
+        }
+    }
+
+    /// Starts counting the node stored at slot `i`: it retains its
+    /// children, joins its variable's list and, when pinned, pins itself.
+    fn count(&mut self, i: usize, node: Node) {
+        self.retain(node.lo);
+        self.retain(node.hi);
+        self.link(i, node.var);
+        self.refs[i] += self.pinned as u32;
+        self.live += 1;
+    }
+}
 
 impl Manager {
-    /// Swaps the variables at levels `level` and `level + 1` in place.
-    ///
-    /// All existing [`NodeId`]s continue to denote the same functions. The
-    /// operation cache is invalidated; dead nodes may be left behind for a
-    /// later [`Manager::gc`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `level + 1 >= num_vars()`, or if this manager extends a
-    /// frozen base (the base arena is shared and immutable, so its variable
-    /// order is fixed at freeze time).
-    pub fn swap_adjacent_levels(&mut self, level: u32) {
+    /// Counts the nodes `roots` reach, or with `None` pins every stored
+    /// node. Uncounted nodes leave the unique table and their slots join
+    /// the free list.
+    fn levels(&mut self, roots: Option<&[NodeId]>) -> Levels {
         assert!(
             !self.has_frozen_base(),
             "frozen-base managers have a fixed order; reorder before freezing"
         );
-        let n = self.num_vars() as u32;
-        assert!(level + 1 < n, "cannot swap the last level down");
+        let len = self.nodes.len();
+        let mut lv = Levels {
+            refs: vec![0; len],
+            by_var: vec![Vec::new(); self.num_vars()],
+            pos: vec![0; len],
+            live: 0,
+            pinned: roots.is_none(),
+            stack: Vec::new(),
+        };
+        let mut counted = vec![lv.pinned; len];
+        for &r in roots.unwrap_or_default() {
+            lv.retain(r);
+            lv.stack.push(r.index());
+        }
+        while let Some(i) = lv.stack.pop() {
+            if i == 0 || std::mem::replace(&mut counted[i], true) {
+                continue;
+            }
+            let node = self.nodes[i];
+            lv.stack.extend([node.lo.index(), node.hi.index()]);
+        }
+        for (i, &counted) in counted.iter().enumerate().skip(1) {
+            let node = self.nodes[i];
+            if !counted {
+                self.unique.remove(&node, &self.nodes, 0);
+                self.free.push(i as u32);
+                continue;
+            }
+            lv.count(i, node);
+        }
+        lv
+    }
+
+    /// `mk_raw` under `lv`: a new node is linked, counted and retains its
+    /// children. Returns the edge with one reference taken for the caller.
+    fn mk_counted(&mut self, lv: &mut Levels, var: Var, lo: NodeId, hi: NodeId) -> NodeId {
+        let e = self.mk_raw(var, lo, hi);
+        if e.is_terminal() {
+            return e;
+        }
+        let i = e.index();
+        if i >= lv.refs.len() {
+            lv.refs.resize(i + 1, 0);
+            lv.pos.resize(i + 1, 0);
+        }
+        if lv.refs[i] == 0 {
+            // Counted nodes all hold a reference, and uncounted ones left
+            // the unique table: a zero here is a node `mk_raw` just made.
+            lv.count(i, self.nodes[i]);
+        }
+        lv.refs[i] += 1;
+        e
+    }
+
+    /// Drops one reference to `e`. A node whose count reaches zero leaves
+    /// the unique table, frees its slot and releases its children in turn.
+    fn release(&mut self, lv: &mut Levels, e: NodeId) {
+        if e.is_terminal() {
+            return;
+        }
+        lv.stack.push(e.index());
+        while let Some(i) = lv.stack.pop() {
+            lv.refs[i] -= 1;
+            if lv.refs[i] > 0 {
+                continue;
+            }
+            let node = self.nodes[i];
+            self.unique.remove(&node, &self.nodes, 0);
+            self.free.push(i as u32);
+            lv.unlink(i, node.var);
+            lv.live -= 1;
+            for child in [node.lo, node.hi] {
+                if !child.is_terminal() {
+                    lv.stack.push(child.index());
+                }
+            }
+        }
+    }
+
+    /// The swap kernel: exchanges levels `level` and `level + 1`, rewriting
+    /// in place each counted node of the upper variable `u` that has a child
+    /// on the lower variable `v`.
+    fn swap_counted(&mut self, lv: &mut Levels, level: u32) {
         let u = self.var_at_level(level);
         let v = self.var_at_level(level + 1);
-
-        // Snapshot the u-nodes; mk() may append new ones (which are v-free
-        // and need no rewrite).
-        let u_nodes: Vec<usize> = (1..self.nodes.len())
-            .filter(|&i| self.nodes[i].var == u)
-            .collect();
-
-        for idx in u_nodes {
-            let node = self.nodes[idx];
+        let on_v = |m: &Manager, x: NodeId| !x.is_terminal() && m.nodes[x.index()].var == v;
+        // The u-nodes' parents sit above `level` and are never rewritten
+        // here, so no u-node dies mid-swap; the new u-nodes `mk_counted`
+        // makes are linked into the emptied list as they appear.
+        for idx in std::mem::take(&mut lv.by_var[u as usize]) {
+            let idx = idx as usize;
+            let old = self.nodes[idx];
             // Stored hi is regular (canonical form); stored lo may carry a
             // complement. Cofactoring goes through the folded accessors so
             // the attributes travel with the functions.
-            let (f1, f0) = (node.hi, node.lo);
-            let top_is_v = |m: &Manager, x: NodeId| !x.is_terminal() && m.nodes[x.index()].var == v;
-            if !top_is_v(self, f1) && !top_is_v(self, f0) {
+            let (f1, f0) = (old.hi, old.lo);
+            if !on_v(self, f1) && !on_v(self, f0) {
                 // Independent of v: the node just migrates down with u.
+                lv.link(idx, u);
                 continue;
             }
             // Cofactors with respect to v.
-            let (f11, f10) = if top_is_v(self, f1) {
+            let (f11, f10) = if on_v(self, f1) {
                 (self.node_hi(f1), self.node_lo(f1))
             } else {
                 (f1, f1)
             };
-            let (f01, f00) = if top_is_v(self, f0) {
+            let (f01, f00) = if on_v(self, f0) {
                 (self.node_hi(f0), self.node_lo(f0))
             } else {
                 (f0, f0)
@@ -82,8 +205,8 @@ impl Manager {
             // Budget-exempt `mk_raw`: a budget trip mid-swap would leave the
             // level half-rewritten with dummy edges — the table must stay
             // canonical whatever the budget state.
-            let hi = self.mk_raw(u, f01, f11);
-            let lo = self.mk_raw(u, f00, f10);
+            let hi = self.mk_counted(lv, u, f01, f11);
+            let lo = self.mk_counted(lv, u, f00, f10);
             debug_assert!(!hi.is_complemented(), "swap lost the hi-edge invariant");
             debug_assert_ne!(hi, lo, "a v-dependent node cannot lose v");
             // Order matters against the arena-keyed table: removal resolves
@@ -92,50 +215,80 @@ impl Manager {
             // holds the old contents — only then may the slot be rewritten
             // and re-inserted under its new identity. (Reorder is rejected on
             // frozen-base managers, so the table offset is always 0 here.)
-            let old = self.nodes[idx];
             let removed = self.unique.remove(&old, &self.nodes, 0);
             debug_assert!(removed, "swapped node was missing from the unique table");
-            let new = crate::manager::Node { var: v, lo, hi };
+            let new = Node { var: v, lo, hi };
             self.nodes[idx] = new;
             debug_assert!(
                 self.unique.get(&new, &self.nodes, 0).is_none(),
                 "level swap produced a duplicate node; canonicity violated"
             );
             self.unique.insert(idx, &new, &self.nodes, 0);
+            lv.link(idx, v);
+            // The new children hold their references, so releasing the old
+            // ones frees only nodes the new graph no longer reaches.
+            self.release(lv, f1);
+            self.release(lv, f0);
         }
-
         self.swap_order_entries(level);
         self.op_cache.clear();
     }
 
-    /// Moves variable `var` to `target_level` by a sequence of adjacent
-    /// swaps.
+    /// Moves `var` to `target_level` by adjacent swaps under `lv`.
+    fn move_counted(&mut self, lv: &mut Levels, var: Var, target_level: u32) {
+        loop {
+            let current = self.level_of(var);
+            match current.cmp(&target_level) {
+                std::cmp::Ordering::Equal => break,
+                std::cmp::Ordering::Less => self.swap_counted(lv, current),
+                std::cmp::Ordering::Greater => self.swap_counted(lv, current - 1),
+            }
+        }
+    }
+
+    /// Swaps the variables at levels `level` and `level + 1` in place.
+    ///
+    /// All existing [`NodeId`]s continue to denote the same functions. The
+    /// operation cache is invalidated; dead nodes may be left behind for a
+    /// later [`Manager::gc`].
     ///
     /// # Panics
     ///
-    /// Panics if `var` or `target_level` is out of range.
+    /// Panics if `level + 1 >= num_vars()`, or if this manager extends a
+    /// frozen base (the base arena is shared and immutable, so its variable
+    /// order is fixed at freeze time).
+    pub fn swap_adjacent_levels(&mut self, level: u32) {
+        assert!(
+            (level as usize) + 1 < self.num_vars(),
+            "cannot swap the last level down"
+        );
+        let mut lv = self.levels(None);
+        self.swap_counted(&mut lv, level);
+    }
+
+    /// Moves variable `var` to `target_level` by a sequence of adjacent
+    /// swaps. All existing [`NodeId`]s stay valid, as for
+    /// [`Manager::swap_adjacent_levels`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `var` or `target_level` is out of range, or if this
+    /// manager extends a frozen base.
     pub fn move_var_to_level(&mut self, var: Var, target_level: u32) {
         assert!((var as usize) < self.num_vars(), "variable out of range");
         assert!(
             (target_level as usize) < self.num_vars(),
             "level out of range"
         );
-        loop {
-            let current = self.level_of(var);
-            match current.cmp(&target_level) {
-                std::cmp::Ordering::Equal => break,
-                std::cmp::Ordering::Less => self.swap_adjacent_levels(current),
-                std::cmp::Ordering::Greater => self.swap_adjacent_levels(current - 1),
-            }
-        }
+        let mut lv = self.levels(None);
+        self.move_counted(&mut lv, var, target_level);
     }
 
     /// Number of internal nodes reachable from `roots` (the live size —
     /// the quantity sifting minimises).
     pub fn live_size(&self, roots: &[NodeId]) -> usize {
         // Dedup by node index (an edge and its complement share one node)
-        // via a dense seen-vector: this walk runs once per candidate
-        // position during sifting, and a byte per arena slot beats hashing.
+        // via a dense seen-vector: a byte per arena slot beats hashing.
         let mut seen = vec![false; self.num_nodes()];
         let mut count = 0;
         let mut stack: Vec<NodeId> = roots.to_vec();
@@ -155,22 +308,21 @@ impl Manager {
     /// and parked where the live size (over `roots`) is smallest. Returns
     /// the final live size.
     ///
-    /// Garbage collections are interleaved into the walk: whenever the
-    /// arena has outgrown a small multiple of the live size, dead nodes are
-    /// collected before the next swap. This caps the otherwise-exponential
-    /// garbage compounding (dead nodes of the moving variable are rewritten
-    /// too, and every dead rewrite allocates fresh cofactors), so large
-    /// tables sift in time proportional to live work.
-    ///
-    /// Collections remap node ids: `roots` is rewritten in place (order
-    /// preserved) to the post-sift ids, and every *other* externally held
-    /// [`NodeId`] is invalidated — the caller owns the only handles that
-    /// survive.
+    /// Only nodes `roots` reach are kept and rewritten: nodes that die
+    /// during the walk are dropped at once and their slots reused, and one
+    /// [`Manager::gc`] at the end compacts the arena. That collection
+    /// remaps node ids: `roots` is rewritten in place (order preserved) to
+    /// the post-sift ids, and every *other* externally held [`NodeId`] is
+    /// invalidated — the caller owns the only handles that survive.
     ///
     /// Each run adds one to
     /// [`ManagerStats::sift_runs`](crate::ManagerStats::sift_runs) and its
     /// live-size drop to
     /// [`ManagerStats::sift_nodes_reclaimed`](crate::ManagerStats::sift_nodes_reclaimed).
+    ///
+    /// # Panics
+    ///
+    /// Panics if this manager extends a frozen base.
     ///
     /// # Examples
     ///
@@ -193,23 +345,20 @@ impl Manager {
     /// let f = roots[0]; // the post-sift handle
     /// assert!(after < before); // sifting interleaves the pairs
     /// assert_eq!(m.live_size(&[f]), after);
+    /// assert_eq!(m.num_nodes(), after + 1); // the arena holds only f
     /// assert_eq!(m.stats().sift_runs, 1);
     /// assert_eq!(m.stats().sift_nodes_reclaimed, (before - after) as u64);
     /// # Ok::<(), dp_bdd::BddError>(())
     /// ```
     pub fn sift(&mut self, roots: &mut [NodeId]) -> usize {
-        assert!(
-            !self.has_frozen_base(),
-            "frozen-base managers have a fixed order; sift before freezing"
-        );
+        let mut lv = self.levels(Some(roots));
         let n = self.num_vars() as u32;
-        let before = self.live_size(roots);
+        let before = lv.live;
         let mut best_total = before;
         // Sift variables in decreasing order of how many live nodes carry
         // them (the standard heuristic).
-        let mut occupancy: Vec<(usize, Var)> = (0..n)
-            .map(|v| (self.live_nodes_with_var(roots, v), v))
-            .collect();
+        let mut occupancy: Vec<(usize, Var)> =
+            (0..n).map(|v| (lv.by_var[v as usize].len(), v)).collect();
         occupancy.sort_by_key(|&(count, _)| std::cmp::Reverse(count));
 
         for &(_, var) in &occupancy {
@@ -225,56 +374,24 @@ impl Manager {
                 let mut level = self.level_of(var);
                 while level != target {
                     let next = if target > level { level + 1 } else { level - 1 };
-                    self.move_var_to_level(var, next);
+                    self.move_counted(&mut lv, var, next);
                     level = next;
-                    let size = self.live_size(roots);
-                    if size < best_total {
-                        best_total = size;
+                    if lv.live < best_total {
+                        best_total = lv.live;
                         best_level = level;
                     }
-                    self.maybe_compact(roots, size);
                 }
             }
-            self.move_var_to_level(var, best_level);
-            best_total = self.live_size(roots);
-            self.maybe_compact(roots, best_total);
-        }
-        self.stats.sift_runs += 1;
-        self.stats.sift_nodes_reclaimed += before.saturating_sub(best_total) as u64;
-        best_total
-    }
-
-    /// The interleaved collection of [`Manager::sift`]: collect
-    /// when the arena exceeds 4× the live size (with a floor, so small
-    /// tables never bother), remapping `roots` in place.
-    fn maybe_compact(&mut self, roots: &mut [NodeId], live: usize) {
-        const GROWTH: usize = 4;
-        const FLOOR: usize = 1 << 12;
-        if self.num_nodes() <= (GROWTH * live).max(FLOOR) {
-            return;
+            self.move_counted(&mut lv, var, best_level);
+            best_total = lv.live;
         }
         let remap = self.gc(roots);
         for r in roots.iter_mut() {
             *r = remap.map(*r);
         }
-    }
-
-    fn live_nodes_with_var(&self, roots: &[NodeId], var: Var) -> usize {
-        let mut seen = vec![false; self.num_nodes()];
-        let mut stack: Vec<NodeId> = roots.to_vec();
-        let mut count = 0;
-        while let Some(x) = stack.pop() {
-            if x.is_terminal() || std::mem::replace(&mut seen[x.index()], true) {
-                continue;
-            }
-            let node = self.node_at(x.index());
-            if node.var == var {
-                count += 1;
-            }
-            stack.push(node.lo);
-            stack.push(node.hi);
-        }
-        count
+        self.stats.sift_runs += 1;
+        self.stats.sift_nodes_reclaimed += before.saturating_sub(best_total) as u64;
+        best_total
     }
 }
 
@@ -387,11 +504,10 @@ mod tests {
     }
 
     #[test]
-    fn compacting_sift_bounds_the_arena() {
-        // Dead-node rewrites during level swaps compound: a long sift of a
-        // function with lots of dead structure must not grow the arena past
-        // the compaction threshold (4 x live, floored at 4096), and the
-        // remapped roots must still denote the same function.
+    fn sift_leaves_only_the_live_nodes() {
+        // Dead nodes are never rewritten: a long sift of a function with
+        // lots of dead structure ends with an arena of exactly its live
+        // nodes, and its peak stays within a small factor of the start.
         let mut m = Manager::new(16);
         let mut f = disjoint_pairs(&mut m, 8);
         // Pile up garbage so the walk starts with plenty of dead nodes.
@@ -400,17 +516,20 @@ mod tests {
             let dead = m.and(f, v);
             let _ = m.xor(dead, v);
         }
+        let start = m.num_nodes();
         let count_before = m.sat_count(f);
         let mut roots = [f];
         let live = m.sift(&mut roots);
         f = roots[0];
         assert_eq!(m.sat_count(f), count_before);
-        let bound = (4 * live.max(1)).max(1 << 12) + (1 << 12);
+        assert_eq!(m.num_nodes(), live + 1, "arena holds more than the live nodes");
         assert!(
-            m.num_nodes() <= bound,
-            "arena {} nodes after compacting sift of {live} live",
-            m.num_nodes()
+            m.stats().peak_nodes <= 2 * start,
+            "peak {} nodes sifting a {start}-node arena",
+            m.stats().peak_nodes
         );
+        assert_eq!(m.stats().gc_runs, 1, "one closing collection");
+        m.assert_canonical();
     }
 
     #[test]

@@ -163,20 +163,15 @@ impl GoodFunctions {
     }
 
     /// Runs sifting-based dynamic variable reordering over the good
-    /// functions and garbage-collects. Returns `(live nodes before, after)`.
+    /// functions, which leaves only them in the node table. Returns
+    /// `(live nodes before, after)`.
     ///
-    /// Collections interleave with the level walk (unbounded sift garbage
-    /// is what made large-table reordering intractable), so net handles are
-    /// *remapped*, not stable — this method adopts the remapped ids, and
-    /// any externally held analysis `NodeId`s are invalidated.
+    /// The sift ends with a collection, so net handles are *remapped*, not
+    /// stable — this method adopts the remapped ids, and any externally
+    /// held analysis `NodeId`s are invalidated.
     pub fn sift(&mut self) -> (usize, usize) {
-        let mut roots = self.funcs.clone();
-        let before = self.manager.live_size(&roots);
-        let after = self.manager.sift(&mut roots);
-        // The walk remapped the roots in place, order preserved: adopt
-        // them as the net handles before the trailing collection.
-        self.funcs = roots;
-        self.gc();
+        let before = self.manager.live_size(&self.funcs);
+        let after = self.manager.sift(&mut self.funcs);
         (before, after)
     }
 

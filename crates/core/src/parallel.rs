@@ -495,7 +495,10 @@ pub fn sweep_universe_ext(
     let built: Option<GoodSnapshot> = if classes.is_empty() || warm_snapshot.is_some() {
         None
     } else {
-        DiffProp::build_snapshot(circuit, config.engine).ok()
+        let build_timer = sweep_col.start();
+        let built = DiffProp::build_snapshot(circuit, config.engine).ok();
+        sweep_col.finish(SpanKind::Build, build_timer);
+        built
     };
     let snapshot: Option<&GoodSnapshot> = warm_snapshot.or(built.as_ref());
     // Never more workers than queue entries: an extra worker would thaw the

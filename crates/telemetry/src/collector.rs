@@ -38,6 +38,9 @@ impl TelemetryLevel {
 pub enum SpanKind {
     /// One `sweep_universe` call end to end (recorded by the merge step).
     Sweep,
+    /// The sweep's own good-function build: static build, sift and freeze.
+    /// Never recorded by a sweep over a warm snapshot.
+    Build,
     /// One chunk claimed from the work-stealing queue.
     Chunk,
     /// One equivalence class: representative analysis plus member expansion.
@@ -53,10 +56,11 @@ pub enum SpanKind {
 
 impl SpanKind {
     /// Number of span kinds (array dimension).
-    pub const COUNT: usize = 5;
+    pub const COUNT: usize = 6;
     /// All kinds, outermost first — also the serialisation order.
     pub const ALL: [SpanKind; SpanKind::COUNT] = [
         SpanKind::Sweep,
+        SpanKind::Build,
         SpanKind::Chunk,
         SpanKind::Class,
         SpanKind::Fault,
@@ -67,6 +71,7 @@ impl SpanKind {
     pub fn name(self) -> &'static str {
         match self {
             SpanKind::Sweep => "sweep",
+            SpanKind::Build => "good_build",
             SpanKind::Chunk => "chunk",
             SpanKind::Class => "class",
             SpanKind::Fault => "fault",
@@ -77,10 +82,11 @@ impl SpanKind {
     fn index(self) -> usize {
         match self {
             SpanKind::Sweep => 0,
-            SpanKind::Chunk => 1,
-            SpanKind::Class => 2,
-            SpanKind::Fault => 3,
-            SpanKind::GateProp => 4,
+            SpanKind::Build => 1,
+            SpanKind::Chunk => 2,
+            SpanKind::Class => 3,
+            SpanKind::Fault => 4,
+            SpanKind::GateProp => 5,
         }
     }
 }

@@ -364,11 +364,12 @@ pub fn validate_report(doc: &JsonValue) -> Result<(), String> {
     Ok(())
 }
 
-/// Counters and histograms added within schema v2 (the feedback-bridge
-/// model): documents captured before them — e.g. the committed kernel-perf
-/// baseline — simply omit the keys, so the validator treats them as
-/// optional-but-typed instead of required.
+/// Counters, spans and histograms added within schema v2 (the
+/// feedback-bridge model, the build span): documents captured before them —
+/// e.g. the committed kernel-perf baseline — simply omit the keys, so the
+/// validator treats them as optional-but-typed instead of required.
 const ADDITIVE_COUNTERS: [CounterKind; 1] = [CounterKind::OscillatingFaults];
+const ADDITIVE_SPANS: [SpanKind; 1] = [SpanKind::Build];
 const ADDITIVE_HISTS: [HistKind; 1] = [HistKind::FixpointIterations];
 
 fn validate_snapshot(snap: &JsonValue, at: &str) -> Result<(), String> {
@@ -382,6 +383,9 @@ fn validate_snapshot(snap: &JsonValue, at: &str) -> Result<(), String> {
     }
     let spans = require_obj(snap, "spans", at)?;
     for kind in SpanKind::ALL {
+        if ADDITIVE_SPANS.contains(&kind) && spans.get(kind.name()).is_none() {
+            continue;
+        }
         let span = require_obj(spans, kind.name(), &format!("{at}.spans"))?;
         let pat = format!("{at}.spans.{}", kind.name());
         require_u64(span, "count", &pat)?;
@@ -607,6 +611,19 @@ mod tests {
             pairs.push(("future_field".into(), JsonValue::Int(1)));
         }
         validate_report(&file).expect("additive fields are allowed within a version");
+    }
+
+    #[test]
+    fn validator_accepts_reports_older_than_the_additive_fields() {
+        // The frozen alu74181 baseline predates `oscillating_faults`,
+        // `fixpoint_iterations` and the `good_build` span.
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../baselines/pr7_alu74181_serial.json"
+        );
+        let text = std::fs::read_to_string(path).expect("frozen baseline is committed");
+        assert!(!text.contains("good_build"));
+        parse_and_validate(&text).expect("additive fields may be absent");
     }
 
     #[test]

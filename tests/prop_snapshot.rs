@@ -12,7 +12,7 @@ mod common;
 
 use common::{assert_matches_golden, current_golden_lines, stuck_at_universe};
 use diffprop::core::{DiffProp, EngineConfig, OrderStrategy, Parallelism, SweepConfig};
-use diffprop::netlist::generators::c95;
+use diffprop::netlist::generators::{c1908_surrogate, c95};
 
 fn config(parallelism: Parallelism, order: OrderStrategy) -> SweepConfig {
     SweepConfig {
@@ -80,5 +80,30 @@ fn frozen_base_is_immutable_while_workers_analyze() {
         snapshot.table_digest(),
         digest_before,
         "frozen base nodes were rewritten"
+    );
+}
+
+/// The `auto` build of c1908s, pinned: the sift's final order and the
+/// closing collection fix the frozen arena, so its digest and the sift's
+/// reclaimed count are exact. The sift never rewrites dead nodes, so the
+/// build's arena peaks within twice the frozen table; a sift that carried
+/// its garbage along (the earlier design peaked at 6.7x here) fails.
+#[test]
+fn c1908s_auto_build_is_pinned() {
+    let circuit = c1908_surrogate();
+    let config = EngineConfig {
+        order: OrderStrategy::Auto,
+        ..Default::default()
+    };
+    let snapshot = DiffProp::build_snapshot(&circuit, config).expect("unlimited budget");
+    let build = snapshot.frozen().build_stats();
+    assert_eq!(snapshot.table_digest(), 0xcfca_1c67_8f59_2213);
+    assert_eq!(build.sift_runs, 1);
+    assert_eq!(build.sift_nodes_reclaimed, 3970);
+    assert!(
+        build.peak_nodes <= 2 * snapshot.num_nodes(),
+        "build peaked at {} nodes for a {}-node frozen table",
+        build.peak_nodes,
+        snapshot.num_nodes()
     );
 }

@@ -12,7 +12,10 @@
 mod common;
 
 use common::{assert_matches_golden, current_golden_lines, stuck_at_universe};
-use diffprop::core::{sweep_universe, Parallelism, SweepConfig, TelemetryLevel};
+use diffprop::core::{
+    sweep_report, sweep_universe, sweep_universe_ext, DiffProp, Parallelism, SweepConfig,
+    SweepResult, TelemetryLevel,
+};
 use diffprop::netlist::generators::c95;
 use diffprop::telemetry::{CounterKind, SpanKind};
 
@@ -67,6 +70,7 @@ fn collectors_really_observe_the_sweep() {
         let t = &on.totals;
         for kind in [
             SpanKind::Sweep,
+            SpanKind::Build,
             SpanKind::Chunk,
             SpanKind::Class,
             SpanKind::Fault,
@@ -75,6 +79,7 @@ fn collectors_really_observe_the_sweep() {
             assert!(t.span(kind).count > 0, "{level:?}: no {kind:?} spans");
         }
         assert_eq!(t.span(SpanKind::Class).count as usize, on.classes);
+        assert_eq!(t.span(SpanKind::Build).count, 1, "one build per cold sweep");
         assert_eq!(
             t.counter(CounterKind::FaultsSummarized) as usize,
             faults.len()
@@ -87,4 +92,37 @@ fn collectors_really_observe_the_sweep() {
         let timed = t.span(SpanKind::GateProp).total_nanos > 0;
         assert_eq!(timed, level == TelemetryLevel::Detailed);
     }
+}
+
+/// The build span observes the sweep's own good-function build and nothing
+/// else: a cold sweep records exactly one, a warm-snapshot sweep (which
+/// builds nothing) and an unobserved sweep record none, and the `result`
+/// section of the report is the same for all three.
+#[test]
+fn build_span_times_only_a_cold_build_and_changes_no_result() {
+    let circuit = c95();
+    let faults = stuck_at_universe(&circuit);
+    let observed = config(Parallelism::Serial, TelemetryLevel::Aggregate);
+    let snapshot = DiffProp::build_snapshot(&circuit, observed.engine).expect("c95 builds");
+
+    let cold = sweep_universe_ext(&circuit, &faults, &observed, None, None);
+    let warm = sweep_universe_ext(&circuit, &faults, &observed, Some(&snapshot), None);
+    let off = sweep_universe_ext(
+        &circuit,
+        &faults,
+        &config(Parallelism::Serial, TelemetryLevel::Off),
+        None,
+        None,
+    );
+    let build = cold.totals.span(SpanKind::Build);
+    assert_eq!(build.count, 1);
+    assert!(build.total_nanos > 0 && build.max_nanos == build.total_nanos);
+    assert!(build.total_nanos <= cold.totals.span(SpanKind::Sweep).total_nanos);
+    assert_eq!(warm.totals.span(SpanKind::Build), Default::default());
+    assert_eq!(off.totals.span(SpanKind::Build), Default::default());
+
+    let result = |sweep: &SweepResult| sweep_report(circuit.name(), "stuck-at", sweep).result;
+    assert_eq!(result(&cold), result(&warm));
+    assert_eq!(result(&cold), result(&off));
+    assert_eq!(cold.summaries, warm.summaries);
 }
