@@ -5,15 +5,20 @@
 //!
 //! ```text
 //! figures [--smoke] [--bf-sample N] [--sa-cap N] [--threads N] [--node-budget N]
-//!         [--fallback-samples N] [--no-collapse] [--only figN,figM,...]
+//!         [--fallback-samples N] [--no-collapse] [--only SECTION,...]
 //!         [--telemetry PATH] [--order identity|fanin-dfs|auto]
 //! ```
+//!
+//! The sections are `fig1`–`fig8`, `ext`, `obs` and `models`; an unknown
+//! name given to `--only` is a usage error.
 //!
 //! `--smoke` runs a reduced workload (fast CI check) and leaves every sweep
 //! flag alone, wherever it stands on the line; the default
 //! configuration is paper scale (≈1000 sampled bridging faults per circuit
-//! and kind, full collapsed checkpoint sets). Each circuit's fault records
-//! are computed once and shared across figures. `--threads N` shards each
+//! and kind, full collapsed checkpoint sets). Every section is computed by
+//! a driver of `dp_analysis::figures::Lab`, which sweeps each circuit's
+//! fault sets once and shares the records across sections; this binary
+//! parses flags and renders text. `--threads N` shards each
 //! fault sweep over N workers — the printed figure series are bit-identical
 //! to a serial run (see `dp_core::parallel`); per-shard BDD-manager counters
 //! go to stderr alongside the timings. `--node-budget N` caps the BDD node
@@ -36,120 +41,26 @@
 //! oscillating counts. Like every other section it is sweep-derived and
 //! byte-identical across thread counts and order strategies.
 
-use std::collections::HashMap;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use dp_analysis::figures::ExperimentConfig;
-use dp_analysis::topology::{
-    detectability_vs_pi_distance, detectability_vs_po_distance, pos_fed_vs_observed,
-    render_curve,
-};
-use dp_analysis::trends::{render_trend, trend_point, TrendPoint};
-use dp_analysis::{
-    bridging_universe, fault_model_universe, records_from_sweep, stuck_at_universe, FaultRecord,
-    Histogram,
-};
-use dp_core::{sweep_universe, BudgetConfig, OrderStrategy, Parallelism, SweepResult};
-use dp_faults::BridgeKind;
+use dp_analysis::figures::{ExperimentConfig, Lab};
+use dp_analysis::topology::render_curve;
+use dp_analysis::trends::render_trend;
+use dp_core::{BudgetConfig, OrderStrategy, Parallelism, SweepResult};
 use dp_netlist::generators::benchmark_suite;
-use dp_netlist::Circuit;
 
-struct Lab {
-    config: ExperimentConfig,
-    suite: Vec<Circuit>,
-    sa: HashMap<String, Vec<FaultRecord>>,
-    bf_and: HashMap<String, Vec<FaultRecord>>,
-    bf_or: HashMap<String, Vec<FaultRecord>>,
-    /// One schema-versioned report per sweep, in sweep order; written out
-    /// at the end when `--telemetry` was given.
-    reports: Vec<dp_telemetry::SweepReport>,
-}
-
-impl Lab {
-    fn new(config: ExperimentConfig) -> Self {
-        Lab {
-            config,
-            suite: benchmark_suite(),
-            sa: HashMap::new(),
-            bf_and: HashMap::new(),
-            bf_or: HashMap::new(),
-            reports: Vec::new(),
-        }
-    }
-
-    fn circuit(&self, name: &str) -> &Circuit {
-        self.suite
-            .iter()
-            .find(|c| c.name() == name)
-            .unwrap_or_else(|| panic!("unknown circuit {name}"))
-    }
-
-    fn sa_records(&mut self, name: &str) -> &[FaultRecord] {
-        if !self.sa.contains_key(name) {
-            let c = self.circuit(name);
-            let mut faults = stuck_at_universe(c, true);
-            faults.truncate(self.config.sa_cap);
-            let t = Instant::now();
-            let sweep = sweep_universe(c, &faults, &self.config.sweep);
-            let records = records_from_sweep(c, &faults, &sweep);
-            eprintln!(
-                "  [sa] {name}: {} faults ({} classes) in {:?}",
-                records.len(),
-                sweep.classes,
-                t.elapsed()
-            );
-            report_shards(&sweep);
-            self.reports.push(dp_core::sweep_report(name, "stuck-at", &sweep));
-            self.sa.insert(name.to_string(), records);
-        }
-        &self.sa[name]
-    }
-
-    fn bf_records(&mut self, name: &str, kind: BridgeKind) -> &[FaultRecord] {
-        let map = match kind {
-            BridgeKind::And => &self.bf_and,
-            BridgeKind::Or => &self.bf_or,
-        };
-        if !map.contains_key(name) {
-            let c = self.circuit(name);
-            let faults = bridging_universe(c, kind, Some(self.config.bf_sample), self.config.seed);
-            let t = Instant::now();
-            let sweep = sweep_universe(c, &faults, &self.config.sweep);
-            let records = records_from_sweep(c, &faults, &sweep);
-            eprintln!(
-                "  [bf {kind}] {name}: {} faults in {:?}",
-                records.len(),
-                t.elapsed()
-            );
-            report_shards(&sweep);
-            let model = match kind {
-                BridgeKind::And => "bridging-and",
-                BridgeKind::Or => "bridging-or",
-            };
-            self.reports.push(dp_core::sweep_report(name, model, &sweep));
-            match kind {
-                BridgeKind::And => self.bf_and.insert(name.to_string(), records),
-                BridgeKind::Or => self.bf_or.insert(name.to_string(), records),
-            };
-        }
-        match kind {
-            BridgeKind::And => &self.bf_and[name],
-            BridgeKind::Or => &self.bf_or[name],
-        }
-    }
-
-    fn bf_merged(&mut self, name: &str) -> Vec<FaultRecord> {
-        let mut records = self.bf_records(name, BridgeKind::And).to_vec();
-        records.extend_from_slice(self.bf_records(name, BridgeKind::Or));
-        records
-    }
-}
+/// The sections `--only` selects, in print order.
+const SECTIONS: [&str; 11] = [
+    "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "ext", "obs", "models",
+];
 
 fn usage() -> ! {
     eprintln!(
         "usage: figures [--smoke] [--bf-sample N] [--sa-cap N] [--threads N] \
-         [--node-budget N] [--fallback-samples N] [--no-collapse] [--only fig1,...] \
-         [--telemetry PATH] [--order identity|fanin-dfs|auto]"
+         [--node-budget N] [--fallback-samples N] [--no-collapse] [--only SECTION,...] \
+         [--telemetry PATH] [--order identity|fanin-dfs|auto]\n\
+         sections: {}",
+        SECTIONS.join(",")
     );
     std::process::exit(2);
 }
@@ -205,7 +116,13 @@ fn main() {
             }
             "--no-collapse" => config.sweep.collapse = false,
             "--only" => {
-                only = Some(value(&mut args, "--only").split(',').map(str::to_string).collect());
+                let names: Vec<String> =
+                    value(&mut args, "--only").split(',').map(str::to_string).collect();
+                if let Some(bad) = names.iter().find(|n| !SECTIONS.contains(&n.as_str())) {
+                    eprintln!("--only: unknown section `{bad}`");
+                    usage()
+                }
+                only = Some(names);
             }
             "--telemetry" => telemetry_path = Some(value(&mut args, "--telemetry")),
             "--order" => {
@@ -222,15 +139,13 @@ fn main() {
         }
     }
     let wants = |name: &str| only.as_ref().is_none_or(|o| o.iter().any(|x| x == name));
-    let mut lab = Lab::new(config);
-    let names: Vec<String> = lab.suite.iter().map(|c| c.name().to_string()).collect();
+    let mut lab = Lab::new(config, benchmark_suite()).with_sweep_hook(report_sweep);
     let total = Instant::now();
 
     if wants("fig1") {
         section("Figure 1 — stuck-at detection probability histograms");
         for name in ["c95", "alu74181"] {
-            let records = lab.sa_records(name);
-            let h = Histogram::from_values(config.bins, records.iter().map(|r| r.detectability));
+            let h = lab.fig1_sa_histogram(name);
             println!("[{name}] ({} faults)", h.total());
             println!("{h}");
         }
@@ -238,19 +153,12 @@ fn main() {
 
     if wants("fig2") {
         section("Figure 2 — stuck-at mean detectability vs netlist size");
-        let mut points: Vec<TrendPoint> = Vec::new();
-        for name in &names {
-            let records = lab.sa_records(name).to_vec();
-            points.push(trend_point(lab.circuit(name), &records));
-        }
-        println!("{}", render_trend(&points));
+        println!("{}", render_trend(&lab.fig2_sa_trend()));
     }
 
     if wants("fig3") {
         section("Figure 3 — stuck-at detectability vs max levels to PO (c1355s)");
-        let records = lab.sa_records("c1355s");
-        let po = detectability_vs_po_distance(records);
-        let pi = detectability_vs_pi_distance(records);
+        let (po, pi) = lab.fig3_sa_distance("c1355s");
         println!("{}", render_curve(&po, "levels to PO"));
         println!("companion: detectability vs levels from PI (expected noisier)");
         println!("{}", render_curve(&pi, "levels from PI"));
@@ -258,8 +166,7 @@ fn main() {
 
     if wants("fig4") {
         section("Figure 4 — stuck-at adherence histogram (74181)");
-        let records = lab.sa_records("alu74181");
-        let h = Histogram::from_values(config.bins, records.iter().filter_map(|r| r.adherence));
+        let h = lab.fig4_adherence_histogram("alu74181");
         println!("({} faults with defined adherence)", h.total());
         println!("{h}");
     }
@@ -270,29 +177,18 @@ fn main() {
             "{:<12} {:>10} {:>10} {:>12} {:>12}",
             "circuit", "AND prop", "OR prop", "AND faults", "OR faults"
         );
-        for name in &names {
-            let prop = |rs: &[FaultRecord]| {
-                rs.iter().filter(|r| r.site_function_constant).count() as f64
-                    / rs.len().max(1) as f64
-            };
-            let and_records = lab.bf_records(name, BridgeKind::And).to_vec();
-            let or_records = lab.bf_records(name, BridgeKind::Or).to_vec();
+        for row in lab.fig5_stuck_behaviour() {
             println!(
                 "{:<12} {:>10.4} {:>10.4} {:>12} {:>12}",
-                name,
-                prop(&and_records),
-                prop(&or_records),
-                and_records.len(),
-                or_records.len()
+                row.name, row.and_proportion, row.or_proportion, row.and_faults, row.or_faults
             );
         }
     }
 
     if wants("fig6") {
         section("Figure 6 — bridging-fault detection probability histograms (c95)");
-        for (label, kind) in [("AND", BridgeKind::And), ("OR", BridgeKind::Or)] {
-            let records = lab.bf_records("c95", kind);
-            let h = Histogram::from_values(config.bins, records.iter().map(|r| r.detectability));
+        let (and, or) = lab.fig6_bf_histograms("c95");
+        for (label, h) in [("AND", and), ("OR", or)] {
             println!("{label} NFBFs ({} faults):", h.total());
             println!("{h}");
         }
@@ -300,26 +196,18 @@ fn main() {
 
     if wants("fig7") {
         section("Figure 7 — bridging-fault mean detectability vs netlist size");
-        let mut points: Vec<TrendPoint> = Vec::new();
-        for name in &names {
-            let records = lab.bf_merged(name);
-            points.push(trend_point(lab.circuit(name), &records));
-        }
-        println!("{}", render_trend(&points));
+        println!("{}", render_trend(&lab.fig7_bf_trend()));
     }
 
     if wants("fig8") {
         section("Figure 8 — bridging-fault detectability vs max levels to PO (c1355s)");
-        let records = lab.bf_merged("c1355s");
-        let curve = detectability_vs_po_distance(&records);
-        println!("{}", render_curve(&curve, "levels to PO"));
+        println!("{}", render_curve(&lab.fig8_bf_distance("c1355s"), "levels to PO"));
     }
 
     if wants("ext") {
         section("Extensions — SCOAP correlation, random-test planning, double faults");
         for name in ["c95", "alu74181", "c432s"] {
-            let records = lab.sa_records(name).to_vec();
-            let rho = dp_analysis::correlation::scoap_correlation(lab.circuit(name), &records);
+            let rho = lab.ext_scoap_correlation(name);
             println!(
                 "{:<12} spearman(det, CO) = {:>7}  (det, CC) = {:>7}  (det, cost) = {:>7}  n = {}",
                 name,
@@ -331,12 +219,8 @@ fn main() {
         }
         println!();
         for name in ["c95", "alu74181"] {
-            let records = lab.sa_records(name).to_vec();
-            let curve = dp_analysis::coverage::expected_random_coverage(
-                &records,
-                &[16, 64, 256, 1024],
-            );
-            let rendered: Vec<String> = curve
+            let rendered: Vec<String> = lab
+                .ext_random_coverage(name, &[16, 64, 256, 1024])
                 .iter()
                 .map(|(k, c)| format!("{k}→{:.1}%", c * 100.0))
                 .collect();
@@ -344,7 +228,7 @@ fn main() {
         }
         println!();
         for name in ["c95", "alu74181"] {
-            let r = dp_analysis::coverage::double_fault_coverage(lab.circuit(name), 200, 1990);
+            let r = lab.ext_double_fault_coverage(name, 200);
             println!(
                 "{:<12} double-fault coverage of complete single-fault set: {}/{} detectable doubles ({:.1}%), {} vectors",
                 name,
@@ -358,8 +242,7 @@ fn main() {
 
     if wants("obs") {
         section("§4.1 observation — POs fed vs POs observable");
-        for name in &names {
-            let (equal, detectable) = pos_fed_vs_observed(lab.sa_records(name));
+        for (name, equal, detectable) in lab.obs_pos_fed_vs_observed() {
             println!(
                 "{:<12} {:>6}/{:<6} equal ({:.1}%)",
                 name,
@@ -378,37 +261,16 @@ fn main() {
         );
         for name in ["c17", "c95", "alu74181"] {
             for model in ["fbridge-and", "fbridge-or", "multi"] {
-                let c = lab.circuit(name);
-                let faults =
-                    fault_model_universe(c, model, Some(lab.config.bf_sample), lab.config.seed)
-                        .expect("builtin model name");
-                let t = Instant::now();
-                let sweep = sweep_universe(c, &faults, &lab.config.sweep);
-                eprintln!(
-                    "  [{model}] {name}: {} faults in {:?}",
-                    faults.len(),
-                    t.elapsed()
-                );
-                report_shards(&sweep);
-                let n = sweep.summaries.len();
-                let detectable = sweep.summaries.iter().filter(|s| s.is_detectable()).count();
-                let oscillating = sweep
-                    .summaries
-                    .iter()
-                    .filter(|s| s.outcome.is_oscillating())
-                    .count();
-                let mean = sweep.summaries.iter().map(|s| s.detectability).sum::<f64>()
-                    / n.max(1) as f64;
-                lab.reports.push(dp_core::sweep_report(name, model, &sweep));
+                let row = lab.model_row(name, model).expect("builtin model name");
                 println!(
                     "{:<12} {:<12} {:>8} {:>11} {:>10} {:>12} {:>10.4}",
                     name,
                     model,
-                    n,
-                    detectable,
-                    n - detectable,
-                    oscillating,
-                    mean
+                    row.faults,
+                    row.detectable,
+                    row.faults - row.detectable,
+                    row.oscillating,
+                    row.mean_detectability
                 );
             }
         }
@@ -416,7 +278,7 @@ fn main() {
 
     if let Some(path) = &telemetry_path {
         let mut file = dp_telemetry::ReportFile::new("figures");
-        file.reports = std::mem::take(&mut lab.reports);
+        file.reports = lab.into_reports();
         match std::fs::write(path, file.to_pretty_string()) {
             Ok(()) => eprintln!("telemetry: {} sweep reports written to {path}", file.reports.len()),
             Err(e) => {
@@ -432,9 +294,14 @@ fn section(title: &str) {
     println!("\n=== {title} ===\n");
 }
 
-/// Per-shard BDD-manager counters, on stderr with the timing lines so the
-/// figure series on stdout stay byte-stable across parallelism settings.
-fn report_shards(sweep: &SweepResult) {
+/// One sweep's timing line and per-shard BDD-manager counters, on stderr so
+/// the figure series on stdout stay byte-stable across parallelism settings.
+fn report_sweep(name: &str, model: &str, sweep: &SweepResult, elapsed: Duration) {
+    eprintln!(
+        "  [{model}] {name}: {} faults ({} classes) in {elapsed:?}",
+        sweep.summaries.len(),
+        sweep.classes
+    );
     let bounded = sweep.num_bounded();
     if bounded > 0 {
         eprintln!(

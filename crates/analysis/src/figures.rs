@@ -1,16 +1,28 @@
-//! One driver per paper artifact (Figures 1–8 and the §4.1 observation).
+//! One implementation per paper artifact: Figures 1–8, the §4.1
+//! observation, the extensions and the extended-model scenario matrix.
 //!
-//! Each driver returns plain printable data; the `figures` binary prints the
-//! full set (recorded in `EXPERIMENTS.md`) and the Criterion harness in
-//! `crates/bench` times each one.
+//! A [`Lab`] holds the experiment configuration, a circuit suite and a
+//! cache of fault records: each (circuit, fault model) pair is swept once,
+//! on first use, and every driver that needs it reads the cached records.
+//! Each driver returns plain printable data. The `figures` binary renders
+//! them (its paper-scale output is recorded in `EXPERIMENTS.md`), the
+//! paper-claims tests assert on them, and the Criterion harness in
+//! `crates/bench` times them.
 
-use dp_core::{sweep_universe, SweepConfig};
+use std::collections::HashMap;
+use std::time::{Duration, Instant};
+
+use dp_core::{sweep_universe, SweepConfig, SweepResult};
 use dp_faults::BridgeKind;
 use dp_netlist::Circuit;
+use dp_telemetry::SweepReport;
 
+use crate::correlation::{scoap_correlation, ScoapCorrelation};
+use crate::coverage::{double_fault_coverage, expected_random_coverage, DoubleFaultCoverage};
 use crate::histogram::Histogram;
 use crate::records::{
-    bridging_universe, records_from_sweep, stuck_at_universe, FaultRecord,
+    bridging_universe, fault_model_universe, records_from_summaries, stuck_at_universe,
+    FaultRecord,
 };
 use crate::topology::{
     detectability_vs_pi_distance, detectability_vs_po_distance, pos_fed_vs_observed,
@@ -65,60 +77,9 @@ impl ExperimentConfig {
     }
 }
 
-/// Stuck-at records for one circuit under a config (collapsed checkpoints).
-pub fn stuck_at_records(circuit: &Circuit, config: &ExperimentConfig) -> Vec<FaultRecord> {
-    let mut faults = stuck_at_universe(circuit, true);
-    faults.truncate(config.sa_cap);
-    let sweep = sweep_universe(circuit, &faults, &config.sweep);
-    records_from_sweep(circuit, &faults, &sweep)
-}
-
-/// Bridging records for one circuit and kind under a config.
-pub fn bridging_records(
-    circuit: &Circuit,
-    kind: BridgeKind,
-    config: &ExperimentConfig,
-) -> Vec<FaultRecord> {
-    let faults = bridging_universe(circuit, kind, Some(config.bf_sample), config.seed);
-    let sweep = sweep_universe(circuit, &faults, &config.sweep);
-    records_from_sweep(circuit, &faults, &sweep)
-}
-
-/// **Figure 1** — stuck-at detection-probability histogram of a circuit.
-pub fn fig1_sa_histogram(circuit: &Circuit, config: &ExperimentConfig) -> Histogram {
-    let records = stuck_at_records(circuit, config);
-    Histogram::from_values(config.bins, records.iter().map(|r| r.detectability))
-}
-
-/// **Figure 2** — stuck-at mean-detectability trend across a circuit set.
-pub fn fig2_sa_trend(suite: &[Circuit], config: &ExperimentConfig) -> Vec<TrendPoint> {
-    suite
-        .iter()
-        .map(|c| trend_point(c, &stuck_at_records(c, config)))
-        .collect()
-}
-
-/// **Figure 3** — stuck-at detectability versus maximum levels to PO (the
-/// bathtub curve), plus the PI-distance companion from §4.1.
-pub fn fig3_sa_distance(
-    circuit: &Circuit,
-    config: &ExperimentConfig,
-) -> (Vec<DistanceBucket>, Vec<DistanceBucket>) {
-    let records = stuck_at_records(circuit, config);
-    (
-        detectability_vs_po_distance(&records),
-        detectability_vs_pi_distance(&records),
-    )
-}
-
-/// **Figure 4** — stuck-at adherence histogram of a circuit.
-pub fn fig4_adherence_histogram(circuit: &Circuit, config: &ExperimentConfig) -> Histogram {
-    let records = stuck_at_records(circuit, config);
-    Histogram::from_values(
-        config.bins,
-        records.iter().filter_map(|r| r.adherence),
-    )
-}
+/// Called after every sweep a [`Lab`] runs, with the circuit name, the
+/// fault-model name, the sweep and its wall time.
+pub type SweepHook = fn(&str, &str, &SweepResult, Duration);
 
 /// One circuit's row in **Figure 5**: the proportions of AND and OR NFBFs
 /// whose faulty site function is constant ("stuck-at behaviour").
@@ -136,69 +97,257 @@ pub struct StuckBehaviourRow {
     pub or_faults: usize,
 }
 
-/// **Figure 5** — proportions of NFBFs exhibiting stuck-at behaviour.
-pub fn fig5_stuck_behaviour(suite: &[Circuit], config: &ExperimentConfig) -> Vec<StuckBehaviourRow> {
-    suite
-        .iter()
-        .map(|c| {
-            let and_records = bridging_records(c, BridgeKind::And, config);
-            let or_records = bridging_records(c, BridgeKind::Or, config);
-            let prop = |rs: &[FaultRecord]| {
-                if rs.is_empty() {
-                    0.0
-                } else {
-                    rs.iter().filter(|r| r.site_function_constant).count() as f64 / rs.len() as f64
+/// One (circuit, fault model) row of the extended-model scenario matrix.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ModelRow {
+    /// Faults swept.
+    pub faults: usize,
+    /// Faults with non-zero detectability.
+    pub detectable: usize,
+    /// Faults carrying an oscillation residual (feedback bridges).
+    pub oscillating: usize,
+    /// Mean detectability over all swept faults.
+    pub mean_detectability: f64,
+}
+
+/// The experiment configuration, a circuit suite, and the fault records
+/// and telemetry reports of every sweep run so far.
+pub struct Lab {
+    config: ExperimentConfig,
+    suite: Vec<Circuit>,
+    /// Records per (circuit, bridge kind); `None` is the stuck-at set.
+    records: HashMap<(String, Option<BridgeKind>), Vec<FaultRecord>>,
+    /// One schema-versioned report per sweep, in sweep order.
+    reports: Vec<SweepReport>,
+    hook: Option<SweepHook>,
+}
+
+impl Lab {
+    /// A lab over `suite` with nothing swept yet.
+    pub fn new(config: ExperimentConfig, suite: Vec<Circuit>) -> Self {
+        Lab {
+            config,
+            suite,
+            records: HashMap::new(),
+            reports: Vec::new(),
+            hook: None,
+        }
+    }
+
+    /// Calls `hook` after every sweep (the `figures` binary's progress and
+    /// per-shard counter lines).
+    pub fn with_sweep_hook(self, hook: SweepHook) -> Self {
+        Lab {
+            hook: Some(hook),
+            ..self
+        }
+    }
+
+    /// The telemetry reports of every sweep run, in sweep order.
+    pub fn into_reports(self) -> Vec<SweepReport> {
+        self.reports
+    }
+
+    /// # Panics
+    ///
+    /// Panics when the suite has no circuit called `name`.
+    fn circuit(&self, name: &str) -> &Circuit {
+        self.suite
+            .iter()
+            .find(|c| c.name() == name)
+            .unwrap_or_else(|| panic!("circuit {name} is not in the lab's suite"))
+    }
+
+    fn names(&self) -> Vec<String> {
+        self.suite.iter().map(|c| c.name().to_string()).collect()
+    }
+
+    fn sweep(&mut self, name: &str, model: &str, faults: &[dp_faults::Fault]) -> SweepResult {
+        let t = Instant::now();
+        let sweep = sweep_universe(self.circuit(name), faults, &self.config.sweep);
+        if let Some(hook) = self.hook {
+            hook(name, model, &sweep, t.elapsed());
+        }
+        self.reports.push(dp_core::sweep_report(name, model, &sweep));
+        sweep
+    }
+
+    /// The circuit and its records for one fault set, swept on first use:
+    /// the collapsed checkpoint stuck-at set capped at `sa_cap` (`kind`
+    /// `None`), or the sampled NFBF set of a bridge kind.
+    fn records(&mut self, name: &str, kind: Option<BridgeKind>) -> (&Circuit, &[FaultRecord]) {
+        let key = (name.to_string(), kind);
+        if !self.records.contains_key(&key) {
+            let c = self.circuit(name);
+            let (faults, model) = match kind {
+                None => {
+                    let mut faults = stuck_at_universe(c, true);
+                    faults.truncate(self.config.sa_cap);
+                    (faults, "stuck-at")
                 }
+                Some(kind) => (
+                    bridging_universe(c, kind, Some(self.config.bf_sample), self.config.seed),
+                    match kind {
+                        BridgeKind::And => "bridging-and",
+                        BridgeKind::Or => "bridging-or",
+                    },
+                ),
             };
-            StuckBehaviourRow {
-                name: c.name().to_string(),
-                and_proportion: prop(&and_records),
-                or_proportion: prop(&or_records),
-                and_faults: and_records.len(),
-                or_faults: or_records.len(),
-            }
+            let sweep = self.sweep(name, model, &faults);
+            let records = records_from_summaries(self.circuit(name), &faults, &sweep.summaries);
+            self.records.insert(key.clone(), records);
+        }
+        (self.circuit(name), &self.records[&key])
+    }
+
+    /// The stuck-at records of circuit `name` (collapsed checkpoints).
+    pub fn sa_records(&mut self, name: &str) -> &[FaultRecord] {
+        self.records(name, None).1
+    }
+
+    /// The bridging records of circuit `name` for one bridge kind.
+    pub fn bf_records(&mut self, name: &str, kind: BridgeKind) -> &[FaultRecord] {
+        self.records(name, Some(kind)).1
+    }
+
+    /// AND and OR bridging records merged, as the paper found no material
+    /// difference between them.
+    fn bf_merged(&mut self, name: &str) -> Vec<FaultRecord> {
+        let mut records = self.bf_records(name, BridgeKind::And).to_vec();
+        records.extend_from_slice(self.bf_records(name, BridgeKind::Or));
+        records
+    }
+
+    /// **Figure 1** — stuck-at detection-probability histogram of a circuit.
+    pub fn fig1_sa_histogram(&mut self, name: &str) -> Histogram {
+        let bins = self.config.bins;
+        Histogram::from_values(bins, self.sa_records(name).iter().map(|r| r.detectability))
+    }
+
+    /// **Figure 2** — stuck-at mean-detectability trend across the suite.
+    pub fn fig2_sa_trend(&mut self) -> Vec<TrendPoint> {
+        self.names()
+            .iter()
+            .map(|name| {
+                let (c, records) = self.records(name, None);
+                trend_point(c, records)
+            })
+            .collect()
+    }
+
+    /// **Figure 3** — stuck-at detectability versus maximum levels to PO (the
+    /// bathtub curve), plus the PI-distance companion from §4.1.
+    pub fn fig3_sa_distance(&mut self, name: &str) -> (Vec<DistanceBucket>, Vec<DistanceBucket>) {
+        let records = self.sa_records(name);
+        (
+            detectability_vs_po_distance(records),
+            detectability_vs_pi_distance(records),
+        )
+    }
+
+    /// **Figure 4** — stuck-at adherence histogram of a circuit.
+    pub fn fig4_adherence_histogram(&mut self, name: &str) -> Histogram {
+        let bins = self.config.bins;
+        Histogram::from_values(bins, self.sa_records(name).iter().filter_map(|r| r.adherence))
+    }
+
+    /// **Figure 5** — proportions of NFBFs exhibiting stuck-at behaviour, one
+    /// row per suite circuit.
+    pub fn fig5_stuck_behaviour(&mut self) -> Vec<StuckBehaviourRow> {
+        let prop = |rs: &[FaultRecord]| {
+            rs.iter().filter(|r| r.site_function_constant).count() as f64 / rs.len().max(1) as f64
+        };
+        self.names()
+            .into_iter()
+            .map(|name| {
+                let and = self.bf_records(&name, BridgeKind::And);
+                let (and_proportion, and_faults) = (prop(and), and.len());
+                let or = self.bf_records(&name, BridgeKind::Or);
+                let (or_proportion, or_faults) = (prop(or), or.len());
+                StuckBehaviourRow {
+                    name,
+                    and_proportion,
+                    or_proportion,
+                    and_faults,
+                    or_faults,
+                }
+            })
+            .collect()
+    }
+
+    /// **Figure 6** — bridging-fault detection-probability histograms (AND and
+    /// OR sets) for one circuit.
+    pub fn fig6_bf_histograms(&mut self, name: &str) -> (Histogram, Histogram) {
+        let bins = self.config.bins;
+        let mut histogram = |kind| {
+            Histogram::from_values(bins, self.bf_records(name, kind).iter().map(|r| r.detectability))
+        };
+        (histogram(BridgeKind::And), histogram(BridgeKind::Or))
+    }
+
+    /// **Figure 7** — bridging-fault mean-detectability trend across the
+    /// suite, AND and OR sets merged.
+    pub fn fig7_bf_trend(&mut self) -> Vec<TrendPoint> {
+        self.names()
+            .iter()
+            .map(|name| {
+                let records = self.bf_merged(name);
+                trend_point(self.circuit(name), &records)
+            })
+            .collect()
+    }
+
+    /// **Figure 8** — bridging-fault detectability versus maximum levels to PO.
+    pub fn fig8_bf_distance(&mut self, name: &str) -> Vec<DistanceBucket> {
+        detectability_vs_po_distance(&self.bf_merged(name))
+    }
+
+    /// The §4.1 observation: per suite circuit, the `(equal, detectable)`
+    /// counts of stuck-at faults whose fed-PO and observable-PO counts
+    /// coincide.
+    pub fn obs_pos_fed_vs_observed(&mut self) -> Vec<(String, usize, usize)> {
+        self.names()
+            .into_iter()
+            .map(|name| {
+                let (equal, detectable) = pos_fed_vs_observed(self.sa_records(&name));
+                (name, equal, detectable)
+            })
+            .collect()
+    }
+
+    /// Extension: Spearman correlations between a circuit's exact stuck-at
+    /// detectabilities and its SCOAP estimates.
+    pub fn ext_scoap_correlation(&mut self, name: &str) -> ScoapCorrelation {
+        let (c, records) = self.records(name, None);
+        scoap_correlation(c, records)
+    }
+
+    /// Extension: expected stuck-at coverage of random tests of each length.
+    pub fn ext_random_coverage(&mut self, name: &str, lengths: &[usize]) -> Vec<(usize, f64)> {
+        expected_random_coverage(self.sa_records(name), lengths)
+    }
+
+    /// Extension: coverage of `samples` random double stuck-at faults by a
+    /// complete single-fault test set.
+    pub fn ext_double_fault_coverage(&self, name: &str, samples: usize) -> DoubleFaultCoverage {
+        double_fault_coverage(self.circuit(name), samples, self.config.seed)
+    }
+
+    /// The scenario matrix: sweeps one extended fault model (a
+    /// [`fault_model_universe`] name, sampled at `bf_sample`) over a
+    /// circuit. Not cached: each call sweeps.
+    pub fn model_row(&mut self, name: &str, model: &str) -> Result<ModelRow, String> {
+        let ExperimentConfig { bf_sample, seed, .. } = self.config;
+        let faults = fault_model_universe(self.circuit(name), model, Some(bf_sample), seed)?;
+        let summaries = self.sweep(name, model, &faults).summaries;
+        Ok(ModelRow {
+            faults: summaries.len(),
+            detectable: summaries.iter().filter(|s| s.is_detectable()).count(),
+            oscillating: summaries.iter().filter(|s| s.outcome.is_oscillating()).count(),
+            mean_detectability: summaries.iter().map(|s| s.detectability).sum::<f64>()
+                / summaries.len().max(1) as f64,
         })
-        .collect()
-}
-
-/// **Figure 6** — bridging-fault detection-probability histograms (AND and
-/// OR sets) for one circuit.
-pub fn fig6_bf_histograms(
-    circuit: &Circuit,
-    config: &ExperimentConfig,
-) -> (Histogram, Histogram) {
-    let mk = |kind| {
-        let records = bridging_records(circuit, kind, config);
-        Histogram::from_values(config.bins, records.iter().map(|r| r.detectability))
-    };
-    (mk(BridgeKind::And), mk(BridgeKind::Or))
-}
-
-/// **Figure 7** — bridging-fault mean-detectability trend (AND and OR sets
-/// merged, as the paper found no material difference between them).
-pub fn fig7_bf_trend(suite: &[Circuit], config: &ExperimentConfig) -> Vec<TrendPoint> {
-    suite
-        .iter()
-        .map(|c| {
-            let mut records = bridging_records(c, BridgeKind::And, config);
-            records.extend(bridging_records(c, BridgeKind::Or, config));
-            trend_point(c, &records)
-        })
-        .collect()
-}
-
-/// **Figure 8** — bridging-fault detectability versus maximum levels to PO.
-pub fn fig8_bf_distance(circuit: &Circuit, config: &ExperimentConfig) -> Vec<DistanceBucket> {
-    let mut records = bridging_records(circuit, BridgeKind::And, config);
-    records.extend(bridging_records(circuit, BridgeKind::Or, config));
-    detectability_vs_po_distance(&records)
-}
-
-/// The §4.1 observation: `(equal, detectable)` counts of faults whose
-/// fed-PO and observable-PO counts coincide.
-pub fn obs_pos_fed_vs_observed(circuit: &Circuit, config: &ExperimentConfig) -> (usize, usize) {
-    let records = stuck_at_records(circuit, config);
-    pos_fed_vs_observed(&records)
+    }
 }
 
 #[cfg(test)]
@@ -206,13 +355,13 @@ mod tests {
     use super::*;
     use dp_netlist::generators::{c17, c95, full_adder};
 
-    fn cfg() -> ExperimentConfig {
-        ExperimentConfig::smoke()
+    fn lab(suite: Vec<Circuit>) -> Lab {
+        Lab::new(ExperimentConfig::smoke(), suite)
     }
 
     #[test]
     fn fig1_histogram_is_normalised() {
-        let h = fig1_sa_histogram(&c95(), &cfg());
+        let h = lab(vec![c95()]).fig1_sa_histogram("c95");
         assert!(h.total() > 0);
         let sum: f64 = h.proportions().iter().sum();
         assert!((sum - 1.0).abs() < 1e-12);
@@ -220,15 +369,14 @@ mod tests {
 
     #[test]
     fn fig2_trend_has_one_point_per_circuit() {
-        let suite = vec![c17(), full_adder()];
-        let points = fig2_sa_trend(&suite, &cfg());
+        let points = lab(vec![c17(), full_adder()]).fig2_sa_trend();
         assert_eq!(points.len(), 2);
         assert_eq!(points[0].name, "c17");
     }
 
     #[test]
     fn fig3_returns_both_curves() {
-        let (po, pi) = fig3_sa_distance(&c95(), &cfg());
+        let (po, pi) = lab(vec![c95()]).fig3_sa_distance("c95");
         assert!(!po.is_empty());
         assert!(!pi.is_empty());
     }
@@ -236,14 +384,14 @@ mod tests {
     #[test]
     fn fig4_adherence_spikes_at_one() {
         // The paper: sharp rise at adherence = 1.0 (PO faults and more).
-        let h = fig4_adherence_histogram(&c95(), &cfg());
+        let h = lab(vec![c95()]).fig4_adherence_histogram("c95");
         let props = h.proportions();
         assert!(props[h.num_bins() - 1] > 0.0, "no mass at adherence 1.0");
     }
 
     #[test]
     fn fig5_proportions_in_range() {
-        let rows = fig5_stuck_behaviour(&[c17(), full_adder()], &cfg());
+        let rows = lab(vec![c17(), full_adder()]).fig5_stuck_behaviour();
         for row in rows {
             assert!((0.0..=1.0).contains(&row.and_proportion));
             assert!((0.0..=1.0).contains(&row.or_proportion));
@@ -253,28 +401,57 @@ mod tests {
 
     #[test]
     fn fig6_histograms_for_both_kinds() {
-        let (and_h, or_h) = fig6_bf_histograms(&c17(), &cfg());
+        let (and_h, or_h) = lab(vec![c17()]).fig6_bf_histograms("c17");
         assert!(and_h.total() > 0);
         assert!(or_h.total() > 0);
     }
 
     #[test]
     fn fig7_merges_kinds() {
-        let points = fig7_bf_trend(&[c17()], &cfg());
+        let points = lab(vec![c17()]).fig7_bf_trend();
         assert_eq!(points.len(), 1);
         assert!(points[0].total_faults > 0);
     }
 
     #[test]
     fn fig8_curve_nonempty() {
-        let curve = fig8_bf_distance(&c17(), &cfg());
+        let curve = lab(vec![c17()]).fig8_bf_distance("c17");
         assert!(!curve.is_empty());
     }
 
     #[test]
     fn observation_counts_are_consistent() {
-        let (equal, total) = obs_pos_fed_vs_observed(&c17(), &cfg());
+        let rows = lab(vec![c17()]).obs_pos_fed_vs_observed();
+        assert_eq!(rows.len(), 1);
+        let (_, equal, total) = rows[0];
         assert!(equal <= total);
         assert!(total > 0);
+    }
+
+    #[test]
+    fn each_fault_set_is_swept_once_and_reported_in_order() {
+        let mut lab = lab(vec![c17()]);
+        lab.fig1_sa_histogram("c17");
+        lab.fig3_sa_distance("c17");
+        lab.fig6_bf_histograms("c17");
+        lab.fig8_bf_distance("c17");
+        let models: Vec<String> = lab
+            .into_reports()
+            .iter()
+            .map(|r| r.fault_model.clone())
+            .collect();
+        assert_eq!(models, ["stuck-at", "bridging-and", "bridging-or"]);
+    }
+
+    #[test]
+    fn model_rows_sweep_every_call_and_reject_unknown_models() {
+        let mut lab = lab(vec![c17()]);
+        let row = lab.model_row("c17", "fbridge-and").unwrap();
+        assert!(row.faults > 0);
+        assert!(row.detectable <= row.faults);
+        assert!(row.oscillating <= row.faults);
+        assert_eq!(lab.model_row("c17", "fbridge-and"), Ok(row));
+        assert!(lab.model_row("c17", "nonsense").is_err());
+        assert_eq!(lab.into_reports().len(), 2);
     }
 }

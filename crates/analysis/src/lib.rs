@@ -10,8 +10,10 @@
 //! * [`trends`] — circuit-set mean-detectability series (Figures 2, 7);
 //! * [`topology`] — detectability versus distance-to-PO/PI curves
 //!   (Figures 3, 8);
-//! * [`figures`] — one driver per paper artifact, each returning printable
-//!   series that the `figures` binary and the bench harness share;
+//! * [`figures`] — the one implementation of every paper artifact: a
+//!   [`figures::Lab`] sweeps each circuit's fault sets once and its drivers
+//!   return the printable series that the `figures` binary renders and the
+//!   paper-claims tests and bench harness call;
 //! * [`correlation`] — Spearman rank correlations between exact
 //!   detectabilities and SCOAP testability estimates;
 //! * [`coverage`] — pseudo-random test-length planning and double-fault
@@ -40,7 +42,6 @@ pub mod trends;
 
 pub use histogram::Histogram;
 pub use records::{
-    analyze_faults, analyze_faults_with, bridging_universe, fault_model_universe,
-    feedback_bridging_universe, multi_universe, records_from_summaries, records_from_sweep,
-    stuck_at_universe, FaultRecord,
+    analyze_faults, bridging_universe, fault_model_universe, feedback_bridging_universe,
+    multi_universe, records_from_summaries, stuck_at_universe, FaultRecord,
 };

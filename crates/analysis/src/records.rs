@@ -1,6 +1,6 @@
 //! Batch fault analysis: one scalar record per fault.
 
-use dp_core::{sweep_universe, FaultOutcome, Parallelism, SweepConfig, SweepResult};
+use dp_core::{sweep_universe, FaultOutcome, SweepConfig};
 use dp_faults::{
     checkpoint_faults, collapse_checkpoint_faults, enumerate_bridges, enumerate_nfbfs,
     pair_multis, sample_nfbfs, sampled_multis, BridgeKind, BridgeTopology, Fault, SampleConfig,
@@ -60,50 +60,16 @@ impl FaultRecord {
 /// assert!(records.iter().any(|r| r.is_detectable()));
 /// ```
 pub fn analyze_faults(circuit: &Circuit, faults: &[Fault]) -> Vec<FaultRecord> {
-    analyze_faults_with(circuit, faults, Parallelism::Serial)
-}
-
-/// [`analyze_faults`] with an explicit execution strategy.
-///
-/// The propagation work runs through [`dp_core::sweep_universe`], so the
-/// records are bit-identical across all [`Parallelism`] settings; the
-/// topology fields are structural and computed once on the calling thread.
-pub fn analyze_faults_with(
-    circuit: &Circuit,
-    faults: &[Fault],
-    parallelism: Parallelism,
-) -> Vec<FaultRecord> {
-    records_from_sweep(
-        circuit,
-        faults,
-        &sweep_universe(
-            circuit,
-            faults,
-            &SweepConfig {
-                parallelism,
-                ..Default::default()
-            },
-        ),
-    )
+    let sweep = sweep_universe(circuit, faults, &SweepConfig::default());
+    records_from_summaries(circuit, faults, &sweep.summaries)
 }
 
 /// Joins a sweep's per-fault scalars with the circuit's topology facts.
 ///
-/// Exposed so callers that also want the sweep's [`ShardReport`]s (the
-/// `figures` binary, the benches) can run [`dp_core::sweep_universe`]
-/// themselves without analysing every fault twice.
-pub fn records_from_sweep(
-    circuit: &Circuit,
-    faults: &[Fault],
-    sweep: &SweepResult,
-) -> Vec<FaultRecord> {
-    records_from_summaries(circuit, faults, &sweep.summaries)
-}
-
-/// [`records_from_sweep`] over bare summaries — for callers that obtained
-/// the per-fault scalars without a local [`SweepResult`], e.g. the
-/// `diffprop analyze --connect` client which reconstructs summaries from a
-/// `dp-serve` record stream.
+/// The topology fields are structural, so the records are bit-identical
+/// whenever the summaries are: across every [`dp_core::Parallelism`]
+/// setting of [`dp_core::sweep_universe`], and for summaries rebuilt from a
+/// `dp-serve` record stream (the `diffprop analyze --connect` client).
 pub fn records_from_summaries(
     circuit: &Circuit,
     faults: &[Fault],
@@ -341,7 +307,12 @@ mod tests {
         let mut faults = stuck_at_universe(&c, false);
         faults.extend(bridging_universe(&c, BridgeKind::And, None, 0));
         let serial = analyze_faults(&c, &faults);
-        let threaded = analyze_faults_with(&c, &faults, Parallelism::Threads(3));
+        let config = SweepConfig {
+            parallelism: dp_core::Parallelism::Threads(3),
+            ..Default::default()
+        };
+        let sweep = sweep_universe(&c, &faults, &config);
+        let threaded = records_from_summaries(&c, &faults, &sweep.summaries);
         assert_eq!(serial.len(), threaded.len());
         for (s, t) in serial.iter().zip(&threaded) {
             assert_eq!(s.fault, t.fault);
@@ -374,7 +345,7 @@ mod tests {
             ..Default::default()
         };
         let sweep = sweep_universe(&c, &faults, &config);
-        let bounded = records_from_sweep(&c, &faults, &sweep);
+        let bounded = records_from_summaries(&c, &faults, &sweep.summaries);
         assert_eq!(bounded.len(), faults.len());
         assert!(bounded.iter().all(|r| !r.outcome.is_exact()));
         assert!(bounded

@@ -66,3 +66,16 @@ fn smoke_keeps_the_sweep_flags_given_before_it() {
         assert_eq!(threads, Some(2), "--smoke dropped --threads 2");
     }
 }
+
+#[test]
+fn only_with_an_unknown_section_is_a_usage_error() {
+    for only in ["fig9", "fig1,fig9", ""] {
+        let args = ["--smoke", "--only", only];
+        assert_usage_error(&args);
+        let (_, stderr) = run(&args);
+        assert!(
+            stderr.contains("fig1,fig2,"),
+            "{args:?} lists no sections: {stderr}"
+        );
+    }
+}

@@ -60,8 +60,48 @@ pub fn benchmark_suite() -> Vec<Circuit> {
     ]
 }
 
+/// The built-in circuit called `name` (as [`Circuit::name`] reports it:
+/// `c17`, `full_adder`, `c95`, `alu74181`, `c432s`, `c499s`, `c1355s`,
+/// `c1908s`), or `None` for any other name.
+///
+/// # Examples
+///
+/// ```
+/// use dp_netlist::generators::by_name;
+///
+/// assert_eq!(by_name("c432s").unwrap().name(), "c432s");
+/// assert!(by_name("c432").is_none());
+/// ```
+pub fn by_name(name: &str) -> Option<Circuit> {
+    Some(match name {
+        "c17" => c17(),
+        "full_adder" => full_adder(),
+        "c95" => c95(),
+        "alu74181" => alu74181(),
+        "c432s" => c432_surrogate(),
+        "c499s" => c499_surrogate(),
+        "c1355s" => c1355_surrogate(),
+        "c1908s" => c1908_surrogate(),
+        _ => return None,
+    })
+}
+
 /// The small half of the suite (everything cheap enough for exhaustive
 /// cross-validation against the bit-parallel simulator).
 pub fn small_suite() -> Vec<Circuit> {
     vec![c17(), full_adder(), c95(), alu74181()]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn by_name_returns_every_suite_circuit() {
+        for c in benchmark_suite() {
+            let named = by_name(c.name()).unwrap_or_else(|| panic!("{} not found", c.name()));
+            assert_eq!(named.name(), c.name());
+            assert_eq!(named.num_gates(), c.num_gates());
+        }
+    }
 }

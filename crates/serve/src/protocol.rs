@@ -70,11 +70,21 @@ pub enum CircuitSpec {
 
 impl CircuitSpec {
     /// Builds a spec from a CLI circuit argument: a builtin name stays a
-    /// name, anything else is read from disk as `.bench` source.
+    /// name, anything else is read from disk as `.bench` source. A file
+    /// larger than [`MAX_REQUEST_BYTES`] is an error before it is read: no
+    /// request carrying it would fit on one line.
     pub fn from_arg(arg: &str) -> Result<CircuitSpec, String> {
         if is_builtin(arg) {
             Ok(CircuitSpec::Builtin(arg.to_string()))
         } else {
+            let len = std::fs::metadata(arg)
+                .map_err(|e| format!("cannot read {arg}: {e}"))?
+                .len();
+            if len > MAX_REQUEST_BYTES as u64 {
+                return Err(format!(
+                    "{arg} is {len} bytes, over MAX_REQUEST_BYTES ({MAX_REQUEST_BYTES} bytes)"
+                ));
+            }
             let source =
                 std::fs::read_to_string(arg).map_err(|e| format!("cannot read {arg}: {e}"))?;
             Ok(CircuitSpec::Bench {
@@ -88,7 +98,7 @@ impl CircuitSpec {
     pub fn compile(&self) -> Result<Circuit, String> {
         match self {
             CircuitSpec::Builtin(name) => {
-                load_builtin(name).ok_or_else(|| format!("unknown builtin circuit `{name}`"))
+                generators::by_name(name).ok_or_else(|| format!("unknown builtin circuit `{name}`"))
             }
             CircuitSpec::Bench { name, source } => {
                 parse_bench(source, name).map_err(|e| format!("cannot parse {name}: {e}"))
@@ -129,21 +139,7 @@ impl CircuitSpec {
 
 /// The built-in benchmark names shared with the `diffprop` CLI.
 pub fn is_builtin(name: &str) -> bool {
-    load_builtin(name).is_some()
-}
-
-fn load_builtin(name: &str) -> Option<Circuit> {
-    Some(match name {
-        "c17" => generators::c17(),
-        "full_adder" => generators::full_adder(),
-        "c95" => generators::c95(),
-        "alu74181" => generators::alu74181(),
-        "c432s" => generators::c432_surrogate(),
-        "c499s" => generators::c499_surrogate(),
-        "c1355s" => generators::c1355_surrogate(),
-        "c1908s" => generators::c1908_surrogate(),
-        _ => return None,
-    })
+    generators::by_name(name).is_some()
 }
 
 /// Per-request sweep parameters. Everything that changes *which rows* come

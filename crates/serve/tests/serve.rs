@@ -408,3 +408,20 @@ fn an_over_long_request_line_gets_an_error_frame_and_the_connection_closes() {
     assert_eq!(lines.join("\n"), golden.join("\n"));
     assert_eq!(outcome.skipped, 0);
 }
+
+#[test]
+fn a_bench_file_over_the_request_limit_is_refused_before_it_is_read() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let path = dir.join("over_the_request_limit.bench");
+    std::fs::write(&path, vec![b'#'; MAX_REQUEST_BYTES + 1]).expect("write the temp file");
+    let err = match CircuitSpec::from_arg(path.to_str().expect("utf-8 temp path")) {
+        Err(e) => e,
+        Ok(_) => panic!("a file over MAX_REQUEST_BYTES was read"),
+    };
+    assert!(err.contains("MAX_REQUEST_BYTES"), "{err}");
+    // At the limit the file is read and sent inline.
+    std::fs::write(&path, vec![b'#'; MAX_REQUEST_BYTES]).expect("write the temp file");
+    let spec = CircuitSpec::from_arg(path.to_str().unwrap()).expect("a file at the limit");
+    assert!(matches!(spec, CircuitSpec::Bench { .. }));
+    std::fs::remove_file(&path).ok();
+}

@@ -6,26 +6,12 @@
 
 use diffprop::core::generate_tests;
 use diffprop::faults::{checkpoint_faults, enumerate_nfbfs, BridgeKind, Fault};
-use diffprop::netlist::{generators, Circuit};
+use diffprop::netlist::generators;
 use diffprop::sim::detects;
-
-fn load(arg: &str) -> Circuit {
-    match arg {
-        "c17" => generators::c17(),
-        "full_adder" => generators::full_adder(),
-        "c95" => generators::c95(),
-        "alu74181" => generators::alu74181(),
-        "c432s" => generators::c432_surrogate(),
-        "c499s" => generators::c499_surrogate(),
-        "c1355s" => generators::c1355_surrogate(),
-        "c1908s" => generators::c1908_surrogate(),
-        other => panic!("unknown circuit {other}"),
-    }
-}
 
 fn main() {
     let arg = std::env::args().nth(1).unwrap_or_else(|| "alu74181".into());
-    let circuit = load(&arg);
+    let circuit = generators::by_name(&arg).unwrap_or_else(|| panic!("unknown circuit {arg}"));
     println!(
         "=== ATPG via Difference Propagation: {} ===\n",
         circuit.name()

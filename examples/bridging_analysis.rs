@@ -5,21 +5,7 @@
 
 use diffprop::analysis::{analyze_faults, Histogram};
 use diffprop::faults::{enumerate_nfbfs, sample_nfbfs, tune_theta, BridgeKind, Fault, SampleConfig};
-use diffprop::netlist::{generators, Circuit};
-
-fn load(arg: &str) -> Circuit {
-    match arg {
-        "c17" => generators::c17(),
-        "full_adder" => generators::full_adder(),
-        "c95" => generators::c95(),
-        "alu74181" => generators::alu74181(),
-        "c432s" => generators::c432_surrogate(),
-        "c499s" => generators::c499_surrogate(),
-        "c1355s" => generators::c1355_surrogate(),
-        "c1908s" => generators::c1908_surrogate(),
-        other => panic!("unknown circuit {other}"),
-    }
-}
+use diffprop::netlist::generators;
 
 fn main() {
     let arg = std::env::args().nth(1).unwrap_or_else(|| "alu74181".into());
@@ -27,7 +13,7 @@ fn main() {
         .nth(2)
         .map(|s| s.parse().expect("sample must be a number"))
         .unwrap_or(200);
-    let circuit = load(&arg);
+    let circuit = generators::by_name(&arg).unwrap_or_else(|| panic!("unknown circuit {arg}"));
     println!(
         "=== bridging-fault analysis: {} ({} gates) ===\n",
         circuit.name(),

@@ -8,22 +8,11 @@
 
 use diffprop::core::{generate_tests, FaultDictionary};
 use diffprop::faults::{checkpoint_faults, Fault};
-use diffprop::netlist::{generators, Circuit};
-
-fn load(arg: &str) -> Circuit {
-    match arg {
-        "c17" => generators::c17(),
-        "full_adder" => generators::full_adder(),
-        "c95" => generators::c95(),
-        "alu74181" => generators::alu74181(),
-        "c432s" => generators::c432_surrogate(),
-        other => panic!("unknown circuit {other}"),
-    }
-}
+use diffprop::netlist::generators;
 
 fn main() {
     let arg = std::env::args().nth(1).unwrap_or_else(|| "c95".into());
-    let circuit = load(&arg);
+    let circuit = generators::by_name(&arg).unwrap_or_else(|| panic!("unknown circuit {arg}"));
     println!("=== dictionary diagnosis: {} ===\n", circuit.name());
 
     let faults: Vec<Fault> = checkpoint_faults(&circuit)

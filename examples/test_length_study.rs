@@ -11,23 +11,12 @@
 
 use diffprop::analysis::coverage::{double_fault_coverage, expected_random_coverage};
 use diffprop::analysis::{analyze_faults, stuck_at_universe};
-use diffprop::netlist::{generators, Circuit};
+use diffprop::netlist::generators;
 use diffprop::sim::random_detectability;
-
-fn load(arg: &str) -> Circuit {
-    match arg {
-        "c17" => generators::c17(),
-        "full_adder" => generators::full_adder(),
-        "c95" => generators::c95(),
-        "alu74181" => generators::alu74181(),
-        "c432s" => generators::c432_surrogate(),
-        other => panic!("unknown circuit {other}"),
-    }
-}
 
 fn main() {
     let arg = std::env::args().nth(1).unwrap_or_else(|| "alu74181".into());
-    let circuit = load(&arg);
+    let circuit = generators::by_name(&arg).unwrap_or_else(|| panic!("unknown circuit {arg}"));
     println!("=== test-length study: {} ===\n", circuit.name());
 
     let faults = stuck_at_universe(&circuit, true);

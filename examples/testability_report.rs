@@ -15,21 +15,10 @@ use diffprop::analysis::{analyze_faults, stuck_at_universe, Histogram};
 use diffprop::netlist::{generators, parse_bench, Circuit};
 
 fn load(arg: &str) -> Circuit {
-    match arg {
-        "c17" => generators::c17(),
-        "full_adder" => generators::full_adder(),
-        "c95" => generators::c95(),
-        "alu74181" => generators::alu74181(),
-        "c432s" => generators::c432_surrogate(),
-        "c499s" => generators::c499_surrogate(),
-        "c1355s" => generators::c1355_surrogate(),
-        "c1908s" => generators::c1908_surrogate(),
-        path => {
-            let src = std::fs::read_to_string(path)
-                .unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-            parse_bench(&src, path).unwrap_or_else(|e| panic!("cannot parse {path}: {e}"))
-        }
-    }
+    generators::by_name(arg).unwrap_or_else(|| {
+        let src = std::fs::read_to_string(arg).unwrap_or_else(|e| panic!("cannot read {arg}: {e}"));
+        parse_bench(&src, arg).unwrap_or_else(|e| panic!("cannot parse {arg}: {e}"))
+    })
 }
 
 fn main() {

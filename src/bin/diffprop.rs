@@ -67,26 +67,16 @@ use diffprop::faults::BridgeKind;
 use diffprop::netlist::{find_xor_quads, generators, parse_bench, Circuit, Scoap};
 
 fn load(arg: &str) -> Circuit {
-    match arg {
-        "c17" => generators::c17(),
-        "full_adder" => generators::full_adder(),
-        "c95" => generators::c95(),
-        "alu74181" => generators::alu74181(),
-        "c432s" => generators::c432_surrogate(),
-        "c499s" => generators::c499_surrogate(),
-        "c1355s" => generators::c1355_surrogate(),
-        "c1908s" => generators::c1908_surrogate(),
-        path => {
-            let src = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                eprintln!("cannot read {path}: {e}");
-                std::process::exit(1);
-            });
-            parse_bench(&src, path).unwrap_or_else(|e| {
-                eprintln!("cannot parse {path}: {e}");
-                std::process::exit(1);
-            })
-        }
-    }
+    generators::by_name(arg).unwrap_or_else(|| {
+        let src = std::fs::read_to_string(arg).unwrap_or_else(|e| {
+            eprintln!("cannot read {arg}: {e}");
+            std::process::exit(1);
+        });
+        parse_bench(&src, arg).unwrap_or_else(|e| {
+            eprintln!("cannot parse {arg}: {e}");
+            std::process::exit(1);
+        })
+    })
 }
 
 fn usage() -> ! {

@@ -4,30 +4,31 @@
 //! are surrogates (DESIGN.md §4), so what must hold is *who wins and in
 //! which direction*, which is what the paper's figures argue.
 
-use diffprop::analysis::figures::{
-    fig2_sa_trend, fig4_adherence_histogram, fig5_stuck_behaviour, ExperimentConfig,
-};
-use diffprop::analysis::topology::{detectability_vs_po_distance, pos_fed_vs_observed};
-use diffprop::analysis::{analyze_faults, bridging_universe, stuck_at_universe};
+//!
+//! Every claim reads the same `Lab` drivers and record cache that the
+//! `figures` binary prints from.
+
+use diffprop::analysis::figures::{ExperimentConfig, Lab};
 use diffprop::faults::BridgeKind;
 use diffprop::netlist::generators::{alu74181, c17, c95, full_adder};
+use diffprop::netlist::Circuit;
 
-fn cfg() -> ExperimentConfig {
-    ExperimentConfig {
+fn lab(suite: Vec<Circuit>) -> Lab {
+    let config = ExperimentConfig {
         bins: 20,
         bf_sample: 150,
         sa_cap: usize::MAX,
         seed: 1990,
         ..Default::default()
-    }
+    };
+    Lab::new(config, suite)
 }
 
 /// Figure 2's direction: PO-normalised mean detectability decreases from the
 /// small circuits to the larger ones.
 #[test]
 fn normalized_detectability_decreases_with_size() {
-    let suite = vec![c17(), c95(), alu74181()];
-    let points = fig2_sa_trend(&suite, &cfg());
+    let points = lab(vec![c17(), c95(), alu74181()]).fig2_sa_trend();
     let c17_norm = points[0].normalized_detectability;
     let alu_norm = points[2].normalized_detectability;
     assert!(
@@ -40,7 +41,7 @@ fn normalized_detectability_decreases_with_size() {
 /// unexpectedly large proportion" of faults use every excitation minterm.
 #[test]
 fn adherence_spikes_at_one() {
-    let h = fig4_adherence_histogram(&alu74181(), &cfg());
+    let h = lab(vec![alu74181()]).fig4_adherence_histogram("alu74181");
     let props = h.proportions();
     let last = props[props.len() - 1];
     // "Sharp rise at one": the 1.0 bin towers over the bins just below it.
@@ -59,7 +60,7 @@ fn adherence_spikes_at_one() {
 /// generally low (the paper's agreement with Inductive Fault Analysis).
 #[test]
 fn stuck_at_equivalent_bridges_are_a_minority() {
-    let rows = fig5_stuck_behaviour(&[c95(), alu74181()], &cfg());
+    let rows = lab(vec![c95(), alu74181()]).fig5_stuck_behaviour();
     for row in rows {
         assert!(
             row.and_proportion < 0.5,
@@ -75,11 +76,10 @@ fn stuck_at_equivalent_bridges_are_a_minority() {
 /// are close — "the logic dominance value ... is of little consequence".
 #[test]
 fn and_or_bridges_have_similar_means() {
-    let c = c95();
-    let config = cfg();
-    let mean = |kind| {
-        let records = analyze_faults(&c, &bridging_universe(&c, kind, Some(config.bf_sample), config.seed));
-        let detectable: Vec<f64> = records
+    let mut lab = lab(vec![c95()]);
+    let mut mean = |kind| {
+        let detectable: Vec<f64> = lab
+            .bf_records("c95", kind)
             .iter()
             .filter(|r| r.is_detectable())
             .map(|r| r.detectability)
@@ -97,13 +97,11 @@ fn and_or_bridges_have_similar_means() {
 /// §4.1's observation: fed POs and observable POs almost always coincide.
 #[test]
 fn pos_fed_equals_pos_observed_almost_always() {
-    for c in [c17(), full_adder(), c95(), alu74181()] {
-        let records = analyze_faults(&c, &stuck_at_universe(&c, true));
-        let (equal, total) = pos_fed_vs_observed(&records);
+    let rows = lab(vec![c17(), full_adder(), c95(), alu74181()]).obs_pos_fed_vs_observed();
+    for (name, equal, total) in rows {
         assert!(
             equal as f64 >= 0.9 * total as f64,
-            "{}: only {equal}/{total}",
-            c.name()
+            "{name}: only {equal}/{total}"
         );
     }
 }
@@ -112,9 +110,7 @@ fn pos_fed_equals_pos_observed_almost_always() {
 /// the mid-circuit faults.
 #[test]
 fn po_adjacent_faults_are_easier_than_mid_circuit() {
-    let c = alu74181();
-    let records = analyze_faults(&c, &stuck_at_universe(&c, true));
-    let curve = detectability_vs_po_distance(&records);
+    let (curve, _) = lab(vec![alu74181()]).fig3_sa_distance("alu74181");
     assert!(curve.len() >= 3, "need depth for a bathtub");
     let nearest = curve.first().unwrap().mean_detectability;
     let middle = curve[curve.len() / 2].mean_detectability;
@@ -128,12 +124,11 @@ fn po_adjacent_faults_are_easier_than_mid_circuit() {
 /// means (paper §4.2, Figure 7 vs Figure 2).
 #[test]
 fn bridging_means_exceed_stuck_at_means() {
-    let c = c95();
-    let config = cfg();
-    let sa = analyze_faults(&c, &stuck_at_universe(&c, true));
+    let mut lab = lab(vec![c95()]);
+    let sa = lab.sa_records("c95");
     let sa_mean: f64 = sa.iter().map(|r| r.detectability).sum::<f64>() / sa.len() as f64;
-    let mut bf = analyze_faults(&c, &bridging_universe(&c, BridgeKind::And, Some(config.bf_sample), config.seed));
-    bf.extend(analyze_faults(&c, &bridging_universe(&c, BridgeKind::Or, Some(config.bf_sample), config.seed)));
+    let mut bf = lab.bf_records("c95", BridgeKind::And).to_vec();
+    bf.extend_from_slice(lab.bf_records("c95", BridgeKind::Or));
     let bf_mean: f64 = bf.iter().map(|r| r.detectability).sum::<f64>() / bf.len() as f64;
     assert!(
         bf_mean > sa_mean * 0.9,
