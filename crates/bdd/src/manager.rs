@@ -123,6 +123,22 @@ pub(crate) struct Node {
     pub hi: NodeId,
 }
 
+impl Node {
+    /// The stored form of `(var, lo, hi)` when `lo != hi`: if `hi` is
+    /// complemented, both children are flipped so the stored hi edge is
+    /// regular. Also returns whether the edge to the node must then carry
+    /// the complement.
+    pub(crate) fn canonical(var: Var, lo: NodeId, hi: NodeId) -> (Node, bool) {
+        let flip = hi.is_complemented();
+        let (lo, hi) = if flip {
+            (lo.complemented(), hi.complemented())
+        } else {
+            (lo, hi)
+        };
+        (Node { var, lo, hi }, flip)
+    }
+}
+
 /// Level sentinel for terminals: below every real variable.
 pub(crate) const TERMINAL_LEVEL: u32 = u32::MAX;
 
@@ -155,8 +171,8 @@ pub struct Manager {
     base: Option<Arc<FrozenBase>>,
     pub(crate) nodes: Vec<Node>,
     pub(crate) unique: UniqueTable,
-    /// Arena slots a running [`Manager::sift`] has freed; `mk` fills them
-    /// before it grows the arena. Empty outside a sift (its closing
+    /// Arena slots a running [`Manager::sift`] has freed; `store` fills
+    /// them before it grows the arena. Empty outside a sift (its closing
     /// [`Manager::gc`] drops them).
     pub(crate) free: Vec<u32>,
     pub(crate) op_cache: OpCache,
@@ -441,28 +457,10 @@ impl Manager {
         if self.tripped.is_some() {
             return NodeId::TRUE;
         }
-        self.mk_impl(var, lo, hi, true)
-    }
-
-    /// Budget-exempt `mk` for the in-place reorder rewrites, which must
-    /// never observe a dummy edge: a half-rewritten level would corrupt
-    /// the node table. Sifting cost is bounded structurally instead (it
-    /// only re-expresses nodes that already exist).
-    pub(crate) fn mk_raw(&mut self, var: Var, lo: NodeId, hi: NodeId) -> NodeId {
-        self.mk_impl(var, lo, hi, false)
-    }
-
-    fn mk_impl(&mut self, var: Var, lo: NodeId, hi: NodeId, budgeted: bool) -> NodeId {
         if lo == hi {
             return lo;
         }
-        let flip = hi.is_complemented();
-        let (lo, hi) = if flip {
-            (lo.complemented(), hi.complemented())
-        } else {
-            (lo, hi)
-        };
-        let node = Node { var, lo, hi };
+        let (node, flip) = Node::canonical(var, lo, hi);
         // Two-level lookup: the frozen base first (immutable, so a present
         // node is always a hit), then the private delta table. Each probe
         // resolves against exactly one table, keeping
@@ -482,33 +480,18 @@ impl Manager {
             self.stats.delta_lookups += 1;
             id
         } else {
-            if budgeted
-                && self.budget.max_nodes.is_some_and(|max| self.num_nodes() >= max)
+            if self
+                .budget
+                .max_nodes
+                .is_some_and(|max| self.num_nodes() >= max)
             {
                 // Trip before counting the miss or allocating, so the stats
                 // invariant `peak_nodes ≤ 1 + unique.misses` is untouched.
                 self.trip();
                 return NodeId::TRUE;
             }
-            self.stats.unique.miss();
-            self.stats.delta_lookups += 1;
-            let index = match self.free.pop() {
-                Some(slot) => {
-                    self.nodes[slot as usize - base_len] = node;
-                    slot as usize
-                }
-                None => {
-                    self.nodes.push(node);
-                    self.num_nodes() - 1
-                }
-            };
+            let index = self.store(node);
             self.unique.insert(index, &node, &self.nodes, base_len);
-            self.stats.peak_nodes = self.stats.peak_nodes.max(self.num_nodes());
-            // Keep the lossy op cache tracking the arena (base included —
-            // delta recursions memoise base triples too): a memo much
-            // smaller than the live table thrashes apply into super-linear
-            // recompute.
-            self.op_cache.maybe_grow(index + 1);
             NodeId::from_index(index)
         };
         if flip {
@@ -516,6 +499,32 @@ impl Manager {
         } else {
             id
         }
+    }
+
+    /// Stores a node every unique table missed and returns its global
+    /// index: counts the miss, fills a slot a running sift freed or grows
+    /// the arena. The caller files the node in its unique table.
+    pub(crate) fn store(&mut self, node: Node) -> usize {
+        self.stats.unique.miss();
+        self.stats.delta_lookups += 1;
+        let base_len = self.base_len();
+        let index = match self.free.pop() {
+            Some(slot) => {
+                self.nodes[slot as usize - base_len] = node;
+                slot as usize
+            }
+            None => {
+                self.nodes.push(node);
+                self.num_nodes() - 1
+            }
+        };
+        self.stats.peak_nodes = self.stats.peak_nodes.max(self.num_nodes());
+        // Keep the lossy op cache tracking the arena (base included —
+        // delta recursions memoise base triples too): a memo much
+        // smaller than the live table thrashes apply into super-linear
+        // recompute.
+        self.op_cache.maybe_grow(index + 1);
+        index
     }
 
     /// Installs a work budget and starts a fresh budget window (any pending

@@ -4,60 +4,54 @@
 //! Variable order dominates OBDD size. [`Manager::swap_adjacent_levels`]
 //! exchanges two neighbouring levels *in place* — every externally held
 //! [`NodeId`] keeps denoting the same Boolean function — and
-//! [`Manager::sift`] walks each variable through all positions, keeping the
-//! best, which is the classical greedy minimisation.
+//! [`Manager::sift`] walks each variable up and down the order, keeping the
+//! best position, which is the classical greedy minimisation.
 //!
 //! The in-place swap is sound because a rewritten node keeps its slot (and
 //! thus its id) while its decision variable and children change; the
 //! functions represented are untouched. See the module tests for the
 //! function-preservation properties.
 //!
-//! Both run on one swap kernel over [`Levels`]: a per-variable list of the
-//! counted nodes, a reference count per slot (parents plus root handles)
-//! and the running count of live nodes. A swap visits only the nodes of the
-//! upper variable and rewrites those with a child on the lower one, so it
-//! costs time in the nodes at the two swapped levels, not in the arena.
+//! Both run on one swap kernel over [`Levels`], CUDD's layout: during a
+//! run every counted node lives in its variable's own unique subtable,
+//! beside a reference count per slot (parents plus root handles) and the
+//! running count of live nodes. The global table is cleared when the run
+//! starts and refilled once when it ends. A swap of `u` over `v` takes out
+//! of `u`'s subtable the nodes with a child on `v`, rewrites them into
+//! `v`'s subtable and leaves the other `u` nodes where they are, so it
+//! costs time in the nodes at the two swapped levels, and its table
+//! traffic stays in two small tables instead of the arena-sized one.
 //! The sift counts only the nodes its roots reach: a slot whose count drops
-//! to zero leaves the unique table at once and its slot is handed to the
-//! next new node, so dead nodes are never rewritten and the live size at
-//! each step is the running count, canonical for the current order. The
-//! public swaps pin every stored node instead, so no handle dies.
+//! to zero leaves its subtable at once and its slot is handed to the next
+//! new node, so dead nodes are never rewritten and the live size at each
+//! step is the running count, canonical for the current order. The public
+//! swaps pin every stored node instead, so no handle dies.
 
 use crate::manager::{Manager, Node, NodeId, Var};
+use crate::table::UniqueTable;
 
 /// The bookkeeping of one reordering run, kept beside the arena.
 struct Levels {
     /// Per slot: edges from counted parents plus root handles (and the
     /// pin, when every node is pinned). Zero for free slots.
     refs: Vec<u32>,
-    /// `by_var[v]`: the counted nodes labelled `v`, in no particular order.
-    by_var: Vec<Vec<u32>>,
-    /// `pos[i]`: the position of slot `i` in its `by_var` list.
-    pos: Vec<u32>,
+    /// `tables[v]`: variable `v`'s unique subtable, holding exactly its
+    /// counted nodes.
+    tables: Vec<UniqueTable>,
     /// Counted internal nodes: the live size when roots are counted.
     live: usize,
+    /// The largest `live` of the run: the most entries the global table
+    /// would have held had every counted node stayed in it.
+    peak: usize,
     /// Whether every node — stored or new — holds a pin, so none dies.
     pinned: bool,
     /// Scratch stack of [`Manager::release`].
     stack: Vec<usize>,
+    /// Scratch list of the upper-level nodes a swap rewrites.
+    movers: Vec<u32>,
 }
 
 impl Levels {
-    fn link(&mut self, i: usize, var: Var) {
-        let list = &mut self.by_var[var as usize];
-        self.pos[i] = list.len() as u32;
-        list.push(i as u32);
-    }
-
-    fn unlink(&mut self, i: usize, var: Var) {
-        let list = &mut self.by_var[var as usize];
-        let p = self.pos[i] as usize;
-        list.swap_remove(p);
-        if let Some(&moved) = list.get(p) {
-            self.pos[moved as usize] = p as u32;
-        }
-    }
-
     fn retain(&mut self, e: NodeId) {
         if !e.is_terminal() {
             self.refs[e.index()] += 1;
@@ -65,20 +59,39 @@ impl Levels {
     }
 
     /// Starts counting the node stored at slot `i`: it retains its
-    /// children, joins its variable's list and, when pinned, pins itself.
-    fn count(&mut self, i: usize, node: Node) {
+    /// children, joins its variable's subtable and, when pinned, pins
+    /// itself.
+    fn count(&mut self, i: usize, node: Node, nodes: &[Node]) {
         self.retain(node.lo);
         self.retain(node.hi);
-        self.link(i, node.var);
+        self.tables[node.var as usize].insert(i, &node, nodes, 0);
         self.refs[i] += self.pinned as u32;
         self.live += 1;
+        self.peak = self.peak.max(self.live);
+    }
+}
+
+/// Which variables share some root's support, as a bit matrix. Sifting
+/// never changes a function, so this holds for every order of the run.
+struct Interactions {
+    words: usize,
+    bits: Vec<u64>,
+}
+
+impl Interactions {
+    /// Whether some root depends on both `a` and `b` (with `a == b`: on
+    /// `a` at all).
+    fn get(&self, a: Var, b: Var) -> bool {
+        let b = b as usize;
+        self.bits[a as usize * self.words + b / 64] >> (b % 64) & 1 == 1
     }
 }
 
 impl Manager {
     /// Counts the nodes `roots` reach, or with `None` pins every stored
-    /// node. Uncounted nodes leave the unique table and their slots join
-    /// the free list.
+    /// node, and files each in its variable's subtable. Uncounted slots
+    /// join the free list, and the global table is emptied until
+    /// [`Manager::end_run`].
     fn levels(&mut self, roots: Option<&[NodeId]>) -> Levels {
         assert!(
             !self.has_frozen_base(),
@@ -87,11 +100,12 @@ impl Manager {
         let len = self.nodes.len();
         let mut lv = Levels {
             refs: vec![0; len],
-            by_var: vec![Vec::new(); self.num_vars()],
-            pos: vec![0; len],
+            tables: Vec::new(),
             live: 0,
+            peak: 0,
             pinned: roots.is_none(),
             stack: Vec::new(),
+            movers: Vec::new(),
         };
         let mut counted = vec![lv.pinned; len];
         for &r in roots.unwrap_or_default() {
@@ -105,41 +119,76 @@ impl Manager {
             let node = self.nodes[i];
             lv.stack.extend([node.lo.index(), node.hi.index()]);
         }
+        let mut sizes = vec![0; self.num_vars()];
         for (i, &counted) in counted.iter().enumerate().skip(1) {
-            let node = self.nodes[i];
-            if !counted {
-                self.unique.remove(&node, &self.nodes, 0);
+            if counted {
+                sizes[self.nodes[i].var as usize] += 1;
+            } else {
                 self.free.push(i as u32);
-                continue;
             }
-            lv.count(i, node);
         }
+        lv.tables = sizes.into_iter().map(UniqueTable::with_capacity).collect();
+        for (i, &counted) in counted.iter().enumerate().skip(1) {
+            if counted {
+                lv.count(i, self.nodes[i], &self.nodes);
+            }
+        }
+        self.unique.clear();
         lv
     }
 
-    /// `mk_raw` under `lv`: a new node is linked, counted and retains its
-    /// children. Returns the edge with one reference taken for the caller.
+    /// Ends a run: grows the global table by its own load rule to hold
+    /// the run's peak live count (the capacity it would have reached had
+    /// every counted node stayed in it) and, unless a collection rebuilds
+    /// it next, refills it with every counted node.
+    fn end_run(&mut self, lv: &Levels, refill: bool) {
+        self.unique.grow_to_hold(lv.peak, &self.nodes, 0);
+        if refill {
+            for table in &lv.tables {
+                for i in table.iter() {
+                    self.unique.insert(i, &self.nodes[i], &self.nodes, 0);
+                }
+            }
+        }
+    }
+
+    /// The `mk` of a run: the canonical edge for `(var, lo, hi)`, found in
+    /// or added to `var`'s subtable, with one reference taken for the
+    /// caller (the `lo == hi` reduction included). It counts unique-table
+    /// lookups as [`Manager::mk`] does, but never consults the budget: a
+    /// trip mid-swap would leave a level half-rewritten.
     fn mk_counted(&mut self, lv: &mut Levels, var: Var, lo: NodeId, hi: NodeId) -> NodeId {
-        let e = self.mk_raw(var, lo, hi);
-        if e.is_terminal() {
-            return e;
+        if lo == hi {
+            lv.retain(lo);
+            return lo;
         }
-        let i = e.index();
-        if i >= lv.refs.len() {
-            lv.refs.resize(i + 1, 0);
-            lv.pos.resize(i + 1, 0);
+        let (node, flip) = Node::canonical(var, lo, hi);
+        let index = match lv.tables[var as usize].get(&node, &self.nodes, 0) {
+            Some(id) => {
+                self.stats.unique.hit();
+                self.stats.delta_lookups += 1;
+                id.index()
+            }
+            None => {
+                let index = self.store(node);
+                if index >= lv.refs.len() {
+                    lv.refs.resize(index + 1, 0);
+                }
+                lv.count(index, node, &self.nodes);
+                index
+            }
+        };
+        lv.refs[index] += 1;
+        let id = NodeId::from_index(index);
+        if flip {
+            id.complemented()
+        } else {
+            id
         }
-        if lv.refs[i] == 0 {
-            // Counted nodes all hold a reference, and uncounted ones left
-            // the unique table: a zero here is a node `mk_raw` just made.
-            lv.count(i, self.nodes[i]);
-        }
-        lv.refs[i] += 1;
-        e
     }
 
     /// Drops one reference to `e`. A node whose count reaches zero leaves
-    /// the unique table, frees its slot and releases its children in turn.
+    /// its subtable, frees its slot and releases its children in turn.
     fn release(&mut self, lv: &mut Levels, e: NodeId) {
         if e.is_terminal() {
             return;
@@ -151,9 +200,8 @@ impl Manager {
                 continue;
             }
             let node = self.nodes[i];
-            self.unique.remove(&node, &self.nodes, 0);
+            lv.tables[node.var as usize].remove(&node, &self.nodes, 0);
             self.free.push(i as u32);
-            lv.unlink(i, node.var);
             lv.live -= 1;
             for child in [node.lo, node.hi] {
                 if !child.is_terminal() {
@@ -169,29 +217,36 @@ impl Manager {
     fn swap_counted(&mut self, lv: &mut Levels, level: u32) {
         let u = self.var_at_level(level);
         let v = self.var_at_level(level + 1);
-        let on_v = |m: &Manager, x: NodeId| !x.is_terminal() && m.nodes[x.index()].var == v;
-        // The u-nodes' parents sit above `level` and are never rewritten
-        // here, so no u-node dies mid-swap; the new u-nodes `mk_counted`
-        // makes are linked into the emptied list as they appear.
-        for idx in std::mem::take(&mut lv.by_var[u as usize]) {
+        let on_v = |nodes: &[Node], x: NodeId| !x.is_terminal() && nodes[x.index()].var == v;
+        // Take the v-dependent nodes out of u's subtable while the arena
+        // still holds their old contents (removal reads the key there).
+        // The rest are independent of v and just migrate down with u. The
+        // u-nodes' parents sit above `level` and are never rewritten here,
+        // so no u-node dies mid-swap.
+        let mut movers = std::mem::take(&mut lv.movers);
+        let nodes = &self.nodes;
+        movers.extend(lv.tables[u as usize].iter().filter_map(|i| {
+            let node = nodes[i];
+            (on_v(nodes, node.hi) || on_v(nodes, node.lo)).then_some(i as u32)
+        }));
+        for &idx in &movers {
+            let old = self.nodes[idx as usize];
+            lv.tables[u as usize].remove(&old, &self.nodes, 0);
+        }
+        for &idx in &movers {
             let idx = idx as usize;
             let old = self.nodes[idx];
             // Stored hi is regular (canonical form); stored lo may carry a
             // complement. Cofactoring goes through the folded accessors so
             // the attributes travel with the functions.
             let (f1, f0) = (old.hi, old.lo);
-            if !on_v(self, f1) && !on_v(self, f0) {
-                // Independent of v: the node just migrates down with u.
-                lv.link(idx, u);
-                continue;
-            }
             // Cofactors with respect to v.
-            let (f11, f10) = if on_v(self, f1) {
+            let (f11, f10) = if on_v(&self.nodes, f1) {
                 (self.node_hi(f1), self.node_lo(f1))
             } else {
                 (f1, f1)
             };
-            let (f01, f00) = if on_v(self, f0) {
+            let (f01, f00) = if on_v(&self.nodes, f0) {
                 (self.node_hi(f0), self.node_lo(f0))
             } else {
                 (f0, f0)
@@ -202,48 +257,112 @@ impl Manager {
             // regular), so `hi` below never complement-normalises: the
             // rewritten node keeps a regular hi edge and the in-place
             // identity F(idx) is preserved exactly.
-            // Budget-exempt `mk_raw`: a budget trip mid-swap would leave the
-            // level half-rewritten with dummy edges — the table must stay
-            // canonical whatever the budget state.
             let hi = self.mk_counted(lv, u, f01, f11);
             let lo = self.mk_counted(lv, u, f00, f10);
             debug_assert!(!hi.is_complemented(), "swap lost the hi-edge invariant");
             debug_assert_ne!(hi, lo, "a v-dependent node cannot lose v");
-            // Order matters against the arena-keyed table: removal resolves
-            // its probe chain by reading node contents out of the arena, so
-            // the old entry must leave the table while `nodes[idx]` still
-            // holds the old contents — only then may the slot be rewritten
-            // and re-inserted under its new identity. (Reorder is rejected on
-            // frozen-base managers, so the table offset is always 0 here.)
-            let removed = self.unique.remove(&old, &self.nodes, 0);
-            debug_assert!(removed, "swapped node was missing from the unique table");
             let new = Node { var: v, lo, hi };
             self.nodes[idx] = new;
             debug_assert!(
-                self.unique.get(&new, &self.nodes, 0).is_none(),
+                lv.tables[v as usize].get(&new, &self.nodes, 0).is_none(),
                 "level swap produced a duplicate node; canonicity violated"
             );
-            self.unique.insert(idx, &new, &self.nodes, 0);
-            lv.link(idx, v);
+            lv.tables[v as usize].insert(idx, &new, &self.nodes, 0);
             // The new children hold their references, so releasing the old
             // ones frees only nodes the new graph no longer reaches.
             self.release(lv, f1);
             self.release(lv, f0);
         }
+        movers.clear();
+        lv.movers = movers;
         self.swap_order_entries(level);
         self.op_cache.clear();
     }
 
-    /// Moves `var` to `target_level` by adjacent swaps under `lv`.
-    fn move_counted(&mut self, lv: &mut Levels, var: Var, target_level: u32) {
+    /// Moves `var` to `target_level` by adjacent swaps under `lv`. Returns
+    /// the number of swaps.
+    fn move_counted(&mut self, lv: &mut Levels, var: Var, target_level: u32) -> u64 {
+        let mut swaps = 0;
         loop {
             let current = self.level_of(var);
             match current.cmp(&target_level) {
-                std::cmp::Ordering::Equal => break,
+                std::cmp::Ordering::Equal => return swaps,
                 std::cmp::Ordering::Less => self.swap_counted(lv, current),
                 std::cmp::Ordering::Greater => self.swap_counted(lv, current - 1),
             }
+            swaps += 1;
         }
+    }
+
+    /// Which variable pairs share some root's support: the support of
+    /// every counted node, bottom level first, then each root's support
+    /// squared.
+    fn interactions(&self, lv: &Levels, roots: &[NodeId]) -> Interactions {
+        let n = self.num_vars();
+        let words = n.div_ceil(64);
+        let mut support = vec![0u64; lv.refs.len() * words];
+        for &v in self.order().iter().rev() {
+            for i in lv.tables[v as usize].iter() {
+                let node = self.nodes[i];
+                for w in 0..words {
+                    support[i * words + w] =
+                        support[node.lo.index() * words + w] | support[node.hi.index() * words + w];
+                }
+                support[i * words + v as usize / 64] |= 1 << (v % 64);
+            }
+        }
+        let mut bits = vec![0u64; n * words];
+        for r in roots {
+            let s = &support[r.index() * words..][..words];
+            for v in 0..n {
+                if s[v / 64] >> (v % 64) & 1 == 1 {
+                    for (row, &word) in bits[v * words..][..words].iter_mut().zip(s) {
+                        *row |= word;
+                    }
+                }
+            }
+        }
+        Interactions { words, bits }
+    }
+
+    /// Whether no level past `var`'s current one, in the walk direction
+    /// `down`, can hold fewer than `best` live nodes: an exact lower bound
+    /// on every further position (Drechsler, Günther and Somenzi, "Using
+    /// lower bounds during dynamic BDD minimization").
+    ///
+    /// A level's node count depends only on which variables sit above it
+    /// and which below. Walking down, the levels above `var` keep their
+    /// counts, and so do the variables `var` has not passed yet. A passed
+    /// variable that shares no root with `var` keeps its count too. One
+    /// that does keeps at least ⌈c/2⌉ of its `c` nodes: with `var` moved
+    /// below it, each of its new nodes `h` stands for at most the two old
+    /// nodes `h|var=0` and `h|var=1`. Walking up, the levels below `var`
+    /// keep their counts, and each interacting variable passed keeps at
+    /// least 1 node. Either way `var` keeps at least 1 node if a root
+    /// depends on it. The bound for the far end is the least over the
+    /// positions left, since every relaxed term only shrinks.
+    fn walk_is_done(
+        &self,
+        lv: &Levels,
+        inter: &Interactions,
+        var: Var,
+        down: bool,
+        best: usize,
+    ) -> bool {
+        let level = self.level_of(var) as usize;
+        let mut bound = lv.live - lv.tables[var as usize].len() + usize::from(inter.get(var, var));
+        let passed = if down {
+            &self.order()[level + 1..]
+        } else {
+            &self.order()[..level]
+        };
+        for &y in passed {
+            if inter.get(var, y) {
+                let c = lv.tables[y as usize].len();
+                bound -= if down { c / 2 } else { c - 1 };
+            }
+        }
+        bound >= best
     }
 
     /// Swaps the variables at levels `level` and `level + 1` in place.
@@ -264,6 +383,7 @@ impl Manager {
         );
         let mut lv = self.levels(None);
         self.swap_counted(&mut lv, level);
+        self.end_run(&lv, true);
     }
 
     /// Moves variable `var` to `target_level` by a sequence of adjacent
@@ -282,6 +402,7 @@ impl Manager {
         );
         let mut lv = self.levels(None);
         self.move_counted(&mut lv, var, target_level);
+        self.end_run(&lv, true);
     }
 
     /// Number of internal nodes reachable from `roots` (the live size —
@@ -304,8 +425,8 @@ impl Manager {
         count
     }
 
-    /// Rudell's sifting: each variable in turn is moved through every level
-    /// and parked where the live size (over `roots`) is smallest. Returns
+    /// Rudell's sifting: each variable in turn is walked up and down the
+    /// order and parked where the live size (over `roots`) is smallest. Returns
     /// the final live size.
     ///
     /// Only nodes `roots` reach are kept and rewritten: nodes that die
@@ -315,8 +436,15 @@ impl Manager {
     /// the post-sift ids, and every *other* externally held [`NodeId`] is
     /// invalidated — the caller owns the only handles that survive.
     ///
+    /// A walk in one direction stops early once no further level can hold
+    /// fewer live nodes than the best so far (see `walk_is_done`); sizes
+    /// are canonical for each order, so the decisions are those of the
+    /// full walk.
+    ///
     /// Each run adds one to
-    /// [`ManagerStats::sift_runs`](crate::ManagerStats::sift_runs) and its
+    /// [`ManagerStats::sift_runs`](crate::ManagerStats::sift_runs), its
+    /// adjacent swaps to
+    /// [`ManagerStats::sift_swaps`](crate::ManagerStats::sift_swaps) and its
     /// live-size drop to
     /// [`ManagerStats::sift_nodes_reclaimed`](crate::ManagerStats::sift_nodes_reclaimed).
     ///
@@ -352,19 +480,22 @@ impl Manager {
     /// ```
     pub fn sift(&mut self, roots: &mut [NodeId]) -> usize {
         let mut lv = self.levels(Some(roots));
+        let inter = self.interactions(&lv, roots);
         let n = self.num_vars() as u32;
         let before = lv.live;
         let mut best_total = before;
+        let mut swaps = 0;
         // Sift variables in decreasing order of how many live nodes carry
         // them (the standard heuristic).
         let mut occupancy: Vec<(usize, Var)> =
-            (0..n).map(|v| (lv.by_var[v as usize].len(), v)).collect();
+            (0..n).map(|v| (lv.tables[v as usize].len(), v)).collect();
         occupancy.sort_by_key(|&(count, _)| std::cmp::Reverse(count));
 
         for &(_, var) in &occupancy {
             let start = self.level_of(var);
             let mut best_level = start;
-            // Walk to the nearer end first, then sweep to the other end.
+            // Walk to the nearer end first, then sweep to the other end,
+            // each until no further level can beat the best size.
             let (first_end, second_end) = if start <= n / 2 {
                 (0, n - 1)
             } else {
@@ -373,8 +504,12 @@ impl Manager {
             for target in [first_end, second_end] {
                 let mut level = self.level_of(var);
                 while level != target {
-                    let next = if target > level { level + 1 } else { level - 1 };
-                    self.move_counted(&mut lv, var, next);
+                    let down = target > level;
+                    if self.walk_is_done(&lv, &inter, var, down, best_total) {
+                        break;
+                    }
+                    let next = if down { level + 1 } else { level - 1 };
+                    swaps += self.move_counted(&mut lv, var, next);
                     level = next;
                     if lv.live < best_total {
                         best_total = lv.live;
@@ -382,14 +517,16 @@ impl Manager {
                     }
                 }
             }
-            self.move_counted(&mut lv, var, best_level);
+            swaps += self.move_counted(&mut lv, var, best_level);
             best_total = lv.live;
         }
+        self.end_run(&lv, false);
         let remap = self.gc(roots);
         for r in roots.iter_mut() {
             *r = remap.map(*r);
         }
         self.stats.sift_runs += 1;
+        self.stats.sift_swaps += swaps;
         self.stats.sift_nodes_reclaimed += before.saturating_sub(best_total) as u64;
         best_total
     }

@@ -179,6 +179,9 @@ pub struct ManagerStats {
     pub gc_runs: u64,
     /// Completed [`Manager::sift`](crate::Manager::sift) runs. Cumulative.
     pub sift_runs: u64,
+    /// Adjacent level swaps the sift runs made: each walk step plus the
+    /// return to the best level. Cumulative.
+    pub sift_swaps: u64,
     /// Live nodes the sift runs removed (live size before minus after,
     /// summed over runs). Cumulative.
     pub sift_nodes_reclaimed: u64,
@@ -256,6 +259,7 @@ impl ManagerStats {
             op_prior,
             gc_runs: self.gc_runs + other.gc_runs,
             sift_runs: self.sift_runs + other.sift_runs,
+            sift_swaps: self.sift_swaps + other.sift_swaps,
             sift_nodes_reclaimed: self.sift_nodes_reclaimed + other.sift_nodes_reclaimed,
             peak_nodes: self.peak_nodes.max(other.peak_nodes),
             op_steps: self.op_steps + other.op_steps,
@@ -347,6 +351,7 @@ mod tests {
         a.peak_nodes = 10;
         a.gc_runs = 1;
         a.sift_runs = 1;
+        a.sift_swaps = 40;
         a.sift_nodes_reclaimed = 30;
         a.op_steps = 100;
         a.budget_trips = 2;
@@ -356,6 +361,7 @@ mod tests {
         b.op_steps = 50;
         b.base_nodes = 5;
         b.sift_runs = 2;
+        b.sift_swaps = 2;
         b.sift_nodes_reclaimed = 12;
         let m = a.merged(&b);
         assert_eq!(m.base_nodes, 5, "shared base is not double counted");
@@ -365,6 +371,7 @@ mod tests {
         assert_eq!(m.peak_nodes, 10);
         assert_eq!(m.gc_runs, 1);
         assert_eq!(m.sift_runs, 3);
+        assert_eq!(m.sift_swaps, 42);
         assert_eq!(m.sift_nodes_reclaimed, 42);
         assert_eq!(m.op_steps, 150);
         assert_eq!(m.budget_trips, 2);

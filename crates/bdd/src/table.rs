@@ -133,9 +133,7 @@ impl UniqueTable {
     /// resolve slots back to node contents if the insertion forces a
     /// rehash.
     pub(crate) fn insert(&mut self, index: usize, node: &Node, nodes: &[Node], offset: usize) {
-        if (self.len + 1) * LOAD_DEN > self.slots.len() * LOAD_NUM {
-            self.grow(nodes, offset);
-        }
+        self.grow_to_hold(self.len + 1, nodes, offset);
         let mut i = hash_node(node) as usize & self.mask;
         while self.slots[i] != EMPTY {
             i = (i + 1) & self.mask;
@@ -151,6 +149,23 @@ impl UniqueTable {
         while self.slots.len() < needed {
             self.grow(nodes, offset);
         }
+    }
+
+    /// Doubles the slot array until `entries` fit under the load limit:
+    /// the capacity inserting that many one by one reaches (which
+    /// [`UniqueTable::reserve`]'s rounding can exceed). Never shrinks.
+    pub(crate) fn grow_to_hold(&mut self, entries: usize, nodes: &[Node], offset: usize) {
+        while entries * LOAD_DEN > self.slots.len() * LOAD_NUM {
+            self.grow(nodes, offset);
+        }
+    }
+
+    /// The global arena indices of the stored nodes, in slot order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.slots
+            .iter()
+            .filter(|&&s| s != EMPTY)
+            .map(|&s| s as usize)
     }
 
     fn grow(&mut self, nodes: &[Node], offset: usize) {
@@ -172,10 +187,11 @@ impl UniqueTable {
         }
     }
 
-    /// Removes a node by contents (the reorder swap path: the arena slot is
-    /// about to be rewritten in place). Uses backward-shift compaction, so
-    /// no tombstones ever exist; `nodes[index - offset]` must still hold
-    /// `node` when this is called. Returns whether the node was present.
+    /// Removes a node by contents (the reorder paths: the arena slot is
+    /// about to be rewritten in place, or freed). Uses backward-shift
+    /// compaction, so no tombstones ever exist; `nodes[index - offset]`
+    /// must still hold `node` when this is called. Returns whether the node
+    /// was present.
     pub(crate) fn remove(&mut self, node: &Node, nodes: &[Node], offset: usize) -> bool {
         let mut i = hash_node(node) as usize & self.mask;
         loop {
@@ -211,7 +227,8 @@ impl UniqueTable {
         }
     }
 
-    /// Empties the table, keeping its allocation (the gc rebuild path).
+    /// Empties the table, keeping its allocation (the gc rebuild path and
+    /// the start of a reorder run).
     pub(crate) fn clear(&mut self) {
         self.slots.fill(EMPTY);
         self.len = 0;

@@ -1,9 +1,10 @@
 //! Property tests for `Manager::sift` under complement edges and *active*
 //! work budgets.
 //!
-//! Sifting rewrites levels in place through the budget-exempt `mk_raw`: a
-//! budget trip mid-swap would leave the node table half-rewritten with dummy
-//! edges, so reordering must complete whatever the budget state. These
+//! Sifting rewrites levels in place through its own `mk`, which never
+//! consults the budget: a budget trip mid-swap would leave the node table
+//! half-rewritten with dummy edges, so reordering must complete whatever
+//! the budget state. These
 //! properties pin that contract down:
 //!
 //! * sifting on the tightest possible un-tripped budget (zero further op

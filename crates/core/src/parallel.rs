@@ -1003,6 +1003,7 @@ fn harvest_manager_stats(c: &mut Collector, s: &ManagerStats) {
     c.add(CounterKind::GcRuns, s.gc_runs);
     c.add(CounterKind::SiftRuns, s.sift_runs);
     c.add(CounterKind::SiftNodesReclaimed, s.sift_nodes_reclaimed);
+    c.add(CounterKind::SiftSwaps, s.sift_swaps);
     c.raise(CounterKind::PeakNodes, s.peak_nodes as u64);
     c.add(CounterKind::BudgetTrips, s.budget_trips);
 }
@@ -1630,7 +1631,7 @@ mod tests {
             sweep_universe(circuit, &faults, &config).totals
         };
         // c1908s's build is over SIFT_TABLE_FLOOR: Auto sifts it once, and
-        // the sweep reports exactly what that sift reclaimed.
+        // the sweep reports exactly what that sift reclaimed and swapped.
         let c = c1908_surrogate();
         let mut good = GoodFunctions::build_with_order(&c, &OrderStrategy::Auto.resolve(&c));
         let (before, after) = good.sift();
@@ -1641,12 +1642,17 @@ mod tests {
             auto.counter(CounterKind::SiftNodesReclaimed),
             (before - after) as u64
         );
+        assert_eq!(
+            auto.counter(CounterKind::SiftSwaps),
+            good.manager().stats().sift_swaps
+        );
         // Static orders never sift, and neither does Auto below the floor.
         let fanin = sweep(&c, OrderStrategy::FaninDfs);
         let small = sweep(&c432_surrogate(), OrderStrategy::Auto);
         for totals in [fanin, small] {
             assert_eq!(totals.counter(CounterKind::SiftRuns), 0);
             assert_eq!(totals.counter(CounterKind::SiftNodesReclaimed), 0);
+            assert_eq!(totals.counter(CounterKind::SiftSwaps), 0);
         }
     }
 

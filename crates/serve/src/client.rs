@@ -6,7 +6,9 @@ use std::net::{TcpStream, ToSocketAddrs};
 
 use dp_telemetry::json::JsonValue;
 
-use crate::protocol::{CacheStatus, CircuitSpec, Frame, PointParams, Request, SweepParams};
+use crate::protocol::{
+    CacheStatus, CircuitSpec, Frame, PointParams, Request, SweepParams, MAX_REQUEST_BYTES,
+};
 
 fn proto_err(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
@@ -85,8 +87,22 @@ impl Client {
         })
     }
 
+    /// Sends one request line. A line over [`MAX_REQUEST_BYTES`] is refused
+    /// with [`io::ErrorKind::InvalidInput`] before anything is written: the
+    /// server would answer it with an error and close the connection, and
+    /// JSON escaping can push a `.bench` source under the limit over it.
     fn request(&mut self, request: &Request) -> io::Result<()> {
-        writeln!(self.writer, "{}", request.to_line())?;
+        let line = request.to_line();
+        if line.len() > MAX_REQUEST_BYTES {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "request line is {} bytes, over MAX_REQUEST_BYTES ({MAX_REQUEST_BYTES} bytes)",
+                    line.len()
+                ),
+            ));
+        }
+        writeln!(self.writer, "{line}")?;
         self.writer.flush()
     }
 

@@ -410,6 +410,34 @@ fn an_over_long_request_line_gets_an_error_frame_and_the_connection_closes() {
 }
 
 #[test]
+fn a_request_line_over_the_limit_is_refused_before_it_is_sent() {
+    let server = TestServer::start();
+    let mut client = server.client();
+    // Under the limit as a file, over it on the wire: every newline of the
+    // source is escaped to two bytes.
+    let source = "# twenty-byte line.\n".repeat(52_378);
+    assert_eq!(source.len(), 1_047_560);
+    assert!(source.len() < MAX_REQUEST_BYTES);
+    let spec = CircuitSpec::Bench {
+        name: "x.bench".into(),
+        source,
+    };
+    let err = client
+        .sweep(spec, SweepParams::default(), |_, _| {})
+        .expect_err("an over-long request line");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+    let message = err.to_string();
+    assert!(message.contains("1100074 bytes"), "{message}");
+    assert!(message.contains("MAX_REQUEST_BYTES"), "{message}");
+    assert!(message.contains(&MAX_REQUEST_BYTES.to_string()), "{message}");
+    // Nothing reached the server, so the same connection still answers a
+    // golden sweep byte-identically.
+    let (golden, _) = batch_tsv("c95", 1);
+    let (lines, _) = sweep_lines(&mut client, "c95", 1);
+    assert_eq!(lines.join("\n"), golden.join("\n"));
+}
+
+#[test]
 fn a_bench_file_over_the_request_limit_is_refused_before_it_is_read() {
     let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
     let path = dir.join("over_the_request_limit.bench");

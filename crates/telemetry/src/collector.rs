@@ -155,11 +155,14 @@ pub enum CounterKind {
     ClassesAnalyzed,
     /// Fault summaries produced.
     FaultsSummarized,
-    /// Mid-sweep dynamic reorderings (`sift`) the engine triggered.
+    /// Rudell sifts (`sift`) run on the good-function build (`Auto`).
     SiftRuns,
     /// Live nodes reclaimed by those sifts (size before minus size after,
     /// summed over runs).
     SiftNodesReclaimed,
+    /// Adjacent level swaps those sifts made (walk steps plus the returns
+    /// to the best level).
+    SiftSwaps,
     /// Feedback-bridge analyses whose bridged wire never settled: the
     /// ternary fixpoint left residual X on some input vectors.
     OscillatingFaults,
@@ -167,7 +170,7 @@ pub enum CounterKind {
 
 impl CounterKind {
     /// Number of counters (array dimension).
-    pub const COUNT: usize = 19;
+    pub const COUNT: usize = 20;
     /// All counters, in serialisation order.
     pub const ALL: [CounterKind; CounterKind::COUNT] = [
         CounterKind::UniqueLookups,
@@ -188,6 +191,7 @@ impl CounterKind {
         CounterKind::FaultsSummarized,
         CounterKind::SiftRuns,
         CounterKind::SiftNodesReclaimed,
+        CounterKind::SiftSwaps,
         CounterKind::OscillatingFaults,
     ];
 
@@ -212,6 +216,7 @@ impl CounterKind {
             CounterKind::FaultsSummarized => "faults_summarized",
             CounterKind::SiftRuns => "sift_runs",
             CounterKind::SiftNodesReclaimed => "sift_nodes_reclaimed",
+            CounterKind::SiftSwaps => "sift_swaps",
             CounterKind::OscillatingFaults => "oscillating_faults",
         }
     }

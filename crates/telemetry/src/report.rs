@@ -365,10 +365,12 @@ pub fn validate_report(doc: &JsonValue) -> Result<(), String> {
 }
 
 /// Counters, spans and histograms added within schema v2 (the
-/// feedback-bridge model, the build span): documents captured before them —
-/// e.g. the committed kernel-perf baseline — simply omit the keys, so the
-/// validator treats them as optional-but-typed instead of required.
-const ADDITIVE_COUNTERS: [CounterKind; 1] = [CounterKind::OscillatingFaults];
+/// feedback-bridge model, the sift's swap count, the build span): documents
+/// captured before them — e.g. the committed kernel-perf baseline — simply
+/// omit the keys, so the validator treats them as optional-but-typed
+/// instead of required.
+const ADDITIVE_COUNTERS: [CounterKind; 2] =
+    [CounterKind::OscillatingFaults, CounterKind::SiftSwaps];
 const ADDITIVE_SPANS: [SpanKind; 1] = [SpanKind::Build];
 const ADDITIVE_HISTS: [HistKind; 1] = [HistKind::FixpointIterations];
 

@@ -12,7 +12,8 @@ mod common;
 
 use common::{assert_matches_golden, current_golden_lines, stuck_at_universe};
 use diffprop::core::{DiffProp, EngineConfig, OrderStrategy, Parallelism, SweepConfig};
-use diffprop::netlist::generators::{c1908_surrogate, c95};
+use diffprop::netlist::generators::{c1908_surrogate, c499_surrogate, c95};
+use diffprop::netlist::Circuit;
 
 fn config(parallelism: Parallelism, order: OrderStrategy) -> SweepConfig {
     SweepConfig {
@@ -83,27 +84,42 @@ fn frozen_base_is_immutable_while_workers_analyze() {
     );
 }
 
-/// The `auto` build of c1908s, pinned: the sift's final order and the
-/// closing collection fix the frozen arena, so its digest and the sift's
-/// reclaimed count are exact. The sift never rewrites dead nodes, so the
-/// build's arena peaks within twice the frozen table; a sift that carried
-/// its garbage along (the earlier design peaked at 6.7x here) fails.
-#[test]
-fn c1908s_auto_build_is_pinned() {
-    let circuit = c1908_surrogate();
+/// Builds `circuit`'s `auto` snapshot and checks it against its pins: the
+/// sift's final order and the closing collection fix the frozen arena, so
+/// its digest, the sift's reclaimed count and swap count, and the frozen
+/// bytes are exact. The sift never rewrites dead nodes, so the build's
+/// arena peaks within twice the frozen table; a sift that carried its
+/// garbage along (an earlier design peaked at 6.7x on c1908s) fails.
+fn assert_auto_build(circuit: &Circuit, digest: u64, reclaimed: u64, swaps: u64, bytes: usize) {
     let config = EngineConfig {
         order: OrderStrategy::Auto,
         ..Default::default()
     };
-    let snapshot = DiffProp::build_snapshot(&circuit, config).expect("unlimited budget");
+    let snapshot = DiffProp::build_snapshot(circuit, config).expect("unlimited budget");
     let build = snapshot.frozen().build_stats();
-    assert_eq!(snapshot.table_digest(), 0xcfca_1c67_8f59_2213);
+    assert_eq!(snapshot.table_digest(), digest);
     assert_eq!(build.sift_runs, 1);
-    assert_eq!(build.sift_nodes_reclaimed, 3970);
+    assert_eq!(build.sift_nodes_reclaimed, reclaimed);
+    assert_eq!(build.sift_swaps, swaps);
+    assert_eq!(snapshot.frozen().approx_bytes(), bytes);
     assert!(
         build.peak_nodes <= 2 * snapshot.num_nodes(),
         "build peaked at {} nodes for a {}-node frozen table",
         build.peak_nodes,
         snapshot.num_nodes()
     );
+}
+
+/// The `auto` builds of c1908s and c499s, pinned. The swap counts are
+/// those of the pruned walk (the full walk made 1,153 and 3,229 swaps for
+/// the same orders), and the frozen bytes are those of a global table that
+/// held every live node throughout the sift.
+#[test]
+fn c1908s_auto_build_is_pinned() {
+    assert_auto_build(&c1908_surrogate(), 0xcfca_1c67_8f59_2213, 3970, 647, 452_268);
+}
+
+#[test]
+fn c499s_auto_build_is_pinned() {
+    assert_auto_build(&c499_surrogate(), 0x9dd9_1eb8_cf70_a046, 12_218, 1763, 859_092);
 }

@@ -13,10 +13,10 @@ mod common;
 
 use common::{assert_matches_golden, current_golden_lines, stuck_at_universe};
 use diffprop::core::{
-    sweep_report, sweep_universe, sweep_universe_ext, DiffProp, Parallelism, SweepConfig,
-    SweepResult, TelemetryLevel,
+    sweep_report, sweep_universe, sweep_universe_ext, DiffProp, OrderStrategy, Parallelism,
+    SweepConfig, SweepResult, TelemetryLevel,
 };
-use diffprop::netlist::generators::c95;
+use diffprop::netlist::generators::{c1908_surrogate, c95};
 use diffprop::telemetry::{CounterKind, SpanKind};
 
 fn config(parallelism: Parallelism, telemetry: TelemetryLevel) -> SweepConfig {
@@ -124,5 +124,34 @@ fn build_span_times_only_a_cold_build_and_changes_no_result() {
     let result = |sweep: &SweepResult| sweep_report(circuit.name(), "stuck-at", sweep).result;
     assert_eq!(result(&cold), result(&warm));
     assert_eq!(result(&cold), result(&off));
+    assert_eq!(cold.summaries, warm.summaries);
+}
+
+/// The sift counters observe the sweep's own build sift and nothing else: a
+/// cold `auto` sweep of c1908s (over the sift floor) reports exactly the
+/// runs, swaps and reclaimed nodes of the build a snapshot records, and a
+/// warm-snapshot sweep, which builds nothing, reports none. Both print the
+/// same summaries.
+#[test]
+fn sift_counters_report_only_a_cold_build_sift() {
+    let circuit = c1908_surrogate();
+    let faults: Vec<_> = stuck_at_universe(&circuit).into_iter().take(16).collect();
+    let mut observed = config(Parallelism::Serial, TelemetryLevel::Aggregate);
+    observed.engine.order = OrderStrategy::Auto;
+    let snapshot = DiffProp::build_snapshot(&circuit, observed.engine).expect("c1908s builds");
+    let build = snapshot.build_stats();
+    assert_eq!(build.sift_runs, 1);
+    assert!(build.sift_swaps > 0 && build.sift_nodes_reclaimed > 0);
+
+    let cold = sweep_universe_ext(&circuit, &faults, &observed, None, None);
+    let warm = sweep_universe_ext(&circuit, &faults, &observed, Some(&snapshot), None);
+    for (kind, built) in [
+        (CounterKind::SiftRuns, build.sift_runs),
+        (CounterKind::SiftSwaps, build.sift_swaps),
+        (CounterKind::SiftNodesReclaimed, build.sift_nodes_reclaimed),
+    ] {
+        assert_eq!(cold.totals.counter(kind), built, "cold {kind:?}");
+        assert_eq!(warm.totals.counter(kind), 0, "warm {kind:?}");
+    }
     assert_eq!(cold.summaries, warm.summaries);
 }
