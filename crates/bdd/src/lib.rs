@@ -51,3 +51,4 @@ pub use ops::BinOp;
 pub use order::{identity_order, inverse_order};
 pub use snapshot::FrozenManager;
 pub use stats::{CacheCounters, ManagerStats, OpKind};
+pub use table::DELTA_OP_CACHE_CAPACITY;

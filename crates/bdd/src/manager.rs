@@ -31,7 +31,7 @@ use crate::budget::BudgetConfig;
 use crate::error::BddError;
 use crate::snapshot::{FrozenBase, FrozenManager};
 use crate::stats::ManagerStats;
-use crate::table::{OpCache, UniqueTable, DEFAULT_OP_CACHE_CAPACITY};
+use crate::table::{OpCache, UniqueTable, DEFAULT_OP_CACHE_CAPACITY, DELTA_OP_CACHE_CAPACITY};
 
 /// A variable index in `0..num_vars`.
 ///
@@ -276,6 +276,9 @@ impl Manager {
     }
 
     /// Constructs a delta manager over `base` (see [`FrozenManager::thaw`]).
+    /// Its op cache starts at [`DELTA_OP_CACHE_CAPACITY`], the size an
+    /// engine runs it at, so a thaw allocates the cache at most once (and
+    /// not at all when a dropped engine left a spare of that size).
     pub(crate) fn thawed(base: Arc<FrozenBase>) -> Manager {
         let mut m = Manager {
             var_to_level: base.var_to_level.clone(),
@@ -284,7 +287,7 @@ impl Manager {
             nodes: Vec::new(),
             unique: UniqueTable::with_capacity(64),
             free: Vec::new(),
-            op_cache: OpCache::with_capacity(DEFAULT_OP_CACHE_CAPACITY),
+            op_cache: OpCache::with_capacity(DELTA_OP_CACHE_CAPACITY),
             stats: ManagerStats::default(),
             budget: BudgetConfig::UNLIMITED,
             op_steps: 0,

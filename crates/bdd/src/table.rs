@@ -20,7 +20,14 @@
 //!   gc/reorder) is O(1) via a generation stamp. Lossiness is invisible to
 //!   results — a hit returns exactly what recomputation would — but the
 //!   hit/miss counters and `op_steps` become *layout-dependent*: see
-//!   DESIGN.md §9 for which telemetry counters that affects.
+//!   DESIGN.md §9 for which telemetry counters that affects. A dropped
+//!   cache parks its slot array as the one process-wide spare, and the
+//!   next cache of exactly that capacity takes it over with a stamp bump
+//!   instead of allocating and writing every slot: thawing an engine per
+//!   point query then costs no allocation. Reuse is at the same capacity
+//!   only, so every key maps to the slot it would in a fresh array, and a
+//!   bumped stamp reads `None` everywhere, as a fresh array does — every
+//!   counter stays what it was.
 //! * [`CompactMap`] is a small open-addressing scratch map keyed by raw
 //!   `u32` edges, used by the model-counting traversals in `count.rs` in
 //!   place of a per-call `HashMap<NodeId, _>`.
@@ -28,6 +35,8 @@
 //! None of this changes a single result bit: hash quality and replacement
 //! policy affect *where* entries live and *whether* a memo hit happens, and
 //! every cached value equals its recomputation by canonicity.
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::manager::{Node, NodeId};
 use crate::ops::OpKey;
@@ -241,6 +250,13 @@ impl UniqueTable {
 /// the unit-test-sized circuits a bare `Manager::new` typically serves.
 pub(crate) const DEFAULT_OP_CACHE_CAPACITY: usize = 1 << 14;
 
+/// Starting operation-cache capacity of a delta manager (slots; a power of
+/// two), and the floor an analysis engine sizes any manager's cache to:
+/// 256Ki slots, 6 MiB. A thaw allocates its cache once, at this size, or
+/// takes over the slot array a dropped manager of the same cache size left
+/// behind.
+pub const DELTA_OP_CACHE_CAPACITY: usize = 1 << 18;
+
 /// One operation-cache slot: the standard-triple key, the memoised result,
 /// and the generation stamp that says whether the entry is current.
 #[derive(Debug, Clone, Copy)]
@@ -300,12 +316,79 @@ fn hash_key(key: &OpKey) -> u64 {
     }
 }
 
+/// The process-wide spare slot array every dropped [`OpCache`] returns to.
+static SPARE: Spare = Spare::new();
+
+/// A parked op-cache slot array and the stamp its entries were written
+/// under.
+type Parked = (Box<[OpSlot]>, u32);
+
+/// At most one parked op-cache slot array. One per process, not one per
+/// thread: a server's handler and a client in the same process would
+/// otherwise each pin a spare.
+struct Spare(Mutex<Option<Parked>>);
+
+impl Spare {
+    const fn new() -> Spare {
+        Spare(Mutex::new(None))
+    }
+
+    fn slot(&self) -> MutexGuard<'_, Option<Parked>> {
+        // The critical sections only move an `Option`; a poisoned lock
+        // still holds a consistent value.
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// An empty cache of exactly `capacity` slots (a power of two): the
+    /// spare, cleared by a stamp bump, if it has that capacity; otherwise a
+    /// fresh array, allocated after the mismatched spare is freed.
+    fn cache(&self, capacity: usize) -> OpCache {
+        let spare = self.slot().take();
+        match spare {
+            Some((slots, stamp)) if slots.len() == capacity => {
+                let mut cache = OpCache {
+                    slots,
+                    mask: capacity - 1,
+                    stamp,
+                };
+                cache.clear();
+                cache
+            }
+            spare => {
+                drop(spare);
+                OpCache::fresh(capacity)
+            }
+        }
+    }
+
+    /// Parks `cache`'s slot array (leaving it empty) as the spare, freeing
+    /// any earlier spare outside the lock.
+    fn recycle(&self, cache: &mut OpCache) {
+        let slots = std::mem::take(&mut cache.slots);
+        if !slots.is_empty() {
+            let earlier = self.slot().replace((slots, cache.stamp));
+            drop(earlier);
+        }
+    }
+}
+
+impl Drop for OpCache {
+    fn drop(&mut self) {
+        SPARE.recycle(self);
+    }
+}
+
 impl OpCache {
     /// A cache with `capacity` slots, rounded up to a power of two (floor
     /// 1024 — below that the array is smaller than the stack of one deep
-    /// `ite` recursion and collisions dominate).
+    /// `ite` recursion and collisions dominate). Takes over the
+    /// process-wide spare when its capacity matches exactly.
     pub(crate) fn with_capacity(capacity: usize) -> OpCache {
-        let capacity = capacity.next_power_of_two().max(1024);
+        SPARE.cache(capacity.next_power_of_two().max(1024))
+    }
+
+    /// A newly allocated cache of `capacity` slots, every one stale.
+    fn fresh(capacity: usize) -> OpCache {
         OpCache {
             slots: vec![
                 OpSlot {
@@ -350,6 +433,9 @@ impl OpCache {
             // Clamp before rounding up: `next_power_of_two` overflows near
             // `usize::MAX`, and the cap is itself a power of two.
             let target = nodes.min(MAX_ADAPTIVE_SLOTS).next_power_of_two();
+            // The outgrown array is freed before the larger one is
+            // allocated, not parked: the manager never shrinks back to it.
+            drop(std::mem::take(&mut self.slots));
             *self = OpCache::with_capacity(target);
         }
     }
@@ -628,6 +714,64 @@ mod tests {
         let k = OpKey::Exists(NodeId(2), 7);
         cache.insert(k, NodeId(10));
         assert_eq!(cache.get(&k), Some(NodeId(10)));
+    }
+
+    /// Keys spread over many slots of a 1024-slot cache.
+    fn spread_keys() -> impl Iterator<Item = OpKey> {
+        (0..500u32).map(|i| OpKey::Ite(NodeId(i * 2), NodeId(4), NodeId(6)))
+    }
+
+    // The recycle tests use a local `Spare`: the process-wide one is shared
+    // by every test running in parallel.
+
+    #[test]
+    fn a_recycled_array_of_the_same_capacity_is_reused_and_reads_empty() {
+        let spare = Spare::new();
+        let mut cache = spare.cache(1024);
+        for key in spread_keys() {
+            cache.insert(key, NodeId(8));
+        }
+        let array = cache.slots.as_ptr();
+        spare.recycle(&mut cache);
+        assert_eq!(cache.capacity(), 0, "recycling empties the cache");
+        let reused = spare.cache(1024);
+        assert_eq!(reused.slots.as_ptr(), array, "same allocation");
+        assert!(spare.slot().is_none(), "the spare was taken");
+        for key in spread_keys() {
+            assert_eq!(reused.get(&key), None, "entry survived the recycle");
+        }
+    }
+
+    #[test]
+    fn a_spare_of_another_capacity_is_dropped_for_a_fresh_array() {
+        let spare = Spare::new();
+        let mut small = spare.cache(1024);
+        spare.recycle(&mut small);
+        let large = spare.cache(2048);
+        assert_eq!(large.capacity(), 2048);
+        assert!(spare.slot().is_none(), "the mismatched spare was freed");
+        assert!(large.slots.iter().all(|slot| slot.stamp == 0));
+        assert_eq!(large.stamp, 1, "a fresh array starts a fresh stamp");
+    }
+
+    #[test]
+    fn a_recycled_cache_at_the_last_stamp_wraps_and_invalidates_every_slot() {
+        let spare = Spare::new();
+        let mut cache = spare.cache(1024);
+        cache.stamp = u32::MAX;
+        for key in spread_keys() {
+            cache.insert(key, NodeId(8));
+        }
+        spare.recycle(&mut cache);
+        let mut reused = spare.cache(1024);
+        assert_eq!(reused.stamp, 1, "clear() took the wrap path");
+        assert!(reused.slots.iter().all(|slot| slot.stamp == 0));
+        for key in spread_keys() {
+            assert_eq!(reused.get(&key), None, "entry survived the wrap");
+        }
+        let k = OpKey::Restrict(NodeId(2), 3, true);
+        reused.insert(k, NodeId(12));
+        assert_eq!(reused.get(&k), Some(NodeId(12)));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, HashMap};
 
-use dp_bdd::{BddError, BudgetConfig, Cube, Manager, NodeId};
+use dp_bdd::{BddError, BudgetConfig, Cube, Manager, NodeId, DELTA_OP_CACHE_CAPACITY};
 use dp_faults::{BridgeKind, BridgingFault, Fault, FaultSite, MultiStuckAt, StuckAtFault};
 use dp_netlist::{find_xor_quads, Circuit, Driver, GateKind, NetId, Reachability, XorQuads};
 use dp_telemetry::{CounterKind, HistKind, SharedCollector, SpanKind};
@@ -72,13 +72,6 @@ const GC_TABLE_FLOOR: usize = 1 << 10;
 /// [`OrderStrategy::Auto`] never sifts tables smaller than this: a Rudell
 /// pass over a few thousand nodes costs more than any order could save.
 const SIFT_TABLE_FLOOR: usize = 1 << 12;
-
-/// Starting slot count of every engine's operation cache, treated as a
-/// floor: the kernel doubles the cache as the node arena outgrows it, up to
-/// an internal hard cap. The cache is lossy, so the size moves only the
-/// layout-dependent execution counters (hit rates, `op_steps`), never a
-/// result.
-const OP_CACHE_CAPACITY: usize = 1 << 18;
 
 /// The result of analysing one fault: the complete test set and the exact
 /// metrics derived from it.
@@ -302,14 +295,18 @@ impl<'c> DiffProp<'c> {
     }
 
     /// Shared constructor tail: derive the structural caches and size the
-    /// kernel's operation cache. [`OP_CACHE_CAPACITY`] is a floor — a cache
-    /// the kernel already grew past it (it doubles with the node arena) is
-    /// left alone rather than shrunk and re-grown. (Resizing starts a fresh
-    /// cache generation; results are unaffected — the cache is lossy by
-    /// design — and cumulative counters survive the fold.)
+    /// kernel's operation cache. [`DELTA_OP_CACHE_CAPACITY`] is a floor — a
+    /// cache the kernel already grew past it (it doubles with the node
+    /// arena) is left alone rather than shrunk and re-grown. A thawed
+    /// manager already starts at the floor, so a [`DiffProp::from_snapshot`]
+    /// engine keeps the one cache its thaw allocated (or recycled from a
+    /// dropped engine) and this writes nothing. (Resizing a private
+    /// manager's cache starts a fresh cache generation; results are
+    /// unaffected — the cache is lossy by design — and cumulative counters
+    /// survive the fold.)
     fn assemble(circuit: &'c Circuit, mut good: GoodFunctions, config: EngineConfig) -> Self {
-        if good.manager().op_cache_capacity() < OP_CACHE_CAPACITY {
-            good.manager_mut().set_op_cache_capacity(OP_CACHE_CAPACITY);
+        if good.manager().op_cache_capacity() < DELTA_OP_CACHE_CAPACITY {
+            good.manager_mut().set_op_cache_capacity(DELTA_OP_CACHE_CAPACITY);
         }
         let gc_baseline = good.num_nodes();
         let reach = Reachability::compute(circuit);

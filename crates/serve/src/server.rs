@@ -15,6 +15,7 @@ use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 
 use dp_analysis::fault_model_universe;
 use dp_core::{
@@ -93,7 +94,8 @@ impl Server {
 
     /// Serves until a loopback client sends `shutdown`, then joins every
     /// connection handler before returning (in-flight sweeps finish their
-    /// streams).
+    /// streams). Handlers that have finished are joined at each accept, so
+    /// a closed connection's thread does not stay mapped until shutdown.
     pub fn run(self) -> io::Result<()> {
         let mut handlers = Vec::new();
         loop {
@@ -104,6 +106,7 @@ impl Server {
                 drop(stream);
                 break;
             }
+            reap_finished(&mut handlers);
             let state = Arc::clone(&self.state);
             handlers.push(std::thread::spawn(move || handle_connection(stream, state)));
         }
@@ -111,6 +114,14 @@ impl Server {
             let _ = h.join();
         }
         Ok(())
+    }
+}
+
+/// Joins and removes every handler whose thread has finished, leaving the
+/// running ones in `handlers`.
+fn reap_finished(handlers: &mut Vec<JoinHandle<()>>) {
+    for finished in handlers.extract_if(.., |h| h.is_finished()) {
+        let _ = finished.join();
     }
 }
 
@@ -418,6 +429,28 @@ mod tests {
             addr: "127.0.0.1:0".parse().expect("loopback address"),
             max_threads: 1,
         }
+    }
+
+    #[test]
+    fn reaping_joins_finished_handlers_and_keeps_running_ones() {
+        let (release, wait) = std::sync::mpsc::channel::<()>();
+        let running = std::thread::spawn(move || {
+            let _ = wait.recv();
+        });
+        let finished: Vec<_> = (0..3).map(|_| std::thread::spawn(|| {})).collect();
+        let mut handlers = vec![running];
+        handlers.extend(finished);
+        while handlers[1..].iter().any(|h| !h.is_finished()) {
+            std::thread::yield_now();
+        }
+        reap_finished(&mut handlers);
+        assert_eq!(handlers.len(), 1, "only the running handler is left");
+        release.send(()).expect("the running handler waits");
+        while !handlers[0].is_finished() {
+            std::thread::yield_now();
+        }
+        reap_finished(&mut handlers);
+        assert!(handlers.is_empty());
     }
 
     /// Keeps every byte written and counts `flush` calls.
