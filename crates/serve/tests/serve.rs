@@ -453,3 +453,64 @@ fn a_bench_file_over_the_request_limit_is_refused_before_it_is_read() {
     assert!(matches!(spec, CircuitSpec::Bench { .. }));
     std::fs::remove_file(&path).ok();
 }
+
+/// Lines built to be slow or deep for a naive decoder. Each must come back
+/// as one frame on the same connection, and the server must keep
+/// answering. A decoder that re-validated the rest of the line per
+/// character, and scanned every earlier key for a duplicate, took tens of
+/// seconds on each of the string and the key-heavy object in a release
+/// build; without a depth cap the line of brackets overflowed the handler
+/// thread's stack and aborted the process.
+#[test]
+fn hostile_request_lines_are_decoded_in_linear_time() {
+    let server = TestServer::start();
+    let stream = TcpStream::connect(server.addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone the stream"));
+    let mut send = |line: &str| -> Frame {
+        (&stream).write_all(line.as_bytes()).expect("send");
+        (&stream).write_all(b"\n").expect("send");
+        let mut frame = String::new();
+        reader.read_line(&mut frame).expect("read a frame");
+        Frame::from_line(frame.trim_end()).expect("a frame")
+    };
+    let expect_error = |frame: Frame, needle: &str| match frame {
+        Frame::Error { message } => assert!(message.contains(needle), "{message}"),
+        other => panic!("expected an error frame, got {other:?}"),
+    };
+
+    expect_error(send(&"[".repeat(100_000)), "nesting deeper than");
+
+    let mut object = String::from("{");
+    for k in 0..80_000 {
+        object.push_str(&format!("\"k{k}\":0,"));
+    }
+    object.push_str("\"k0\":1}");
+    expect_error(send(&object), "duplicate object key \"k0\"");
+
+    let padded = format!(r#"{{"cmd":"status","pad":"{}"}}"#, "é".repeat(500_000));
+    assert!(padded.len() > 1_000_000 && padded.len() < MAX_REQUEST_BYTES);
+    assert!(matches!(send(&padded), Frame::Status(_)));
+
+    // A 20,000-gate chain, each gate defined before its fanin.
+    let gates = 20_000;
+    let mut source = format!("INPUT(a)\nOUTPUT(g{})\n", gates - 1);
+    for g in (1..gates).rev() {
+        source.push_str(&format!("g{g} = NOT(g{})\n", g - 1));
+    }
+    source.push_str("g0 = NOT(a)\n");
+    let query = dp_serve::Request::Detectability {
+        circuit: CircuitSpec::Bench {
+            name: "chain.bench".into(),
+            source,
+        },
+        point: PointParams {
+            order: OrderStrategy::Identity,
+            budget: dp_core::BudgetConfig::UNLIMITED,
+            net: "g0".into(),
+            stuck_at: false,
+        },
+    };
+    assert!(matches!(send(&query.to_line()), Frame::Value(_)));
+
+    assert_eq!(server.client().status().expect("status").misses, 1);
+}
