@@ -22,6 +22,8 @@ pub enum NetlistError {
         /// The fanin count supplied.
         arity: usize,
     },
+    /// A net was marked as a primary output twice.
+    DuplicateOutput(String),
     /// The circuit declares no primary outputs.
     NoOutputs,
     /// A `.bench` line could not be parsed.
@@ -40,6 +42,9 @@ impl fmt::Display for NetlistError {
             NetlistError::UnknownNet(name) => write!(f, "reference to unknown net `{name}`"),
             NetlistError::BadArity { gate, kind, arity } => {
                 write!(f, "gate `{gate}` of kind {kind} given {arity} fanins")
+            }
+            NetlistError::DuplicateOutput(name) => {
+                write!(f, "net `{name}` listed twice as an output")
             }
             NetlistError::NoOutputs => write!(f, "circuit has no primary outputs"),
             NetlistError::ParseBench { line, message } => {
