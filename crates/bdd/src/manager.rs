@@ -688,8 +688,8 @@ impl Manager {
         n.is_terminal()
     }
 
-    /// Counters describing this manager's work so far; see [`ManagerStats`]
-    /// for which counters are cumulative and which reset with the op cache.
+    /// Counters describing this manager's work so far (all cumulative; see
+    /// [`ManagerStats`]).
     pub fn stats(&self) -> &ManagerStats {
         &self.stats
     }
@@ -697,14 +697,10 @@ impl Manager {
     /// Drops the operation cache. Node storage is untouched.
     ///
     /// Useful between unrelated workloads to bound memory without the cost of
-    /// a full [`Manager::gc`]. The per-generation op-cache counters in
-    /// [`Manager::stats`] restart with the cache (each cache generation
-    /// reports its own hit rate) after folding into the cumulative view
-    /// ([`ManagerStats::op_cumulative`](crate::ManagerStats::op_cumulative));
-    /// unique-table counters, `gc_runs` and `peak_nodes` are untouched.
+    /// a full [`Manager::gc`]. Every counter in [`Manager::stats`],
+    /// the op-cache ones included, is untouched.
     pub fn clear_op_cache(&mut self) {
         self.op_cache.clear();
-        self.stats.reset_op_counters();
     }
 
     /// Pre-sizes the (private/delta) unique table for `expected` total nodes
@@ -733,7 +729,6 @@ impl Manager {
     /// Counters behave as for [`Manager::clear_op_cache`].
     pub fn set_op_cache_capacity(&mut self, capacity: usize) {
         self.op_cache = OpCache::with_capacity(capacity);
-        self.stats.reset_op_counters();
     }
 
     /// Slots in the operation cache right now (the cache grows with the
@@ -837,12 +832,9 @@ impl Manager {
     /// retained handles via [`Remap::map`] (complement attributes are
     /// preserved across the move).
     ///
-    /// The operation cache is invalidated, and the per-generation op-cache
-    /// counters in [`Manager::stats`] restart with it after folding into the
-    /// cumulative view (a collection starts a cold cache generation, but
-    /// [`ManagerStats::op_cumulative`](crate::ManagerStats::op_cumulative)
-    /// keeps every probe); `gc_runs` is incremented and all other cumulative
-    /// counters are untouched.
+    /// The operation cache is invalidated (its counters in
+    /// [`Manager::stats`] keep every probe); `gc_runs` is incremented and
+    /// all other counters are untouched.
     ///
     /// # Examples
     ///
@@ -921,7 +913,6 @@ impl Manager {
             self.unique.insert(base_len + i, &node, &self.nodes, base_len);
         }
         self.op_cache.clear();
-        self.stats.reset_op_counters();
         self.stats.gc_runs += 1;
         Remap { map }
     }

@@ -8,19 +8,12 @@
 //!
 //! # Counter lifetimes
 //!
-//! * **Unique-table counters, `gc_runs`, the sift counters, `peak_nodes`,
-//!   `op_steps` and `budget_trips` are cumulative** over the manager's
-//!   lifetime; nothing resets them.
-//! * **Op-cache counters exist in two views.** The per-generation view
-//!   (`stats[OpKind::Xor]`, [`ManagerStats::op_total`]) restarts whenever the
-//!   cache itself is dropped — by [`Manager::gc`](crate::Manager::gc) or
-//!   [`Manager::clear_op_cache`](crate::Manager::clear_op_cache) — because a
-//!   cleared cache starts cold and each generation's hit *rate* is only
-//!   interpretable on its own. The cumulative view
-//!   ([`ManagerStats::op_cumulative`], [`ManagerStats::op_cumulative_total`])
-//!   folds every finished generation in and survives GC, so lifetime work
-//!   comparisons (e.g. "collapsing cut op-cache traffic by 30%") read one
-//!   counter instead of reconstructing it around collection boundaries.
+//! Every counter is cumulative over the manager's lifetime; nothing resets
+//! one. That includes the op-cache counters (`stats[OpKind::Xor]`,
+//! [`ManagerStats::op_cumulative_total`]): a gc, a sift or an explicit
+//! clear drops the cache's *entries*, never its tallies, so lifetime work
+//! comparisons (e.g. "collapsing cut op-cache traffic by 30%") read one
+//! counter instead of reconstructing it around collection boundaries.
 
 use std::fmt;
 use std::ops::{Index, IndexMut};
@@ -38,10 +31,6 @@ pub enum OpKind {
     Or,
     /// `apply` with [`BinOp::Xor`](crate::BinOp::Xor).
     Xor,
-    /// Negation. With complement edges `not()` is a pointer-bit flip that
-    /// touches no cache, so these counters stay zero; the family is kept so
-    /// pre-refactor stats dumps remain comparable.
-    Not,
     /// If-then-else.
     Ite,
     /// Single-variable cofactor.
@@ -55,12 +44,13 @@ pub enum OpKind {
 }
 
 impl OpKind {
-    /// All tracked operation families, in display order.
-    pub const ALL: [OpKind; 9] = [
+    /// All tracked operation families, in display order. (Negation is not
+    /// one: with complement edges `not()` is a pointer-bit flip that touches
+    /// no cache.)
+    pub const ALL: [OpKind; 8] = [
         OpKind::And,
         OpKind::Or,
         OpKind::Xor,
-        OpKind::Not,
         OpKind::Ite,
         OpKind::Restrict,
         OpKind::Compose,
@@ -73,7 +63,6 @@ impl OpKind {
             OpKind::And => "and",
             OpKind::Or => "or",
             OpKind::Xor => "xor",
-            OpKind::Not => "not",
             OpKind::Ite => "ite",
             OpKind::Restrict => "restrict",
             OpKind::Compose => "compose",
@@ -87,12 +76,11 @@ impl OpKind {
             OpKind::And => 0,
             OpKind::Or => 1,
             OpKind::Xor => 2,
-            OpKind::Not => 3,
-            OpKind::Ite => 4,
-            OpKind::Restrict => 5,
-            OpKind::Compose => 6,
-            OpKind::Exists => 7,
-            OpKind::Forall => 8,
+            OpKind::Ite => 3,
+            OpKind::Restrict => 4,
+            OpKind::Compose => 5,
+            OpKind::Exists => 6,
+            OpKind::Forall => 7,
         }
     }
 }
@@ -146,8 +134,7 @@ impl CacheCounters {
 /// Counters maintained by a [`Manager`](crate::Manager); read them through
 /// [`Manager::stats`](crate::Manager::stats).
 ///
-/// See the [module docs](self) for which counters are cumulative and which
-/// reset with the op cache.
+/// Every counter is cumulative; see the [module docs](self).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ManagerStats {
     /// Unique-table (hash-consing) probes made by `mk`. Cumulative.
@@ -169,12 +156,9 @@ pub struct ManagerStats {
     /// a delta manager starts at `base_nodes`, so its allocation invariant is
     /// `peak_nodes ≤ max(base_nodes, 1) + unique.misses`.
     pub base_nodes: usize,
-    /// Per-family op-cache probes for the *current* cache generation.
-    /// Reset when the op cache is cleared.
-    op: [CacheCounters; 9],
-    /// Per-family op-cache probes folded from every *finished* generation.
-    /// `op_prior + op` is the cumulative view; see [`ManagerStats::op_cumulative`].
-    op_prior: [CacheCounters; 9],
+    /// Per-family op-cache probes, read through `stats[kind]`. Cumulative:
+    /// clearing the cache keeps them.
+    op: [CacheCounters; 8],
     /// Completed [`Manager::gc`](crate::Manager::gc) runs. Cumulative.
     pub gc_runs: u64,
     /// Completed [`Manager::sift`](crate::Manager::sift) runs. Cumulative.
@@ -212,28 +196,11 @@ impl IndexMut<OpKind> for ManagerStats {
 }
 
 impl ManagerStats {
-    /// Op-cache counters for the current generation, summed over every
-    /// operation family.
-    pub fn op_total(&self) -> CacheCounters {
+    /// Cumulative op-cache counters summed over every operation family.
+    pub fn op_cumulative_total(&self) -> CacheCounters {
         self.op
             .iter()
             .fold(CacheCounters::default(), |acc, &c| acc.merged(c))
-    }
-
-    /// Cumulative op-cache counters for one family: every finished cache
-    /// generation plus the current one. Survives GC and cache clears.
-    pub fn op_cumulative(&self, kind: OpKind) -> CacheCounters {
-        self.op_prior[kind.index()].merged(self.op[kind.index()])
-    }
-
-    /// Cumulative op-cache counters summed over every operation family.
-    /// Survives GC and cache clears.
-    pub fn op_cumulative_total(&self) -> CacheCounters {
-        OpKind::ALL
-            .iter()
-            .fold(CacheCounters::default(), |acc, &k| {
-                acc.merged(self.op_cumulative(k))
-            })
     }
 
     /// Component-wise sum of two stats blocks (`peak_nodes` takes the max).
@@ -244,10 +211,6 @@ impl ManagerStats {
         for (a, b) in op.iter_mut().zip(other.op.iter()) {
             *a = a.merged(*b);
         }
-        let mut op_prior = self.op_prior;
-        for (a, b) in op_prior.iter_mut().zip(other.op_prior.iter()) {
-            *a = a.merged(*b);
-        }
         ManagerStats {
             unique: self.unique.merged(other.unique),
             base_hits: self.base_hits + other.base_hits,
@@ -256,7 +219,6 @@ impl ManagerStats {
             // would double-count a structure that exists once.
             base_nodes: self.base_nodes.max(other.base_nodes),
             op,
-            op_prior,
             gc_runs: self.gc_runs + other.gc_runs,
             sift_runs: self.sift_runs + other.sift_runs,
             sift_swaps: self.sift_swaps + other.sift_swaps,
@@ -265,16 +227,6 @@ impl ManagerStats {
             op_steps: self.op_steps + other.op_steps,
             budget_trips: self.budget_trips + other.budget_trips,
         }
-    }
-
-    /// Called when the op cache is dropped: the finished generation's tallies
-    /// fold into the cumulative view, the per-generation view restarts cold
-    /// (see the module docs).
-    pub(crate) fn reset_op_counters(&mut self) {
-        for (prior, current) in self.op_prior.iter_mut().zip(self.op.iter()) {
-            *prior = prior.merged(*current);
-        }
-        self.op = Default::default();
     }
 }
 
@@ -292,15 +244,12 @@ impl fmt::Display for ManagerStats {
             self.op_steps,
             self.budget_trips
         )?;
-        let total = self.op_total();
-        let cumulative = self.op_cumulative_total();
+        let op = self.op_cumulative_total();
         writeln!(
             f,
-            "op cache: {} lookups lifetime, {:.1}% hit | this generation: {} lookups, {:.1}% hit",
-            cumulative.lookups,
-            100.0 * cumulative.hit_rate(),
-            total.lookups,
-            100.0 * total.hit_rate()
+            "op cache: {} lookups lifetime, {:.1}% hit",
+            op.lookups,
+            100.0 * op.hit_rate()
         )?;
         for kind in OpKind::ALL {
             let c = self[kind];
@@ -378,26 +327,14 @@ mod tests {
     }
 
     #[test]
-    fn reset_folds_the_generation_into_the_cumulative_view() {
+    fn op_cumulative_total_sums_every_family() {
         let mut s = ManagerStats::default();
         s[OpKind::Xor].hit();
         s[OpKind::Xor].miss();
         s[OpKind::Ite].miss();
-        s.reset_op_counters();
-        // Per-generation view restarts cold...
-        assert_eq!(s.op_total(), CacheCounters::default());
-        // ...while the cumulative view keeps every probe.
-        assert_eq!(s.op_cumulative(OpKind::Xor).lookups, 2);
-        assert_eq!(s.op_cumulative(OpKind::Xor).hits, 1);
         assert_eq!(s.op_cumulative_total().lookups, 3);
-        // A second generation adds on top.
-        s[OpKind::Xor].hit();
-        assert_eq!(s.op_cumulative(OpKind::Xor).lookups, 3);
-        assert_eq!(s.op_cumulative_total().lookups, 4);
-        // Merging preserves both views.
-        let m = s.merged(&s);
-        assert_eq!(m.op_cumulative_total().lookups, 8);
-        assert_eq!(m.op_total().lookups, 2);
+        assert_eq!(s.op_cumulative_total().hits, 1);
+        assert_eq!(s.merged(&s).op_cumulative_total().lookups, 6);
     }
 
     #[test]

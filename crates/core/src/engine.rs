@@ -301,9 +301,8 @@ impl<'c> DiffProp<'c> {
     /// manager already starts at the floor, so a [`DiffProp::from_snapshot`]
     /// engine keeps the one cache its thaw allocated (or recycled from a
     /// dropped engine) and this writes nothing. (Resizing a private
-    /// manager's cache starts a fresh cache generation; results are
-    /// unaffected — the cache is lossy by design — and cumulative counters
-    /// survive the fold.)
+    /// manager's cache starts it cold; results are unaffected — the cache
+    /// is lossy by design — and the counters keep counting.)
     fn assemble(circuit: &'c Circuit, mut good: GoodFunctions, config: EngineConfig) -> Self {
         if good.manager().op_cache_capacity() < DELTA_OP_CACHE_CAPACITY {
             good.manager_mut().set_op_cache_capacity(DELTA_OP_CACHE_CAPACITY);

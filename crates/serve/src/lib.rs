@@ -21,8 +21,9 @@
 //!   `(netlist digest, order name)` with a byte budget; live entries are
 //!   never evicted.
 //! * [`server`] / [`client`] — the std-TCP accept loop (thread per
-//!   connection) and the blocking client the `dp-client` binary and
-//!   `diffprop analyze --connect` are built on.
+//!   connection) and the blocking client behind `diffprop`'s service
+//!   commands (`analyze --connect`, `detectability`, `adherence`,
+//!   `status`, `shutdown`).
 //!
 //! See `DESIGN.md` §8 for the protocol walk-through and the cache's
 //! correctness argument.
@@ -38,4 +39,4 @@ pub use protocol::{
     CacheStatus, CircuitSpec, Frame, PointParams, ProtocolError, Request, SweepParams,
     WireSummary, MAX_FALLBACK_SAMPLES, MAX_REQUEST_BYTES, PROTOCOL_VERSION,
 };
-pub use server::{Server, ServerConfig};
+pub use server::{Server, ServerConfig, DEFAULT_ADDR};

@@ -17,7 +17,7 @@
 
 use std::fmt;
 
-use dp_core::{BudgetConfig, FaultOutcome, FaultSummary, OrderStrategy};
+use dp_core::{BudgetConfig, EngineConfig, FaultOutcome, FaultSummary, OrderStrategy, SweepConfig};
 use dp_faults::Fault;
 use dp_netlist::{generators, parse_bench, Circuit};
 use dp_telemetry::json::JsonValue;
@@ -172,14 +172,17 @@ pub struct SweepParams {
 }
 
 impl Default for SweepParams {
+    /// The local sweep's defaults ([`SweepConfig::default`]) over the whole
+    /// stuck-at universe, on one thread, with no budget.
     fn default() -> SweepParams {
+        let local = SweepConfig::default();
         SweepParams {
-            order: OrderStrategy::Identity,
+            order: local.engine.order,
             model: "stuck".to_string(),
             count: 0,
-            collapse: true,
+            collapse: local.collapse,
             threads: 1,
-            fallback_samples: 4096,
+            fallback_samples: local.fallback_samples,
             budget: BudgetConfig::UNLIMITED,
         }
     }
@@ -255,7 +258,7 @@ fn budget_from_json(v: Option<&JsonValue>) -> Result<BudgetConfig, ProtocolError
 
 fn order_from_json(v: Option<&JsonValue>) -> Result<OrderStrategy, ProtocolError> {
     match v {
-        None => Ok(OrderStrategy::Identity),
+        None => Ok(EngineConfig::default().order),
         Some(v) => {
             let s = v.as_str().ok_or_else(|| err("order must be a string"))?;
             OrderStrategy::parse(s).ok_or_else(|| err(format!("unknown order strategy `{s}`")))

@@ -30,6 +30,10 @@ use dp_telemetry::{report_to_json, StreamInfo};
 use crate::cache::{CacheEntry, CacheKey, SnapshotCache};
 use crate::protocol::{CircuitSpec, Frame, PointParams, Request, SweepParams, MAX_REQUEST_BYTES};
 
+/// Where `diffprop serve` listens when no address is given, and where the
+/// `diffprop` service commands connect when `--connect` is absent.
+pub const DEFAULT_ADDR: &str = "127.0.0.1:4590";
+
 /// Server construction knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {

@@ -36,7 +36,7 @@ fn main() {
             stats.unique.lookups,
             100.0 * stats.unique.hit_rate()
         );
-        let total = stats.op_total();
+        let total = stats.op_cumulative_total();
         println!(
             "op cache:     {} lookups, {:.2}% hit",
             total.lookups,

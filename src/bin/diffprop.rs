@@ -8,6 +8,10 @@
 //! diffprop bridges    <circuit> [N]        NFBF study with N sampled faults per kind
 //! diffprop serve      [HOST:PORT]          resident sweep server (the dp-serve crate;
 //!                     [--cache-bytes N]    default 127.0.0.1:4590)
+//! diffprop detectability <circuit> <net> 0|1   one net stuck-at fault, asked of a
+//! diffprop adherence     <circuit> <net> 0|1   running server
+//! diffprop status                          the server's snapshot-cache counters
+//! diffprop shutdown                        stop the server
 //! ```
 //!
 //! `<circuit>` is a built-in benchmark name (`c17`, `full_adder`, `c95`,
@@ -26,7 +30,7 @@
 //!   analysis. A fault that trips the cap falls back to packed random
 //!   fault simulation and its row is marked `bounded` instead of `exact`.
 //! * `--fallback-samples N` sets the number of random vectors for those
-//!   estimates (default 4096; rounded up to a multiple of 64).
+//!   estimates (default 4096; rounded up to a multiple of 64, at least 64).
 //! * `--threads N` shards the sweep over N work-stealing workers; the
 //!   printed rows are bit-identical to the serial run.
 //! * `--no-collapse` turns off structural fault collapsing (one BDD
@@ -50,7 +54,10 @@
 //!   per-fault records back over TCP and this client re-renders them.
 //!   Stdout is byte-identical to the batch run; the win is that the server
 //!   keeps the good-function snapshot cached, so repeat analyses skip the
-//!   build entirely.
+//!   build entirely. The service commands (`detectability`, `adherence`,
+//!   `status`, `shutdown`) talk to the server at `--connect ADDR` too, or
+//!   at `diffprop serve`'s default address without it; the point queries
+//!   honour `--order` and `--node-budget` and print the server's JSON value.
 //!
 //! Without `--node-budget` every analysis is exact and the output is
 //! identical to the unbudgeted engine's.
@@ -61,10 +68,11 @@ use diffprop::analysis::{
 };
 use diffprop::core::{
     find_redundancies, generate_tests, sweep_report, sweep_universe, BudgetConfig, EngineConfig,
-    OrderStrategy, Parallelism, SweepConfig,
+    FaultOutcome, OrderStrategy, Parallelism, SweepConfig,
 };
 use diffprop::faults::BridgeKind;
 use diffprop::netlist::{find_xor_quads, generators, parse_bench, Circuit, Scoap};
+use diffprop::serve::{CircuitSpec, Client, PointParams, DEFAULT_ADDR};
 
 fn load(arg: &str) -> Circuit {
     generators::by_name(arg).unwrap_or_else(|| {
@@ -85,6 +93,8 @@ fn usage() -> ! {
          [--node-budget N] [--fallback-samples N] [--threads N] [--no-collapse] [--telemetry PATH]\n\
          [--order identity|fanin-dfs|auto] [--connect ADDR]\n\
          or:    diffprop serve [HOST:PORT] [--cache-bytes N]\n\
+         or:    diffprop <detectability|adherence> <circuit> <net> 0|1 [--order S] [--node-budget N] [--connect ADDR]\n\
+         or:    diffprop <status|shutdown> [--connect ADDR]\n\
          circuit: c17 | full_adder | c95 | alu74181 | c432s | c499s | c1355s | c1908s | path.bench\n\
          --model M             fault model for `analyze`: stuck (default), nfbf-and,\n\
                                nfbf-or, fbridge-and, fbridge-or, multi\n\
@@ -101,7 +111,9 @@ fn usage() -> ! {
          --batch N             max cone-disjoint faults fused per propagation pass\n\
                                (default 8, 1 disables fusion; rows are identical)\n\
          --connect ADDR        run `analyze` through a resident sweep server instead of\n\
-                               sweeping locally (stdout is byte-identical to the batch run)\n\
+                               sweeping locally (stdout is byte-identical to the batch run);\n\
+                               detectability, adherence, status and shutdown ask the server\n\
+                               there (default {DEFAULT_ADDR})\n\
          --cache-bytes N       snapshot-cache byte budget for `serve` (default 256 MiB)"
     );
     std::process::exit(2);
@@ -142,15 +154,16 @@ impl Opts {
 /// list, leaving the positionals.
 fn parse_args(raw: Vec<String>) -> (Vec<String>, Opts) {
     let mut positional = Vec::new();
+    let defaults = SweepConfig::default();
     let mut opts = Opts {
         model: "stuck".into(),
         node_budget: None,
-        fallback_samples: 4096,
+        fallback_samples: defaults.fallback_samples,
         threads: 1,
-        collapse: true,
+        collapse: defaults.collapse,
         telemetry_path: None,
-        order: OrderStrategy::Identity,
-        batch: SweepConfig::default().batch,
+        order: defaults.engine.order,
+        batch: defaults.batch,
         connect: None,
         cache_bytes: None,
     };
@@ -232,10 +245,12 @@ fn main() {
     let Some(cmd) = args.first().map(String::as_str) else {
         usage()
     };
-    if cmd == "serve" {
-        let addr = args.get(1).map(String::as_str).unwrap_or("127.0.0.1:4590");
-        serve(addr, &opts);
-        return;
+    match cmd {
+        "serve" => return serve(args.get(1).map_or(DEFAULT_ADDR, String::as_str), &opts),
+        "detectability" | "adherence" | "status" | "shutdown" => {
+            return service(cmd, &args[1..], &opts)
+        }
+        _ => {}
     }
     let Some(target) = args.get(1).map(String::as_str) else {
         usage()
@@ -271,6 +286,66 @@ fn serve(addr: &str, opts: &Opts) {
     eprintln!("diffprop: serving on {}", server.local_addr());
     if let Err(e) = server.run() {
         eprintln!("diffprop serve: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// Connects to the server at `addr`, or exits 1.
+fn connect(addr: &str) -> Client {
+    Client::connect(addr).unwrap_or_else(|e| {
+        eprintln!("cannot connect to {addr}: {e}");
+        std::process::exit(1);
+    })
+}
+
+/// Parses a circuit argument for the wire (a builtin by name, a `.bench`
+/// file inline), or exits 1.
+fn circuit_spec(target: &str) -> CircuitSpec {
+    CircuitSpec::from_arg(target).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(1);
+    })
+}
+
+/// The service commands: one request to the server at `--connect`
+/// (default [`DEFAULT_ADDR`]), its answer printed to stdout.
+fn service(cmd: &str, args: &[String], opts: &Opts) {
+    let point = match args {
+        [] if matches!(cmd, "status" | "shutdown") => None,
+        [target, net, value] if matches!(cmd, "detectability" | "adherence") => {
+            let stuck_at = match value.as_str() {
+                "0" => false,
+                "1" => true,
+                _ => usage(),
+            };
+            let point = PointParams {
+                order: opts.order,
+                budget: opts.budget(),
+                net: net.clone(),
+                stuck_at,
+            };
+            Some((circuit_spec(target), point))
+        }
+        _ => usage(),
+    };
+    let addr = opts.connect.as_deref().unwrap_or(DEFAULT_ADDR);
+    let mut client = connect(addr);
+    let answered = match point {
+        Some((spec, point)) => client
+            .point(cmd == "adherence", spec, point)
+            .map(|value| println!("{}", value.to_pretty_string())),
+        None if cmd == "status" => client.status().map(|s| {
+            println!(
+                "entries {}  bytes {}/{}  hits {}  misses {}  evictions {}",
+                s.entries, s.bytes, s.budget_bytes, s.hits, s.misses, s.evictions
+            )
+        }),
+        None => client
+            .shutdown()
+            .map(|()| eprintln!("server at {addr} acknowledged shutdown")),
+    };
+    if let Err(e) = answered {
+        eprintln!("{cmd} via {addr} failed: {e}");
         std::process::exit(1);
     }
 }
@@ -341,19 +416,16 @@ fn analyze(circuit: &Circuit, n: usize, opts: &Opts) {
             }
         }
     }
-    print_analysis(circuit, &faults, &sweep.summaries, opts.fallback_samples);
+    print_analysis(circuit, &faults, &sweep.summaries);
 }
 
 /// Runs `analyze` through a resident sweep server. The server streams one
 /// TSV record per fault; this function parses them back into summaries and
 /// feeds the same print path as the batch run, so stdout is byte-identical.
 fn analyze_connect(circuit: &Circuit, target: &str, n: usize, opts: &Opts, addr: &str) {
-    use diffprop::serve::{Client, CircuitSpec, SweepParams, WireSummary};
+    use diffprop::serve::{SweepParams, WireSummary};
 
-    let spec = CircuitSpec::from_arg(target).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(1);
-    });
+    let spec = circuit_spec(target);
     // The fault list is derived locally from the identical circuit — the
     // wire carries indices into it, not fault descriptions.
     let mut faults = fault_model_universe(circuit, &opts.model, None, 0).unwrap_or_else(|e| {
@@ -361,10 +433,7 @@ fn analyze_connect(circuit: &Circuit, target: &str, n: usize, opts: &Opts, addr:
         usage()
     });
     faults.truncate(n);
-    let mut client = Client::connect(addr).unwrap_or_else(|e| {
-        eprintln!("cannot connect to {addr}: {e}");
-        std::process::exit(1);
-    });
+    let mut client = connect(addr);
     let params = SweepParams {
         order: opts.order,
         model: opts.model.clone(),
@@ -412,7 +481,7 @@ fn analyze_connect(circuit: &Circuit, target: &str, n: usize, opts: &Opts, addr:
             }
         }
     }
-    print_analysis(circuit, &kept, &summaries, opts.fallback_samples);
+    print_analysis(circuit, &kept, &summaries);
 }
 
 /// The `analyze` output: per-fault rows, the outcome tally, and the
@@ -422,7 +491,6 @@ fn print_analysis(
     circuit: &Circuit,
     faults: &[diffprop::faults::Fault],
     summaries: &[diffprop::core::FaultSummary],
-    fallback_samples: u64,
 ) {
     println!(
         "{:<28} {:>10} {:>12} {:>10} {:>6} {:>8}",
@@ -460,10 +528,14 @@ fn print_analysis(
         print!(", {oscillating} oscillating");
     }
     println!();
-    if bounded > 0 {
+    // Every bounded row of one sweep was sampled over the same vector count.
+    let samples = summaries.iter().find_map(|s| match s.outcome {
+        FaultOutcome::Bounded { samples } => Some(samples),
+        _ => None,
+    });
+    if let Some(samples) = samples {
         println!(
-            "(bounded rows are estimates over {} random vectors; raise --node-budget for exact results)",
-            fallback_samples.div_ceil(64) * 64
+            "(bounded rows are estimates over {samples} random vectors; raise --node-budget for exact results)"
         );
     }
     let records = records_from_summaries(circuit, faults, summaries);

@@ -16,11 +16,10 @@
 //! the two-circuit suite.
 //!
 //! The saved passes must also show up as saved *work* in the managers' own
-//! [`ManagerStats`] counters, read through the cumulative views
-//! (`unique.lookups` and `op_cumulative_total()`), which survive every gc:
-//! the per-generation op counters still reset when a collection clears the
-//! cache, but the cumulative ones keep counting, so a sweep-end reading
-//! covers the whole run no matter how often the adaptive gc fired. Under
+//! [`ManagerStats`] counters (`unique.lookups` and
+//! `op_cumulative_total()`), which are cumulative and survive every gc, so
+//! a sweep-end reading covers the whole run no matter how often the
+//! adaptive gc fired. Under
 //! the default engine config the uncollapsed 74181 sweep re-derives every
 //! duplicate fault's deltas; collapsing removes that recomputation and both
 //! the cumulative unique-table and op-cache traffic drop by over 20% (c95

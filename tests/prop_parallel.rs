@@ -70,7 +70,7 @@ fn assert_stats_consistent(sweep: &SweepResult) {
                 report.shard
             );
         }
-        let total = s.op_total();
+        let total = s.op_cumulative_total();
         assert_eq!(total.hits + total.misses, total.lookups);
         // Every unique-table miss allocates exactly one node and nothing
         // else does, so the peak is bracketed by the starting table (the
