@@ -100,12 +100,7 @@ fn main() {
             "--bf-sample" => config.bf_sample = number(&mut args, "--bf-sample"),
             "--sa-cap" => config.sa_cap = number(&mut args, "--sa-cap"),
             "--threads" => {
-                let n: usize = number(&mut args, "--threads");
-                config.sweep.parallelism = if n <= 1 {
-                    Parallelism::Serial
-                } else {
-                    Parallelism::Threads(n)
-                };
+                config.sweep.parallelism = Parallelism::Threads(number(&mut args, "--threads"));
             }
             "--node-budget" => {
                 config.sweep.engine.budget =

@@ -109,8 +109,8 @@ pub fn double_fault_coverage(
             continue;
         }
         sampled += 1;
-        let pair = [a, b];
-        let analysis = dp.analyze(&Fault::MultiStuckAt(MultiStuckAt::new(pair.to_vec())));
+        let pair = Fault::MultiStuckAt(MultiStuckAt::new(vec![a, b]));
+        let analysis = dp.analyze(&pair);
         if !analysis.is_detectable() {
             continue;
         }
@@ -118,7 +118,7 @@ pub fn double_fault_coverage(
         if tests
             .vectors
             .iter()
-            .any(|v| dp_sim::detects_multi(circuit, &pair, v))
+            .any(|v| dp_sim::detects(circuit, &pair, v))
         {
             detected += 1;
         }

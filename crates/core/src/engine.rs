@@ -1239,7 +1239,6 @@ mod tests {
 
     #[test]
     fn multi_stuck_at_matches_simulation() {
-        use dp_sim::exhaustive_multi_detectability;
         for circuit in [c17(), full_adder(), c95()] {
             let faults = checkpoint_faults(&circuit);
             let mut dp = DiffProp::new(&circuit);
@@ -1248,8 +1247,9 @@ mod tests {
                 if w[0].site == w[1].site {
                     continue;
                 }
-                let analysis = dp.analyze(&multi(w));
-                let (det, _) = exhaustive_multi_detectability(&circuit, w);
+                let fault = multi(w);
+                let analysis = dp.analyze(&fault);
+                let (det, _) = exhaustive_detectability(&circuit, &fault);
                 assert_eq!(
                     analysis.test_count,
                     Some(det as u128),
@@ -1263,8 +1263,9 @@ mod tests {
                 if w.len() < 3 || w[0].site == w[1].site || w[1].site == w[2].site {
                     continue;
                 }
-                let analysis = dp.analyze(&multi(w));
-                let (det, _) = exhaustive_multi_detectability(&circuit, w);
+                let fault = multi(w);
+                let analysis = dp.analyze(&fault);
+                let (det, _) = exhaustive_detectability(&circuit, &fault);
                 assert_eq!(analysis.test_count, Some(det as u128));
             }
         }

@@ -303,11 +303,7 @@ fn stream_sweep(
             budget: params.budget,
             ..Default::default()
         },
-        parallelism: if threads <= 1 {
-            Parallelism::Serial
-        } else {
-            Parallelism::Threads(threads)
-        },
+        parallelism: Parallelism::Threads(threads),
         fallback_samples: params.fallback_samples,
         collapse: params.collapse,
         ..Default::default()

@@ -29,8 +29,7 @@ mod packed;
 mod ternary;
 
 pub use faultsim::{
-    detects, detects_multi, exhaustive_detectability, exhaustive_multi_detectability,
-    faulty_outputs, random_detectability, sampled_fault_estimate, SampledDetectability,
+    detects, exhaustive_detectability, faulty_outputs, sampled_fault_estimate, SampledDetectability,
 };
 pub use grading::{grade_test_set, Grade};
 pub use packed::PackedSim;

@@ -1,5 +1,6 @@
 //! 64-way bit-parallel circuit evaluation.
 
+use dp_faults::FaultSite;
 use dp_netlist::{Circuit, Driver, GateKind, NetId};
 
 /// Evaluates a gate over packed 64-vector words.
@@ -38,6 +39,12 @@ pub struct PackedSim<'a> {
     circuit: &'a Circuit,
     values: Vec<u64>,
     scratch: Vec<u64>,
+    /// Words held on nets (stuck stems, bridged wires) during the current
+    /// run, as `(net index, word)`.
+    net_force: Vec<(usize, u64)>,
+    /// Words held on gate pins (stuck branches) during the current run, as
+    /// `(sink index, pin, word)`.
+    pin_force: Vec<(usize, usize, u64)>,
 }
 
 impl<'a> PackedSim<'a> {
@@ -47,6 +54,8 @@ impl<'a> PackedSim<'a> {
             circuit,
             values: vec![0; circuit.num_nets()],
             scratch: Vec::new(),
+            net_force: Vec::new(),
+            pin_force: Vec::new(),
         }
     }
 
@@ -58,20 +67,22 @@ impl<'a> PackedSim<'a> {
     ///
     /// Panics if `inputs.len()` differs from the circuit's input count.
     pub fn run(&mut self, inputs: &[u64]) -> &[u64] {
-        self.run_with(inputs, |_, _, v| v)
+        self.run_forced(inputs, [])
     }
 
-    /// Simulates 64 vectors with a value interceptor: after each net's
-    /// driven value is computed, `intercept(circuit, net, value)` may replace
-    /// it (fault injection hooks into exactly this point).
+    /// Simulates 64 vectors with every `(site, word)` of `forces` held in
+    /// place: a [`FaultSite::Net`] replaces the net's driven value, a
+    /// [`FaultSite::Branch`] replaces what the sink gate reads on that pin
+    /// while the stem and its other branches keep the driven value. This is
+    /// the one sweep every binary fault injection runs through.
     ///
     /// # Panics
     ///
     /// Panics if `inputs.len()` differs from the circuit's input count.
-    pub fn run_with(
+    pub(crate) fn run_forced(
         &mut self,
         inputs: &[u64],
-        mut intercept: impl FnMut(&Circuit, NetId, u64) -> u64,
+        forces: impl IntoIterator<Item = (FaultSite, u64)>,
     ) -> &[u64] {
         let circuit = self.circuit;
         assert_eq!(
@@ -79,16 +90,36 @@ impl<'a> PackedSim<'a> {
             circuit.num_inputs(),
             "packed input count mismatch"
         );
+        self.net_force.clear();
+        self.pin_force.clear();
+        for (site, word) in forces {
+            match site {
+                FaultSite::Net(n) => self.net_force.push((n.index(), word)),
+                FaultSite::Branch(b) => self.pin_force.push((b.sink.index(), b.pin, word)),
+            }
+        }
         for (i, &pi) in circuit.inputs().iter().enumerate() {
-            self.values[pi.index()] = intercept(circuit, pi, inputs[i]);
+            self.values[pi.index()] = inputs[i];
         }
         for n in circuit.nets() {
+            let idx = n.index();
             if let Driver::Gate { kind, fanins } = circuit.driver(n) {
                 self.scratch.clear();
                 self.scratch
                     .extend(fanins.iter().map(|f| self.values[f.index()]));
-                let v = eval_packed(*kind, &self.scratch);
-                self.values[n.index()] = intercept(circuit, n, v);
+                // Overwrite after filling: one pass over the (short) pin
+                // list per gate, not one search per fanin.
+                for &(sink, pin, word) in &self.pin_force {
+                    if sink == idx {
+                        self.scratch[pin] = word;
+                    }
+                }
+                self.values[idx] = eval_packed(*kind, &self.scratch);
+            }
+            for &(net, word) in &self.net_force {
+                if net == idx {
+                    self.values[idx] = word;
+                }
             }
         }
         &self.values
@@ -100,15 +131,45 @@ impl<'a> PackedSim<'a> {
     }
 
     /// The circuit this simulator is bound to.
-    pub fn circuit(&self) -> &Circuit {
+    pub fn circuit(&self) -> &'a Circuit {
         self.circuit
     }
+}
+
+/// Enumerates all `2^n` input vectors of `circuit` in blocks of 64:
+/// `visit(inputs, lanes)` gets each block's packed input words and the mask
+/// of its in-range lanes (all 64, except below six inputs). Returns `2^n`.
+///
+/// # Panics
+///
+/// Panics if the circuit has more than 30 primary inputs (use Difference
+/// Propagation instead — avoiding exactly this wall is the paper's point).
+pub(crate) fn exhaustive_blocks(circuit: &Circuit, mut visit: impl FnMut(&[u64], u64)) -> u64 {
+    let n = circuit.num_inputs();
+    assert!(
+        n <= 30,
+        "exhaustive simulation beyond 30 inputs is intractable"
+    );
+    let total: u64 = 1 << n;
+    let lanes = if total < 64 {
+        (1u64 << total) - 1
+    } else {
+        !0u64
+    };
+    let mut inputs = vec![0u64; n];
+    for block in 0..total.div_ceil(64) {
+        for (i, word) in inputs.iter_mut().enumerate() {
+            *word = exhaustive_pattern(i, block);
+        }
+        visit(&inputs, lanes);
+    }
+    total
 }
 
 /// Packs the canonical exhaustive-enumeration pattern for input `i` within
 /// block `block` of 64 consecutive vectors: vector index `v = block·64 + k`
 /// assigns input `i` the bit `v >> i & 1`.
-pub(crate) fn exhaustive_pattern(input: usize, block: u64) -> u64 {
+fn exhaustive_pattern(input: usize, block: u64) -> u64 {
     match input {
         0 => 0xAAAA_AAAA_AAAA_AAAA,
         1 => 0xCCCC_CCCC_CCCC_CCCC,
@@ -166,17 +227,23 @@ mod tests {
     }
 
     #[test]
-    fn interceptor_can_force_values() {
+    fn forced_net_and_pin_hold_their_words() {
         let c = full_adder();
         let target = c.find_net("axb").unwrap();
         let mut sim = PackedSim::new(&c);
         let inputs = vec![0u64; 3];
         let forced = sim
-            .run_with(&inputs, |_, n, v| if n == target { !0u64 } else { v })
+            .run_forced(&inputs, [(FaultSite::Net(target), !0u64)])
             .to_vec();
         // a=b=0 so axb would be 0, but forced to 1; sum = axb ^ cin = 1.
         let sum = c.outputs()[0];
         assert_eq!(forced[sum.index()], !0u64);
+        // A forced branch changes only its sink's reading: the stem keeps
+        // its driven value, and the next plain run forgets every force.
+        let branch = c.fanout_branches()[0];
+        let values = sim.run_forced(&inputs, [(FaultSite::Branch(branch), !0u64)]);
+        assert_eq!(values[branch.stem.index()], 0);
+        assert_eq!(sim.run(&inputs)[sum.index()], 0);
     }
 
     #[test]

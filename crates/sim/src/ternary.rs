@@ -22,7 +22,7 @@
 use dp_faults::{BridgeKind, Fault, FaultSite, StuckAtFault};
 use dp_netlist::{Circuit, Driver, GateKind};
 
-use crate::packed::{exhaustive_pattern, PackedSim};
+use crate::packed::{exhaustive_blocks, PackedSim};
 
 /// One ternary value: a definite bit or X (unknown / oscillating).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -94,7 +94,11 @@ fn eval_ternary(kind: GateKind, his: &[u64], los: &[u64]) -> (u64, u64) {
 /// Runs monotone Gauss–Seidel sweeps from all-X to the least fixpoint, so
 /// any fault model is handled — including feedback bridges, whose loop may
 /// leave residual X (oscillation) on some lanes.
-fn faulty_rails(circuit: &Circuit, fault: &Fault, inputs: &[u64]) -> (Vec<u64>, Vec<u64>) {
+pub(crate) fn faulty_rails(
+    circuit: &Circuit,
+    fault: &Fault,
+    inputs: &[u64],
+) -> (Vec<u64>, Vec<u64>) {
     assert_eq!(inputs.len(), circuit.num_inputs(), "packed input count mismatch");
     let nn = circuit.num_nets();
     // Forced rails per net (stuck stems) and per gate pin (stuck branches).
@@ -221,37 +225,22 @@ pub struct TernaryDetectability {
 ///
 /// Panics if the circuit has more than 30 primary inputs.
 pub fn ternary_exhaustive_detectability(circuit: &Circuit, fault: &Fault) -> TernaryDetectability {
-    let n = circuit.num_inputs();
-    assert!(n <= 30, "exhaustive simulation beyond 30 inputs is intractable");
-    let total: u64 = 1 << n;
-    let blocks = total.div_ceil(64).max(1);
     let mut sim = PackedSim::new(circuit);
     let osc_site = oscillation_site(fault);
     let mut detected = 0u64;
     let mut oscillating = 0u64;
-    let mut inputs = vec![0u64; n];
-    for block in 0..blocks {
-        for (i, word) in inputs.iter_mut().enumerate() {
-            *word = exhaustive_pattern(i, block);
-        }
-        let good: Vec<u64> = {
-            let values = sim.run(&inputs);
-            circuit.outputs().iter().map(|o| values[o.index()]).collect()
-        };
-        let (hi, lo) = faulty_rails(circuit, fault, &inputs);
+    let total = exhaustive_blocks(circuit, |inputs, lanes| {
+        let values = sim.run(inputs);
+        let (hi, lo) = faulty_rails(circuit, fault, inputs);
         let mut diff = 0u64;
-        for (k, &o) in circuit.outputs().iter().enumerate() {
-            diff |= (hi[o.index()] & !good[k]) | (lo[o.index()] & good[k]);
+        for &o in circuit.outputs() {
+            let good = values[o.index()];
+            diff |= (hi[o.index()] & !good) | (lo[o.index()] & good);
         }
-        let mut osc = osc_site.map_or(0, |s| !(hi[s] | lo[s]));
-        if total < 64 {
-            let mask = (1u64 << total) - 1;
-            diff &= mask;
-            osc &= mask;
-        }
-        detected += diff.count_ones() as u64;
-        oscillating += osc.count_ones() as u64;
-    }
+        let osc = osc_site.map_or(0, |s| !(hi[s] | lo[s]));
+        detected += (diff & lanes).count_ones() as u64;
+        oscillating += (osc & lanes).count_ones() as u64;
+    });
     TernaryDetectability {
         detected,
         oscillating,
@@ -291,16 +280,6 @@ pub fn ternary_detects(circuit: &Circuit, fault: &Fault, vector: &[bool]) -> boo
     })
 }
 
-/// Sampled dual rails at one net over random vectors — internal hook for
-/// `sampled_fault_estimate`'s bridge path.
-pub(crate) fn faulty_rails_block(
-    circuit: &Circuit,
-    fault: &Fault,
-    inputs: &[u64],
-) -> (Vec<u64>, Vec<u64>) {
-    faulty_rails(circuit, fault, inputs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -331,17 +310,16 @@ mod tests {
                 assert_eq!(t.oscillating, 0, "{fault}");
             }
         }
-        for m in pair_multis(&full_adder()).into_iter().step_by(17) {
-            let fault = Fault::from(m);
-            let t = ternary_exhaustive_detectability(&full_adder(), &fault);
-            let (det, _) = crate::exhaustive_multi_detectability(
-                &full_adder(),
-                match &fault {
-                    Fault::MultiStuckAt(m) => m.components(),
-                    _ => unreachable!(),
-                },
-            );
-            assert_eq!(t.detected, det, "{fault}");
+        // Double stuck-ats force stems and branch pins together: every
+        // checkpoint pair of the full adder and of c95.
+        for c in [full_adder(), c95()] {
+            for m in pair_multis(&c) {
+                let fault = Fault::from(m);
+                let t = ternary_exhaustive_detectability(&c, &fault);
+                let (det, _) = crate::exhaustive_detectability(&c, &fault);
+                assert_eq!(t.detected, det, "{fault}");
+                assert_eq!(t.oscillating, 0, "{fault}");
+            }
         }
     }
 

@@ -12,7 +12,7 @@
 use diffprop::analysis::coverage::{double_fault_coverage, expected_random_coverage};
 use diffprop::analysis::{analyze_faults, stuck_at_universe};
 use diffprop::netlist::generators;
-use diffprop::sim::random_detectability;
+use diffprop::sim::sampled_fault_estimate;
 
 fn main() {
     let arg = std::env::args().nth(1).unwrap_or_else(|| "alu74181".into());
@@ -34,10 +34,7 @@ fn main() {
     let k = 256;
     let hits = faults
         .iter()
-        .filter(|f| {
-            let (det, _) = random_detectability(&circuit, f, k, 99);
-            det > 0
-        })
+        .filter(|f| sampled_fault_estimate(&circuit, f, k, 99).detected > 0)
         .count();
     println!(
         "\nsimulated {k}-vector random coverage: {:.2}% (prediction above: closed form)",

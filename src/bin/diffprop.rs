@@ -88,33 +88,36 @@ fn load(arg: &str) -> Circuit {
 }
 
 fn usage() -> ! {
+    // One literal with real line breaks: a `\` continuation would strip the
+    // indentation of every wrapped line.
     eprintln!(
-        "usage: diffprop <stats|analyze|atpg|redundancy|bridges> <circuit> [n] \
-         [--node-budget N] [--fallback-samples N] [--threads N] [--no-collapse] [--telemetry PATH]\n\
-         [--order identity|fanin-dfs|auto] [--connect ADDR]\n\
-         or:    diffprop serve [HOST:PORT] [--cache-bytes N]\n\
-         or:    diffprop <detectability|adherence> <circuit> <net> 0|1 [--order S] [--node-budget N] [--connect ADDR]\n\
-         or:    diffprop <status|shutdown> [--connect ADDR]\n\
-         circuit: c17 | full_adder | c95 | alu74181 | c432s | c499s | c1355s | c1908s | path.bench\n\
-         --model M             fault model for `analyze`: stuck (default), nfbf-and,\n\
-                               nfbf-or, fbridge-and, fbridge-or, multi\n\
-         --node-budget N       cap BDD nodes per analysis; over-budget faults degrade to\n\
-                               sampled simulation estimates (analyze command)\n\
-         --fallback-samples N  random vectors per degraded estimate (default 4096)\n\
-         --threads N           work-stealing sweep workers (analyze command; output unchanged)\n\
-         --no-collapse         one propagation per fault instead of per equivalence class\n\
-         --telemetry PATH      write a machine-readable sweep_report.json to PATH\n\
-                               (analyze command; printed rows are unchanged)\n\
-         --order S             OBDD variable-order strategy (default identity);\n\
-                               auto = fanin-dfs + one sift at build. Rows are identical\n\
-                               across strategies, wall clock is not\n\
-         --batch N             max cone-disjoint faults fused per propagation pass\n\
-                               (default 8, 1 disables fusion; rows are identical)\n\
-         --connect ADDR        run `analyze` through a resident sweep server instead of\n\
-                               sweeping locally (stdout is byte-identical to the batch run);\n\
-                               detectability, adherence, status and shutdown ask the server\n\
-                               there (default {DEFAULT_ADDR})\n\
-         --cache-bytes N       snapshot-cache byte budget for `serve` (default 256 MiB)"
+        "\
+usage: diffprop <stats|analyze|atpg|redundancy|bridges> <circuit> [n]
+       [--node-budget N] [--fallback-samples N] [--threads N] [--no-collapse]
+       [--telemetry PATH] [--order identity|fanin-dfs|auto] [--connect ADDR]
+or:    diffprop serve [HOST:PORT] [--cache-bytes N]
+or:    diffprop <detectability|adherence> <circuit> <net> 0|1 [--order S] [--node-budget N] [--connect ADDR]
+or:    diffprop <status|shutdown> [--connect ADDR]
+circuit: c17 | full_adder | c95 | alu74181 | c432s | c499s | c1355s | c1908s | path.bench
+--model M             fault model for `analyze`: stuck (default), nfbf-and,
+                      nfbf-or, fbridge-and, fbridge-or, multi
+--node-budget N       cap BDD nodes per analysis; over-budget faults degrade to
+                      sampled simulation estimates (analyze command)
+--fallback-samples N  random vectors per degraded estimate (default 4096)
+--threads N           work-stealing sweep workers (analyze command; output unchanged)
+--no-collapse         one propagation per fault instead of per equivalence class
+--telemetry PATH      write a machine-readable sweep_report.json to PATH
+                      (analyze command; printed rows are unchanged)
+--order S             OBDD variable-order strategy (default identity);
+                      auto = fanin-dfs + one sift at build. Rows are identical
+                      across strategies, wall clock is not
+--batch N             max cone-disjoint faults fused per propagation pass
+                      (default 8, 1 disables fusion; rows are identical)
+--connect ADDR        run `analyze` through a resident sweep server instead of
+                      sweeping locally (stdout is byte-identical to the batch run);
+                      detectability, adherence, status and shutdown ask the server
+                      there (default {DEFAULT_ADDR})
+--cache-bytes N       snapshot-cache byte budget for `serve` (default 256 MiB)"
     );
     std::process::exit(2);
 }
@@ -138,14 +141,6 @@ impl Opts {
         match self.node_budget {
             Some(n) => BudgetConfig::with_max_nodes(n),
             None => BudgetConfig::UNLIMITED,
-        }
-    }
-
-    fn parallelism(&self) -> Parallelism {
-        if self.threads <= 1 {
-            Parallelism::Serial
-        } else {
-            Parallelism::Threads(self.threads)
         }
     }
 }
@@ -333,7 +328,7 @@ fn service(cmd: &str, args: &[String], opts: &Opts) {
     let answered = match point {
         Some((spec, point)) => client
             .point(cmd == "adherence", spec, point)
-            .map(|value| println!("{}", value.to_pretty_string())),
+            .map(|value| print!("{}", value.to_pretty_string())),
         None if cmd == "status" => client.status().map(|s| {
             println!(
                 "entries {}  bytes {}/{}  hits {}  misses {}  evictions {}",
@@ -391,7 +386,7 @@ fn analyze(circuit: &Circuit, n: usize, opts: &Opts) {
         &faults,
         &SweepConfig {
             engine: config,
-            parallelism: opts.parallelism(),
+            parallelism: Parallelism::Threads(opts.threads),
             fallback_samples: opts.fallback_samples,
             collapse: opts.collapse,
             batch: opts.batch,

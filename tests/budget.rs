@@ -4,9 +4,9 @@
 //! plausible-but-wrong answer, and a budget-capped sweep must degrade to
 //! sampled estimates instead of panicking or aborting.
 
-use diffprop::analysis::stuck_at_universe;
+use diffprop::analysis::{fault_model_universe, stuck_at_universe};
 use diffprop::core::{
-    sweep_universe, AnalysisError, BudgetConfig, DiffProp, EngineConfig, Parallelism,
+    summary_line, sweep_universe, AnalysisError, BudgetConfig, DiffProp, EngineConfig, Parallelism,
     SweepConfig,
 };
 use diffprop::faults::{checkpoint_faults, Fault};
@@ -148,5 +148,62 @@ fn unlimited_budget_sweep_matches_the_default_path() {
         assert_eq!(a.detectability.to_bits(), b.detectability.to_bits());
         assert_eq!(a.test_count, b.test_count);
         assert!(b.outcome.is_exact());
+    }
+}
+
+/// Where the bounded-sweep golden lives, relative to the workspace root.
+const BOUNDED_GOLDEN_PATH: &str = "tests/golden/bounded_summaries.tsv";
+
+/// c95 sweeps under a 120-node budget, one per fault model (first 200
+/// faults each), rendered as `model<TAB>summary_line` rows. The budget
+/// trips on every fault, so each row is a simulator fallback and the file
+/// pins the exact bits of `dp_sim::sampled_fault_estimate`: counts,
+/// observability flags and site constancy.
+fn bounded_golden_lines() -> Vec<String> {
+    let circuit = c95();
+    let config = SweepConfig {
+        engine: EngineConfig {
+            budget: BudgetConfig::with_max_nodes(120),
+            ..Default::default()
+        },
+        fallback_samples: 256,
+        ..Default::default()
+    };
+    let mut lines = Vec::new();
+    for model in ["stuck", "multi", "nfbf-or", "fbridge-and"] {
+        let mut faults = fault_model_universe(&circuit, model, None, 0).expect("known model");
+        faults.truncate(200);
+        let sweep = sweep_universe(&circuit, &faults, &config);
+        assert!(sweep.is_complete(), "{model}: a shard failed");
+        for (i, s) in sweep.summaries.iter().enumerate() {
+            lines.push(format!("{model}\t{}", summary_line(i, s)));
+        }
+    }
+    lines
+}
+
+/// The degraded path is deterministic down to the bit: the bounded sweeps
+/// reproduce the committed golden file. Regenerate deliberately with
+/// `DP_UPDATE_GOLDEN=1 cargo test -q --test budget bounded`.
+#[test]
+fn bounded_summaries_match_golden() {
+    let lines = bounded_golden_lines();
+    if std::env::var_os("DP_UPDATE_GOLDEN").is_some() {
+        std::fs::write(BOUNDED_GOLDEN_PATH, lines.join("\n") + "\n").expect("write golden file");
+        return;
+    }
+    let golden = std::fs::read_to_string(BOUNDED_GOLDEN_PATH)
+        .expect("golden file missing; run with DP_UPDATE_GOLDEN=1 to capture");
+    let golden: Vec<&str> = golden.lines().collect();
+    assert_eq!(golden.len(), lines.len(), "bounded universe size changed");
+    assert!(
+        golden.iter().any(|l| l.ends_with("bounded:256")),
+        "the golden must pin some fallback estimates"
+    );
+    for (want, got) in golden.iter().zip(&lines) {
+        assert_eq!(
+            want, got,
+            "bounded summary drifted from the committed golden file"
+        );
     }
 }

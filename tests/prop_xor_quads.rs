@@ -10,7 +10,7 @@ use diffprop::faults::{
 };
 use diffprop::netlist::generators::{c95, full_adder, random_circuit, RandomCircuitConfig};
 use diffprop::netlist::{expand_xor_to_nand, find_xor_quads, Circuit, NetId, XorQuads};
-use diffprop::sim::{exhaustive_detectability, exhaustive_multi_detectability};
+use diffprop::sim::exhaustive_detectability;
 use proptest::prelude::*;
 
 fn inside(quads: &XorQuads, n: NetId) -> bool {
@@ -68,7 +68,7 @@ fn check_against_simulation(circuit: &Circuit, outside_cap: usize) -> usize {
             continue;
         }
         let fault = Fault::MultiStuckAt(MultiStuckAt::new(w.to_vec()));
-        let (det, total) = exhaustive_multi_detectability(circuit, w);
+        let (det, total) = exhaustive_detectability(circuit, &fault);
         check(&fault, det, total);
     }
     shortcuts

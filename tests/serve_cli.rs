@@ -149,6 +149,10 @@ fn point_queries_status_and_shutdown_go_through_the_server() {
         ),
     ] {
         let text = stdout(&server.run(&[cmd, "c17", "11", "1"]));
+        assert!(
+            text.ends_with("}\n"),
+            "{cmd}: the JSON value ends the output with one newline: {text:?}"
+        );
         let value = diffprop::telemetry::json::parse(&text).expect("one JSON value");
         assert_eq!(
             value.get(key).and_then(JsonValue::as_str),
@@ -191,6 +195,23 @@ fn service_commands_without_their_arguments_print_usage() {
         &["adherence", "c17", "11", "2"],
     ] {
         assert_eq!(diffprop(args).status.code(), Some(2), "{args:?}");
+    }
+}
+
+#[test]
+fn usage_keeps_the_indent_of_wrapped_lines() {
+    let out = diffprop(&[]);
+    assert_eq!(out.status.code(), Some(2));
+    let usage = String::from_utf8(out.stderr).expect("utf-8 stderr");
+    // A wrapped flag description continues under the description column,
+    // and a wrapped usage line under the command name.
+    let desc = " ".repeat("--model M             ".len());
+    for wrapped in [
+        format!("\n{desc}nfbf-or, fbridge-and, fbridge-or, multi\n"),
+        format!("\n{desc}there (default "),
+        "\n       [--node-budget N]".to_string(),
+    ] {
+        assert!(usage.contains(&wrapped), "missing {wrapped:?} in:\n{usage}");
     }
 }
 
