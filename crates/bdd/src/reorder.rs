@@ -5,7 +5,9 @@
 //! exchanges two neighbouring levels *in place* — every externally held
 //! [`NodeId`] keeps denoting the same Boolean function — and
 //! [`Manager::sift`] walks each variable up and down the order, keeping the
-//! best position, which is the classical greedy minimisation.
+//! best position, which is the classical greedy minimisation. A walk stops
+//! once the table outgrows the best size by a tenth (Rudell's growth
+//! limit) or once an exact lower bound says no further level can beat it.
 //!
 //! The in-place swap is sound because a rewritten node keeps its slot (and
 //! thus its id) while its decision variable and children change; the
@@ -16,7 +18,8 @@
 //! run every counted node lives in its variable's own unique subtable,
 //! beside a reference count per slot (parents plus root handles) and the
 //! running count of live nodes. The global table is cleared when the run
-//! starts and refilled once when it ends. A swap of `u` over `v` takes out
+//! starts and refilled once when it ends (after a sift, by the closing
+//! collection, at twice the final live count). A swap of `u` over `v` takes out
 //! of `u`'s subtable the nodes with a child on `v`, rewrites them into
 //! `v`'s subtable and leaves the other `u` nodes where they are, so it
 //! costs time in the nodes at the two swapped levels, and its table
@@ -30,6 +33,14 @@
 use crate::manager::{Manager, Node, NodeId, Var};
 use crate::table::UniqueTable;
 
+/// A sift walk stops before its next step away from the variable's start
+/// once the live size exceeds the best size so far by more than this
+/// ratio, as `(numerator, denominator)`: Rudell's growth limit, CUDD's
+/// `maxGrowth`. At 11/10 every sifted surrogate keeps the order of the
+/// uncapped walk (`tests/prop_snapshot.rs` pins them); at 1.08 c1908s's
+/// already moves.
+const MAX_GROWTH: (usize, usize) = (11, 10);
+
 /// The bookkeeping of one reordering run, kept beside the arena.
 struct Levels {
     /// Per slot: edges from counted parents plus root handles (and the
@@ -40,9 +51,6 @@ struct Levels {
     tables: Vec<UniqueTable>,
     /// Counted internal nodes: the live size when roots are counted.
     live: usize,
-    /// The largest `live` of the run: the most entries the global table
-    /// would have held had every counted node stayed in it.
-    peak: usize,
     /// Whether every node — stored or new — holds a pin, so none dies.
     pinned: bool,
     /// Scratch stack of [`Manager::release`].
@@ -67,7 +75,6 @@ impl Levels {
         self.tables[node.var as usize].insert(i, &node, nodes, 0);
         self.refs[i] += self.pinned as u32;
         self.live += 1;
-        self.peak = self.peak.max(self.live);
     }
 }
 
@@ -102,7 +109,6 @@ impl Manager {
             refs: vec![0; len],
             tables: Vec::new(),
             live: 0,
-            peak: 0,
             pinned: roots.is_none(),
             stack: Vec::new(),
             movers: Vec::new(),
@@ -137,17 +143,14 @@ impl Manager {
         lv
     }
 
-    /// Ends a run: grows the global table by its own load rule to hold
-    /// the run's peak live count (the capacity it would have reached had
-    /// every counted node stayed in it) and, unless a collection rebuilds
-    /// it next, refills it with every counted node.
-    fn end_run(&mut self, lv: &Levels, refill: bool) {
-        self.unique.grow_to_hold(lv.peak, &self.nodes, 0);
-        if refill {
-            for table in &lv.tables {
-                for i in table.iter() {
-                    self.unique.insert(i, &self.nodes[i], &self.nodes, 0);
-                }
+    /// Ends a pinned run: grows the global table by its own load rule to
+    /// hold every counted node (no node dies while pinned, so this is the
+    /// run's peak) and refills it with them.
+    fn end_pinned_run(&mut self, lv: &Levels) {
+        self.unique.grow_to_hold(lv.live, &self.nodes, 0);
+        for table in &lv.tables {
+            for i in table.iter() {
+                self.unique.insert(i, &self.nodes[i], &self.nodes, 0);
             }
         }
     }
@@ -383,7 +386,7 @@ impl Manager {
         );
         let mut lv = self.levels(None);
         self.swap_counted(&mut lv, level);
-        self.end_run(&lv, true);
+        self.end_pinned_run(&lv);
     }
 
     /// Moves variable `var` to `target_level` by a sequence of adjacent
@@ -402,7 +405,7 @@ impl Manager {
         );
         let mut lv = self.levels(None);
         self.move_counted(&mut lv, var, target_level);
-        self.end_run(&lv, true);
+        self.end_pinned_run(&lv);
     }
 
     /// Number of internal nodes reachable from `roots` (the live size —
@@ -436,10 +439,21 @@ impl Manager {
     /// the post-sift ids, and every *other* externally held [`NodeId`] is
     /// invalidated — the caller owns the only handles that survive.
     ///
-    /// A walk in one direction stops early once no further level can hold
-    /// fewer live nodes than the best so far (see `walk_is_done`); sizes
-    /// are canonical for each order, so the decisions are those of the
-    /// full walk.
+    /// A walk stops before a step away from the variable's starting level
+    /// once the live size exceeds 11/10 of the best so far (Rudell's growth
+    /// limit); steps back toward the start are never capped, so where the
+    /// first walk ended cannot change what the second visits. The cap is a
+    /// heuristic: on every sifted surrogate the capped walk picks the
+    /// uncapped walk's order, which `tests/prop_snapshot.rs` pins, but
+    /// that is a measurement, not a theorem. A walk also stops once no
+    /// further level can hold fewer live nodes than the best so far (see
+    /// `walk_is_done`). That pruning is exact: sizes are canonical for each
+    /// order, so the decisions are those of the capped walk.
+    ///
+    /// The closing collection refills a global table sized by the load
+    /// rule for twice the final live count, whatever size the walk peaked
+    /// at, so its capacity and slot layout depend only on what the sift
+    /// keeps.
     ///
     /// Each run adds one to
     /// [`ManagerStats::sift_runs`](crate::ManagerStats::sift_runs), its
@@ -495,7 +509,11 @@ impl Manager {
             let start = self.level_of(var);
             let mut best_level = start;
             // Walk to the nearer end first, then sweep to the other end,
-            // each until no further level can beat the best size.
+            // each until no further level can beat the best size or, on a
+            // step away from `start`, the table has outgrown it. Steps back
+            // toward `start` revisit measured levels and are not capped, so
+            // the bound's early stop on the first walk cannot change what
+            // the second one visits.
             let (first_end, second_end) = if start <= n / 2 {
                 (0, n - 1)
             } else {
@@ -505,10 +523,13 @@ impl Manager {
                 let mut level = self.level_of(var);
                 while level != target {
                     let down = target > level;
-                    if self.walk_is_done(&lv, &inter, var, down, best_total) {
+                    let next = if down { level + 1 } else { level - 1 };
+                    let outward = next.abs_diff(start) > level.abs_diff(start);
+                    if self.walk_is_done(&lv, &inter, var, down, best_total)
+                        || outward && lv.live * MAX_GROWTH.1 > best_total * MAX_GROWTH.0
+                    {
                         break;
                     }
-                    let next = if down { level + 1 } else { level - 1 };
                     swaps += self.move_counted(&mut lv, var, next);
                     level = next;
                     if lv.live < best_total {
@@ -520,7 +541,9 @@ impl Manager {
             swaps += self.move_counted(&mut lv, var, best_level);
             best_total = lv.live;
         }
-        self.end_run(&lv, false);
+        // Twice the kept nodes: a table at the load rule's own size for
+        // them made c1908s sweeps over the frozen base slower.
+        self.unique = UniqueTable::with_capacity(2 * lv.live);
         let remap = self.gc(roots);
         for r in roots.iter_mut() {
             *r = remap.map(*r);

@@ -21,13 +21,14 @@
 //!   results — a hit returns exactly what recomputation would — but the
 //!   hit/miss counters and `op_steps` become *layout-dependent*: see
 //!   DESIGN.md §9 for which telemetry counters that affects. A dropped
-//!   cache parks its slot array as the one process-wide spare, and the
-//!   next cache of exactly that capacity takes it over with a stamp bump
-//!   instead of allocating and writing every slot: thawing an engine per
-//!   point query then costs no allocation. Reuse is at the same capacity
-//!   only, so every key maps to the slot it would in a fresh array, and a
-//!   bumped stamp reads `None` everywhere, as a fresh array does — every
-//!   counter stays what it was.
+//!   cache of the size a thaw asks for parks its slot array as the one
+//!   process-wide spare (any other size is freed), and the next cache of
+//!   exactly that capacity takes it over with a stamp bump instead of
+//!   allocating and writing every slot: thawing an engine per point query
+//!   then costs no allocation. Reuse is at the same capacity only, so
+//!   every key maps to the slot it would in a fresh array, and a bumped
+//!   stamp reads `None` everywhere, as a fresh array does — every counter
+//!   stays what it was.
 //! * [`CompactMap`] is a small open-addressing scratch map keyed by raw
 //!   `u32` edges, used by the model-counting traversals in `count.rs` in
 //!   place of a per-call `HashMap<NodeId, _>`.
@@ -316,27 +317,37 @@ fn hash_key(key: &OpKey) -> u64 {
     }
 }
 
-/// The process-wide spare slot array every dropped [`OpCache`] returns to.
-static SPARE: Spare = Spare::new();
+/// The process-wide spare slot array a dropped [`OpCache`] of the size a
+/// thaw asks for returns to.
+static SPARE: Spare = Spare::new(DELTA_OP_CACHE_CAPACITY);
 
 /// A parked op-cache slot array and the stamp its entries were written
 /// under.
 type Parked = (Box<[OpSlot]>, u32);
 
-/// At most one parked op-cache slot array. One per process, not one per
-/// thread: a server's handler and a client in the same process would
-/// otherwise each pin a spare.
-struct Spare(Mutex<Option<Parked>>);
+/// At most one parked op-cache slot array, of one parkable capacity. One
+/// per process, not one per thread: a server's handler and a client in the
+/// same process would otherwise each pin a spare.
+struct Spare {
+    /// The only capacity parked: an array of any other size is freed at
+    /// drop, so a build's outgrown cache never lingers as a spare no thaw
+    /// can take.
+    parkable: usize,
+    parked: Mutex<Option<Parked>>,
+}
 
 impl Spare {
-    const fn new() -> Spare {
-        Spare(Mutex::new(None))
+    const fn new(parkable: usize) -> Spare {
+        Spare {
+            parkable,
+            parked: Mutex::new(None),
+        }
     }
 
     fn slot(&self) -> MutexGuard<'_, Option<Parked>> {
         // The critical sections only move an `Option`; a poisoned lock
         // still holds a consistent value.
-        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+        self.parked.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// An empty cache of exactly `capacity` slots (a power of two): the
@@ -361,11 +372,13 @@ impl Spare {
         }
     }
 
-    /// Parks `cache`'s slot array (leaving it empty) as the spare, freeing
-    /// any earlier spare outside the lock.
+    /// Takes `cache`'s slot array (leaving it empty) and parks it as the
+    /// spare if it has the parkable capacity, freeing any earlier spare
+    /// outside the lock. An array of any other capacity is freed, and the
+    /// spare stays as it was.
     fn recycle(&self, cache: &mut OpCache) {
         let slots = std::mem::take(&mut cache.slots);
-        if !slots.is_empty() {
+        if slots.len() == self.parkable {
             let earlier = self.slot().replace((slots, cache.stamp));
             drop(earlier);
         }
@@ -726,7 +739,7 @@ mod tests {
 
     #[test]
     fn a_recycled_array_of_the_same_capacity_is_reused_and_reads_empty() {
-        let spare = Spare::new();
+        let spare = Spare::new(1024);
         let mut cache = spare.cache(1024);
         for key in spread_keys() {
             cache.insert(key, NodeId(8));
@@ -744,7 +757,7 @@ mod tests {
 
     #[test]
     fn a_spare_of_another_capacity_is_dropped_for_a_fresh_array() {
-        let spare = Spare::new();
+        let spare = Spare::new(1024);
         let mut small = spare.cache(1024);
         spare.recycle(&mut small);
         let large = spare.cache(2048);
@@ -755,8 +768,27 @@ mod tests {
     }
 
     #[test]
+    fn only_an_array_of_the_parkable_capacity_is_parked() {
+        let spare = Spare::new(1024);
+        let mut parkable = spare.cache(1024);
+        let array = parkable.slots.as_ptr();
+        spare.recycle(&mut parkable);
+        let mut other = OpCache::fresh(2048);
+        spare.recycle(&mut other);
+        assert_eq!(other.capacity(), 0, "recycling empties the cache");
+        let reused = spare.cache(1024);
+        assert_eq!(reused.slots.as_ptr(), array, "the parked spare was kept");
+        let mut other = OpCache::fresh(2048);
+        spare.recycle(&mut other);
+        assert!(
+            spare.slot().is_none(),
+            "an array of another capacity is freed"
+        );
+    }
+
+    #[test]
     fn a_recycled_cache_at_the_last_stamp_wraps_and_invalidates_every_slot() {
-        let spare = Spare::new();
+        let spare = Spare::new(1024);
         let mut cache = spare.cache(1024);
         cache.stamp = u32::MAX;
         for key in spread_keys() {

@@ -5,18 +5,24 @@
 //! [`Manager::swap_adjacent_levels`] and re-measures the live size with a
 //! full [`Manager::live_size`] walk after every step — the textbook
 //! algorithm, with the same occupancy order (live nodes per variable,
-//! decreasing, ties by variable index) and the same strict-`<` rule for a
-//! new best position. The production sift keeps reference counts and
-//! per-variable unique subtables instead, frees dead nodes as it goes and
-//! never rewrites them, and it stops a walk once a lower bound says no
-//! further level can beat the best size. Both must make exactly the same
-//! decisions: on random multi-root functions over 6–8 variables, and on
-//! roots over two disjoint variable groups of up to 10 variables (where
-//! many pairs share no root, so the bound bites), from a random starting
-//! order and with dead nodes piled up first, they must agree on the final
-//! order, the returned size and the reclaimed count, and every root must
-//! still denote its function. The production sift may only make fewer
-//! swaps than the reference, and on the two-group functions it must.
+//! decreasing, ties by variable index), the same strict-`<` rule for a
+//! new best position and the same growth cap: before each step away from
+//! the variable's starting level, a walk stops once the live size exceeds
+//! 11/10 of the best so far. Steps back toward the start revisit measured
+//! levels and are never capped, so where one walk ended cannot change what
+//! the next one visits. The cap is a heuristic by design; what this file
+//! checks is that nothing else is. The production sift keeps reference
+//! counts and per-variable unique subtables instead, frees dead nodes as
+//! it goes and never rewrites them, and it also stops a walk once a lower
+//! bound says no further level can beat the best size. Both must make
+//! exactly the same decisions: on random multi-root functions over 6–8
+//! variables, and on roots over two disjoint variable groups of up to 10
+//! variables (where many pairs share no root, so the bound bites), from a
+//! random starting order and with dead nodes piled up first, they must
+//! agree on the final order, the returned size and the reclaimed count,
+//! and every root must still denote its function. The production sift may
+//! only make fewer swaps than the reference, and on the two-group
+//! functions it must.
 
 use std::collections::HashSet;
 
@@ -102,8 +108,9 @@ fn live_with_var(m: &Manager, roots: &[NodeId], var: Var) -> usize {
     count
 }
 
-/// The textbook sift: handle-preserving swaps and a full live-size walk
-/// after each. Returns `(live size before, after, swaps)`.
+/// The textbook sift, growth cap included: handle-preserving swaps and a
+/// full live-size walk after each. Returns `(live size before, after,
+/// swaps)`.
 fn reference_sift(m: &mut Manager, roots: &[NodeId]) -> (usize, usize, u64) {
     let n = m.num_vars() as u32;
     let before = m.live_size(roots);
@@ -120,6 +127,10 @@ fn reference_sift(m: &mut Manager, roots: &[NodeId]) -> (usize, usize, u64) {
             while m.level_of(var) != target {
                 let level = m.level_of(var);
                 let next = if target > level { level + 1 } else { level - 1 };
+                let outward = next.abs_diff(start) > level.abs_diff(start);
+                if outward && m.live_size(roots) * 10 > best_total * 11 {
+                    break;
+                }
                 m.swap_adjacent_levels(level.min(next));
                 swaps += 1;
                 let size = m.live_size(roots);

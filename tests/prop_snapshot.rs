@@ -12,7 +12,7 @@ mod common;
 
 use common::{assert_matches_golden, current_golden_lines, stuck_at_universe};
 use diffprop::core::{DiffProp, EngineConfig, OrderStrategy, Parallelism, SweepConfig};
-use diffprop::netlist::generators::{c1908_surrogate, c499_surrogate, c95};
+use diffprop::netlist::generators::{c1355_surrogate, c1908_surrogate, c499_surrogate, c95};
 use diffprop::netlist::Circuit;
 
 fn config(parallelism: Parallelism, order: OrderStrategy) -> SweepConfig {
@@ -110,16 +110,26 @@ fn assert_auto_build(circuit: &Circuit, digest: u64, reclaimed: u64, swaps: u64,
     );
 }
 
-/// The `auto` builds of c1908s and c499s, pinned. The swap counts are
-/// those of the pruned walk (the full walk made 1,153 and 3,229 swaps for
-/// the same orders), and the frozen bytes are those of a global table that
-/// held every live node throughout the sift.
+/// The `auto` builds of c1908s, c499s and c1355s, pinned. The digests and
+/// reclaimed counts are those of the uncapped walk: the sift's growth cap
+/// must not move any of these orders. The swap counts are those of the
+/// capped, pruned walk (the full walk made 1,153 and 3,229 swaps on c1908s
+/// and c499s, the uncapped pruned walk 647 and 1,763), and the frozen bytes
+/// are those of a closing table sized at twice the frozen node count.
 #[test]
 fn c1908s_auto_build_is_pinned() {
-    assert_auto_build(&c1908_surrogate(), 0xcfca_1c67_8f59_2213, 3970, 647, 452_268);
+    assert_auto_build(&c1908_surrogate(), 0xcfca_1c67_8f59_2213, 3970, 525, 452_268);
 }
 
 #[test]
 fn c499s_auto_build_is_pinned() {
-    assert_auto_build(&c499_surrogate(), 0x9dd9_1eb8_cf70_a046, 12_218, 1763, 859_092);
+    assert_auto_build(&c499_surrogate(), 0x9dd9_1eb8_cf70_a046, 12_218, 1499, 859_092);
+}
+
+/// Slower than the rest of this file together (about 6 s in a debug
+/// build on a 2-vCPU host): CI runs it in release with `--ignored`.
+#[test]
+#[ignore]
+fn c1355s_auto_build_is_pinned() {
+    assert_auto_build(&c1355_surrogate(), 0x7ad1_0bcb_9f48_6f8d, 42_422, 1381, 2_121_536);
 }

@@ -106,6 +106,8 @@ fn a_recycled_thaw_allocates_nothing_large_and_answers_as_a_fresh_one() {
     let snapshot =
         DiffProp::build_snapshot(&circuit, EngineConfig::default()).expect("c1908s builds");
 
+    // The build's op cache grew with its arena, not to a thaw's size, so
+    // freezing freed it instead of parking it: the first thaw allocates.
     let (first, large) = thaw(&circuit, &snapshot);
     assert!(large > 0, "the first thaw allocates its op cache");
     drop(first);
