@@ -111,8 +111,10 @@ fn main() {
             }
             "--no-collapse" => config.sweep.collapse = false,
             "--only" => {
-                let names: Vec<String> =
-                    value(&mut args, "--only").split(',').map(str::to_string).collect();
+                let names: Vec<String> = value(&mut args, "--only")
+                    .split(',')
+                    .map(str::to_string)
+                    .collect();
                 if let Some(bad) = names.iter().find(|n| !SECTIONS.contains(&n.as_str())) {
                     eprintln!("--only: unknown section `{bad}`");
                     usage()
@@ -196,7 +198,10 @@ fn main() {
 
     if wants("fig8") {
         section("Figure 8 — bridging-fault detectability vs max levels to PO (c1355s)");
-        println!("{}", render_curve(&lab.fig8_bf_distance("c1355s"), "levels to PO"));
+        println!(
+            "{}",
+            render_curve(&lab.fig8_bf_distance("c1355s"), "levels to PO")
+        );
     }
 
     if wants("ext") {
@@ -219,7 +224,10 @@ fn main() {
                 .iter()
                 .map(|(k, c)| format!("{k}→{:.1}%", c * 100.0))
                 .collect();
-            println!("{name:<12} expected random coverage: {}", rendered.join("  "));
+            println!(
+                "{name:<12} expected random coverage: {}",
+                rendered.join("  ")
+            );
         }
         println!();
         for name in ["c95", "alu74181"] {
@@ -275,7 +283,10 @@ fn main() {
         let mut file = dp_telemetry::ReportFile::new("figures");
         file.reports = lab.into_reports();
         match std::fs::write(path, file.to_pretty_string()) {
-            Ok(()) => eprintln!("telemetry: {} sweep reports written to {path}", file.reports.len()),
+            Ok(()) => eprintln!(
+                "telemetry: {} sweep reports written to {path}",
+                file.reports.len()
+            ),
             Err(e) => {
                 eprintln!("cannot write {path}: {e}");
                 std::process::exit(1);

@@ -39,10 +39,7 @@ use crate::records::FaultRecord;
 /// assert!(curve[0].1 < curve[2].1); // longer tests cover more
 /// assert!(curve[2].1 <= 1.0);
 /// ```
-pub fn expected_random_coverage(
-    records: &[FaultRecord],
-    lengths: &[usize],
-) -> Vec<(usize, f64)> {
+pub fn expected_random_coverage(records: &[FaultRecord], lengths: &[usize]) -> Vec<(usize, f64)> {
     lengths
         .iter()
         .map(|&k| {
@@ -86,11 +83,7 @@ impl DoubleFaultCoverage {
 /// Detectability of each sampled double fault is established exactly with
 /// Difference Propagation; detection by the test set is established by
 /// simulation.
-pub fn double_fault_coverage(
-    circuit: &Circuit,
-    samples: usize,
-    seed: u64,
-) -> DoubleFaultCoverage {
+pub fn double_fault_coverage(circuit: &Circuit, samples: usize, seed: u64) -> DoubleFaultCoverage {
     let singles = checkpoint_faults(circuit);
     let targets: Vec<Fault> = singles.iter().copied().map(Fault::from).collect();
     let tests = generate_tests(circuit, &targets);

@@ -21,12 +21,10 @@ use crate::correlation::{scoap_correlation, ScoapCorrelation};
 use crate::coverage::{double_fault_coverage, expected_random_coverage, DoubleFaultCoverage};
 use crate::histogram::Histogram;
 use crate::records::{
-    bridging_universe, fault_model_universe, records_from_summaries, stuck_at_universe,
-    FaultRecord,
+    bridging_universe, fault_model_universe, records_from_summaries, stuck_at_universe, FaultRecord,
 };
 use crate::topology::{
-    detectability_vs_pi_distance, detectability_vs_po_distance, pos_fed_vs_observed,
-    DistanceBucket,
+    detectability_vs_pi_distance, detectability_vs_po_distance, pos_fed_vs_observed, DistanceBucket,
 };
 use crate::trends::{trend_point, TrendPoint};
 
@@ -168,7 +166,8 @@ impl Lab {
         if let Some(hook) = self.hook {
             hook(name, model, &sweep, t.elapsed());
         }
-        self.reports.push(dp_core::sweep_report(name, model, &sweep));
+        self.reports
+            .push(dp_core::sweep_report(name, model, &sweep));
         sweep
     }
 
@@ -248,7 +247,10 @@ impl Lab {
     /// **Figure 4** — stuck-at adherence histogram of a circuit.
     pub fn fig4_adherence_histogram(&mut self, name: &str) -> Histogram {
         let bins = self.config.bins;
-        Histogram::from_values(bins, self.sa_records(name).iter().filter_map(|r| r.adherence))
+        Histogram::from_values(
+            bins,
+            self.sa_records(name).iter().filter_map(|r| r.adherence),
+        )
     }
 
     /// **Figure 5** — proportions of NFBFs exhibiting stuck-at behaviour, one
@@ -280,7 +282,10 @@ impl Lab {
     pub fn fig6_bf_histograms(&mut self, name: &str) -> (Histogram, Histogram) {
         let bins = self.config.bins;
         let mut histogram = |kind| {
-            Histogram::from_values(bins, self.bf_records(name, kind).iter().map(|r| r.detectability))
+            Histogram::from_values(
+                bins,
+                self.bf_records(name, kind).iter().map(|r| r.detectability),
+            )
         };
         (histogram(BridgeKind::And), histogram(BridgeKind::Or))
     }
@@ -337,13 +342,18 @@ impl Lab {
     /// [`fault_model_universe`] name, sampled at `bf_sample`) over a
     /// circuit. Not cached: each call sweeps.
     pub fn model_row(&mut self, name: &str, model: &str) -> Result<ModelRow, String> {
-        let ExperimentConfig { bf_sample, seed, .. } = self.config;
+        let ExperimentConfig {
+            bf_sample, seed, ..
+        } = self.config;
         let faults = fault_model_universe(self.circuit(name), model, Some(bf_sample), seed)?;
         let summaries = self.sweep(name, model, &faults).summaries;
         Ok(ModelRow {
             faults: summaries.len(),
             detectable: summaries.iter().filter(|s| s.is_detectable()).count(),
-            oscillating: summaries.iter().filter(|s| s.outcome.is_oscillating()).count(),
+            oscillating: summaries
+                .iter()
+                .filter(|s| s.outcome.is_oscillating())
+                .count(),
             mean_detectability: summaries.iter().map(|s| s.detectability).sum::<f64>()
                 / summaries.len().max(1) as f64,
         })

@@ -2,8 +2,8 @@
 
 use dp_core::{sweep_universe, FaultOutcome, SweepConfig};
 use dp_faults::{
-    checkpoint_faults, collapse_checkpoint_faults, enumerate_bridges, enumerate_nfbfs,
-    pair_multis, sample_nfbfs, sampled_multis, BridgeKind, BridgeTopology, Fault, SampleConfig,
+    checkpoint_faults, collapse_checkpoint_faults, enumerate_bridges, enumerate_nfbfs, pair_multis,
+    sample_nfbfs, sampled_multis, BridgeKind, BridgeTopology, Fault, SampleConfig,
 };
 use dp_netlist::Circuit;
 
@@ -230,12 +230,7 @@ pub fn feedback_bridging_universe(
 ///
 /// Panics when `k != 2` and no sample size is given — exhaustive
 /// higher-multiplicity universes are combinatorially out of reach.
-pub fn multi_universe(
-    circuit: &Circuit,
-    k: usize,
-    sample: Option<usize>,
-    seed: u64,
-) -> Vec<Fault> {
+pub fn multi_universe(circuit: &Circuit, k: usize, sample: Option<usize>, seed: u64) -> Vec<Fault> {
     let multis = match sample {
         None if k == 2 => pair_multis(circuit),
         Some(n) => sampled_multis(circuit, k, n, seed),
@@ -317,10 +312,7 @@ mod tests {
         for (s, t) in serial.iter().zip(&threaded) {
             assert_eq!(s.fault, t.fault);
             assert_eq!(s.detectability.to_bits(), t.detectability.to_bits());
-            assert_eq!(
-                s.adherence.map(f64::to_bits),
-                t.adherence.map(f64::to_bits)
-            );
+            assert_eq!(s.adherence.map(f64::to_bits), t.adherence.map(f64::to_bits));
             assert_eq!(s.observable_outputs, t.observable_outputs);
             assert_eq!(s.reachable_outputs, t.reachable_outputs);
             assert_eq!(s.site_function_constant, t.site_function_constant);
@@ -374,9 +366,7 @@ mod tests {
         let records = analyze_faults(&c, &stuck_at_universe(&c, false));
         // Each PI has syndrome 0.5, so every checkpoint fault has a bound.
         assert!(records.iter().all(|r| r.adherence.is_some()));
-        assert!(records
-            .iter()
-            .all(|r| r.adherence.unwrap() <= 1.0 + 1e-12));
+        assert!(records.iter().all(|r| r.adherence.unwrap() <= 1.0 + 1e-12));
     }
 
     #[test]

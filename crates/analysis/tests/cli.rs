@@ -8,7 +8,10 @@ fn run(args: &[&str]) -> (Option<i32>, String) {
         .args(args)
         .output()
         .expect("figures binary runs");
-    (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
 }
 
 fn assert_usage_error(args: &[&str]) {
@@ -51,12 +54,22 @@ fn numeric_flag_with_a_non_number_is_a_usage_error() {
 fn smoke_keeps_the_sweep_flags_given_before_it() {
     let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("figures_smoke_threads.json");
     let path = path.to_str().expect("utf-8 temp path");
-    let (code, stderr) =
-        run(&["--threads", "2", "--smoke", "--only", "fig1", "--telemetry", path]);
+    let (code, stderr) = run(&[
+        "--threads",
+        "2",
+        "--smoke",
+        "--only",
+        "fig1",
+        "--telemetry",
+        path,
+    ]);
     assert_eq!(code, Some(0), "{stderr}");
     let text = std::fs::read_to_string(path).expect("telemetry written");
     let doc = dp_telemetry::parse_and_validate(&text).expect("schema-valid report");
-    let reports = doc.get("reports").and_then(|r| r.as_arr()).expect("reports");
+    let reports = doc
+        .get("reports")
+        .and_then(|r| r.as_arr())
+        .expect("reports");
     assert!(!reports.is_empty());
     for report in reports {
         let threads = report

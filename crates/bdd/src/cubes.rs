@@ -101,7 +101,11 @@ impl Manager {
         let root = vec![None; self.num_vars()];
         Cubes {
             manager: self,
-            stack: if f.is_false() { vec![] } else { vec![(f, root)] },
+            stack: if f.is_false() {
+                vec![]
+            } else {
+                vec![(f, root)]
+            },
         }
     }
 

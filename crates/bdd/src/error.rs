@@ -48,7 +48,10 @@ mod tests {
     fn display_is_lowercase_without_period() {
         for e in [
             BddError::InvalidOrder,
-            BddError::BudgetExceeded { nodes: 7, op_steps: 42 },
+            BddError::BudgetExceeded {
+                nodes: 7,
+                op_steps: 42,
+            },
         ] {
             let msg = e.to_string();
             assert!(msg.starts_with(char::is_lowercase), "{msg}");
@@ -58,7 +61,11 @@ mod tests {
 
     #[test]
     fn budget_display_carries_the_counters() {
-        let msg = BddError::BudgetExceeded { nodes: 7, op_steps: 42 }.to_string();
+        let msg = BddError::BudgetExceeded {
+            nodes: 7,
+            op_steps: 42,
+        }
+        .to_string();
         assert!(msg.contains('7') && msg.contains("42"), "{msg}");
     }
 }

@@ -214,7 +214,11 @@ impl Manager {
         };
         // Slot 0 is the single terminal (constant 1); its stored fields are
         // never read through the usual paths but keep indices aligned.
-        m.nodes.push(Node { var: u32::MAX, lo: NodeId::TRUE, hi: NodeId::TRUE });
+        m.nodes.push(Node {
+            var: u32::MAX,
+            lo: NodeId::TRUE,
+            hi: NodeId::TRUE,
+        });
         m.stats.peak_nodes = m.nodes.len();
         m
     }
@@ -584,7 +588,11 @@ impl Manager {
         }
         self.op_steps += 1;
         self.stats.op_steps += 1;
-        if self.budget.max_op_steps.is_some_and(|max| self.op_steps > max) {
+        if self
+            .budget
+            .max_op_steps
+            .is_some_and(|max| self.op_steps > max)
+        {
             self.trip();
             return true;
         }
@@ -623,7 +631,11 @@ impl Manager {
         while !n.is_terminal() {
             parity ^= n.is_complemented();
             let node = self.node_at(n.index());
-            n = if assignment[node.var as usize] { node.hi } else { node.lo };
+            n = if assignment[node.var as usize] {
+                node.hi
+            } else {
+                node.lo
+            };
         }
         n.is_true() ^ parity
     }
@@ -805,7 +817,10 @@ impl Manager {
                 i,
                 "unique table maps node {i} to a different slot"
             );
-            assert!(!id.is_complemented(), "unique table stores a complemented edge");
+            assert!(
+                !id.is_complemented(),
+                "unique table stores a complemented edge"
+            );
         }
         if let Some(base) = &self.base {
             assert_eq!(
@@ -872,8 +887,7 @@ impl Manager {
                 *slot = i as u32;
             }
         }
-        let mut stack: Vec<(usize, bool)> =
-            roots.iter().map(|&r| (r.index(), false)).collect();
+        let mut stack: Vec<(usize, bool)> = roots.iter().map(|&r| (r.index(), false)).collect();
         while let Some((i, expanded)) = stack.pop() {
             if map[i] != UNPLACED {
                 continue;
@@ -910,7 +924,8 @@ impl Manager {
         let keep_from = if base_len == 0 { 1 } else { 0 };
         for i in keep_from..self.nodes.len() {
             let node = self.nodes[i];
-            self.unique.insert(base_len + i, &node, &self.nodes, base_len);
+            self.unique
+                .insert(base_len + i, &node, &self.nodes, base_len);
         }
         self.op_cache.clear();
         self.stats.gc_runs += 1;
@@ -938,7 +953,11 @@ impl Manager {
         };
         // Entry arc: dashed when the root edge itself is complemented.
         let _ = writeln!(out, "  f [label=\"{name}\", shape=plaintext];");
-        let root_style = if n.is_complemented() { " [style=dashed]" } else { "" };
+        let root_style = if n.is_complemented() {
+            " [style=dashed]"
+        } else {
+            ""
+        };
         let _ = writeln!(out, "  f -> {}{root_style};", label(n));
         let mut seen = std::collections::HashSet::new();
         let mut stack = vec![n];
@@ -948,7 +967,11 @@ impl Manager {
             }
             let node = self.node_at(x.index());
             let _ = writeln!(out, "  {} [label=\"x{}\"];", label(x), node.var);
-            let lo_style = if node.lo.is_complemented() { "dashed" } else { "dotted" };
+            let lo_style = if node.lo.is_complemented() {
+                "dashed"
+            } else {
+                "dotted"
+            };
             let _ = writeln!(
                 out,
                 "  {} -> {} [style={lo_style}];",

@@ -453,12 +453,7 @@ impl Manager {
 mod tests {
     use super::*;
 
-    fn exhaustive_check(
-        m: &Manager,
-        f: NodeId,
-        n: usize,
-        expect: impl Fn(&[bool]) -> bool,
-    ) {
+    fn exhaustive_check(m: &Manager, f: NodeId, n: usize, expect: impl Fn(&[bool]) -> bool) {
         for bits in 0u32..(1 << n) {
             let assignment: Vec<bool> = (0..n).map(|i| bits >> i & 1 == 1).collect();
             assert_eq!(

@@ -682,7 +682,11 @@ mod tests {
         let live = m.sift(&mut roots);
         f = roots[0];
         assert_eq!(m.sat_count(f), count_before);
-        assert_eq!(m.num_nodes(), live + 1, "arena holds more than the live nodes");
+        assert_eq!(
+            m.num_nodes(),
+            live + 1,
+            "arena holds more than the live nodes"
+        );
         assert!(
             m.stats().peak_nodes <= 2 * start,
             "peak {} nodes sifting a {start}-node arena",

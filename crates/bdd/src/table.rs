@@ -180,10 +180,7 @@ impl UniqueTable {
 
     fn grow(&mut self, nodes: &[Node], offset: usize) {
         let new_cap = self.slots.len() * 2;
-        let old = std::mem::replace(
-            &mut self.slots,
-            vec![EMPTY; new_cap].into_boxed_slice(),
-        );
+        let old = std::mem::replace(&mut self.slots, vec![EMPTY; new_cap].into_boxed_slice());
         self.mask = new_cap - 1;
         for &s in old.iter() {
             if s == EMPTY {
@@ -538,8 +535,10 @@ impl<V: Copy + Default> CompactMap<V> {
     fn grow(&mut self) {
         let new_cap = self.keys.len() * 2;
         let old_keys = std::mem::replace(&mut self.keys, vec![EMPTY; new_cap].into_boxed_slice());
-        let old_vals =
-            std::mem::replace(&mut self.vals, vec![V::default(); new_cap].into_boxed_slice());
+        let old_vals = std::mem::replace(
+            &mut self.vals,
+            vec![V::default(); new_cap].into_boxed_slice(),
+        );
         self.mask = new_cap - 1;
         for (&k, &v) in old_keys.iter().zip(old_vals.iter()) {
             if k == EMPTY {

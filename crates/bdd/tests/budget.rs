@@ -20,7 +20,10 @@ fn unlimited_budget_never_trips() {
     let f = parity(&mut m);
     assert!(m.budget_exceeded().is_none());
     assert_eq!(m.sat_count(f), 128);
-    assert!(m.op_steps() > 0, "op steps are counted even without a limit");
+    assert!(
+        m.op_steps() > 0,
+        "op steps are counted even without a limit"
+    );
 }
 
 #[test]
@@ -60,7 +63,7 @@ fn results_before_the_trip_stay_exact() {
     assert!(m.budget_exceeded().is_none());
     let exact = m.sat_count(ab);
     let _ = parity(&mut m); // blows the remaining budget or not — irrelevant
-    // Whatever happened afterwards, the pre-trip node still counts exactly.
+                            // Whatever happened afterwards, the pre-trip node still counts exactly.
     assert_eq!(m.sat_count(ab), exact);
     m.assert_canonical();
 }
@@ -155,5 +158,8 @@ fn sift_is_budget_exempt() {
     m.sift(&mut roots);
     m.assert_canonical();
     let after: Vec<u128> = roots.iter().map(|&r| m.sat_count(r)).collect();
-    assert_eq!(counts, after, "sifting on a tripped manager changed functions");
+    assert_eq!(
+        counts, after,
+        "sifting on a tripped manager changed functions"
+    );
 }

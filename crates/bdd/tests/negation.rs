@@ -137,7 +137,10 @@ fn not_allocates_zero_nodes() {
     }
     assert_eq!(m.num_nodes(), nodes_before, "not() allocated nodes");
     let s = m.stats();
-    assert_eq!(s.unique.lookups, unique_lookups_before, "not() hit the unique table");
+    assert_eq!(
+        s.unique.lookups, unique_lookups_before,
+        "not() hit the unique table"
+    );
     assert_eq!(
         s.op_cumulative_total().lookups,
         op_lookups_before,
@@ -213,11 +216,15 @@ fn dot_marks_complement_arcs_dashed_and_hi_arcs_solid() {
     let b = m.var(1);
     let f = m.nand(a, b);
     let dot = m.to_dot(f, "nand");
-    assert!(dot.contains("style=dashed"), "no dashed complement arc:\n{dot}");
+    assert!(
+        dot.contains("style=dashed"),
+        "no dashed complement arc:\n{dot}"
+    );
     // The canonical form guarantees hi (then) edges are plain solid arrows:
     // every "a -> b;" line with no style attribute is a hi edge.
     assert!(
-        dot.lines().any(|l| l.contains("->") && !l.contains("style")),
+        dot.lines()
+            .any(|l| l.contains("->") && !l.contains("style")),
         "no solid hi arc:\n{dot}"
     );
 }

@@ -30,8 +30,11 @@ fn arb_expr() -> impl Strategy<Value = Expr> {
                 inner.clone()
             )
                 .prop_map(|(op, a, b)| Expr::Bin(op, Box::new(a), Box::new(b))),
-            (inner.clone(), inner.clone(), inner)
-                .prop_map(|(f, g, h)| Expr::Ite(Box::new(f), Box::new(g), Box::new(h))),
+            (inner.clone(), inner.clone(), inner).prop_map(|(f, g, h)| Expr::Ite(
+                Box::new(f),
+                Box::new(g),
+                Box::new(h)
+            )),
         ]
     })
 }
@@ -94,8 +97,11 @@ fn arb_expr_n(nvars: u32) -> impl Strategy<Value = Expr> {
                 inner.clone()
             )
                 .prop_map(|(op, a, b)| Expr::Bin(op, Box::new(a), Box::new(b))),
-            (inner.clone(), inner.clone(), inner)
-                .prop_map(|(f, g, h)| Expr::Ite(Box::new(f), Box::new(g), Box::new(h))),
+            (inner.clone(), inner.clone(), inner).prop_map(|(f, g, h)| Expr::Ite(
+                Box::new(f),
+                Box::new(g),
+                Box::new(h)
+            )),
         ]
     })
 }
@@ -107,7 +113,11 @@ fn arb_expr_n(nvars: u32) -> impl Strategy<Value = Expr> {
 fn truth_table(e: &Expr, nvars: u32) -> Vec<u64> {
     let bits = 1usize << nvars;
     let words = bits.div_ceil(64);
-    let mask_last = if bits.is_multiple_of(64) { u64::MAX } else { (1u64 << (bits % 64)) - 1 };
+    let mask_last = if bits.is_multiple_of(64) {
+        u64::MAX
+    } else {
+        (1u64 << (bits % 64)) - 1
+    };
     let mut table = match e {
         Expr::Const(b) => vec![if *b { u64::MAX } else { 0 }; words],
         Expr::Var(v) => (0..words)

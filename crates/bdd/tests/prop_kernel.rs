@@ -128,8 +128,12 @@ struct Step {
 
 fn arb_script() -> impl Strategy<Value = Vec<Step>> {
     proptest::collection::vec(
-        (0u8..8, any::<u8>(), any::<u8>(), any::<u8>())
-            .prop_map(|(kind, a, b, c)| Step { kind, a, b, c }),
+        (0u8..8, any::<u8>(), any::<u8>(), any::<u8>()).prop_map(|(kind, a, b, c)| Step {
+            kind,
+            a,
+            b,
+            c,
+        }),
         1..40,
     )
 }

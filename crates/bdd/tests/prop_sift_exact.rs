@@ -122,7 +122,11 @@ fn reference_sift(m: &mut Manager, roots: &[NodeId]) -> (usize, usize, u64) {
     for &(_, var) in &occupancy {
         let start = m.level_of(var);
         let mut best_level = start;
-        let ends = if start <= n / 2 { [0, n - 1] } else { [n - 1, 0] };
+        let ends = if start <= n / 2 {
+            [0, n - 1]
+        } else {
+            [n - 1, 0]
+        };
         for target in ends {
             while m.level_of(var) != target {
                 let level = m.level_of(var);

@@ -9,13 +9,17 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use dp_bench::some_stuck_faults;
 use dp_core::{DiffProp, EngineConfig, GoodFunctions};
-use dp_netlist::generators::{alu74181, c432_surrogate};
 use dp_netlist::decompose_two_input;
+use dp_netlist::generators::{alu74181, c432_surrogate};
 use std::hint::black_box;
 
 const FAULTS: usize = 16;
 
-fn run_batch(circuit: &dp_netlist::Circuit, config: EngineConfig, faults: &[dp_faults::Fault]) -> f64 {
+fn run_batch(
+    circuit: &dp_netlist::Circuit,
+    config: EngineConfig,
+    faults: &[dp_faults::Fault],
+) -> f64 {
     let mut dp = DiffProp::with_config(circuit, config);
     faults.iter().map(|f| dp.analyze(f).detectability).sum()
 }

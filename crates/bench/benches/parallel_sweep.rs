@@ -55,7 +55,11 @@ fn sweep_group(c: &mut Criterion, group_name: &str, circuit: &Circuit, faults: &
     group.sample_size(10);
     group.bench_function("serial", |b| {
         b.iter(|| {
-            black_box(sweep_universe(circuit, faults, &with_parallelism(Parallelism::Serial)))
+            black_box(sweep_universe(
+                circuit,
+                faults,
+                &with_parallelism(Parallelism::Serial),
+            ))
         })
     });
     for n in THREAD_COUNTS {

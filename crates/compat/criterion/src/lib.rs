@@ -45,9 +45,7 @@ impl Default for Criterion {
     fn default() -> Self {
         // Positional args (from `cargo bench -- <filter>`) filter benchmark
         // ids; flag-style args the real criterion accepts are ignored.
-        let filter = std::env::args()
-            .skip(1)
-            .find(|a| !a.starts_with('-'));
+        let filter = std::env::args().skip(1).find(|a| !a.starts_with('-'));
         Criterion {
             filter,
             default_sample_size: 10,

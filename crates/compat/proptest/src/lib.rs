@@ -339,8 +339,8 @@ impl Default for ProptestConfig {
 pub mod prelude {
     pub use crate::collection;
     pub use crate::{
-        any, prop_assert, prop_assert_eq, prop_assert_ne, prop_oneof, proptest, Any,
-        BoxedStrategy, Just, ProptestConfig, Strategy, TestRng, Union,
+        any, prop_assert, prop_assert_eq, prop_assert_ne, prop_oneof, proptest, Any, BoxedStrategy,
+        Just, ProptestConfig, Strategy, TestRng, Union,
     };
 }
 

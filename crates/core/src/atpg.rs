@@ -80,9 +80,7 @@ pub fn generate_tests_with(dp: &mut DiffProp<'_>, faults: &[Fault]) -> TestSet {
         }
         covered += 1;
         let manager = dp.good().manager();
-        let already = vectors
-            .iter()
-            .any(|v| manager.eval(analysis.test_set, v));
+        let already = vectors.iter().any(|v| manager.eval(analysis.test_set, v));
         if !already {
             let v = manager
                 .pick_minterm(analysis.test_set)
@@ -104,7 +102,10 @@ mod tests {
     use dp_netlist::generators::{alu74181, c17, c95, full_adder};
 
     fn all_stuck(circuit: &Circuit) -> Vec<Fault> {
-        checkpoint_faults(circuit).into_iter().map(Fault::from).collect()
+        checkpoint_faults(circuit)
+            .into_iter()
+            .map(Fault::from)
+            .collect()
     }
 
     #[test]
@@ -128,8 +129,12 @@ mod tests {
         let c = alu74181();
         let faults = all_stuck(&c);
         let tests = generate_tests(&c, &faults);
-        assert!(tests.vectors.len() * 3 < faults.len(), "{} vectors for {} faults",
-            tests.vectors.len(), faults.len());
+        assert!(
+            tests.vectors.len() * 3 < faults.len(),
+            "{} vectors for {} faults",
+            tests.vectors.len(),
+            faults.len()
+        );
         assert_eq!(tests.coverage(faults.len()), 1.0);
     }
 

@@ -72,10 +72,7 @@ impl GoodFunctions {
     /// # Panics
     ///
     /// Panics if `node_threshold` is zero.
-    pub fn build_auto_decomposed(
-        circuit: &Circuit,
-        node_threshold: usize,
-    ) -> (Self, Vec<NetId>) {
+    pub fn build_auto_decomposed(circuit: &Circuit, node_threshold: usize) -> (Self, Vec<NetId>) {
         assert!(node_threshold > 0, "threshold must be positive");
         // Sizing pass: build with a generous variable budget (every gate
         // could in principle be cut) and record where cuts are needed.

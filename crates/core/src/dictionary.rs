@@ -213,8 +213,7 @@ mod tests {
             for (t, v) in tests.iter().enumerate() {
                 let good = c.eval(v);
                 let bad = dp_sim::faulty_outputs(&c, f, v);
-                let expect: Vec<bool> =
-                    good.iter().zip(&bad).map(|(g, b)| g != b).collect();
+                let expect: Vec<bool> = good.iter().zip(&bad).map(|(g, b)| g != b).collect();
                 assert_eq!(dict.signature(i).rows()[t], expect, "{f} test {t}");
             }
         }

@@ -34,11 +34,7 @@ pub struct GoodFunctions {
 
 impl GoodFunctions {
     /// Assembles a `GoodFunctions` from raw parts (decomposition builder).
-    pub(crate) fn from_parts(
-        manager: Manager,
-        funcs: Vec<NodeId>,
-        cut_nets: Vec<NetId>,
-    ) -> Self {
+    pub(crate) fn from_parts(manager: Manager, funcs: Vec<NodeId>, cut_nets: Vec<NetId>) -> Self {
         GoodFunctions {
             manager,
             funcs,
@@ -376,7 +372,10 @@ mod tests {
             .map(|n| good.manager().density(good.node(n)))
             .collect();
         let (before, after) = good.sift();
-        assert!(after <= before, "sift grew the manager: {before} -> {after}");
+        assert!(
+            after <= before,
+            "sift grew the manager: {before} -> {after}"
+        );
         let check: Vec<f64> = c
             .nets()
             .map(|n| good.manager().density(good.node(n)))
@@ -414,13 +413,19 @@ mod tests {
     fn gc_preserves_good_functions() {
         let c = c95();
         let mut good = GoodFunctions::build(&c);
-        let before: Vec<f64> = c.nets().map(|n| good.manager().density(good.node(n))).collect();
+        let before: Vec<f64> = c
+            .nets()
+            .map(|n| good.manager().density(good.node(n)))
+            .collect();
         // Allocate garbage.
         let a = good.manager_mut().var(0);
         let b = good.manager_mut().var(5);
         let _t = good.manager_mut().xor(a, b);
         good.gc();
-        let after: Vec<f64> = c.nets().map(|n| good.manager().density(good.node(n))).collect();
+        let after: Vec<f64> = c
+            .nets()
+            .map(|n| good.manager().density(good.node(n)))
+            .collect();
         assert_eq!(before, after);
     }
 }

@@ -80,15 +80,15 @@ pub use atpg::{generate_tests, generate_tests_with, TestSet};
 pub use delta::{delta_output, naive_delta_output};
 pub use dictionary::{Candidate, FaultDictionary, Signature};
 pub use dp_bdd::BudgetConfig;
+pub use dp_telemetry::TelemetryLevel;
 pub use engine::{DiffProp, EngineConfig, FaultAnalysis};
 pub use error::AnalysisError;
 pub use good::{GoodFunctions, GoodSnapshot};
 pub use observability::Observability;
 pub use order::OrderStrategy;
-pub use dp_telemetry::TelemetryLevel;
 pub use parallel::{
-    plan_batches, sweep_universe, sweep_universe_ext, ClassId, FaultOutcome,
-    FaultSummary, Parallelism, RecordSink, ShardReport, SweepConfig, SweepResult, WORKER_PANIC,
+    plan_batches, sweep_universe, sweep_universe_ext, ClassId, FaultOutcome, FaultSummary,
+    Parallelism, RecordSink, ShardReport, SweepConfig, SweepResult, WORKER_PANIC,
 };
 pub use redundancy::{find_redundancies, RedundancyReport};
 pub use report::{summaries_digest, summary_line, sweep_report};

@@ -139,11 +139,7 @@ impl<'c> Observability<'c> {
 
 /// Structurally copies a BDD from one manager into another with the same
 /// variable semantics for the shared prefix of variables.
-fn transfer(
-    src: &dp_bdd::Manager,
-    node: NodeId,
-    dst: &mut dp_bdd::Manager,
-) -> NodeId {
+fn transfer(src: &dp_bdd::Manager, node: NodeId, dst: &mut dp_bdd::Manager) -> NodeId {
     use std::collections::HashMap;
     fn rec(
         src: &dp_bdd::Manager,

@@ -150,7 +150,10 @@ mod tests {
         ] {
             assert_eq!(OrderStrategy::parse(&strategy.name()), Some(strategy));
         }
-        assert_eq!(OrderStrategy::parse("fanin_dfs"), Some(OrderStrategy::FaninDfs));
+        assert_eq!(
+            OrderStrategy::parse("fanin_dfs"),
+            Some(OrderStrategy::FaninDfs)
+        );
         assert_eq!(OrderStrategy::parse("sift-harder"), None);
         assert_eq!(OrderStrategy::parse("interleave"), None, "retired strategy");
         assert_eq!(OrderStrategy::parse("random:x"), None);

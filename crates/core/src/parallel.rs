@@ -108,7 +108,9 @@ use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use dp_bdd::ManagerStats;
-use dp_faults::{collapse_faults, CollapseStats, CollapsedUniverse, Fault, FaultClass, StuckAtFault};
+use dp_faults::{
+    collapse_faults, CollapseStats, CollapsedUniverse, Fault, FaultClass, StuckAtFault,
+};
 use dp_netlist::{Circuit, NetId, Reachability};
 use dp_sim::sampled_fault_estimate;
 use dp_telemetry::{
@@ -375,7 +377,10 @@ impl SweepResult {
 
     /// The workers that saw a panic (empty on a healthy sweep).
     pub fn failed_shards(&self) -> Vec<&ShardReport> {
-        self.shards.iter().filter(|s| !s.panics.is_empty()).collect()
+        self.shards
+            .iter()
+            .filter(|s| !s.panics.is_empty())
+            .collect()
     }
 
     /// Every panicked class across all workers, as `(class id, message)`
@@ -836,14 +841,30 @@ fn run_worker<'c>(
                 .borrow_mut()
                 .record_hist(HistKind::BatchSize, batch.len() as u64);
             let fused = batch.len() > 1
-                && try_fused_batch(&mut dp, faults, classes, batch, &collector, &mut out, &mut report);
+                && try_fused_batch(
+                    &mut dp,
+                    faults,
+                    classes,
+                    batch,
+                    &collector,
+                    &mut out,
+                    &mut report,
+                );
             if !fused {
                 // Per-class path: singleton batches, a missing engine, a
                 // budget trip, or a (defensively handled) batch panic.
                 for &c in batch {
                     process_class(
-                        circuit, &mut dp, snapshot, faults, c, &classes[c], config, &collector,
-                        &mut out, &mut report,
+                        circuit,
+                        &mut dp,
+                        snapshot,
+                        faults,
+                        c,
+                        &classes[c],
+                        config,
+                        &collector,
+                        &mut out,
+                        &mut report,
                     );
                 }
             }
@@ -896,7 +917,15 @@ fn process_class<'c>(
     let class_timer = collector.borrow().start();
     let mark = out.len();
     let caught = catch_unwind(AssertUnwindSafe(|| {
-        summarize_class(circuit, dp, faults, class, config.fallback_samples, collector, out)
+        summarize_class(
+            circuit,
+            dp,
+            faults,
+            class,
+            config.fallback_samples,
+            collector,
+            out,
+        )
     }));
     match caught {
         Ok(()) => {
@@ -911,7 +940,9 @@ fn process_class<'c>(
             // mid-operation. (Any RefCell borrow the collector held was
             // released during the unwind.)
             out.truncate(mark);
-            report.panics.push((class_id, panic_message(payload.as_ref())));
+            report
+                .panics
+                .push((class_id, panic_message(payload.as_ref())));
             *dp = catch_unwind(AssertUnwindSafe(|| {
                 build_worker_engine(circuit, snapshot, config)
             }))
@@ -957,8 +988,9 @@ fn try_fused_batch<'c>(
     // One fault span for the batch's shared propagation, mirroring the one
     // span per representative propagation of the per-class path.
     let fault_timer = collector.borrow().start();
-    let analyses = match catch_unwind(AssertUnwindSafe(|| engine.try_analyze_stuck_at_batch(&reps)))
-    {
+    let analyses = match catch_unwind(AssertUnwindSafe(|| {
+        engine.try_analyze_stuck_at_batch(&reps)
+    })) {
         Ok(Ok(analyses)) => analyses,
         // Budget trip: the engine already recovered; retry per class (each
         // member may individually fit the window, or degrade to sampling).
@@ -1065,9 +1097,11 @@ fn summarize_class(
     // budget trips, the timer is dropped and each member's simulated
     // estimate gets its own span instead.
     let fault_timer = collector.borrow().start();
-    let exact = dp
-        .as_mut()
-        .and_then(|dp| dp.try_analyze(&faults[class.representative]).ok().map(|a| (dp, a)));
+    let exact = dp.as_mut().and_then(|dp| {
+        dp.try_analyze(&faults[class.representative])
+            .ok()
+            .map(|a| (dp, a))
+    });
     match exact {
         Some((dp, analysis)) => {
             collector.borrow_mut().finish(SpanKind::Fault, fault_timer);
@@ -1214,8 +1248,11 @@ mod tests {
         let faults = stuck_at_universe(&circuit);
         let serial = sweep_universe(&circuit, &faults, &with_parallelism(Parallelism::Serial));
         for n in [1, 2, 3, 4, 7] {
-            let sharded =
-                sweep_universe(&circuit, &faults, &with_parallelism(Parallelism::Threads(n)));
+            let sharded = sweep_universe(
+                &circuit,
+                &faults,
+                &with_parallelism(Parallelism::Threads(n)),
+            );
             assert_bit_identical(&serial.summaries, &sharded.summaries);
         }
     }
@@ -1229,7 +1266,11 @@ mod tests {
         }
         assert!(faults.len() > 8, "expected a non-trivial bridge universe");
         let serial = sweep_universe(&circuit, &faults, &with_parallelism(Parallelism::Serial));
-        let sharded = sweep_universe(&circuit, &faults, &with_parallelism(Parallelism::Threads(4)));
+        let sharded = sweep_universe(
+            &circuit,
+            &faults,
+            &with_parallelism(Parallelism::Threads(4)),
+        );
         // Bridges never collapse: classes == universe size.
         assert_eq!(serial.classes, faults.len());
         assert_bit_identical(&serial.summaries, &sharded.summaries);
@@ -1239,17 +1280,18 @@ mod tests {
     fn more_workers_than_faults_degrades_gracefully() {
         let circuit = c17();
         let faults: Vec<Fault> = stuck_at_universe(&circuit).into_iter().take(3).collect();
-        let sweep = sweep_universe(&circuit, &faults, &with_parallelism(Parallelism::Threads(64)));
+        let sweep = sweep_universe(
+            &circuit,
+            &faults,
+            &with_parallelism(Parallelism::Threads(64)),
+        );
         assert_eq!(sweep.summaries.len(), 3);
         assert!(
             sweep.shards.len() <= 3,
             "never more workers than classes (got {})",
             sweep.shards.len()
         );
-        assert_eq!(
-            sweep.shards.iter().map(|s| s.faults_done).sum::<usize>(),
-            3
-        );
+        assert_eq!(sweep.shards.iter().map(|s| s.faults_done).sum::<usize>(), 3);
     }
 
     #[test]
@@ -1269,7 +1311,11 @@ mod tests {
     fn shard_reports_cover_the_universe_and_carry_stats() {
         let circuit = c17();
         let faults = stuck_at_universe(&circuit);
-        let sweep = sweep_universe(&circuit, &faults, &with_parallelism(Parallelism::Threads(2)));
+        let sweep = sweep_universe(
+            &circuit,
+            &faults,
+            &with_parallelism(Parallelism::Threads(2)),
+        );
         assert_eq!(sweep.shards.len(), 2);
         assert_eq!(
             sweep.shards.iter().map(|s| s.faults_done).sum::<usize>(),
@@ -1309,7 +1355,11 @@ mod tests {
         assert_eq!(Parallelism::Threads(4).workers(), 4);
         let circuit = c17();
         let faults = stuck_at_universe(&circuit);
-        let sweep = sweep_universe(&circuit, &faults, &with_parallelism(Parallelism::Threads(0)));
+        let sweep = sweep_universe(
+            &circuit,
+            &faults,
+            &with_parallelism(Parallelism::Threads(0)),
+        );
         assert_eq!(sweep.shards.len(), 1);
     }
 
@@ -1329,12 +1379,19 @@ mod tests {
         // Append a poisoned fault; it forms a singleton class, so exactly
         // one class is lost and every healthy fault survives.
         faults.push(foreign_fault());
-        let sweep = sweep_universe(&circuit, &faults, &with_parallelism(Parallelism::Threads(2)));
+        let sweep = sweep_universe(
+            &circuit,
+            &faults,
+            &with_parallelism(Parallelism::Threads(2)),
+        );
         assert!(!sweep.is_complete());
         let failed = sweep.failed_shards();
         assert_eq!(failed.len(), 1, "one worker saw the poisoned class");
         assert_eq!(failed[0].panics.len(), 1);
-        assert!(failed[0].panics[0].0 != WORKER_PANIC, "panic attributed to a class");
+        assert!(
+            failed[0].panics[0].0 != WORKER_PANIC,
+            "panic attributed to a class"
+        );
         // Every healthy fault's summary survives, bit-identical to a clean
         // serial run over the healthy universe.
         assert_eq!(sweep.summaries.len(), healthy);
@@ -1425,9 +1482,7 @@ mod tests {
                 &faults,
                 &with_parallelism(parallelism),
                 None,
-                Some(&mut |run: &[(usize, FaultSummary)]| {
-                    seen.extend(run.iter().map(|&(i, _)| i))
-                }),
+                Some(&mut |run: &[(usize, FaultSummary)]| seen.extend(run.iter().map(|&(i, _)| i))),
             );
             assert!(!sweep.is_complete(), "{parallelism:?}");
             // Every healthy index streamed exactly once, ascending; the
@@ -1564,7 +1619,10 @@ mod tests {
             seen.sort_unstable();
             assert_eq!(seen, (0..collapsed.classes.len()).collect::<Vec<_>>());
             assert!(batches.iter().all(|b| !b.is_empty() && b.len() <= max));
-            assert_eq!(batches, plan_batches(&faults, &collapsed.classes, &reach, max));
+            assert_eq!(
+                batches,
+                plan_batches(&faults, &collapsed.classes, &reach, max)
+            );
             // Soundness: representatives inside a batch are pairwise
             // cone-disjoint.
             for b in &batches {
@@ -1572,7 +1630,10 @@ mod tests {
                     for &y in &b[i + 1..] {
                         let fx = class_flow_net(&faults, &collapsed.classes[x], &reach).unwrap();
                         let fy = class_flow_net(&faults, &collapsed.classes[y], &reach).unwrap();
-                        assert!(reach.cones_disjoint(fx, fy), "batch packs overlapping cones");
+                        assert!(
+                            reach.cones_disjoint(fx, fy),
+                            "batch packs overlapping cones"
+                        );
                     }
                 }
             }
@@ -1670,6 +1731,9 @@ mod tests {
         );
         let merged = shared.merged_stats();
         assert!(merged.base_hits > 0, "workers never probed the frozen base");
-        assert_eq!(merged.unique.lookups, merged.base_hits + merged.delta_lookups);
+        assert_eq!(
+            merged.unique.lookups,
+            merged.base_hits + merged.delta_lookups
+        );
     }
 }

@@ -23,7 +23,12 @@ use crate::parallel::{FaultOutcome, FaultSummary, SweepResult};
 /// batch rendering of [`SweepResult::summaries`].
 pub fn summary_line(index: usize, s: &FaultSummary) -> String {
     let mut line = String::new();
-    let _ = write!(line, "{index}\t{}\t{:016x}\t", s.fault, s.detectability.to_bits());
+    let _ = write!(
+        line,
+        "{index}\t{}\t{:016x}\t",
+        s.fault,
+        s.detectability.to_bits()
+    );
     match s.test_count {
         Some(n) => {
             let _ = write!(line, "{n}");
@@ -137,7 +142,11 @@ mod tests {
         assert_ne!(base, summaries_digest(&tweaked));
         let mut tweaked = sweep.summaries.clone();
         tweaked.swap(0, 1);
-        assert_ne!(base, summaries_digest(&tweaked), "order is part of the digest");
+        assert_ne!(
+            base,
+            summaries_digest(&tweaked),
+            "order is part of the digest"
+        );
     }
 
     #[test]
@@ -153,7 +162,8 @@ mod tests {
             },
         );
         let mut file = dp_telemetry::ReportFile::new("dp-core-test");
-        file.reports.push(sweep_report(c.name(), "stuck-at", &sweep));
+        file.reports
+            .push(sweep_report(c.name(), "stuck-at", &sweep));
         let text = file.to_pretty_string();
         let parsed = dp_telemetry::parse_and_validate(&text).expect("schema-valid");
         drop(parsed);

@@ -74,7 +74,12 @@ impl CollapsedUniverse {
             faults: self.num_faults,
             classes: self.classes.len(),
             singleton_classes: self.classes.iter().filter(|c| c.members.len() == 1).count(),
-            largest_class: self.classes.iter().map(|c| c.members.len()).max().unwrap_or(0),
+            largest_class: self
+                .classes
+                .iter()
+                .map(|c| c.members.len())
+                .max()
+                .unwrap_or(0),
         }
     }
 }

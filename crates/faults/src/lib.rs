@@ -42,10 +42,10 @@ mod sample;
 mod stuck;
 
 pub use bridging::{enumerate_bridges, enumerate_nfbfs, BridgeKind, BridgeTopology, BridgingFault};
-pub use multi::{pair_multis, sampled_multis, MultiStuckAt};
 pub use collapse::{
     canonical_stuck_at, collapse_faults, CollapseStats, CollapsedUniverse, FaultClass,
 };
+pub use multi::{pair_multis, sampled_multis, MultiStuckAt};
 pub use sample::{sample_nfbfs, tune_theta, SampleConfig};
 pub use stuck::{
     all_stuck_faults, checkpoint_faults, collapse_checkpoint_faults, FaultSite, StuckAtFault,

@@ -61,10 +61,7 @@ impl MultiStuckAt {
         assert!(!components.is_empty(), "a multiple fault needs components");
         components.sort_by_key(site_key);
         for w in components.windows(2) {
-            assert_ne!(
-                w[0].site, w[1].site,
-                "multiple fault pins one site twice"
-            );
+            assert_ne!(w[0].site, w[1].site, "multiple fault pins one site twice");
         }
         MultiStuckAt {
             components: components.into(),

@@ -113,9 +113,7 @@ pub fn tune_theta(circuit: &Circuit, candidates: &[BridgingFault], target: usize
         .collect();
     let max = distances.iter().cloned().fold(0.0, f64::max);
     let norm = if max > 0.0 { max } else { 1.0 };
-    let mass = |theta: f64| -> f64 {
-        distances.iter().map(|&d| (-(d / norm) / theta).exp()).sum()
-    };
+    let mass = |theta: f64| -> f64 { distances.iter().map(|&d| (-(d / norm) / theta).exp()).sum() };
     let target = target as f64;
     let (mut lo, mut hi) = (1e-3, 10.0);
     if mass(hi) < target {
@@ -159,8 +157,24 @@ mod tests {
     fn different_seeds_differ() {
         let c = alu74181();
         let all = enumerate_nfbfs(&c, BridgeKind::And);
-        let s1 = sample_nfbfs(&c, &all, SampleConfig { count: 50, theta: 0.1, seed: 1 });
-        let s2 = sample_nfbfs(&c, &all, SampleConfig { count: 50, theta: 0.1, seed: 2 });
+        let s1 = sample_nfbfs(
+            &c,
+            &all,
+            SampleConfig {
+                count: 50,
+                theta: 0.1,
+                seed: 1,
+            },
+        );
+        let s2 = sample_nfbfs(
+            &c,
+            &all,
+            SampleConfig {
+                count: 50,
+                theta: 0.1,
+                seed: 2,
+            },
+        );
         assert_ne!(s1, s2);
     }
 
@@ -168,7 +182,15 @@ mod tests {
     fn small_count_returns_subset_without_duplicates() {
         let c = alu74181();
         let all = enumerate_nfbfs(&c, BridgeKind::Or);
-        let s = sample_nfbfs(&c, &all, SampleConfig { count: 30, theta: 0.2, seed: 7 });
+        let s = sample_nfbfs(
+            &c,
+            &all,
+            SampleConfig {
+                count: 30,
+                theta: 0.2,
+                seed: 7,
+            },
+        );
         let mut seen = std::collections::HashSet::new();
         for f in &s {
             assert!(all.contains(f));
@@ -203,8 +225,24 @@ mod tests {
                 .sum::<f64>()
                 / faults.len() as f64
         };
-        let tight = sample_nfbfs(&c, &all, SampleConfig { count: 200, theta: 0.02, seed: 3 });
-        let loose = sample_nfbfs(&c, &all, SampleConfig { count: 200, theta: 5.0, seed: 3 });
+        let tight = sample_nfbfs(
+            &c,
+            &all,
+            SampleConfig {
+                count: 200,
+                theta: 0.02,
+                seed: 3,
+            },
+        );
+        let loose = sample_nfbfs(
+            &c,
+            &all,
+            SampleConfig {
+                count: 200,
+                theta: 5.0,
+                seed: 3,
+            },
+        );
         assert!(
             mean_dist(&tight) < mean_dist(&loose),
             "tight {} vs loose {}",
@@ -243,7 +281,15 @@ mod tests {
         // `count` distinct faults.
         let c = alu74181();
         let all = enumerate_nfbfs(&c, BridgeKind::And);
-        let s = sample_nfbfs(&c, &all, SampleConfig { count: 40, theta: 1e-300, seed: 9 });
+        let s = sample_nfbfs(
+            &c,
+            &all,
+            SampleConfig {
+                count: 40,
+                theta: 1e-300,
+                seed: 9,
+            },
+        );
         assert_eq!(s.len(), 40);
         let mut seen = std::collections::HashSet::new();
         for f in &s {
@@ -256,6 +302,14 @@ mod tests {
     fn zero_theta_rejected() {
         let c = c17();
         let all = enumerate_nfbfs(&c, BridgeKind::And);
-        sample_nfbfs(&c, &all, SampleConfig { count: 1, theta: 0.0, seed: 0 });
+        sample_nfbfs(
+            &c,
+            &all,
+            SampleConfig {
+                count: 1,
+                theta: 0.0,
+                seed: 0,
+            },
+        );
     }
 }

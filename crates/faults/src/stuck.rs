@@ -121,10 +121,7 @@ pub fn all_stuck_faults(circuit: &Circuit) -> Vec<StuckAtFault> {
 ///
 /// The returned list preserves the relative order of the surviving
 /// representatives.
-pub fn collapse_checkpoint_faults(
-    circuit: &Circuit,
-    faults: &[StuckAtFault],
-) -> Vec<StuckAtFault> {
+pub fn collapse_checkpoint_faults(circuit: &Circuit, faults: &[StuckAtFault]) -> Vec<StuckAtFault> {
     use std::collections::HashSet;
     // Key: (sink gate, stuck value). The first fault seen for a key is the
     // representative; later ones collapse into it.

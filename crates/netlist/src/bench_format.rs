@@ -87,9 +87,7 @@ pub fn parse_bench(src: &str, name: &str) -> Result<Circuit, NetlistError> {
         }
         let err = |message: String| NetlistError::ParseBench { line, message };
         let mut define = |name, def| match defined.insert(name, (line, def)) {
-            Some((prev, _)) => Err(err(format!(
-                "net `{name}` already defined at line {prev}"
-            ))),
+            Some((prev, _)) => Err(err(format!("net `{name}` already defined at line {prev}"))),
             None => Ok(()),
         };
         if let Some(rest) = strip_directive(text, "INPUT") {
@@ -187,8 +185,7 @@ pub fn parse_bench(src: &str, name: &str) -> Result<Circuit, NetlistError> {
     // so a builder error (a gate's arity) comes first, as in the pass order.
     for g in order {
         let gate = &gates[g];
-        let fanin_ids: Option<Vec<NetId>> =
-            gate.fanins.iter().map(|f| resolve(f, &ids)).collect();
+        let fanin_ids: Option<Vec<NetId>> = gate.fanins.iter().map(|f| resolve(f, &ids)).collect();
         // Always `Some`: a gate's fanins are placed before it in `order`.
         if let Some(fanin_ids) = fanin_ids {
             ids[g] = Some(builder.gate(gate.output, gate.kind, &fanin_ids)?);
@@ -373,7 +370,10 @@ b = NOT(a)
         match e {
             NetlistError::ParseBench { line, ref message } => {
                 assert_eq!(line, 3, "{message}");
-                assert!(message.contains('a') && message.contains("line 1"), "{message}");
+                assert!(
+                    message.contains('a') && message.contains("line 1"),
+                    "{message}"
+                );
             }
             other => panic!("expected a located parse error, got {other:?}"),
         }
@@ -401,7 +401,10 @@ b = NOT(a)
         match e {
             NetlistError::ParseBench { line, ref message } => {
                 assert_eq!(line, 3, "{message}");
-                assert!(message.contains('a') && message.contains("line 1"), "{message}");
+                assert!(
+                    message.contains('a') && message.contains("line 1"),
+                    "{message}"
+                );
             }
             other => panic!("expected a located parse error, got {other:?}"),
         }

@@ -78,12 +78,7 @@ fn and_tree(b: &mut CircuitBuilder, name: &str, taps: &[NetId]) -> NetId {
 
 /// Shared SEC decoder: `nd` data bits, `nc` check bits, one `en` input;
 /// outputs the corrected data word.
-fn sec_circuit(
-    name: &str,
-    nd: usize,
-    nc: usize,
-    column: impl Fn(usize) -> u32,
-) -> Circuit {
+fn sec_circuit(name: &str, nd: usize, nc: usize, column: impl Fn(usize) -> u32) -> Circuit {
     let mut b = CircuitBuilder::new(name);
     let d: Vec<NetId> = (0..nd).map(|i| b.input(format!("d{i}"))).collect();
     let p: Vec<NetId> = (0..nc).map(|j| b.input(format!("p{j}"))).collect();

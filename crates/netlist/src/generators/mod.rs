@@ -27,9 +27,9 @@ mod random;
 mod small;
 
 pub use alu181::alu74181;
-pub use ecc::{c1355_surrogate, c1908_surrogate, c499_surrogate};
 #[cfg(test)]
 pub(crate) use ecc::c1908_pre_expansion;
+pub use ecc::{c1355_surrogate, c1908_surrogate, c499_surrogate};
 pub use priority::c432_surrogate;
 pub use random::{random_circuit, RandomCircuitConfig};
 pub use small::{c17, c95, full_adder};

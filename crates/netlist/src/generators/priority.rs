@@ -86,8 +86,12 @@ pub fn c432_surrogate() -> Circuit {
     let mut req = Vec::new();
     for i in 0..9 {
         req.push(
-            b.gate(format!("req{i}"), GateKind::Or, &[en_a[i], en_b[i], en_c[i]])
-                .expect("valid"),
+            b.gate(
+                format!("req{i}"),
+                GateKind::Or,
+                &[en_a[i], en_b[i], en_c[i]],
+            )
+            .expect("valid"),
         );
     }
     let mut none_above = Vec::new(); // none_above[i] = no request on lines 0..i
@@ -217,10 +221,7 @@ mod tests {
         // A shadows B on the same line.
         assert_eq!(drive(&c, 0b1, 0b1, 0, 0x1FF), (true, false, false, 0));
         // Line priority: line 3 beats line 7.
-        assert_eq!(
-            drive(&c, 0b1000_1000, 0, 0, 0x1FF),
-            (true, false, false, 3)
-        );
+        assert_eq!(drive(&c, 0b1000_1000, 0, 0, 0x1FF), (true, false, false, 3));
         // Disabled lines are ignored.
         assert_eq!(drive(&c, 0b1, 0, 0, 0), (false, false, false, 0));
         // C grants only where A and B are idle.

@@ -85,8 +85,14 @@ pub fn c95() -> Circuit {
     let mut p = Vec::new();
     let mut g = Vec::new();
     for i in 0..4 {
-        p.push(b.gate(format!("p{i}"), GateKind::Xor, &[a[i], bb[i]]).expect("valid"));
-        g.push(b.gate(format!("g{i}"), GateKind::And, &[a[i], bb[i]]).expect("valid"));
+        p.push(
+            b.gate(format!("p{i}"), GateKind::Xor, &[a[i], bb[i]])
+                .expect("valid"),
+        );
+        g.push(
+            b.gate(format!("g{i}"), GateKind::And, &[a[i], bb[i]])
+                .expect("valid"),
+        );
     }
 
     // Lookahead carries: c[i+1] = g[i] + p[i]·g[i-1] + ... + p[i]..p[0]·cin.

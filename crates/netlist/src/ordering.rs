@@ -50,7 +50,14 @@ pub fn fanin_dfs_order(circuit: &Circuit) -> Vec<u32> {
     outputs.sort_by_key(|o| std::cmp::Reverse(depth[o.index()]));
 
     for output in outputs {
-        dfs(circuit, output, &depth, &input_index, &mut visited, &mut order);
+        dfs(
+            circuit,
+            output,
+            &depth,
+            &input_index,
+            &mut visited,
+            &mut order,
+        );
     }
     append_unvisited(circuit, &input_index, &visited, &mut order);
     order

@@ -101,7 +101,10 @@ impl Reachability {
         let i = a.index();
         assert!(i < self.n, "net index {i} out of range ({} nets)", self.n);
         assert_eq!(mask.len(), self.words, "mask length mismatch");
-        for (m, &w) in mask.iter_mut().zip(&self.bits[i * self.words..(i + 1) * self.words]) {
+        for (m, &w) in mask
+            .iter_mut()
+            .zip(&self.bits[i * self.words..(i + 1) * self.words])
+        {
             *m |= w;
         }
     }
@@ -177,7 +180,11 @@ mod tests {
             for b in c.nets() {
                 // The mask is exactly a's cone, so intersecting b's cone
                 // with it is the disjointness complement.
-                assert_eq!(r.cone_intersects(b, &mask), !r.cones_disjoint(a, b), "{a} vs {b}");
+                assert_eq!(
+                    r.cone_intersects(b, &mask),
+                    !r.cones_disjoint(a, b),
+                    "{a} vs {b}"
+                );
                 // Disjointness is symmetric and reflexively false.
                 assert_eq!(r.cones_disjoint(a, b), r.cones_disjoint(b, a));
             }

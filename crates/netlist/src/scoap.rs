@@ -151,7 +151,11 @@ impl Scoap {
     /// excitation (controlling the line to the *opposite* of the stuck
     /// value) plus observation.
     pub fn stuck_at_cost(&self, n: NetId, stuck_value: bool) -> u32 {
-        let excite = if stuck_value { self.cc0(n) } else { self.cc1(n) };
+        let excite = if stuck_value {
+            self.cc0(n)
+        } else {
+            self.cc1(n)
+        };
         sat_add(excite, self.co(n))
     }
 }

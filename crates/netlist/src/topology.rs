@@ -76,11 +76,8 @@ impl Placement {
         // gate is visited.
         for n in circuit.gates() {
             if let Driver::Gate { fanins, .. } = circuit.driver(n) {
-                let y = fanins
-                    .iter()
-                    .map(|f| points[f.index()].y)
-                    .sum::<f64>()
-                    / fanins.len() as f64;
+                let y =
+                    fanins.iter().map(|f| points[f.index()].y).sum::<f64>() / fanins.len() as f64;
                 points[n.index()] = Point {
                     x: levels[n.index()] as f64,
                     y,

@@ -106,21 +106,25 @@ pub fn decompose_two_input(circuit: &Circuit) -> Result<Circuit, NetlistError> {
 /// ```
 pub fn expand_xor_to_nand(circuit: &Circuit) -> Result<Circuit, NetlistError> {
     let two_input = decompose_two_input(circuit)?;
-    rebuild(&two_input, "__x", |b, name, kind, fanins, fresh| match kind {
-        GateKind::Xor | GateKind::Xnor => {
-            let (a, c) = (fanins[0], fanins[1]);
-            let t1 = b.gate(fresh(name, 0), GateKind::Nand, &[a, c])?;
-            let t2 = b.gate(fresh(name, 1), GateKind::Nand, &[a, t1])?;
-            let t3 = b.gate(fresh(name, 2), GateKind::Nand, &[c, t1])?;
-            if kind == GateKind::Xor {
-                b.gate(name, GateKind::Nand, &[t2, t3])
-            } else {
-                let x = b.gate(fresh(name, 3), GateKind::Nand, &[t2, t3])?;
-                b.gate(name, GateKind::Not, &[x])
+    rebuild(
+        &two_input,
+        "__x",
+        |b, name, kind, fanins, fresh| match kind {
+            GateKind::Xor | GateKind::Xnor => {
+                let (a, c) = (fanins[0], fanins[1]);
+                let t1 = b.gate(fresh(name, 0), GateKind::Nand, &[a, c])?;
+                let t2 = b.gate(fresh(name, 1), GateKind::Nand, &[a, t1])?;
+                let t3 = b.gate(fresh(name, 2), GateKind::Nand, &[c, t1])?;
+                if kind == GateKind::Xor {
+                    b.gate(name, GateKind::Nand, &[t2, t3])
+                } else {
+                    let x = b.gate(fresh(name, 3), GateKind::Nand, &[t2, t3])?;
+                    b.gate(name, GateKind::Not, &[x])
+                }
             }
-        }
-        _ => b.gate(name, kind, fanins),
-    })
+            _ => b.gate(name, kind, fanins),
+        },
+    )
 }
 
 /// A four-NAND XOR, [`expand_xor_to_nand`]'s realisation of `a ⊕ c`:
@@ -479,10 +483,7 @@ mod tests {
 
     /// One XOR of `a` and `b` as four NANDs wired with the given pin
     /// orders, plus whatever `extra` adds; `out` is a primary output.
-    fn hand_quad(
-        swap: [bool; 4],
-        extra: impl FnOnce(&mut CircuitBuilder, [NetId; 3]),
-    ) -> Circuit {
+    fn hand_quad(swap: [bool; 4], extra: impl FnOnce(&mut CircuitBuilder, [NetId; 3])) -> Circuit {
         let mut b = CircuitBuilder::new("quad");
         let a = b.input("a");
         let c = b.input("c");
@@ -490,7 +491,9 @@ mod tests {
         let t1 = b.gate("t1", GateKind::Nand, &pins(a, c, swap[0])).unwrap();
         let t2 = b.gate("t2", GateKind::Nand, &pins(a, t1, swap[1])).unwrap();
         let t3 = b.gate("t3", GateKind::Nand, &pins(c, t1, swap[2])).unwrap();
-        let out = b.gate("out", GateKind::Nand, &pins(t2, t3, swap[3])).unwrap();
+        let out = b
+            .gate("out", GateKind::Nand, &pins(t2, t3, swap[3]))
+            .unwrap();
         b.output(out);
         extra(&mut b, [t1, t2, t3]);
         b.finish().unwrap()
@@ -505,9 +508,13 @@ mod tests {
             assert_eq!(quads.len(), 1, "pin order {swap:?}");
             let q = quads.quads()[0];
             // t2 reads inputs[0] and t3 inputs[1], whichever way round.
-            let names = (q.inputs.map(|n| c.net_name(n)), q.internal.map(|n| c.net_name(n)));
+            let names = (
+                q.inputs.map(|n| c.net_name(n)),
+                q.internal.map(|n| c.net_name(n)),
+            );
             assert!(
-                names == (["a", "c"], ["t1", "t2", "t3"]) || names == (["c", "a"], ["t1", "t3", "t2"]),
+                names == (["a", "c"], ["t1", "t2", "t3"])
+                    || names == (["c", "a"], ["t1", "t3", "t2"]),
                 "{names:?}"
             );
             assert_eq!(c.net_name(q.output), "out");

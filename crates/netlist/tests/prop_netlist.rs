@@ -4,8 +4,8 @@
 
 use dp_netlist::generators::{random_circuit, RandomCircuitConfig};
 use dp_netlist::{
-    decompose_two_input, expand_xor_to_nand, parse_bench, write_bench, Driver, GateKind,
-    Placement, Scoap,
+    decompose_two_input, expand_xor_to_nand, parse_bench, write_bench, Driver, GateKind, Placement,
+    Scoap,
 };
 use proptest::prelude::*;
 

@@ -100,11 +100,7 @@ impl<'c> Podem<'c> {
         loop {
             self.imply();
             if self.test_found() {
-                let vector = self
-                    .pi_values
-                    .iter()
-                    .map(|&t| t == Tern::One)
-                    .collect();
+                let vector = self.pi_values.iter().map(|&t| t == Tern::One).collect();
                 return PodemResult::Test(vector);
             }
             if self.failed() {
@@ -246,9 +242,7 @@ impl<'c> Podem<'c> {
                     }
                     _ => fv.faulty,
                 };
-                fv.good.is_determined()
-                    && faulty.is_determined()
-                    && fv.good != faulty
+                fv.good.is_determined() && faulty.is_determined() && fv.good != faulty
             });
             if has_error {
                 frontier.push(net);

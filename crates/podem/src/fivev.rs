@@ -172,7 +172,7 @@ impl FiveV {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use Tern::{One, X, Zero};
+    use Tern::{One, Zero, X};
 
     #[test]
     fn ternary_and_family() {
@@ -216,8 +216,14 @@ mod tests {
 
     #[test]
     fn five_valued_predicates() {
-        let d = FiveV { good: One, faulty: Zero };
-        let dbar = FiveV { good: Zero, faulty: One };
+        let d = FiveV {
+            good: One,
+            faulty: Zero,
+        };
+        let dbar = FiveV {
+            good: Zero,
+            faulty: One,
+        };
         assert!(d.is_d() && !d.is_dbar() && d.is_error());
         assert!(dbar.is_dbar() && dbar.is_error());
         assert!(!FiveV::stable(true).is_error());

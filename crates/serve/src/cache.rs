@@ -257,14 +257,21 @@ mod tests {
         // Budget sized so that the final resident set (k1 + k3) fits exactly:
         // admitting k3 must evict precisely one entry — the coldest.
         let budget = e1.bytes() + e3.bytes();
-        assert!(e1.bytes() + e2.bytes() <= budget, "both small entries fit initially");
+        assert!(
+            e1.bytes() + e2.bytes() <= budget,
+            "both small entries fit initially"
+        );
         let mut cache = SnapshotCache::new(budget);
         drop(cache.admit(k1.clone(), e1));
         drop(cache.admit(k2.clone(), e2));
         // Touch k1 so k2 becomes the LRU.
         assert!(cache.lookup(&k1).is_some());
         drop(cache.admit(k3.clone(), e3));
-        assert_eq!(cache.status().evictions, 1, "one eviction restores the budget");
+        assert_eq!(
+            cache.status().evictions,
+            1,
+            "one eviction restores the budget"
+        );
         assert!(cache.lookup(&k1).is_some(), "recently used survives");
         assert!(cache.lookup(&k2).is_none(), "LRU entry evicted");
         assert!(cache.lookup(&k3).is_some(), "new entry resident");
@@ -277,7 +284,10 @@ mod tests {
         let (_, second) = entry_for(generators::c17(), OrderStrategy::Identity);
         let a = cache.admit(key.clone(), first);
         let b = cache.admit(key.clone(), second);
-        assert!(Arc::ptr_eq(&a, &b), "second admission returns the resident entry");
+        assert!(
+            Arc::ptr_eq(&a, &b),
+            "second admission returns the resident entry"
+        );
         assert_eq!(cache.status().entries, 1);
     }
 }

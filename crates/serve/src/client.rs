@@ -111,8 +111,7 @@ impl Client {
         if self.reader.read_line(&mut line)? == 0 {
             return Err(proto_err("server closed the connection mid-response"));
         }
-        Frame::from_line(line.trim_end_matches(['\r', '\n']))
-            .map_err(|e| proto_err(e.to_string()))
+        Frame::from_line(line.trim_end_matches(['\r', '\n'])).map_err(|e| proto_err(e.to_string()))
     }
 
     /// Runs a streamed sweep, invoking `on_record` for every record frame

@@ -36,7 +36,7 @@ pub mod server;
 pub use cache::{CacheEntry, CacheKey, SnapshotCache};
 pub use client::{Client, SweepOutcome};
 pub use protocol::{
-    CacheStatus, CircuitSpec, Frame, PointParams, ProtocolError, Request, SweepParams,
-    WireSummary, MAX_FALLBACK_SAMPLES, MAX_REQUEST_BYTES, PROTOCOL_VERSION,
+    CacheStatus, CircuitSpec, Frame, PointParams, ProtocolError, Request, SweepParams, WireSummary,
+    MAX_FALLBACK_SAMPLES, MAX_REQUEST_BYTES, PROTOCOL_VERSION,
 };
 pub use server::{Server, ServerConfig, DEFAULT_ADDR};

@@ -348,7 +348,8 @@ impl Request {
         match cmd {
             "sweep" => {
                 let circuit = CircuitSpec::from_json(
-                    v.get("circuit").ok_or_else(|| err("sweep needs a circuit"))?,
+                    v.get("circuit")
+                        .ok_or_else(|| err("sweep needs a circuit"))?,
                 )?;
                 let defaults = SweepParams::default();
                 let params = SweepParams {
@@ -775,7 +776,11 @@ mod tests {
         ] {
             assert!(line.contains("\"order\":\"interleave\""), "{line}");
             let e = Request::from_line(&line).expect_err("interleave is retired");
-            assert!(e.to_string().contains("unknown order strategy `interleave`"), "{e}");
+            assert!(
+                e.to_string()
+                    .contains("unknown order strategy `interleave`"),
+                "{e}"
+            );
         }
     }
 

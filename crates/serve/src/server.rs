@@ -18,11 +18,11 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 use dp_analysis::fault_model_universe;
+use dp_bdd::BudgetConfig;
 use dp_core::{
     summary_line, sweep_report, sweep_universe_ext, DiffProp, EngineConfig, FaultSummary,
     OrderStrategy, Parallelism, SweepConfig,
 };
-use dp_bdd::BudgetConfig;
 use dp_faults::{Fault, FaultSite, StuckAtFault};
 use dp_telemetry::json::JsonValue;
 use dp_telemetry::{report_to_json, StreamInfo};
@@ -155,11 +155,14 @@ fn serve_connection(stream: TcpStream, state: &ServerState) -> io::Result<()> {
             return Ok(());
         }
         if buf.len() > MAX_REQUEST_BYTES && buf.last() != Some(&b'\n') {
-            return send(&mut out, &Frame::Error {
-                message: format!(
-                    "request line exceeds MAX_REQUEST_BYTES ({MAX_REQUEST_BYTES} bytes)"
-                ),
-            });
+            return send(
+                &mut out,
+                &Frame::Error {
+                    message: format!(
+                        "request line exceeds MAX_REQUEST_BYTES ({MAX_REQUEST_BYTES} bytes)"
+                    ),
+                },
+            );
         }
         let line = std::str::from_utf8(&buf)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?
@@ -169,9 +172,12 @@ fn serve_connection(stream: TcpStream, state: &ServerState) -> io::Result<()> {
         }
         let quit = match Request::from_line(line) {
             Err(e) => {
-                send(&mut out, &Frame::Error {
-                    message: e.to_string(),
-                })?;
+                send(
+                    &mut out,
+                    &Frame::Error {
+                        message: e.to_string(),
+                    },
+                )?;
                 false
             }
             Ok(request) => handle_request(request, state, loopback, &mut out)?,
@@ -187,7 +193,9 @@ fn serve_connection(stream: TcpStream, state: &ServerState) -> io::Result<()> {
 fn may_shut_down(peer: &SocketAddr) -> bool {
     match peer.ip() {
         IpAddr::V4(ip) => ip.is_loopback(),
-        IpAddr::V6(ip) => ip.to_ipv4_mapped().map_or(ip.is_loopback(), |v4| v4.is_loopback()),
+        IpAddr::V6(ip) => ip
+            .to_ipv4_mapped()
+            .map_or(ip.is_loopback(), |v4| v4.is_loopback()),
     }
 }
 
@@ -212,9 +220,12 @@ fn handle_request(
             let status = state.cache().status();
             send(out, &Frame::Status(status))?;
         }
-        Request::Shutdown if !loopback => send(out, &Frame::Error {
-            message: "shutdown is accepted only from a loopback peer".into(),
-        })?,
+        Request::Shutdown if !loopback => send(
+            out,
+            &Frame::Error {
+                message: "shutdown is accepted only from a loopback peer".into(),
+            },
+        )?,
         Request::Shutdown => {
             send(out, &Frame::Bye)?;
             state.shutdown.store(true, Ordering::SeqCst);
@@ -222,15 +233,12 @@ fn handle_request(
             let _ = TcpStream::connect(state.addr);
             return Ok(true);
         }
-        Request::Sweep { circuit, params } => match resolve_entry(
-            state,
-            &circuit,
-            params.order,
-            params.budget,
-        ) {
-            Err(message) => send(out, &Frame::Error { message })?,
-            Ok((entry, cache)) => stream_sweep(&entry, cache, &params, state.max_threads, out)?,
-        },
+        Request::Sweep { circuit, params } => {
+            match resolve_entry(state, &circuit, params.order, params.budget) {
+                Err(message) => send(out, &Frame::Error { message })?,
+                Ok((entry, cache)) => stream_sweep(&entry, cache, &params, state.max_threads, out)?,
+            }
+        }
         Request::Detectability { circuit, point } | Request::Adherence { circuit, point } => {
             match resolve_entry(state, &circuit, point.order, point.budget) {
                 Err(message) => send(out, &Frame::Error { message })?,
@@ -344,12 +352,15 @@ fn stream_sweep(
         cache: cache.to_string(),
     });
     let stats = result.merged_stats();
-    send(out, &Frame::Done {
-        cache: cache.to_string(),
-        unique_lookups: stats.unique.lookups,
-        base_hits: stats.base_hits,
-        report: report_to_json(&report),
-    })
+    send(
+        out,
+        &Frame::Done {
+            cache: cache.to_string(),
+            unique_lookups: stats.unique.lookups,
+            base_hits: stats.base_hits,
+            report: report_to_json(&report),
+        },
+    )
 }
 
 /// Answers a point query from a thawed delta manager over the cached
@@ -362,7 +373,11 @@ fn point_value(
 ) -> Result<JsonValue, String> {
     let circuit = &entry.circuit;
     let net = circuit.find_net(&point.net).ok_or_else(|| {
-        format!("no net named `{}` in circuit `{}`", point.net, circuit.name())
+        format!(
+            "no net named `{}` in circuit `{}`",
+            point.net,
+            circuit.name()
+        )
     })?;
     let fault = Fault::StuckAt(StuckAtFault {
         site: FaultSite::Net(net),
@@ -508,10 +523,20 @@ mod tests {
 
     #[test]
     fn only_a_loopback_peer_may_shut_down() {
-        for peer in ["127.0.0.1:9", "127.8.0.1:9", "[::1]:9", "[::ffff:127.0.0.1]:9"] {
+        for peer in [
+            "127.0.0.1:9",
+            "127.8.0.1:9",
+            "[::1]:9",
+            "[::ffff:127.0.0.1]:9",
+        ] {
             assert!(may_shut_down(&peer.parse().unwrap()), "{peer}");
         }
-        for peer in ["10.0.0.1:9", "192.168.1.2:9", "[2001:db8::1]:9", "[::ffff:10.0.0.1]:9"] {
+        for peer in [
+            "10.0.0.1:9",
+            "192.168.1.2:9",
+            "[2001:db8::1]:9",
+            "[::ffff:10.0.0.1]:9",
+        ] {
             assert!(!may_shut_down(&peer.parse().unwrap()), "{peer}");
         }
         // A remote peer's shutdown is a typed error, and the server stays up.

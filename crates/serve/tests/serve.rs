@@ -82,7 +82,11 @@ fn batch_tsv(name: &str, threads: usize) -> (Vec<String>, dp_core::SweepResult) 
     (lines, sweep)
 }
 
-fn sweep_lines(client: &mut Client, name: &str, threads: usize) -> (Vec<String>, dp_serve::SweepOutcome) {
+fn sweep_lines(
+    client: &mut Client,
+    name: &str,
+    threads: usize,
+) -> (Vec<String>, dp_serve::SweepOutcome) {
     let mut lines = Vec::new();
     let outcome = client
         .sweep(
@@ -183,7 +187,10 @@ fn concurrent_sweeps_against_one_cached_snapshot_stay_golden() {
                         |_, line| lines.push(line.to_string()),
                     )
                     .expect("sweep");
-                assert_eq!(outcome.cache, "hit", "all concurrent requests reuse the entry");
+                assert_eq!(
+                    outcome.cache, "hit",
+                    "all concurrent requests reuse the entry"
+                );
                 assert_eq!(lines.join("\n"), golden.join("\n"));
             })
         })
@@ -238,7 +245,10 @@ fn done_report_is_schema_valid_and_carries_the_stream_section() {
         Some(lines.len() as u64 + 1),
         "frames = records + the done frame"
     );
-    assert_eq!(stream.get("cache").and_then(JsonValue::as_str), Some("miss"));
+    assert_eq!(
+        stream.get("cache").and_then(JsonValue::as_str),
+        Some("miss")
+    );
     assert!(outcome.classes() > 0);
     assert_eq!(outcome.workers(), 2);
 }
@@ -429,7 +439,10 @@ fn a_request_line_over_the_limit_is_refused_before_it_is_sent() {
     let message = err.to_string();
     assert!(message.contains("1100074 bytes"), "{message}");
     assert!(message.contains("MAX_REQUEST_BYTES"), "{message}");
-    assert!(message.contains(&MAX_REQUEST_BYTES.to_string()), "{message}");
+    assert!(
+        message.contains(&MAX_REQUEST_BYTES.to_string()),
+        "{message}"
+    );
     // Nothing reached the server, so the same connection still answers a
     // golden sweep byte-identically.
     let (golden, _) = batch_tsv("c95", 1);

@@ -236,9 +236,7 @@ pub fn sampled_fault_estimate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dp_faults::{
-        checkpoint_faults, enumerate_nfbfs, BridgeKind, BridgingFault, StuckAtFault,
-    };
+    use dp_faults::{checkpoint_faults, enumerate_nfbfs, BridgeKind, BridgingFault, StuckAtFault};
     use dp_netlist::generators::{c17, c95, full_adder};
 
     #[test]

@@ -99,13 +99,23 @@ pub(crate) fn faulty_rails(
     fault: &Fault,
     inputs: &[u64],
 ) -> (Vec<u64>, Vec<u64>) {
-    assert_eq!(inputs.len(), circuit.num_inputs(), "packed input count mismatch");
+    assert_eq!(
+        inputs.len(),
+        circuit.num_inputs(),
+        "packed input count mismatch"
+    );
     let nn = circuit.num_nets();
     // Forced rails per net (stuck stems) and per gate pin (stuck branches).
     let mut net_force: Vec<Option<(u64, u64)>> = vec![None; nn];
     let mut pin_force: Vec<(usize, usize, u64, u64)> = Vec::new();
     let mut bridge: Option<(usize, usize, BridgeKind)> = None;
-    let stuck_rails = |f: &StuckAtFault| if f.value { (!0u64, 0u64) } else { (0u64, !0u64) };
+    let stuck_rails = |f: &StuckAtFault| {
+        if f.value {
+            (!0u64, 0u64)
+        } else {
+            (0u64, !0u64)
+        }
+    };
     let mut components: Vec<StuckAtFault> = Vec::new();
     match fault {
         Fault::StuckAt(f) => components.push(*f),

@@ -107,9 +107,7 @@ fn main() -> ExitCode {
             (Some(baseline), Some(other)) => {
                 let bound = baseline as f64 * ratio;
                 if other as f64 <= bound {
-                    println!(
-                        "unique lookups: {other} <= {ratio} x {baseline} (baseline) — ok"
-                    );
+                    println!("unique lookups: {other} <= {ratio} x {baseline} (baseline) — ok");
                 } else {
                     eprintln!(
                         "unique lookups: {other} exceeds {ratio} x {baseline} (baseline); \

@@ -239,7 +239,11 @@ pub struct ParseError {
 
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "json parse error at byte {}: {}", self.offset, self.message)
+        write!(
+            f,
+            "json parse error at byte {}: {}",
+            self.offset, self.message
+        )
     }
 }
 
@@ -565,7 +569,13 @@ mod tests {
 
     #[test]
     fn multibyte_runs_round_trip() {
-        for s in ["héllo wörld", "日本語のテキスト", "🎉🎉 mixed ascii 🎉", "é", ""] {
+        for s in [
+            "héllo wörld",
+            "日本語のテキスト",
+            "🎉🎉 mixed ascii 🎉",
+            "é",
+            "",
+        ] {
             let text = JsonValue::Str(s.into()).to_compact_string();
             assert_eq!(text, format!("\"{s}\""), "plain runs are copied as-is");
             assert_eq!(parse(&text).unwrap().as_str(), Some(s));
@@ -605,7 +615,15 @@ mod tests {
             .chain(0xfff0..0x10100)
             .filter_map(char::from_u32)
             .collect();
-        for s in [every.as_str(), "", "\"", "a\\", "\u{1}", "日\"本\n", "plain"] {
+        for s in [
+            every.as_str(),
+            "",
+            "\"",
+            "a\\",
+            "\u{1}",
+            "日\"本\n",
+            "plain",
+        ] {
             let mut out = String::new();
             write_escaped(&mut out, s);
             assert_eq!(out, by_char(s));
@@ -615,7 +633,13 @@ mod tests {
     #[test]
     fn u_escapes_take_exactly_four_hex_digits() {
         assert_eq!(parse(r#""\u004a\u004A""#).unwrap().as_str(), Some("JJ"));
-        for bad in [r#""\u+041""#, r#""\u-041""#, r#""\u 041""#, r#""\u00g1""#, r#""\uéé""#] {
+        for bad in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u 041""#,
+            r#""\u00g1""#,
+            r#""\uéé""#,
+        ] {
             assert_eq!(err_at(bad), (2, "invalid \\u escape".into()), "{bad}");
         }
         assert_eq!(err_at(r#""\u004""#), (2, "invalid \\u escape".into()));

@@ -247,7 +247,12 @@ fn shard_to_json(s: &ShardExecution) -> JsonValue {
 pub fn snapshot_to_json(snap: &TelemetrySnapshot) -> JsonValue {
     let counters = CounterKind::ALL
         .iter()
-        .map(|&k| (k.name().to_string(), JsonValue::Int(snap.counter(k) as i128)))
+        .map(|&k| {
+            (
+                k.name().to_string(),
+                JsonValue::Int(snap.counter(k) as i128),
+            )
+        })
         .collect();
     let spans = SpanKind::ALL
         .iter()
@@ -356,7 +361,9 @@ pub fn validate_report(doc: &JsonValue) -> Result<(), String> {
             match require_str(stream, "cache", &tat)? {
                 "hit" | "miss" => {}
                 other => {
-                    return Err(format!("{tat}.cache: expected \"hit\" or \"miss\", got {other:?}"))
+                    return Err(format!(
+                        "{tat}.cache: expected \"hit\" or \"miss\", got {other:?}"
+                    ))
                 }
             }
         }

@@ -4,7 +4,9 @@
 //! Run with: `cargo run --release --example bridging_analysis [circuit] [sample]`
 
 use diffprop::analysis::{analyze_faults, Histogram};
-use diffprop::faults::{enumerate_nfbfs, sample_nfbfs, tune_theta, BridgeKind, Fault, SampleConfig};
+use diffprop::faults::{
+    enumerate_nfbfs, sample_nfbfs, tune_theta, BridgeKind, Fault, SampleConfig,
+};
 use diffprop::netlist::generators;
 
 fn main() {

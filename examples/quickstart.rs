@@ -3,9 +3,7 @@
 //! Run with: `cargo run --example quickstart`
 
 use diffprop::core::{sweep_universe, DiffProp, Parallelism, SweepConfig};
-use diffprop::faults::{
-    checkpoint_faults, enumerate_nfbfs, BridgeKind, Fault,
-};
+use diffprop::faults::{checkpoint_faults, enumerate_nfbfs, BridgeKind, Fault};
 use diffprop::netlist::generators::c17;
 
 fn main() {
@@ -27,15 +25,25 @@ fn main() {
     println!("  detectable:      {}", analysis.is_detectable());
     println!("  detectability:   {:.4}", analysis.detectability);
     println!("  exact tests:     {:?}", analysis.test_count);
-    println!("  observable POs:  {}/{}", analysis.num_observable(), circuit.num_outputs());
+    println!(
+        "  observable POs:  {}/{}",
+        analysis.num_observable(),
+        circuit.num_outputs()
+    );
     if let Some(bound) = dp.detectability_bound(&stuck) {
         println!("  syndrome bound:  {bound:.4}");
     }
     if let Some(adherence) = dp.adherence(&analysis) {
         println!("  adherence:       {adherence:.4}");
     }
-    println!("  complete test set as cubes over inputs {:?}:",
-        circuit.inputs().iter().map(|&n| circuit.net_name(n)).collect::<Vec<_>>());
+    println!(
+        "  complete test set as cubes over inputs {:?}:",
+        circuit
+            .inputs()
+            .iter()
+            .map(|&n| circuit.net_name(n))
+            .collect::<Vec<_>>()
+    );
     for cube in dp.test_cubes(&analysis) {
         println!("    {cube}  ({} vectors)", cube.num_minterms());
     }
@@ -89,5 +97,8 @@ fn main() {
         .iter()
         .filter(|s| s.detectability > 0.0)
         .count();
-    println!("  {detected}/{} faults detectable (identical to serial)", universe.len());
+    println!(
+        "  {detected}/{} faults detectable (identical to serial)",
+        universe.len()
+    );
 }

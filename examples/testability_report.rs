@@ -8,8 +8,7 @@
 //! or a path to an ISCAS-85 `.bench` netlist.
 
 use diffprop::analysis::topology::{
-    detectability_vs_pi_distance, detectability_vs_po_distance, pos_fed_vs_observed,
-    render_curve,
+    detectability_vs_pi_distance, detectability_vs_po_distance, pos_fed_vs_observed, render_curve,
 };
 use diffprop::analysis::{analyze_faults, stuck_at_universe, Histogram};
 use diffprop::netlist::{generators, parse_bench, Circuit};

@@ -259,7 +259,9 @@ fn main() {
     match cmd {
         "stats" => stats(&circuit),
         "analyze" => match &opts.connect {
-            Some(addr) => analyze_connect(&circuit, target, if n == 0 { 20 } else { n }, &opts, addr),
+            Some(addr) => {
+                analyze_connect(&circuit, target, if n == 0 { 20 } else { n }, &opts, addr)
+            }
             None => analyze(&circuit, if n == 0 { 20 } else { n }, &opts),
         },
         "atpg" => atpg(&circuit),
@@ -358,7 +360,11 @@ fn stats(circuit: &Circuit) {
     let worst = circuit
         .nets()
         .filter(|&n| scoap.co(n) != u32::MAX)
-        .max_by_key(|&n| scoap.stuck_at_cost(n, false).min(scoap.stuck_at_cost(n, true)));
+        .max_by_key(|&n| {
+            scoap
+                .stuck_at_cost(n, false)
+                .min(scoap.stuck_at_cost(n, true))
+        });
     if let Some(w) = worst {
         println!(
             "  hardest net by SCOAP: {} (CC0 {}, CC1 {}, CO {})",
@@ -535,7 +541,10 @@ fn print_analysis(
     }
     let records = records_from_summaries(circuit, faults, summaries);
     println!("\ndetectability profile:");
-    print!("{}", Histogram::from_values(15, records.iter().map(|r| r.detectability)));
+    print!(
+        "{}",
+        Histogram::from_values(15, records.iter().map(|r| r.detectability))
+    );
 }
 
 fn atpg(circuit: &Circuit) {

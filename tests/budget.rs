@@ -10,9 +10,7 @@ use diffprop::core::{
     SweepConfig,
 };
 use diffprop::faults::{checkpoint_faults, Fault};
-use diffprop::netlist::generators::{
-    alu74181, c95, random_circuit, RandomCircuitConfig,
-};
+use diffprop::netlist::generators::{alu74181, c95, random_circuit, RandomCircuitConfig};
 use proptest::prelude::*;
 
 fn config_strategy() -> impl Strategy<Value = (u64, RandomCircuitConfig)> {
@@ -104,7 +102,11 @@ fn tiny_budget_sweep_degrades_instead_of_aborting() {
             ..Default::default()
         };
         let sweep = sweep_universe(&circuit, &faults, &config);
-        assert!(sweep.is_complete(), "no shard may fail on {}", circuit.name());
+        assert!(
+            sweep.is_complete(),
+            "no shard may fail on {}",
+            circuit.name()
+        );
         assert_eq!(sweep.summaries.len(), faults.len());
         assert!(
             sweep.num_bounded() > 0,

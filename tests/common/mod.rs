@@ -13,8 +13,8 @@
 
 use diffprop::core::{sweep_universe, FaultOutcome, FaultSummary, SweepConfig};
 use diffprop::faults::{
-    checkpoint_faults, enumerate_bridges, enumerate_nfbfs, pair_multis, BridgeKind,
-    BridgeTopology, Fault,
+    checkpoint_faults, enumerate_bridges, enumerate_nfbfs, pair_multis, BridgeKind, BridgeTopology,
+    Fault,
 };
 use diffprop::netlist::generators::{c17, c95, full_adder};
 use diffprop::netlist::Circuit;
@@ -121,14 +121,26 @@ pub fn golden_universes() -> Vec<(String, &'static str, Vec<Fault>)> {
         let name = circuit.name().to_string();
         out.push((name.clone(), "stuck", stuck_at_universe(&circuit)));
         // Same deterministic cap as the oracle tests keeps this fast on c95.
-        let cap = if circuit.num_inputs() > 8 { 120 } else { usize::MAX };
+        let cap = if circuit.num_inputs() > 8 {
+            120
+        } else {
+            usize::MAX
+        };
         out.push((name.clone(), "bridge", bridging_universe(&circuit, cap)));
         // The extended models ride the same file: feedback bridges pin the
         // ternary fixpoint (including each oscillation density, via the
         // outcome column), double stuck-ats pin multi-fault composition.
-        let fb_cap = if circuit.num_inputs() > 8 { 40 } else { usize::MAX };
+        let fb_cap = if circuit.num_inputs() > 8 {
+            40
+        } else {
+            usize::MAX
+        };
         out.push((name.clone(), "fbridge", feedback_universe(&circuit, fb_cap)));
-        let multi_cap = if circuit.num_inputs() > 8 { 120 } else { usize::MAX };
+        let multi_cap = if circuit.num_inputs() > 8 {
+            120
+        } else {
+            usize::MAX
+        };
         out.push((name, "multi", multi_universe(&circuit, multi_cap)));
     }
     out
@@ -180,10 +192,16 @@ pub fn assert_matches_ternary_oracle(circuit: &Circuit, faults: &[Fault], config
         );
         match s.outcome {
             FaultOutcome::Exact => {
-                assert_eq!(t.oscillating, 0, "{fault}: simulator saw oscillation, engine none");
+                assert_eq!(
+                    t.oscillating, 0,
+                    "{fault}: simulator saw oscillation, engine none"
+                );
             }
             FaultOutcome::Oscillating { density_bits } => {
-                assert!(t.oscillating > 0, "{fault}: engine oscillates, simulator settles");
+                assert!(
+                    t.oscillating > 0,
+                    "{fault}: engine oscillates, simulator settles"
+                );
                 assert_eq!(
                     density_bits,
                     (t.oscillating as f64 / total as f64).to_bits(),

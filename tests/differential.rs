@@ -23,7 +23,9 @@ use diffprop::core::{
     plan_batches, sweep_universe, DiffProp, EngineConfig, OrderStrategy, Parallelism, SweepConfig,
 };
 use diffprop::faults::{collapse_faults, Fault};
-use diffprop::netlist::generators::{alu74181, c17, c432_surrogate, c499_surrogate, c95, full_adder};
+use diffprop::netlist::generators::{
+    alu74181, c17, c432_surrogate, c499_surrogate, c95, full_adder,
+};
 use diffprop::netlist::{Circuit, Reachability};
 use diffprop::sim::{detects, exhaustive_detectability, faulty_outputs};
 
@@ -82,7 +84,8 @@ fn check_universe(circuit: &Circuit, faults: &[Fault]) {
             circuit.name()
         );
         assert_eq!(
-            summary.observable_outputs, truth.observable,
+            summary.observable_outputs,
+            truth.observable,
             "observable outputs for {fault} on {}",
             circuit.name()
         );
@@ -135,7 +138,9 @@ fn golden_universe_summaries_are_bit_identical() {
 /// interleaving) must leave every byte of the output unchanged.
 #[test]
 fn golden_universe_summaries_are_bit_identical_at_four_threads() {
-    assert_matches_golden(&current_golden_lines(&sweep_config(Parallelism::Threads(4))));
+    assert_matches_golden(&current_golden_lines(&sweep_config(Parallelism::Threads(
+        4,
+    ))));
 }
 
 #[test]
@@ -303,7 +308,8 @@ fn check_surrogate_sampled(circuit: &Circuit, fault_cap: usize, vectors_per_faul
         let a = dfs.analyze(fault);
         let b = declared.analyze(fault);
         assert_eq!(
-            a.test_count, b.test_count,
+            a.test_count,
+            b.test_count,
             "orders disagree on test_count for {fault} on {}",
             circuit.name()
         );
@@ -362,7 +368,8 @@ fn check_batch_vs_single(circuit: &Circuit, faults: &[Fault]) {
     for (fault, summary) in faults.iter().zip(&sweep.summaries) {
         let alone = single.analyze(fault);
         assert_eq!(
-            summary.test_count, alone.test_count,
+            summary.test_count,
+            alone.test_count,
             "batched test_count for {fault} on {}",
             circuit.name()
         );
@@ -373,7 +380,8 @@ fn check_batch_vs_single(circuit: &Circuit, faults: &[Fault]) {
             circuit.name()
         );
         assert_eq!(
-            summary.observable_outputs, alone.observable_outputs,
+            summary.observable_outputs,
+            alone.observable_outputs,
             "batched observability for {fault} on {}",
             circuit.name()
         );

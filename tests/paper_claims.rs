@@ -45,10 +45,7 @@ fn adherence_spikes_at_one() {
     let props = h.proportions();
     let last = props[props.len() - 1];
     // "Sharp rise at one": the 1.0 bin towers over the bins just below it.
-    let shoulder: f64 = props[props.len() - 5..props.len() - 1]
-        .iter()
-        .sum::<f64>()
-        / 4.0;
+    let shoulder: f64 = props[props.len() - 5..props.len() - 1].iter().sum::<f64>() / 4.0;
     assert!(last > 0.0, "no mass at adherence 1.0");
     assert!(
         last > 4.0 * shoulder,

@@ -80,7 +80,10 @@ fn atpg_covers_c432_surrogate() {
         .collect();
     let tests = generate_tests(&circuit, &faults);
     assert_eq!(tests.covered + tests.undetectable.len(), faults.len());
-    assert!(tests.vectors.len() < faults.len() / 2, "compaction too weak");
+    assert!(
+        tests.vectors.len() < faults.len() / 2,
+        "compaction too weak"
+    );
     for f in faults.iter().step_by(7) {
         if tests.undetectable.contains(f) {
             continue;

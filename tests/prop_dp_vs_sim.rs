@@ -3,19 +3,14 @@
 //! fault model — the central correctness claim of the reproduction.
 
 use diffprop::core::{DiffProp, EngineConfig};
-use diffprop::faults::{
-    checkpoint_faults, enumerate_nfbfs, BridgeKind, Fault,
-};
+use diffprop::faults::{checkpoint_faults, enumerate_nfbfs, BridgeKind, Fault};
 use diffprop::netlist::generators::{random_circuit, RandomCircuitConfig};
 use diffprop::sim::exhaustive_detectability;
 use proptest::prelude::*;
 
 fn config_strategy() -> impl Strategy<Value = (u64, RandomCircuitConfig)> {
-    (
-        any::<u64>(),
-        (2usize..=6, 4usize..=25, 2usize..=4),
-    )
-        .prop_map(|(seed, (inputs, gates, max_fanin))| {
+    (any::<u64>(), (2usize..=6, 4usize..=25, 2usize..=4)).prop_map(
+        |(seed, (inputs, gates, max_fanin))| {
             (
                 seed,
                 RandomCircuitConfig {
@@ -24,7 +19,8 @@ fn config_strategy() -> impl Strategy<Value = (u64, RandomCircuitConfig)> {
                     max_fanin,
                 },
             )
-        })
+        },
+    )
 }
 
 proptest! {

@@ -19,11 +19,9 @@
 mod common;
 
 use common::{feedback_universe, multi_universe, summary_line};
-use diffprop::core::{sweep_universe, DiffProp, Parallelism, SweepConfig};
-use diffprop::faults::{
-    checkpoint_faults, enumerate_nfbfs, BridgeKind, Fault, MultiStuckAt,
-};
 use diffprop::analysis::fault_model_universe;
+use diffprop::core::{sweep_universe, DiffProp, Parallelism, SweepConfig};
+use diffprop::faults::{checkpoint_faults, enumerate_nfbfs, BridgeKind, Fault, MultiStuckAt};
 use diffprop::netlist::generators::{alu74181, c17, c432_surrogate, c95};
 use diffprop::netlist::{Circuit, NetId, Reachability};
 
@@ -37,7 +35,8 @@ fn multiplicity_one_multi_equals_single_stuck_at() {
             let single = dp.analyze(&Fault::StuckAt(f));
             let multi = dp.analyze(&Fault::MultiStuckAt(MultiStuckAt::new(vec![f])));
             assert_eq!(
-                single.test_count, multi.test_count,
+                single.test_count,
+                multi.test_count,
                 "test_count for {f:?} on {}",
                 circuit.name()
             );
@@ -48,7 +47,8 @@ fn multiplicity_one_multi_equals_single_stuck_at() {
                 circuit.name()
             );
             assert_eq!(
-                single.observable_outputs, multi.observable_outputs,
+                single.observable_outputs,
+                multi.observable_outputs,
                 "observability for {f:?} on {}",
                 circuit.name()
             );
@@ -74,7 +74,8 @@ fn fixpoint_on_nonfeedback_bridge_equals_one_pass_analysis() {
                     .try_analyze_bridge_fixpoint(&bridge)
                     .expect("fixpoint analysis of an acyclic bridge failed");
                 assert_eq!(
-                    direct.test_count, fixed.test_count,
+                    direct.test_count,
+                    fixed.test_count,
                     "test_count for {bridge:?} on {}",
                     circuit.name()
                 );
@@ -85,12 +86,14 @@ fn fixpoint_on_nonfeedback_bridge_equals_one_pass_analysis() {
                     circuit.name()
                 );
                 assert_eq!(
-                    direct.observable_outputs, fixed.observable_outputs,
+                    direct.observable_outputs,
+                    fixed.observable_outputs,
                     "observability for {bridge:?} on {}",
                     circuit.name()
                 );
                 assert_eq!(
-                    direct.site_function_constant, fixed.site_function_constant,
+                    direct.site_function_constant,
+                    fixed.site_function_constant,
                     "site flag for {bridge:?} on {}",
                     circuit.name()
                 );
@@ -109,7 +112,11 @@ fn fixpoint_on_nonfeedback_bridge_equals_one_pass_analysis() {
 
 /// Renders a whole sweep as golden-format lines (losslessly, outcome
 /// column included) for whole-universe comparison.
-fn sweep_lines(circuit: &diffprop::netlist::Circuit, faults: &[Fault], config: &SweepConfig) -> Vec<String> {
+fn sweep_lines(
+    circuit: &diffprop::netlist::Circuit,
+    faults: &[Fault],
+    config: &SweepConfig,
+) -> Vec<String> {
     sweep_universe(circuit, faults, config)
         .summaries
         .iter()
@@ -135,7 +142,11 @@ fn extended_models_are_schedule_invariant() {
                 ..Default::default()
             },
         );
-        for parallelism in [Parallelism::Serial, Parallelism::Threads(2), Parallelism::Threads(4)] {
+        for parallelism in [
+            Parallelism::Serial,
+            Parallelism::Threads(2),
+            Parallelism::Threads(4),
+        ] {
             for batch in [1, 8] {
                 let config = SweepConfig {
                     parallelism,
@@ -200,7 +211,11 @@ fn fixpoint_frontier_never_exceeds_the_dense_sweep() {
     ];
     let mut strictly_lower = 0;
     for (circuit, faults) in cases {
-        assert!(!faults.is_empty(), "no feedback bridges on {}", circuit.name());
+        assert!(
+            !faults.is_empty(),
+            "no feedback bridges on {}",
+            circuit.name()
+        );
         let reach = Reachability::compute(circuit);
         let mut dp = DiffProp::new(circuit);
         for fault in &faults {

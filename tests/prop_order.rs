@@ -54,10 +54,7 @@ proptest! {
 
 #[test]
 fn structural_orders_reproduce_golden_lines() {
-    for order in [
-        OrderStrategy::FaninDfs,
-        OrderStrategy::Auto,
-    ] {
+    for order in [OrderStrategy::FaninDfs, OrderStrategy::Auto] {
         assert_matches_golden(&lines_with(order, Parallelism::Serial));
         assert_matches_golden(&lines_with(order, Parallelism::Threads(4)));
     }

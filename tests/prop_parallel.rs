@@ -78,7 +78,10 @@ fn assert_stats_consistent(sweep: &SweepResult) {
         // otherwise) plus the total ever allocated — and equals it while no
         // gc compacted.
         let floor = s.base_nodes.max(1) as u64;
-        assert!(s.peak_nodes as u64 >= floor, "peak below the starting table");
+        assert!(
+            s.peak_nodes as u64 >= floor,
+            "peak below the starting table"
+        );
         assert!(s.peak_nodes as u64 <= floor + s.unique.misses);
         if s.gc_runs == 0 {
             assert_eq!(s.peak_nodes as u64, floor + s.unique.misses);
@@ -119,7 +122,11 @@ fn every_panicked_class_is_reported() {
     let sweep = sweep_universe(&circuit, &faults, &SweepConfig::default());
     assert!(!sweep.is_complete());
     let panics = sweep.panicked_classes();
-    assert_eq!(panics.len(), 2, "both poisoned classes reported: {panics:?}");
+    assert_eq!(
+        panics.len(),
+        2,
+        "both poisoned classes reported: {panics:?}"
+    );
     assert_ne!(panics[0].0, panics[1].0, "distinct class ids");
     for (id, msg) in panics {
         assert_ne!(*id, WORKER_PANIC, "panic attributed to its class");

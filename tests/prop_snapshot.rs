@@ -118,12 +118,24 @@ fn assert_auto_build(circuit: &Circuit, digest: u64, reclaimed: u64, swaps: u64,
 /// are those of a closing table sized at twice the frozen node count.
 #[test]
 fn c1908s_auto_build_is_pinned() {
-    assert_auto_build(&c1908_surrogate(), 0xcfca_1c67_8f59_2213, 3970, 525, 452_268);
+    assert_auto_build(
+        &c1908_surrogate(),
+        0xcfca_1c67_8f59_2213,
+        3970,
+        525,
+        452_268,
+    );
 }
 
 #[test]
 fn c499s_auto_build_is_pinned() {
-    assert_auto_build(&c499_surrogate(), 0x9dd9_1eb8_cf70_a046, 12_218, 1499, 859_092);
+    assert_auto_build(
+        &c499_surrogate(),
+        0x9dd9_1eb8_cf70_a046,
+        12_218,
+        1499,
+        859_092,
+    );
 }
 
 /// Slower than the rest of this file together (about 6 s in a debug
@@ -131,5 +143,11 @@ fn c499s_auto_build_is_pinned() {
 #[test]
 #[ignore]
 fn c1355s_auto_build_is_pinned() {
-    assert_auto_build(&c1355_surrogate(), 0x7ad1_0bcb_9f48_6f8d, 42_422, 1381, 2_121_536);
+    assert_auto_build(
+        &c1355_surrogate(),
+        0x7ad1_0bcb_9f48_6f8d,
+        42_422,
+        1381,
+        2_121_536,
+    );
 }

@@ -38,7 +38,12 @@ fn check_against_simulation(circuit: &Circuit, outside_cap: usize) -> usize {
     let mut shortcuts = 0;
     let mut check = |fault: &Fault, det: u64, total: u64| {
         let a = dp.analyze(fault);
-        assert_eq!(a.test_count, Some(det as u128), "{fault} on {}", circuit.name());
+        assert_eq!(
+            a.test_count,
+            Some(det as u128),
+            "{fault} on {}",
+            circuit.name()
+        );
         assert!((a.detectability - det as f64 / total as f64).abs() < 1e-12);
         let b = gate_by_gate.analyze(fault);
         assert_eq!(a.observable_outputs, b.observable_outputs, "{fault}");
@@ -57,7 +62,10 @@ fn check_against_simulation(circuit: &Circuit, outside_cap: usize) -> usize {
         let (internal, outside): (Vec<_>, Vec<_>) = enumerate_nfbfs(circuit, kind)
             .into_iter()
             .partition(|f| inside(&quads, f.a) || inside(&quads, f.b));
-        for f in internal.into_iter().chain(outside.into_iter().take(outside_cap)) {
+        for f in internal
+            .into_iter()
+            .chain(outside.into_iter().take(outside_cap))
+        {
             let fault = Fault::from(f);
             let (det, total) = exhaustive_detectability(circuit, &fault);
             check(&fault, det, total);
@@ -104,7 +112,10 @@ fn stats_counts_the_xor_quads() {
             .expect("diffprop runs");
         assert!(out.status.success());
         let stdout = String::from_utf8(out.stdout).expect("utf-8");
-        assert!(stdout.contains(&format!("\n  xor quads: {quads}\n")), "{stdout}");
+        assert!(
+            stdout.contains(&format!("\n  xor quads: {quads}\n")),
+            "{stdout}"
+        );
     }
 }
 

@@ -61,7 +61,11 @@ fn collectors_really_observe_the_sweep() {
     let circuit = c95();
     let faults = stuck_at_universe(&circuit);
 
-    let off = sweep_universe(&circuit, &faults, &config(Parallelism::Serial, TelemetryLevel::Off));
+    let off = sweep_universe(
+        &circuit,
+        &faults,
+        &config(Parallelism::Serial, TelemetryLevel::Off),
+    );
     assert_eq!(off.totals.span(SpanKind::Sweep).count, 0);
     assert_eq!(off.totals.counter(CounterKind::UniqueLookups), 0);
 

@@ -94,7 +94,9 @@ fn summary(fault: Fault, analysis: &FaultAnalysis, bound: Option<f64>) -> FaultS
 
 /// A point query on `dp`: its summary line and the kernel counters after it.
 fn point_query(dp: &mut DiffProp<'_>, index: usize, fault: &Fault) -> (String, ManagerStats) {
-    let analysis = dp.try_analyze(fault).expect("an unlimited budget never trips");
+    let analysis = dp
+        .try_analyze(fault)
+        .expect("an unlimited budget never trips");
     let bound = dp.detectability_bound(fault);
     let line = summary_line(index, &summary(fault.clone(), &analysis, bound));
     (line, dp.good().manager().stats().clone())
@@ -112,7 +114,10 @@ fn a_recycled_thaw_allocates_nothing_large_and_answers_as_a_fresh_one() {
     assert!(large > 0, "the first thaw allocates its op cache");
     drop(first);
     let (second, large) = thaw(&circuit, &snapshot);
-    assert_eq!(large, 0, "a second thaw reuses the dropped engine's op cache");
+    assert_eq!(
+        large, 0,
+        "a second thaw reuses the dropped engine's op cache"
+    );
     drop(second);
 
     let faults = checkpoint_faults(&circuit);
@@ -130,7 +135,11 @@ fn a_recycled_thaw_allocates_nothing_large_and_answers_as_a_fresh_one() {
         let (holder, _) = thaw(&circuit, &snapshot);
         let (mut fresh, large) = thaw(&circuit, &snapshot);
         assert!(large > 0, "fault {index}: the thaw allocates a fresh cache");
-        assert_eq!(point_query(&mut fresh, index, &fault), reused, "fault {index}");
+        assert_eq!(
+            point_query(&mut fresh, index, &fault),
+            reused,
+            "fault {index}"
+        );
         drop(holder);
     }
 }
