@@ -58,8 +58,12 @@ fn delta_two_input(
 ///
 /// `goods[i]` and `deltas[i]` describe fanin `i`; a [`NodeId::FALSE`] delta
 /// means "no difference on this input". Multi-input gates are folded as a
-/// chain of two-input gates; the intermediate good functions are rebuilt on
-/// the fly (hash-consing makes them shared with the originals).
+/// chain of two-input gates. The chain's intermediate good products are
+/// built on the fly, and only up to the last differing input: a link whose
+/// new input carries no difference reads the product only through
+/// `f·⊥ = ⊥`. A two-input gate therefore never builds its own good
+/// function: with one differing input its difference costs one
+/// `and(f_other, Δ)` (`and(¬f_other, Δ)` for the OR family).
 ///
 /// # Panics
 ///
@@ -109,6 +113,12 @@ pub fn delta_output(
                 GateKind::Or | GateKind::Nor => GateKind::Or,
                 _ => unreachable!(),
             };
+            // Link `i` reads the chain's good product `f_acc` only through
+            // `f_acc·Δi` (or `¬f_acc·Δi`), so no link after the last
+            // differing pin reads it: the fold stops there.
+            let Some(last) = deltas.iter().rposition(|d| !d.is_false()) else {
+                return NodeId::FALSE;
+            };
             let mut f_acc = goods[0];
             let mut d_acc = deltas[0];
             for i in 1..goods.len() {
@@ -118,11 +128,13 @@ pub fn delta_output(
                 } else {
                     delta_two_input(manager, base, f_acc, goods[i], d_acc, deltas[i])
                 };
-                f_acc = match base {
-                    GateKind::And => manager.and(f_acc, goods[i]),
-                    GateKind::Or => manager.or(f_acc, goods[i]),
-                    _ => unreachable!(),
-                };
+                if i < last {
+                    f_acc = match base {
+                        GateKind::And => manager.and(f_acc, goods[i]),
+                        GateKind::Or => manager.or(f_acc, goods[i]),
+                        _ => unreachable!(),
+                    };
+                }
             }
             d_acc
         }
@@ -204,6 +216,44 @@ mod tests {
         check_kind(GateKind::Xor, 2);
         check_kind(GateKind::Xnor, 2);
         check_kind(GateKind::Xor, 3);
+    }
+
+    /// Op-cache lookups so far, over every operation family.
+    fn lookups(m: &Manager) -> u64 {
+        m.stats().op_cumulative_total().lookups
+    }
+
+    #[test]
+    fn one_differing_pin_costs_one_and_with_the_other_pin() {
+        // Two identically built managers: goods with shared support and a
+        // difference over a fresh variable.
+        let build = || {
+            let mut m = Manager::new(4);
+            let v: Vec<NodeId> = (0..4).map(|i| m.var(i)).collect();
+            let goods = [m.or(v[0], v[1]), m.and(v[1], v[2])];
+            let delta = m.xor(v[2], v[3]);
+            (m, goods, delta)
+        };
+        for kind in [GateKind::And, GateKind::Nand, GateKind::Or, GateKind::Nor] {
+            for pin in 0..2 {
+                let (mut m, goods, delta) = build();
+                let mut deltas = [NodeId::FALSE; 2];
+                deltas[pin] = delta;
+                let before = lookups(&m);
+                let dc = delta_output(&mut m, kind, &goods, &deltas);
+                let cost = lookups(&m) - before;
+
+                let (mut r, goods, delta) = build();
+                let other = match kind {
+                    GateKind::Or | GateKind::Nor => r.not(goods[1 - pin]),
+                    _ => goods[1 - pin],
+                };
+                let before = lookups(&r);
+                let _ = r.and(other, delta);
+                assert_eq!(cost, lookups(&r) - before, "{kind}, pin {pin}");
+                assert_eq!(dc, naive_delta_output(&mut m, kind, &goods, &deltas));
+            }
+        }
     }
 
     #[test]
