@@ -7,7 +7,7 @@
 //! correlations between Difference Propagation's exact detectabilities and
 //! the SCOAP costs at the fault sites.
 //!
-//! A reproducible refinement falls out (see the `figures` binary output and
+//! A reproducible refinement falls out (see the `diffprop figures` output and
 //! `EXPERIMENTS.md`): on checkpoint fault sets — which are PI-and-branch
 //! heavy, i.e. skewed towards the controllable end of the circuit — the
 //! *combined* SCOAP cost anticorrelates with exact detectability as

@@ -4,7 +4,7 @@
 //! A [`Lab`] holds the experiment configuration, a circuit suite and a
 //! cache of fault records: each (circuit, fault model) pair is swept once,
 //! on first use, and every driver that needs it reads the cached records.
-//! Each driver returns plain printable data. The `figures` binary renders
+//! Each driver returns plain printable data. `diffprop figures` renders
 //! them (its paper-scale output is recorded in `EXPERIMENTS.md`), the
 //! paper-claims tests assert on them, and the Criterion harness in
 //! `crates/bench` times them.
@@ -132,7 +132,7 @@ impl Lab {
         }
     }
 
-    /// Calls `hook` after every sweep (the `figures` binary's progress and
+    /// Calls `hook` after every sweep (`diffprop figures`' progress and
     /// per-shard counter lines).
     pub fn with_sweep_hook(self, hook: SweepHook) -> Self {
         Lab {

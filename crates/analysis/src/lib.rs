@@ -12,7 +12,7 @@
 //!   (Figures 3, 8);
 //! * [`figures`] — the one implementation of every paper artifact: a
 //!   [`figures::Lab`] sweeps each circuit's fault sets once and its drivers
-//!   return the printable series that the `figures` binary renders and the
+//!   return the printable series that `diffprop figures` renders and the
 //!   paper-claims tests and bench harness call;
 //! * [`correlation`] — Spearman rank correlations between exact
 //!   detectabilities and SCOAP testability estimates;

@@ -2,9 +2,9 @@
 //! (fault universe construction + Difference Propagation + statistics) at a
 //! reduced but representative scale.
 //!
-//! Paper-scale series are produced by `cargo run --release -p dp-analysis
-//! --bin figures`; the numbers recorded in `EXPERIMENTS.md` come from that
-//! binary, while these benches track the cost of each artifact.
+//! Paper-scale series are produced by `cargo run --release --bin diffprop --
+//! figures`; the numbers recorded in `EXPERIMENTS.md` come from that
+//! command, while these benches track the cost of each artifact.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dp_analysis::figures::{ExperimentConfig, Lab};

@@ -239,7 +239,7 @@ fn canonical_stuck_at_guarded(
 }
 
 /// One forwarding step, or `None` when the fault is already canonical.
-fn forward_once(circuit: &Circuit, fault: StuckAtFault) -> Option<StuckAtFault> {
+pub(crate) fn forward_once(circuit: &Circuit, fault: StuckAtFault) -> Option<StuckAtFault> {
     // The site must feed exactly one gate pin: a branch feeds its sink by
     // construction; a net qualifies only with a single consumer and no
     // direct PO observation.

@@ -4,6 +4,8 @@ use std::fmt;
 
 use dp_netlist::{Circuit, Driver, FanoutBranch, GateKind, NetId};
 
+use crate::collapse::forward_once;
+
 /// Where a stuck-at fault lives: on a whole net (the checkpoint case for
 /// primary inputs) or on one fanout branch (a single gate-input pin).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -115,51 +117,36 @@ pub fn all_stuck_faults(circuit: &Circuit) -> Vec<StuckAtFault> {
 ///
 /// Two checkpoint faults are merged when they assert the *controlling* value
 /// on two inputs of the same AND/NAND gate (both equivalent to output
-/// stuck-at the controlled value), or dually the OR/NOR case. A net-site
-/// fault participates only if its net has a single consumer (otherwise the
-/// faulty value reaches other gates too and the faults are not equivalent).
+/// stuck-at the controlled value), or dually the OR/NOR case. The rule is
+/// one forwarding step of [`crate::collapse_faults`]' walk taken through a
+/// controlled gate, so a net-site fault participates only if its net has a
+/// single consumer and is not a primary output (otherwise the faulty value
+/// is seen along a path the gate's output fault does not corrupt, and the
+/// faults are not equivalent).
 ///
 /// The returned list preserves the relative order of the surviving
 /// representatives.
 pub fn collapse_checkpoint_faults(circuit: &Circuit, faults: &[StuckAtFault]) -> Vec<StuckAtFault> {
     use std::collections::HashSet;
-    // Key: (sink gate, stuck value). The first fault seen for a key is the
-    // representative; later ones collapse into it.
-    let mut seen: HashSet<(NetId, bool)> = HashSet::new();
-    let mut out = Vec::new();
-    for &fault in faults {
-        // Determine the single (sink, pin) the fault feeds, if any.
-        let sink = match fault.site {
-            FaultSite::Branch(b) => Some(b.sink),
-            FaultSite::Net(n) => {
-                let fo = circuit.fanout(n);
-                (fo.len() == 1).then(|| fo[0].0)
-            }
-        };
-        let collapsible = sink.and_then(|s| {
-            let kind = match circuit.driver(s) {
-                Driver::Gate { kind, .. } => *kind,
-                Driver::Input => unreachable!("sinks are gates"),
-            };
-            let controlling = match kind {
-                GateKind::And | GateKind::Nand => false,
-                GateKind::Or | GateKind::Nor => true,
-                // XOR/XNOR have no controlling value; NOT/BUF have a single
-                // input so there is nothing to merge with at this gate.
-                _ => return None,
-            };
-            (fault.value == controlling).then_some(s)
-        });
-        match collapsible {
-            Some(s) => {
-                if seen.insert((s, fault.value)) {
-                    out.push(fault);
-                }
-            }
-            None => out.push(fault),
-        }
-    }
-    out
+    // Key: the sink gate's output fault. The first fault seen for a key is
+    // the representative; later ones collapse into it.
+    let mut seen: HashSet<StuckAtFault> = HashSet::new();
+    faults
+        .iter()
+        .copied()
+        .filter(|&fault| {
+            let key = forward_once(circuit, fault).filter(|out| {
+                matches!(
+                    circuit.driver(out.site.net()),
+                    Driver::Gate {
+                        kind: GateKind::And | GateKind::Nand | GateKind::Or | GateKind::Nor,
+                        ..
+                    }
+                )
+            });
+            key.is_none_or(|key| seen.insert(key))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -225,6 +212,22 @@ mod tests {
         let collapsed = collapse_checkpoint_faults(&c, &faults);
         // x s-a-0 ≡ y s-a-0 -> 3 classes.
         assert_eq!(collapsed.len(), 3);
+    }
+
+    #[test]
+    fn primary_output_input_keeps_its_own_class() {
+        // `a` feeds `g = AND(a, x)` and is also a PO, so `a s-a-0` shows at
+        // PO `a` on half the vectors while `x s-a-0` is seen only through
+        // `g`: the two are not equivalent and both survive.
+        let mut b = CircuitBuilder::new("and_po");
+        let a = b.input("a");
+        let x = b.input("x");
+        let g = b.gate("g", dp_netlist::GateKind::And, &[a, x]).unwrap();
+        b.output(a);
+        b.output(g);
+        let c = b.finish().unwrap();
+        let faults = checkpoint_faults(&c);
+        assert_eq!(collapse_checkpoint_faults(&c, &faults), faults);
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub struct SweepOutcome {
     /// Faults lost to class panics (absent from the stream).
     pub skipped: u64,
     /// The schema-v2 report object (`stream` section included), ready to
-    /// wrap in a `reports` array for `validate_sweep_report`.
+    /// wrap in a `reports` array for `diffprop validate-report`.
     pub report: JsonValue,
 }
 
@@ -53,7 +53,7 @@ impl SweepOutcome {
     }
 
     /// Wraps the report object in a schema-versioned document, as
-    /// `validate_sweep_report` and the CI smoke job expect on disk.
+    /// `diffprop validate-report` and the CI smoke job expect on disk.
     pub fn report_document(&self) -> JsonValue {
         JsonValue::obj(vec![
             (

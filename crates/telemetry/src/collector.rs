@@ -452,8 +452,6 @@ impl Collector {
         s.count += 1;
         s.total_nanos += nanos;
         s.max_nanos = s.max_nanos.max(nanos);
-        #[cfg(feature = "trace-log")]
-        eprintln!("[dp-telemetry] span {} {}ns", kind.name(), nanos);
         if kind == SpanKind::Fault {
             self.record_hist(HistKind::FaultNanos, nanos);
         }

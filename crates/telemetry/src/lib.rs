@@ -14,9 +14,7 @@
 //! * the versioned, machine-readable **`sweep_report.json`** schema
 //!   ([`report::SweepReport`], [`report::ReportFile`]) with a self-contained
 //!   writer, parser ([`json`]) and validator ([`report::validate_report`]) —
-//!   no external serialisation crates required;
-//! * a feature-gated stderr trace backend (`trace-log`) standing in for a
-//!   `tracing` subscriber in this offline build environment.
+//!   no external serialisation crates required.
 //!
 //! # Observation-only contract
 //!

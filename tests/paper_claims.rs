@@ -5,8 +5,8 @@
 //! which direction*, which is what the paper's figures argue.
 
 //!
-//! Every claim reads the same `Lab` drivers and record cache that the
-//! `figures` binary prints from.
+//! Every claim reads the same `Lab` drivers and record cache that
+//! `diffprop figures` prints from.
 
 use diffprop::analysis::figures::{ExperimentConfig, Lab};
 use diffprop::faults::BridgeKind;
