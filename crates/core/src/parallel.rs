@@ -43,9 +43,10 @@
 //! difference function at every output* — the expansion copies scalars that
 //! are provably equal to what a direct analysis would produce, and
 //! recomputes the one scalar (adherence) that is not shared. Work stealing
-//! preserves it because summaries are keyed by global fault index and merged
-//! in index order — the claim order can only permute *where* a class is
-//! computed, never *what* its canonical result is.
+//! preserves it because summaries are keyed by global fault index and
+//! released in index order by one reorder buffer — the claim order can only
+//! permute *where* a class is computed, never *what* its canonical result
+//! is.
 //!
 //! The same holds for the degraded path: a fallback estimate is seeded per
 //! *global* fault index (a fixed base seed `+ index`), so a
@@ -62,10 +63,18 @@
 //! assertion deep in the engine) never takes the sweep down — its class's
 //! partial summaries are discarded, the worker rebuilds its engine, and
 //! **every other class's summaries are returned untouched**, still in input
-//! order. The worker's [`ShardReport::panics`] carries every panicked
-//! class id with its message, so a batch caller (or the sweep service) can
-//! report exactly which requests died. Callers that require full coverage
-//! check [`SweepResult::is_complete`].
+//! order. A panic inside a fused batch pass is retried class by class on a
+//! rebuilt engine, so it too costs only the class that caused it. The
+//! worker's [`ShardReport::panics`] carries every panicked class id with its
+//! message, so a batch caller (or the sweep service) can report exactly
+//! which requests died. Callers that require full coverage check
+//! [`SweepResult::is_complete`].
+//!
+//! Every sweep, streamed or not, releases its summaries through the same
+//! reorder buffer: [`SweepResult::summaries`] is always exactly the
+//! concatenation of the runs a [`RecordSink`] would receive, including
+//! after a worker-level panic, when the dead worker's already reported
+//! batches are kept.
 //!
 //! # Resource bounds and graceful degradation
 //!
@@ -109,7 +118,7 @@ use std::time::{Duration, Instant};
 
 use dp_bdd::ManagerStats;
 use dp_faults::{
-    collapse_faults, CollapseStats, CollapsedUniverse, Fault, FaultClass, StuckAtFault,
+    collapse_faults, CollapseStats, CollapsedUniverse, Fault, FaultClass, FaultSite, StuckAtFault,
 };
 use dp_netlist::{Circuit, NetId, Reachability};
 use dp_sim::sampled_fault_estimate;
@@ -305,8 +314,8 @@ pub struct ShardReport {
     /// workers even when per-fault costs are wildly skewed.
     pub busy: Duration,
     /// Counters of the worker's private BDD manager at the end of its run
-    /// (default counters when the worker claimed nothing or never built an
-    /// engine).
+    /// (default counters when the worker claimed nothing, never built an
+    /// engine, or lost its engine to a panic in its last class).
     pub stats: ManagerStats,
     /// Every panic this worker saw, as `(class id, message)` pairs in the
     /// order the classes were claimed. A panicked class's faults have no
@@ -436,18 +445,22 @@ pub type RecordSink<'a> = &'a mut dyn FnMut(&[(usize, FaultSummary)]);
 /// [`sweep_universe`] with two extras: an optional pre-built warm snapshot
 /// and an optional in-order record sink.
 ///
-/// `on_record` receives the summaries **incrementally, in strict input-fault
-/// order**, as the work-stealing queue completes the prefix. Workers report
-/// whole batches as they finish; a reorder buffer releases index `i` only
-/// once every index `< i` has been either emitted or lost to a class panic,
-/// and hands the sink each released run in one call, so a consumer that
-/// concatenates the runs sees exactly [`SweepResult::summaries`] —
-/// byte-identical, regardless of thread count or chunk size. The sink runs
-/// on the calling thread, inside the sweep. With one worker the sweep itself
-/// runs there too and feeds the sink after every batch, so a slow sink slows
-/// the sweep (backpressure) instead of queueing records; with several
-/// workers the calling thread drains their events from a channel. The
-/// returned [`SweepResult`] is the same merged result a batch call produces.
+/// Every sweep releases its summaries through one reorder buffer. Workers
+/// report whole batches as they finish; the buffer releases index `i` only
+/// once every index `< i` has been either emitted or lost to a class panic.
+/// [`SweepResult::summaries`] is the concatenation of the released runs, in
+/// every case: batch or streamed, one worker or several, and also after a
+/// worker-level panic, whose already reported batches still count.
+///
+/// `on_record` receives those runs **incrementally, in strict input-fault
+/// order**, one call per run, as the work-stealing queue completes the
+/// prefix: a consumer that concatenates the runs sees exactly
+/// [`SweepResult::summaries`], regardless of thread count or chunk size. The
+/// sink runs on the calling thread, inside the sweep. With one worker the
+/// sweep itself runs there too and feeds the sink after every batch, so a
+/// slow sink slows the sweep (backpressure) instead of queueing records;
+/// with several workers the calling thread drains their events from a
+/// channel.
 ///
 /// `warm_snapshot` is the resident-service path: workers thaw the provided
 /// frozen good functions instead of the sweep building its own, so the sweep
@@ -505,72 +518,52 @@ pub fn sweep_universe_ext(
         sweep_col.finish(SpanKind::Build, build_timer);
         built
     };
-    let snapshot: Option<&GoodSnapshot> = warm_snapshot.or(built.as_ref());
     // Never more workers than queue entries: an extra worker would thaw the
     // good functions only to find the queue drained.
     let workers = config.parallelism.workers().min(batches.len()).max(1);
-    let chunk = batches.len().div_ceil(workers * 8).clamp(1, 32);
-    let next = AtomicUsize::new(0);
-    let batches = batches.as_slice();
+    let work = Work {
+        circuit,
+        faults,
+        classes,
+        chunk: batches.len().div_ceil(workers * 8).clamp(1, 32),
+        batches: &batches,
+        snapshot: warm_snapshot.or(built.as_ref()),
+        config,
+        next: AtomicUsize::new(0),
+    };
+    let mut reorder = Reorder::new(faults.len(), on_record);
 
-    let parts: Vec<(Vec<(usize, FaultSummary)>, ShardReport)> = if workers <= 1 {
-        let part = match on_record {
-            None => run_worker(
-                circuit, faults, classes, batches, snapshot, &next, chunk, 0, config, None,
-            ),
-            Some(sink) => {
-                // Every class ends as records or skips here, so the last
-                // batch releases everything: there is no tail to finish.
-                let mut reorder = Reorder::default();
-                let mut release = |event| {
-                    reorder.absorb(event);
-                    reorder.release(sink);
-                };
-                let emit: Option<&mut dyn FnMut(StreamEvent)> = Some(&mut release);
-                run_worker(
-                    circuit, faults, classes, batches, snapshot, &next, chunk, 0, config, emit,
-                )
-            }
-        };
-        vec![part]
+    let mut reports: Vec<ShardReport> = if workers <= 1 {
+        vec![run_worker(&work, 0, &mut |event| {
+            reorder.absorb(event);
+            reorder.release();
+        })]
     } else {
         std::thread::scope(|scope| {
             let (tx, rx) = mpsc::channel::<StreamEvent>();
             let handles: Vec<_> = (0..workers)
                 .map(|w| {
-                    let next = &next;
-                    let tx = on_record.is_some().then(|| tx.clone());
+                    let (work, tx) = (&work, tx.clone());
+                    // A dropped receiver just means nobody is listening
+                    // any more; the worker still finishes its queue.
                     scope.spawn(move || {
-                        // A dropped receiver just means nobody is listening
-                        // any more; the sweep still completes and merges.
-                        let mut send = tx.map(|tx| {
-                            move |event| {
-                                let _ = tx.send(event);
-                            }
-                        });
-                        let emit = send.as_mut().map(|f| f as &mut dyn FnMut(StreamEvent));
-                        run_worker(
-                            circuit, faults, classes, batches, snapshot, next, chunk, w, config,
-                            emit,
-                        )
+                        run_worker(work, w, &mut |event| {
+                            let _ = tx.send(event);
+                        })
                     })
                 })
                 .collect();
             // Close the channel once every worker's clone is gone, so the
             // drain loop terminates when the last worker exits.
             drop(tx);
-            if let Some(sink) = on_record {
-                let mut reorder = Reorder::default();
-                while let Ok(event) = rx.recv() {
+            while let Ok(event) = rx.recv() {
+                reorder.absorb(event);
+                // Take everything already queued before releasing, so the
+                // sink gets one run rather than one per batch.
+                while let Ok(event) = rx.try_recv() {
                     reorder.absorb(event);
-                    // Take everything already queued before releasing, so
-                    // the sink gets one run rather than one per batch.
-                    while let Ok(event) = rx.try_recv() {
-                        reorder.absorb(event);
-                    }
-                    reorder.release(sink);
                 }
-                reorder.finish(sink);
+                reorder.release();
             }
             handles
                 .into_iter()
@@ -578,37 +571,15 @@ pub fn sweep_universe_ext(
                 .map(|(w, h)| {
                     // run_worker catches engine panics per class; join only
                     // fails if the catch machinery itself unwound.
-                    h.join().unwrap_or_else(|payload| {
-                        (
-                            Vec::new(),
-                            ShardReport {
-                                shard: w,
-                                chunks_claimed: 0,
-                                classes_done: 0,
-                                faults_done: 0,
-                                busy: Duration::ZERO,
-                                stats: ManagerStats::default(),
-                                panics: vec![(WORKER_PANIC, panic_message(payload.as_ref()))],
-                                telemetry: TelemetrySnapshot::default(),
-                            },
-                        )
+                    h.join().unwrap_or_else(|payload| ShardReport {
+                        panics: vec![(WORKER_PANIC, panic_message(payload.as_ref()))],
+                        ..ShardReport::idle(w)
                     })
                 })
                 .collect()
         })
     };
-
-    // Merge in global fault order: indices are unique (each fault belongs
-    // to exactly one class, each class to exactly one claim), so a sort by
-    // index reconstructs the input order regardless of who computed what.
-    let mut indexed: Vec<(usize, FaultSummary)> = Vec::with_capacity(faults.len());
-    let mut reports = Vec::with_capacity(parts.len());
-    for (summaries, report) in parts {
-        indexed.extend(summaries);
-        reports.push(report);
-    }
-    indexed.sort_by_key(|&(i, _)| i);
-    debug_assert!(indexed.windows(2).all(|w| w[0].0 < w[1].0));
+    let summaries = reorder.finish();
     // The one-off snapshot build cost is real work this sweep performed —
     // but only when this sweep built it. A warm snapshot's build cost
     // belongs to whoever built it (the server cache, a previous request):
@@ -625,13 +596,13 @@ pub fn sweep_universe_ext(
         .iter()
         .fold(sweep_col.snapshot(), |acc, r| acc.merged(&r.telemetry));
     SweepResult {
-        summaries: indexed.into_iter().map(|(_, s)| s).collect(),
+        summaries,
         shards: reports,
         classes: classes.len(),
         collapse: collapse_stats,
         collapsed: config.collapse,
         workers,
-        chunk,
+        chunk: work.chunk,
         order: config.engine.order.name(),
         wall: wall_t0.elapsed(),
         totals,
@@ -652,9 +623,10 @@ pub fn sweep_universe_ext(
 ///
 /// * bridging classes (two sites, no single flow cone; they never collapse
 ///   either),
-/// * stuck-at classes whose site net lies outside the circuit (a foreign
-///   fault will panic the engine; keeping it alone preserves the sweep's
-///   per-class panic isolation).
+/// * stuck-at classes whose site is not wholly in the circuit — a net, or a
+///   branch's stem or sink, that the circuit lacks (a foreign fault will
+///   panic the engine; keeping it alone keeps a fused pass from failing on
+///   its account).
 ///
 /// Deterministic by construction: the packing depends only on the circuit's
 /// reachability relation, the class list, and `max` — never on thread
@@ -705,12 +677,19 @@ pub fn plan_batches(
 
 /// The single net every effect of a class's representative flows through —
 /// the stuck net, or a branch fault's sink gate — when the class is
-/// batchable; `None` keeps it singleton (bridges, foreign sites).
+/// batchable; `None` keeps it singleton: bridges, multiple faults, and sites
+/// that are not wholly in the circuit (a branch's stem as well as its sink,
+/// the test `collapse_faults` applies).
 fn class_flow_net(faults: &[Fault], class: &FaultClass, reach: &Reachability) -> Option<NetId> {
+    let in_circuit = |net: NetId| net.index() < reach.num_nets();
     match &faults[class.representative] {
         Fault::StuckAt(f) => {
+            let stem_in_circuit = match f.site {
+                FaultSite::Net(_) => true,
+                FaultSite::Branch(b) => in_circuit(b.stem),
+            };
             let net = flow_net(f);
-            (net.index() < reach.num_nets()).then_some(net)
+            (stem_in_circuit && in_circuit(net)).then_some(net)
         }
         // Bridges and multiple faults have several sites and no single flow
         // cone; they stay singleton.
@@ -718,37 +697,74 @@ fn class_flow_net(faults: &[Fault], class: &FaultClass, reach: &Reachability) ->
     }
 }
 
-/// Builds (or rebuilds) one worker's engine: a thaw of the shared snapshot.
-/// `None` when the budget could not even fit the good functions — the
-/// worker then estimates every class by simulation.
-fn build_worker_engine<'c>(
-    circuit: &'c Circuit,
-    snapshot: Option<&GoodSnapshot>,
-    config: &SweepConfig,
-) -> Option<DiffProp<'c>> {
-    snapshot.map(|s| DiffProp::from_snapshot(circuit, s, config.engine))
+/// Everything a worker reads, planned before any worker exists, plus the
+/// work queue's shared claim counter.
+struct Work<'a> {
+    circuit: &'a Circuit,
+    faults: &'a [Fault],
+    classes: &'a [FaultClass],
+    batches: &'a [Vec<usize>],
+    /// `None` when the budget could not even fit the good functions: every
+    /// class is then estimated by simulation.
+    snapshot: Option<&'a GoodSnapshot>,
+    config: &'a SweepConfig,
+    /// Index of the next unclaimed chunk.
+    next: AtomicUsize,
+    /// Batches per claim.
+    chunk: usize,
 }
 
-/// What a worker reports to the stream after each finished batch: the
-/// batch's freshly summarised `(global index, summary)` records plus the
-/// global indices of any members lost to a class panic in the batch. Skips
-/// matter: without them a gap would stall the in-order release forever.
+impl<'a> Work<'a> {
+    /// The worker's engine in `slot`, thawed from the shared snapshot when
+    /// the slot is empty: on the worker's first class, so a worker that never
+    /// gets a turn costs nothing, and after a panic emptied it, since the
+    /// unwind may have left the manager mid-operation. `None` without a
+    /// snapshot.
+    fn thaw<'s>(
+        &self,
+        slot: &'s mut Option<DiffProp<'a>>,
+        collector: &SharedCollector,
+    ) -> Option<&'s mut DiffProp<'a>> {
+        if slot.is_none() {
+            let mut dp = DiffProp::from_snapshot(self.circuit, self.snapshot?, self.config.engine);
+            dp.attach_collector(collector.clone());
+            *slot = Some(dp);
+        }
+        slot.as_mut()
+    }
+}
+
+/// What a worker reports after each finished batch: the batch's
+/// `(global index, summary)` records plus the global indices of any members
+/// lost to a class panic in the batch. Skips matter: without them a gap
+/// would stall the in-order release forever.
 struct StreamEvent {
     records: Vec<(usize, FaultSummary)>,
     skips: Vec<usize>,
 }
 
-/// The in-order release side of a streamed sweep: buffers out-of-order
-/// batch completions and releases index `i` only once every index `< i` is
-/// emitted or skipped.
-#[derive(Default)]
-struct Reorder {
+/// The one merge of every sweep: buffers out-of-order batch completions,
+/// releases index `i` only once every index `< i` is emitted or skipped,
+/// hands each released run to the sink, and keeps the runs' concatenation
+/// as [`SweepResult::summaries`].
+struct Reorder<'s> {
     /// `None` marks an index lost to a panic: released silently.
     pending: BTreeMap<usize, Option<FaultSummary>>,
     next: usize,
+    sink: Option<RecordSink<'s>>,
+    released: Vec<FaultSummary>,
 }
 
-impl Reorder {
+impl<'s> Reorder<'s> {
+    fn new(faults: usize, sink: Option<RecordSink<'s>>) -> Self {
+        Reorder {
+            pending: BTreeMap::new(),
+            next: 0,
+            sink,
+            released: Vec::with_capacity(faults),
+        }
+    }
+
     fn absorb(&mut self, event: StreamEvent) {
         for i in event.skips {
             self.pending.insert(i, None);
@@ -758,8 +774,8 @@ impl Reorder {
         }
     }
 
-    /// Hands the sink, in one run, every record the prefix now allows.
-    fn release(&mut self, sink: RecordSink<'_>) {
+    /// Releases, as one run, every record the prefix now allows.
+    fn release(&mut self) {
         let mut run = Vec::new();
         while let Some(slot) = self.pending.remove(&self.next) {
             if let Some(s) = slot {
@@ -767,118 +783,89 @@ impl Reorder {
             }
             self.next += 1;
         }
-        if !run.is_empty() {
+        if run.is_empty() {
+            return;
+        }
+        if let Some(sink) = self.sink.as_mut() {
             sink(&run);
         }
+        self.released.extend(run.into_iter().map(|(_, s)| s));
     }
 
-    /// Releases the tail. A worker that died outside per-class isolation
-    /// leaves a permanent gap; the tail still goes out in index order rather
-    /// than being dropped. Its indices are all ≥ `next`, so the stream stays
-    /// strictly ascending.
-    fn finish(mut self, sink: RecordSink<'_>) {
+    /// Releases the tail and returns every released summary. A worker that
+    /// died outside per-class isolation leaves a permanent gap; the tail
+    /// still goes out in index order rather than being dropped. Its indices
+    /// are all ≥ `next`, so the stream stays strictly ascending.
+    fn finish(mut self) -> Vec<FaultSummary> {
         while let Some(&gap_end) = self.pending.keys().next() {
             self.next = gap_end;
-            self.release(sink);
+            self.release();
+        }
+        self.released
+    }
+}
+
+impl ShardReport {
+    /// The report of a worker that has not claimed anything yet.
+    fn idle(shard: usize) -> Self {
+        ShardReport {
+            shard,
+            chunks_claimed: 0,
+            classes_done: 0,
+            faults_done: 0,
+            busy: Duration::ZERO,
+            stats: ManagerStats::default(),
+            panics: Vec::new(),
+            telemetry: TelemetrySnapshot::default(),
         }
     }
 }
 
-/// One worker: claim chunks of batches from the shared queue until drained.
-///
-/// The engine is built lazily on the first claim (a worker that never gets
-/// a turn costs nothing) and rebuilt after a class panic (the manager may
-/// be mid-operation when the unwind happens).
-#[allow(clippy::too_many_arguments)]
-fn run_worker<'c>(
-    circuit: &'c Circuit,
-    faults: &[Fault],
-    classes: &[FaultClass],
-    batches: &[Vec<usize>],
-    snapshot: Option<&GoodSnapshot>,
-    next: &AtomicUsize,
-    chunk: usize,
-    worker: usize,
-    config: &SweepConfig,
-    mut stream: Option<&mut dyn FnMut(StreamEvent)>,
-) -> (Vec<(usize, FaultSummary)>, ShardReport) {
-    let mut out: Vec<(usize, FaultSummary)> = Vec::new();
-    let mut report = ShardReport {
-        shard: worker,
-        chunks_claimed: 0,
-        classes_done: 0,
-        faults_done: 0,
-        busy: Duration::ZERO,
-        stats: ManagerStats::default(),
-        panics: Vec::new(),
-        telemetry: TelemetrySnapshot::default(),
-    };
+/// One worker: claim chunks of batches from the shared queue until drained,
+/// and `emit` every finished batch.
+fn run_worker(work: &Work<'_>, worker: usize, emit: &mut dyn FnMut(StreamEvent)) -> ShardReport {
+    let mut report = ShardReport::idle(worker);
     // One collector per worker, shared with the worker's engine; no other
     // thread ever sees it, so the RefCell is uncontended by construction.
-    let collector = Collector::shared(config.telemetry);
-    let mut dp: Option<DiffProp<'c>> = None;
-    let mut built = false;
+    let collector = Collector::shared(work.config.telemetry);
+    let mut dp: Option<DiffProp<'_>> = None;
     loop {
-        let lo = next.fetch_add(1, Ordering::Relaxed) * chunk;
-        if lo >= batches.len() {
+        let lo = work.next.fetch_add(1, Ordering::Relaxed) * work.chunk;
+        if lo >= work.batches.len() {
             break;
         }
-        let hi = (lo + chunk).min(batches.len());
+        let hi = (lo + work.chunk).min(work.batches.len());
         report.chunks_claimed += 1;
         let chunk_timer = collector.borrow().start();
         let t0 = Instant::now();
-        if !built {
-            dp = build_worker_engine(circuit, snapshot, config);
-            if let Some(dp) = dp.as_mut() {
-                dp.attach_collector(collector.clone());
-            }
-            built = true;
-        }
-        for batch in &batches[lo..hi] {
-            let out_mark = out.len();
+        for batch in &work.batches[lo..hi] {
             let panic_mark = report.panics.len();
             collector
                 .borrow_mut()
                 .record_hist(HistKind::BatchSize, batch.len() as u64);
-            let fused = batch.len() > 1
-                && try_fused_batch(
+            let fused = if batch.len() > 1 {
+                fused_pass(work, &mut dp, batch, &collector)
+            } else {
+                None
+            };
+            let mut records = Vec::new();
+            for (k, &c) in batch.iter().enumerate() {
+                let analysis = fused.as_ref().map(|a| &a[k]);
+                process_class(
+                    work,
                     &mut dp,
-                    faults,
-                    classes,
-                    batch,
+                    c,
+                    analysis,
                     &collector,
-                    &mut out,
+                    &mut records,
                     &mut report,
                 );
-            if !fused {
-                // Per-class path: singleton batches, a missing engine, a
-                // budget trip, or a (defensively handled) batch panic.
-                for &c in batch {
-                    process_class(
-                        circuit,
-                        &mut dp,
-                        snapshot,
-                        faults,
-                        c,
-                        &classes[c],
-                        config,
-                        &collector,
-                        &mut out,
-                        &mut report,
-                    );
-                }
             }
-            if let Some(emit) = stream.as_mut() {
-                let records = out[out_mark..].to_vec();
-                let skips: Vec<usize> = report.panics[panic_mark..]
-                    .iter()
-                    .filter(|&&(id, _)| id != WORKER_PANIC)
-                    .flat_map(|&(id, _)| classes[id].members.iter().copied())
-                    .collect();
-                if !records.is_empty() || !skips.is_empty() {
-                    emit(StreamEvent { records, skips });
-                }
-            }
+            let skips = report.panics[panic_mark..]
+                .iter()
+                .flat_map(|&(id, _)| work.classes[id].members.iter().copied())
+                .collect();
+            emit(StreamEvent { records, skips });
         }
         report.busy += t0.elapsed();
         collector.borrow_mut().finish(SpanKind::Chunk, chunk_timer);
@@ -895,37 +882,69 @@ fn run_worker<'c>(
         c.add(CounterKind::ChunksClaimed, report.chunks_claimed as u64);
     }
     report.telemetry = collector.borrow().snapshot();
-    (out, report)
+    report
 }
 
-/// The per-class unit of worker progress: one catch-unwound
-/// [`summarize_class`] with panic isolation and engine rebuild.
-#[allow(clippy::too_many_arguments)]
-fn process_class<'c>(
-    circuit: &'c Circuit,
-    dp: &mut Option<DiffProp<'c>>,
-    snapshot: Option<&GoodSnapshot>,
-    faults: &[Fault],
+/// The fused one-pass analysis of a multi-class batch, one analysis per
+/// class. `None` on a missing engine, a budget trip (the engine has already
+/// recovered) or a panic (which empties the engine slot): the batch then
+/// runs per class, which re-attributes a persistent panic to its class.
+fn fused_pass<'a>(
+    work: &Work<'a>,
+    dp: &mut Option<DiffProp<'a>>,
+    batch: &[usize],
+    collector: &SharedCollector,
+) -> Option<Vec<FaultAnalysis>> {
+    let reps: Vec<StuckAtFault> = batch
+        .iter()
+        .map(|&c| match &work.faults[work.classes[c].representative] {
+            Fault::StuckAt(f) => *f,
+            Fault::Bridging(_) | Fault::MultiStuckAt(_) => {
+                unreachable!("plan_batches never packs multi-site classes")
+            }
+        })
+        .collect();
+    let engine = work.thaw(dp, collector)?;
+    // One fault span for the batch's shared propagation, mirroring the one
+    // span per representative propagation of the per-class path.
+    let fault_timer = collector.borrow().start();
+    match catch_unwind(AssertUnwindSafe(|| {
+        engine.try_analyze_stuck_at_batch(&reps)
+    })) {
+        Ok(Ok(analyses)) => {
+            collector.borrow_mut().finish(SpanKind::Fault, fault_timer);
+            Some(analyses)
+        }
+        Ok(Err(_)) => None,
+        Err(_) => {
+            *dp = None;
+            None
+        }
+    }
+}
+
+/// The per-class unit of worker progress, with panic isolation: expands the
+/// representative's `fused` analysis to every member or, without one, runs
+/// [`summarize_class`]. A panic drops the class's partial summaries and
+/// empties the engine slot.
+fn process_class<'a>(
+    work: &Work<'a>,
+    dp: &mut Option<DiffProp<'a>>,
     class_id: ClassId,
-    class: &FaultClass,
-    config: &SweepConfig,
+    fused: Option<&FaultAnalysis>,
     collector: &SharedCollector,
     out: &mut Vec<(usize, FaultSummary)>,
     report: &mut ShardReport,
 ) {
+    let class = &work.classes[class_id];
     report.classes_done += 1;
     let class_timer = collector.borrow().start();
     let mark = out.len();
     let caught = catch_unwind(AssertUnwindSafe(|| {
-        summarize_class(
-            circuit,
-            dp,
-            faults,
-            class,
-            config.fallback_samples,
-            collector,
-            out,
-        )
+        match (fused, work.thaw(dp, collector)) {
+            (Some(analysis), Some(dp)) => expand_class(dp, work.faults, class, analysis, out),
+            (_, dp) => summarize_class(work, dp, class, collector, out),
+        }
     }));
     match caught {
         Ok(()) => {
@@ -935,88 +954,19 @@ fn process_class<'c>(
                 .add(CounterKind::FaultsSummarized, class.members.len() as u64);
         }
         Err(payload) => {
-            // Drop any partial member summaries of the poisoned class and
-            // rebuild the engine — the unwind may have left the manager
-            // mid-operation. (Any RefCell borrow the collector held was
-            // released during the unwind.)
+            // Any RefCell borrow the collector held was released during
+            // the unwind.
             out.truncate(mark);
             report
                 .panics
                 .push((class_id, panic_message(payload.as_ref())));
-            *dp = catch_unwind(AssertUnwindSafe(|| {
-                build_worker_engine(circuit, snapshot, config)
-            }))
-            .unwrap_or(None);
-            if let Some(dp) = dp.as_mut() {
-                dp.attach_collector(collector.clone());
-            }
+            *dp = None;
         }
     }
     let mut c = collector.borrow_mut();
     c.finish(SpanKind::Class, class_timer);
     c.record_hist(HistKind::ClassSize, class.members.len() as u64);
     c.add(CounterKind::ClassesAnalyzed, 1);
-}
-
-/// Attempts the fused one-pass analysis of a multi-class batch. On success
-/// the batch's classes are expanded into `out` and `true` is returned; on a
-/// missing engine, a budget trip, or a panic, `out` and the counters are
-/// left untouched and the caller degrades to the per-class path (which
-/// re-runs the representatives individually, re-attributing any persistent
-/// panic to its precise class).
-fn try_fused_batch<'c>(
-    dp: &mut Option<DiffProp<'c>>,
-    faults: &[Fault],
-    classes: &[FaultClass],
-    batch: &[usize],
-    collector: &SharedCollector,
-    out: &mut Vec<(usize, FaultSummary)>,
-    report: &mut ShardReport,
-) -> bool {
-    let Some(engine) = dp.as_mut() else {
-        return false;
-    };
-    let reps: Vec<StuckAtFault> = batch
-        .iter()
-        .map(|&c| match &faults[classes[c].representative] {
-            Fault::StuckAt(f) => *f,
-            Fault::Bridging(_) | Fault::MultiStuckAt(_) => {
-                unreachable!("plan_batches never packs multi-site classes")
-            }
-        })
-        .collect();
-    // One fault span for the batch's shared propagation, mirroring the one
-    // span per representative propagation of the per-class path.
-    let fault_timer = collector.borrow().start();
-    let analyses = match catch_unwind(AssertUnwindSafe(|| {
-        engine.try_analyze_stuck_at_batch(&reps)
-    })) {
-        Ok(Ok(analyses)) => analyses,
-        // Budget trip: the engine already recovered; retry per class (each
-        // member may individually fit the window, or degrade to sampling).
-        Ok(Err(_)) => return false,
-        // A panic mid-batch may leave the manager mid-operation: drop the
-        // engine so the per-class retry starts from a rebuilt one.
-        Err(_) => {
-            *dp = None;
-            return false;
-        }
-    };
-    collector.borrow_mut().finish(SpanKind::Fault, fault_timer);
-    let engine = dp.as_mut().expect("engine survived the fused batch");
-    for (&c, analysis) in batch.iter().zip(&analyses) {
-        let class = &classes[c];
-        let class_timer = collector.borrow().start();
-        expand_class(engine, faults, class, analysis, out);
-        report.classes_done += 1;
-        report.faults_done += class.members.len();
-        let mut col = collector.borrow_mut();
-        col.add(CounterKind::FaultsSummarized, class.members.len() as u64);
-        col.finish(SpanKind::Class, class_timer);
-        col.record_hist(HistKind::ClassSize, class.members.len() as u64);
-        col.add(CounterKind::ClassesAnalyzed, 1);
-    }
-    true
 }
 
 /// Folds a manager's final [`ManagerStats`] into a collector, so snapshots
@@ -1083,13 +1033,12 @@ fn expand_class(
 }
 
 /// Analyses one class's representative and expands the result to every
-/// member (or samples every member when the budget trips).
+/// member (or samples every member when the budget trips or there is no
+/// engine).
 fn summarize_class(
-    circuit: &Circuit,
-    dp: &mut Option<DiffProp<'_>>,
-    faults: &[Fault],
+    work: &Work<'_>,
+    dp: Option<&mut DiffProp<'_>>,
     class: &FaultClass,
-    fallback_samples: u64,
     collector: &SharedCollector,
     out: &mut Vec<(usize, FaultSummary)>,
 ) {
@@ -1097,15 +1046,15 @@ fn summarize_class(
     // budget trips, the timer is dropped and each member's simulated
     // estimate gets its own span instead.
     let fault_timer = collector.borrow().start();
-    let exact = dp.as_mut().and_then(|dp| {
-        dp.try_analyze(&faults[class.representative])
+    let exact = dp.and_then(|dp| {
+        dp.try_analyze(&work.faults[class.representative])
             .ok()
             .map(|a| (dp, a))
     });
     match exact {
         Some((dp, analysis)) => {
             collector.borrow_mut().finish(SpanKind::Fault, fault_timer);
-            expand_class(dp, faults, class, &analysis, out);
+            expand_class(dp, work.faults, class, &analysis, out);
         }
         None => {
             // Budget trip (or no engine at all): every member gets its own
@@ -1114,7 +1063,12 @@ fn summarize_class(
             let _ = fault_timer;
             for &m in &class.members {
                 let member_timer = collector.borrow().start();
-                let summary = sampled_summary(circuit, &faults[m], m, fallback_samples);
+                let summary = sampled_summary(
+                    work.circuit,
+                    &work.faults[m],
+                    m,
+                    work.config.fallback_samples,
+                );
                 {
                     let mut c = collector.borrow_mut();
                     c.finish(SpanKind::Fault, member_timer);
@@ -1432,6 +1386,65 @@ mod tests {
             assert_eq!(s.fault, c.fault);
             assert_eq!(s.test_count, c.test_count);
         }
+    }
+
+    /// A branch fault at c95's last gate whose stem is no net of c95: the
+    /// engine panics on it, fused or alone.
+    fn foreign_stem_fault(circuit: &Circuit) -> Fault {
+        Fault::StuckAt(StuckAtFault {
+            site: FaultSite::Branch(dp_netlist::FanoutBranch {
+                stem: NetId::from_index(100_000),
+                sink: circuit.gates().last().expect("c95 has gates"),
+                pin: 0,
+            }),
+            value: false,
+        })
+    }
+
+    /// `plan_batches` keeps the foreign-stem class singleton, so this packs
+    /// it into a fused batch by hand: the fused pass panics, and the batch's
+    /// per-class retry must run on a rebuilt engine, exact for every healthy
+    /// class, with the poisoned class alone reported and skipped.
+    #[test]
+    fn fused_batch_panic_retries_on_a_rebuilt_engine() {
+        let circuit = c95();
+        let mut faults = stuck_at_universe(&circuit);
+        let clean = sweep_universe(&circuit, &faults, &SweepConfig::default());
+        faults.push(foreign_stem_fault(&circuit));
+        let poisoned_fault = faults.len() - 1;
+        let collapsed = collapse_faults(&circuit, &faults);
+        let poisoned = collapsed.classes.len() - 1;
+        assert_eq!(collapsed.classes[poisoned].members, [poisoned_fault]);
+        let reach = Reachability::compute(&circuit);
+        let mut batches = plan_batches(&faults, &collapsed.classes, &reach, 8);
+        assert_eq!(batches.pop(), Some(vec![poisoned]), "kept singleton");
+        let fused = batches.iter().position(|b| b.len() > 1).expect("c95 fuses");
+        batches[fused].push(poisoned);
+        let config = SweepConfig::default();
+        let snapshot = DiffProp::build_snapshot(&circuit, config.engine).expect("c95 builds");
+        let work = Work {
+            circuit: &circuit,
+            faults: &faults,
+            classes: &collapsed.classes,
+            batches: &batches,
+            snapshot: Some(&snapshot),
+            config: &config,
+            next: AtomicUsize::new(0),
+            chunk: 1,
+        };
+        let mut records = Vec::new();
+        let mut skips = Vec::new();
+        let report = run_worker(&work, 0, &mut |event| {
+            records.extend(event.records);
+            skips.extend(event.skips);
+        });
+        assert_eq!(report.panics.len(), 1, "{:?}", report.panics);
+        assert_eq!(report.panics[0].0, poisoned);
+        assert_eq!(skips, [poisoned_fault]);
+        records.sort_by_key(|&(i, _)| i);
+        let summaries: Vec<FaultSummary> = records.into_iter().map(|(_, s)| s).collect();
+        assert!(summaries.iter().all(|s| s.outcome.is_exact()));
+        assert_bit_identical(&clean.summaries, &summaries);
     }
 
     #[test]

@@ -81,7 +81,7 @@ pub struct ShardExecution {
 pub struct SweepExecution {
     /// Worker threads used (1 for a serial sweep).
     pub threads: u32,
-    /// Work-stealing chunk size in classes.
+    /// Work-stealing chunk size in batches (see `SweepConfig::batch`).
     pub chunk: u32,
     /// Whether structural fault collapsing was on.
     pub collapse: bool,

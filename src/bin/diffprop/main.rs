@@ -12,7 +12,8 @@
 //! diffprop validate-report FILE...         check sweep_report.json files against
 //!                                          the schema (exit 0 valid, 1 invalid)
 //! diffprop validate-report --max-unique-ratio R BASELINE OTHER
-//!                                          ... and bound OTHER's unique lookups
+//!                                          ... require equal results and bound
+//!                                          OTHER's unique lookups
 //! diffprop serve      [HOST:PORT]          resident sweep server (the dp-serve crate;
 //!                     [--cache-bytes N]    default 127.0.0.1:4590)
 //! diffprop detectability <circuit> <net> 0|1   one net stuck-at fault, asked of a
@@ -70,11 +71,14 @@
 //!   honour `--order` and `--node-budget` and print the server's JSON value.
 //!
 //! `--max-unique-ratio R` makes `validate-report` compare two reports of
-//! the same workload: the unique-table lookups of `OTHER` (summed over
-//! every report's `execution.totals` section) must be at most `R` times
-//! those of `BASELINE`. CI uses it to check that a threaded shared-snapshot
-//! sweep does not rebuild the good functions per worker, and to bound
-//! lookup work against committed baselines.
+//! the same workload. Their results must be equal: the same number of
+//! reports, the same `circuit` per report, and equal values for every
+//! `result` field both reports carry (fault, class and outcome counts and
+//! the summary digest `summaries_fnv`). And the unique-table lookups of
+//! `OTHER` (summed over every report's `execution.totals` section) must be
+//! at most `R` times those of `BASELINE`. CI uses it to check that a
+//! threaded shared-snapshot sweep does not rebuild the good functions per
+//! worker, and to bound lookup work against committed baselines.
 //!
 //! Without `--node-budget` every analysis is exact and the output is
 //! identical to the unbudgeted engine's.
@@ -148,8 +152,9 @@ sections: {sections}
 --bf-sample N         max sampled bridging faults per circuit and kind (figures)
 --sa-cap N            max stuck-at faults per circuit (figures)
 --only SECTION,...    print only these figure sections
---max-unique-ratio R  validate-report: OTHER's summed unique-table lookups must
-                      be at most R times BASELINE's",
+--max-unique-ratio R  validate-report: OTHER's results must equal BASELINE's and
+                      its summed unique-table lookups be at most R times
+                      BASELINE's",
         sections = figures::SECTIONS.join(",")
     );
     std::process::exit(2);
@@ -428,9 +433,10 @@ fn service(cmd: &str, args: &[String], opts: &Opts) {
 }
 
 /// `diffprop validate-report`: checks each file against the current
-/// `sweep_report.json` schema and, under `--max-unique-ratio R`, bounds the
-/// second file's unique-table lookups by `R` times the first's. Exits 1
-/// when a file is unreadable or invalid or the bound fails.
+/// `sweep_report.json` schema and, under `--max-unique-ratio R`, requires
+/// the two files' results to be equal and bounds the second file's
+/// unique-table lookups by `R` times the first's. Exits 1 when a file is
+/// unreadable or invalid, the results differ, or the bound fails.
 fn validate_report(files: &[String], max_ratio: Option<f64>) {
     if files.is_empty() {
         usage()
@@ -471,6 +477,13 @@ fn validate_report(files: &[String], max_ratio: Option<f64>) {
         }
     }
     if let (Some(ratio), false) = (max_ratio, failed) {
+        match result_mismatch(&docs[0], &docs[1]) {
+            None => println!("results: equal in every report"),
+            Some(mismatch) => {
+                eprintln!("results differ: {mismatch}");
+                failed = true;
+            }
+        }
         match (
             total_unique_lookups(&docs[0]),
             total_unique_lookups(&docs[1]),
@@ -496,6 +509,52 @@ fn validate_report(files: &[String], max_ratio: Option<f64>) {
     if failed {
         std::process::exit(1);
     }
+}
+
+/// What two reports of one workload must agree on wherever both carry it:
+/// the report's `circuit` and its `result` fields (older reports have no
+/// `oscillating`).
+const COMPARED_FIELDS: [&str; 9] = [
+    "circuit",
+    "faults",
+    "classes",
+    "singleton_classes",
+    "largest_class",
+    "exact",
+    "bounded",
+    "oscillating",
+    "summaries_fnv",
+];
+
+/// The first difference between two files' results: the number of reports,
+/// or one of the [`COMPARED_FIELDS`] of a report.
+fn result_mismatch(baseline: &JsonValue, other: &JsonValue) -> Option<String> {
+    fn reports(doc: &JsonValue) -> &[JsonValue] {
+        doc.get("reports")
+            .and_then(JsonValue::as_arr)
+            .unwrap_or_default()
+    }
+    fn field<'a>(report: &'a JsonValue, name: &str) -> Option<&'a JsonValue> {
+        match name {
+            "circuit" => report.get(name),
+            _ => report.get("result")?.get(name),
+        }
+    }
+    let (a, b) = (reports(baseline), reports(other));
+    if a.len() != b.len() {
+        return Some(format!("{} reports vs {}", a.len(), b.len()));
+    }
+    for (i, (x, y)) in a.iter().zip(b).enumerate() {
+        for name in COMPARED_FIELDS {
+            if let (Some(p), Some(q)) = (field(x, name), field(y, name)) {
+                if p != q {
+                    let (p, q) = (p.to_compact_string(), q.to_compact_string());
+                    return Some(format!("report {i}: {name} {p} vs {q}"));
+                }
+            }
+        }
+    }
+    None
 }
 
 /// Cumulative unique-table lookups summed over every report in the file.

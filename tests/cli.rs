@@ -188,3 +188,43 @@ fn validate_report_exits_0_valid_1_invalid_2_usage() {
     assert_usage_error(&["validate-report"]);
     assert_usage_error(&["validate-report", "--max-unique-ratio", "1", &valid]);
 }
+
+#[test]
+fn validate_report_ratio_mode_requires_equal_results() {
+    let baseline = repo_path("baselines/pr7_alu74181_serial.json");
+    let text = std::fs::read_to_string(&baseline).expect("baseline report");
+    for (name, from, to, field) in [
+        (
+            "fnv",
+            "\"summaries_fnv\": \"e1adf99f1a207b56\"",
+            "\"summaries_fnv\": \"e1adf99f1a207b57\"",
+            "summaries_fnv",
+        ),
+        (
+            "circuit",
+            "\"circuit\": \"alu74181\"",
+            "\"circuit\": \"alu74182\"",
+            "circuit",
+        ),
+    ] {
+        assert_eq!(text.matches(from).count(), 1, "{from}");
+        let changed = temp_path(&format!("validate_report_changed_{name}.json"));
+        std::fs::write(&changed, text.replace(from, to)).expect("write a changed copy");
+        // The changed copy is schema-valid and has the baseline's lookups,
+        // so only the result comparison can fail it.
+        assert!(diffprop(&["validate-report", &changed]).status.success());
+        let out = diffprop(&[
+            "validate-report",
+            "--max-unique-ratio",
+            "1",
+            &baseline,
+            &changed,
+        ]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
+        assert!(
+            stderr.contains(&format!("report 0: {field} ")),
+            "{name}: {stderr}"
+        );
+    }
+}

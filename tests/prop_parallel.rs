@@ -136,6 +136,58 @@ fn every_panicked_class_is_reported() {
     assert_eq!(sweep.summaries.len(), healthy);
 }
 
+/// A branch fault whose sink is c95's last gate but whose stem is no net of
+/// c95 panics the engine. Its class must be the only one lost: the sweep
+/// keeps it out of every fused batch, and every healthy summary stays exact
+/// and bit-identical to a clean sweep, at one worker and at two.
+#[test]
+fn foreign_stem_branch_loses_only_its_own_class() {
+    use diffprop::faults::{FaultSite, StuckAtFault};
+    use diffprop::netlist::generators::c95;
+    use diffprop::netlist::{FanoutBranch, NetId};
+
+    let circuit = c95();
+    let healthy: Vec<Fault> = checkpoint_faults(&circuit)
+        .into_iter()
+        .map(Fault::from)
+        .collect();
+    let clean = sweep_universe(&circuit, &healthy, &SweepConfig::default());
+    let mut faults = healthy.clone();
+    faults.push(Fault::StuckAt(StuckAtFault {
+        site: FaultSite::Branch(FanoutBranch {
+            stem: NetId::from_index(100_000),
+            sink: circuit.gates().last().expect("c95 has gates"),
+            pin: 0,
+        }),
+        value: false,
+    }));
+    for parallelism in [Parallelism::Serial, Parallelism::Threads(2)] {
+        let sweep = sweep_universe(
+            &circuit,
+            &faults,
+            &SweepConfig {
+                parallelism,
+                ..Default::default()
+            },
+        );
+        let panics = sweep.panicked_classes();
+        assert_eq!(panics.len(), 1, "{parallelism:?}: {panics:?}");
+        assert_eq!(panics[0].0, sweep.classes - 1, "{parallelism:?}");
+        assert_eq!(sweep.summaries.len(), healthy.len(), "{parallelism:?}");
+        for (s, c) in sweep.summaries.iter().zip(&clean.summaries) {
+            assert!(
+                s.outcome.is_exact(),
+                "{parallelism:?}: {} is {:?}",
+                s.fault,
+                s.outcome
+            );
+            assert_eq!(s, c, "{parallelism:?}");
+            assert_eq!(s.detectability.to_bits(), c.detectability.to_bits());
+            assert_eq!(s.adherence.map(f64::to_bits), c.adherence.map(f64::to_bits));
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
