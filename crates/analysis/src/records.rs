@@ -3,9 +3,9 @@
 use dp_core::{sweep_universe, FaultOutcome, SweepConfig};
 use dp_faults::{
     checkpoint_faults, collapse_checkpoint_faults, enumerate_bridges, enumerate_nfbfs, pair_multis,
-    sample_nfbfs, sampled_multis, BridgeKind, BridgeTopology, Fault, SampleConfig,
+    sample_nfbfs, sampled_multis, BridgeKind, BridgeTopology, Fault, FaultSite, SampleConfig,
 };
-use dp_netlist::Circuit;
+use dp_netlist::{Circuit, NetId};
 
 /// Everything the paper's figures need to know about one analysed fault.
 ///
@@ -86,60 +86,37 @@ pub fn records_from_summaries(
     for (fault, summary) in faults.iter().zip(summaries) {
         debug_assert_eq!(*fault, summary.fault);
         // A branch fault only influences the circuit through its sink gate,
-        // so its fed POs and PO distance go through the sink; net-site and
-        // bridging faults use their net(s) directly.
-        let (flow_nets, site_nets) = match fault {
-            dp_faults::Fault::StuckAt(f) => match f.site {
-                dp_faults::FaultSite::Net(n) => (vec![n], vec![n]),
-                dp_faults::FaultSite::Branch(b) => (vec![b.sink], vec![b.stem]),
-            },
-            dp_faults::Fault::Bridging(b) => (vec![b.a, b.b], vec![b.a, b.b]),
-            dp_faults::Fault::MultiStuckAt(m) => {
-                let flow = m
-                    .components()
-                    .iter()
-                    .map(|c| match c.site {
-                        dp_faults::FaultSite::Net(n) => n,
-                        dp_faults::FaultSite::Branch(b) => b.sink,
-                    })
-                    .collect();
-                let sites = m
-                    .components()
-                    .iter()
-                    .map(|c| match c.site {
-                        dp_faults::FaultSite::Net(n) => n,
-                        dp_faults::FaultSite::Branch(b) => b.stem,
-                    })
-                    .collect();
-                (flow, sites)
-            }
+        // so its fed POs and PO distance go through the sink; its level from
+        // the inputs is the stem's.
+        let flow_nets: Vec<NetId> = match fault {
+            Fault::StuckAt(f) => vec![f.site.flow_net()],
+            Fault::Bridging(b) => vec![b.a, b.b],
+            Fault::MultiStuckAt(m) => m.components().iter().map(|c| c.site.flow_net()).collect(),
         };
         let reachable: std::collections::HashSet<_> = flow_nets
             .iter()
             .flat_map(|&s| circuit.reachable_outputs(s))
             .collect();
-        let site_distance = |n: dp_netlist::NetId| to_po[n.index()];
+        let site_distance = |n: NetId| to_po[n.index()];
         let max_levels_to_po = match fault {
-            dp_faults::Fault::StuckAt(f) => match f.site {
-                dp_faults::FaultSite::Net(n) => site_distance(n),
-                // The branch itself sits one level above its sink.
-                dp_faults::FaultSite::Branch(b) => {
-                    let d = site_distance(b.sink);
-                    if d == u32::MAX {
-                        u32::MAX
-                    } else {
-                        d + 1
-                    }
+            Fault::StuckAt(f) => {
+                let d = site_distance(f.site.flow_net());
+                // The branch itself sits one level above its sink; an
+                // unreachable sink (`u32::MAX`) stays unreachable.
+                match f.site {
+                    FaultSite::Net(_) => d,
+                    FaultSite::Branch(_) => d.saturating_add(1),
                 }
-            },
-            dp_faults::Fault::Bridging(_) | dp_faults::Fault::MultiStuckAt(_) => flow_nets
+            }
+            Fault::Bridging(_) | Fault::MultiStuckAt(_) => flow_nets
                 .iter()
                 .map(|&s| site_distance(s))
                 .filter(|&d| d != u32::MAX)
                 .max()
                 .unwrap_or(u32::MAX),
         };
-        let level_from_pi = site_nets
+        let level_from_pi = fault
+            .sites()
             .iter()
             .map(|s| levels[s.index()])
             .max()

@@ -135,7 +135,7 @@ fn bench_cut_points(c: &mut Criterion) {
     group.bench_function("decomposed_t200", |b| {
         b.iter(|| {
             let (good, _cuts) = GoodFunctions::build_auto_decomposed(&circuit, 200);
-            let mut dp = DiffProp::with_good_functions(&circuit, good, EngineConfig::default());
+            let mut dp = DiffProp::from_snapshot(&circuit, &good.freeze(), EngineConfig::default());
             let mut acc = 0.0;
             for f in &faults {
                 acc += dp.analyze(f).detectability;

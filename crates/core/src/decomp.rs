@@ -18,12 +18,14 @@
 //!
 //! [`GoodFunctions::build_with_cuts`] takes an explicit cut list;
 //! [`GoodFunctions::build_auto_decomposed`] inserts cuts greedily whenever
-//! a net's BDD exceeds a size threshold.
+//! a net's BDD exceeds a size threshold. An engine over a decomposed build
+//! is thawed like any other:
+//! `DiffProp::from_snapshot(circuit, &good.freeze(), config)`.
 
-use dp_bdd::{Manager, NodeId, Var};
-use dp_netlist::{Circuit, Driver, NetId};
+use dp_bdd::{Manager, Var};
+use dp_netlist::{Circuit, NetId};
 
-use crate::good::{build_gate, GoodFunctions};
+use crate::good::{build_nets, GoodFunctions};
 
 impl GoodFunctions {
     /// Builds good functions with the given nets replaced by fresh cut
@@ -44,21 +46,14 @@ impl GoodFunctions {
         }
         let n_pi = circuit.num_inputs();
         let mut manager = Manager::new(n_pi + cuts.len());
-        let mut funcs = vec![NodeId::FALSE; circuit.num_nets()];
-        for (i, &pi) in circuit.inputs().iter().enumerate() {
-            funcs[pi.index()] = manager.var(i as Var);
-        }
-        for net in circuit.nets() {
-            if let Driver::Gate { kind, fanins } = circuit.driver(net) {
-                let inputs: Vec<NodeId> = fanins.iter().map(|f| funcs[f.index()]).collect();
-                funcs[net.index()] = build_gate(&mut manager, *kind, &inputs);
+        let funcs = build_nets(circuit, &mut manager, |m, net, f| {
+            // Downstream logic sees the free cut variable.
+            match cuts.iter().position(|&c| c == net) {
+                Some(k) => m.var((n_pi + k) as Var),
+                None => f,
             }
-            if let Some(k) = cuts.iter().position(|&c| c == net) {
-                // Downstream logic sees the free cut variable.
-                funcs[net.index()] = manager.var((n_pi + k) as Var);
-            }
-        }
-        GoodFunctions::from_parts(manager, funcs, cuts.to_vec())
+        });
+        GoodFunctions::from_parts(manager, funcs)
     }
 
     /// Builds good functions, inserting a cut at every net whose BDD would
@@ -78,24 +73,15 @@ impl GoodFunctions {
         // could in principle be cut) and record where cuts are needed.
         let n_pi = circuit.num_inputs();
         let mut manager = Manager::new(n_pi + circuit.num_gates());
-        let mut funcs = vec![NodeId::FALSE; circuit.num_nets()];
         let mut cuts: Vec<NetId> = Vec::new();
-        for (i, &pi) in circuit.inputs().iter().enumerate() {
-            funcs[pi.index()] = manager.var(i as Var);
-        }
-        for net in circuit.nets() {
-            if let Driver::Gate { kind, fanins } = circuit.driver(net) {
-                let inputs: Vec<NodeId> = fanins.iter().map(|f| funcs[f.index()]).collect();
-                let f = build_gate(&mut manager, *kind, &inputs);
-                if manager.size(f) > node_threshold {
-                    let k = cuts.len();
-                    cuts.push(net);
-                    funcs[net.index()] = manager.var((n_pi + k) as Var);
-                } else {
-                    funcs[net.index()] = f;
-                }
+        build_nets(circuit, &mut manager, |m, net, f| {
+            if m.size(f) > node_threshold {
+                cuts.push(net);
+                m.var((n_pi + cuts.len() - 1) as Var)
+            } else {
+                f
             }
-        }
+        });
         // Rebuild compactly with exactly the chosen cuts.
         let good = Self::build_with_cuts(circuit, &cuts);
         (good, cuts)
@@ -120,7 +106,6 @@ mod tests {
                 cut.manager().density(cut.node(n))
             );
         }
-        assert!(!cut.is_decomposed());
     }
 
     #[test]
@@ -128,8 +113,6 @@ mod tests {
         let c = c17();
         let g16 = c.find_net("16").unwrap();
         let good = GoodFunctions::build_with_cuts(&c, &[g16]);
-        assert!(good.is_decomposed());
-        assert_eq!(good.cut_nets(), &[g16]);
         // The cut net's downstream view is a bare variable: density 0.5,
         // support = the cut variable alone.
         assert_eq!(good.manager().density(good.node(g16)), 0.5);
@@ -169,7 +152,7 @@ mod tests {
     fn decomposed_analysis_runs_and_approximates() {
         let c = c499_surrogate();
         let (good, _cuts) = GoodFunctions::build_auto_decomposed(&c, 200);
-        let mut approx = DiffProp::with_good_functions(&c, good, EngineConfig::default());
+        let mut approx = DiffProp::from_snapshot(&c, &good.freeze(), EngineConfig::default());
         let mut exact = DiffProp::new(&c);
         // PI faults: sampled comparison. The approximation must agree on
         // detectable-vs-not and stay within a loose band on probability.

@@ -4,7 +4,7 @@
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, HashMap};
 
-use dp_bdd::{BddError, BudgetConfig, Cube, Manager, NodeId, DELTA_OP_CACHE_CAPACITY};
+use dp_bdd::{BudgetConfig, Cube, Manager, NodeId};
 use dp_faults::{BridgeKind, BridgingFault, Fault, FaultSite, MultiStuckAt, StuckAtFault};
 use dp_netlist::{find_xor_quads, Circuit, Driver, GateKind, NetId, Reachability, XorQuads};
 use dp_telemetry::{CounterKind, HistKind, SharedCollector, SpanKind};
@@ -31,7 +31,7 @@ pub struct EngineConfig {
     pub gc_threshold: usize,
     /// Adaptive collection: also gc when the node table exceeds this
     /// multiple of its size right after the previous collection (or the
-    /// initial good-function build), subject to a small absolute floor so
+    /// thaw of the good functions), subject to a small absolute floor so
     /// tiny circuits never bother. This keeps the table — and therefore
     /// `peak_nodes` — proportional to the *live* working set instead of the
     /// total ever allocated across a sweep. Collections never change
@@ -216,46 +216,18 @@ struct SiteInit {
     flow_nets: Vec<usize>,
 }
 
-/// The net every effect of a stuck-at fault flows through: the stuck net
-/// itself, or a branch fault's sink gate.
-pub(crate) fn flow_net(f: &StuckAtFault) -> NetId {
-    match f.site {
-        FaultSite::Net(n) => n,
-        FaultSite::Branch(b) => b.sink,
-    }
-}
-
-/// The one good-function build every engine starts from: the strategy's
-/// static order under `budget`, then, for [`OrderStrategy::Auto`] over
-/// [`SIFT_TABLE_FLOOR`] nodes, one Rudell sift. Returns whether it sifted.
-///
-/// The sift is budget-exempt (`prop_sift_budget.rs` pins it) and preserves
-/// every function, so it moves cost only, never a result.
-fn build_good(
-    circuit: &Circuit,
-    order: OrderStrategy,
-    budget: BudgetConfig,
-) -> Result<(GoodFunctions, bool), BddError> {
-    let mut good = GoodFunctions::try_build_with_order(circuit, &order.resolve(circuit), budget)?;
-    let sift = order.autosifts() && good.num_nodes() > SIFT_TABLE_FLOOR;
-    if sift {
-        good.sift();
-    }
-    Ok((good, sift))
-}
-
 /// The Difference Propagation analyser for one circuit.
 ///
-/// Builds the good functions once, then analyses any number of faults
-/// against them. See the [crate documentation](crate) for the method and an
-/// end-to-end example.
+/// Thawed from a frozen snapshot of the good functions, built once, it
+/// analyses any number of faults against them. See the [crate
+/// documentation](crate) for the method and an end-to-end example.
 #[derive(Debug)]
 pub struct DiffProp<'c> {
     circuit: &'c Circuit,
     good: GoodFunctions,
     config: EngineConfig,
-    /// Node-table size right after the last collection (or the initial
-    /// build); the reference point for [`EngineConfig::gc_growth`].
+    /// Node-table size right after the last collection (or the thaw); the
+    /// reference point for [`EngineConfig::gc_growth`].
     gc_baseline: usize,
     /// Transitive-fanout relation, built once per engine. Drives the
     /// cone-restricted propagation: per fault, the set of live primary
@@ -282,32 +254,76 @@ impl<'c> DiffProp<'c> {
         Self::with_config(circuit, EngineConfig::default())
     }
 
-    /// Creates an analyser with an explicit configuration.
-    ///
-    /// The good functions are built *without* a budget (construction cannot
-    /// fail), then [`EngineConfig::budget`] is armed for subsequent fallible
-    /// analyses. Use [`DiffProp::build_snapshot`] to bound the build too.
+    /// Creates an analyser with an explicit configuration: the one
+    /// lifecycle of [`DiffProp::build_snapshot`] then
+    /// [`DiffProp::from_snapshot`], with the build run *without* a budget
+    /// (construction cannot fail) and [`EngineConfig::budget`] armed for
+    /// subsequent fallible analyses. Use [`DiffProp::build_snapshot`] to
+    /// bound the build too.
     pub fn with_config(circuit: &'c Circuit, config: EngineConfig) -> Self {
-        let (mut good, _) = build_good(circuit, config.order, BudgetConfig::UNLIMITED)
-            .expect("unlimited budget cannot trip");
-        good.manager_mut().set_budget(config.budget);
-        Self::assemble(circuit, good, config)
+        let unlimited = EngineConfig {
+            budget: BudgetConfig::UNLIMITED,
+            ..config
+        };
+        let snapshot =
+            Self::build_snapshot(circuit, unlimited).expect("unlimited budget cannot trip");
+        Self::from_snapshot(circuit, &snapshot, config)
     }
 
-    /// Shared constructor tail: derive the structural caches and size the
-    /// kernel's operation cache. [`DELTA_OP_CACHE_CAPACITY`] is a floor — a
-    /// cache the kernel already grew past it (it doubles with the node
-    /// arena) is left alone rather than shrunk and re-grown. A thawed
-    /// manager already starts at the floor, so a [`DiffProp::from_snapshot`]
-    /// engine keeps the one cache its thaw allocated (or recycled from a
-    /// dropped engine) and this writes nothing. (Resizing a private
-    /// manager's cache starts it cold; results are unaffected — the cache
-    /// is lossy by design — and the counters keep counting.)
-    fn assemble(circuit: &'c Circuit, mut good: GoodFunctions, config: EngineConfig) -> Self {
-        if good.manager().op_cache_capacity() < DELTA_OP_CACHE_CAPACITY {
-            good.manager_mut()
-                .set_op_cache_capacity(DELTA_OP_CACHE_CAPACITY);
+    /// Attaches a telemetry collector. Observation-only by contract: the
+    /// golden and property layers pin that analyses with and without a
+    /// collector are bit-identical. The collector is shared (sweep drivers
+    /// keep a handle to record their own spans into the same sink).
+    pub fn attach_collector(&mut self, collector: SharedCollector) {
+        self.telemetry = Some(collector);
+    }
+
+    /// Builds the good functions once and freezes them into an immutable,
+    /// shareable [`GoodSnapshot`] — the first half of every engine's
+    /// lifecycle. Honours [`EngineConfig::budget`] during the build.
+    ///
+    /// Returns [`AnalysisError::BudgetExceeded`] when the circuit's good
+    /// functions alone exceed the budget — analysis cannot even start, and
+    /// the caller should fall back to simulation for the whole circuit.
+    ///
+    /// The build runs the strategy's static order, then, for
+    /// [`OrderStrategy::Auto`] over [`SIFT_TABLE_FLOOR`] nodes, one Rudell
+    /// sift. The sift is budget-exempt (`prop_sift_budget.rs` pins it) and
+    /// preserves every function, so it moves cost only, never a result. An
+    /// unsifted table is collected before freezing so the base carries only
+    /// the live good functions, not build intermediates (a sift already
+    /// collects).
+    pub fn build_snapshot(
+        circuit: &Circuit,
+        config: EngineConfig,
+    ) -> Result<GoodSnapshot, AnalysisError> {
+        let order = config.order;
+        let mut good =
+            GoodFunctions::try_build_with_order(circuit, &order.resolve(circuit), config.budget)
+                .map_err(AnalysisError::BudgetExceeded)?;
+        if order.autosifts() && good.num_nodes() > SIFT_TABLE_FLOOR {
+            good.sift();
+        } else {
+            good.gc();
         }
+        Ok(good.freeze())
+    }
+
+    /// Creates an analyser over a thawed copy of a frozen snapshot: the good
+    /// functions resolve against the shared base, and everything this engine
+    /// allocates lands in a private delta manager, whose operation cache
+    /// starts at the size an engine runs it at. Infallible — the expensive,
+    /// fallible work happened in [`DiffProp::build_snapshot`].
+    ///
+    /// Every analysis result depends only on the snapshot's functions (OBDD
+    /// canonicity), not on the variable order they were built in.
+    pub fn from_snapshot(
+        circuit: &'c Circuit,
+        snapshot: &GoodSnapshot,
+        config: EngineConfig,
+    ) -> Self {
+        let mut good = snapshot.thaw();
+        good.manager_mut().set_budget(config.budget);
         let gc_baseline = good.num_nodes();
         let reach = Reachability::compute(circuit);
         let feeds_output = reach.feeds_output_flags(circuit);
@@ -322,66 +338,6 @@ impl<'c> DiffProp<'c> {
             quads,
             telemetry: None,
         }
-    }
-
-    /// Attaches a telemetry collector. Observation-only by contract: the
-    /// golden and property layers pin that analyses with and without a
-    /// collector are bit-identical. The collector is shared (sweep drivers
-    /// keep a handle to record their own spans into the same sink).
-    pub fn attach_collector(&mut self, collector: SharedCollector) {
-        self.telemetry = Some(collector);
-    }
-
-    /// Creates an analyser around pre-built good functions (e.g. with a
-    /// custom variable order).
-    pub fn with_good_functions(
-        circuit: &'c Circuit,
-        good: GoodFunctions,
-        config: EngineConfig,
-    ) -> Self {
-        Self::assemble(circuit, good, config)
-    }
-
-    /// Builds the good functions once and freezes them into an immutable,
-    /// shareable [`GoodSnapshot`] — the one-time setup of shared-manager
-    /// parallelism. Honours [`EngineConfig::budget`] during the build.
-    ///
-    /// Returns [`AnalysisError::BudgetExceeded`] when the circuit's good
-    /// functions alone exceed the budget — analysis cannot even start, and
-    /// the caller should fall back to simulation for the whole circuit.
-    ///
-    /// The build is [`DiffProp::with_config`]'s, sift included, so a thawed
-    /// engine runs in the same variable order as a private one. An unsifted
-    /// table is collected before freezing so the base carries only the live
-    /// good functions, not build intermediates (a sift already collects).
-    pub fn build_snapshot(
-        circuit: &Circuit,
-        config: EngineConfig,
-    ) -> Result<GoodSnapshot, AnalysisError> {
-        let (mut good, sifted) = build_good(circuit, config.order, config.budget)
-            .map_err(AnalysisError::BudgetExceeded)?;
-        if !sifted {
-            good.gc();
-        }
-        Ok(good.freeze())
-    }
-
-    /// Creates an analyser over a thawed copy of a frozen snapshot: the good
-    /// functions resolve against the shared base, and everything this engine
-    /// allocates lands in a private delta manager. Infallible — the
-    /// expensive, fallible work happened in [`DiffProp::build_snapshot`].
-    ///
-    /// Every analysis result is bit-identical to an engine that built its
-    /// own manager with the same order (OBDD canonicity: the scalars depend
-    /// only on the functions, not on who owns the node table).
-    pub fn from_snapshot(
-        circuit: &'c Circuit,
-        snapshot: &GoodSnapshot,
-        config: EngineConfig,
-    ) -> Self {
-        let mut good = snapshot.thaw();
-        good.manager_mut().set_budget(config.budget);
-        Self::assemble(circuit, good, config)
     }
 
     /// Collects garbage if either trigger fires: the absolute
@@ -405,12 +361,6 @@ impl<'c> DiffProp<'c> {
     /// The shared good functions (and BDD manager).
     pub fn good(&self) -> &GoodFunctions {
         &self.good
-    }
-
-    /// Mutable access to the good functions (syndrome queries allocate
-    /// memoisation entries).
-    pub fn good_mut(&mut self) -> &mut GoodFunctions {
-        &mut self.good
     }
 
     /// Analyses one fault: initialises its difference function(s) and
@@ -771,7 +721,8 @@ impl<'c> DiffProp<'c> {
         for (i, a) in faults.iter().enumerate() {
             for b in &faults[i + 1..] {
                 debug_assert!(
-                    self.reach.cones_disjoint(flow_net(a), flow_net(b)),
+                    self.reach
+                        .cones_disjoint(a.site.flow_net(), b.site.flow_net()),
                     "batched faults must have disjoint fanout cones"
                 );
             }
@@ -780,7 +731,7 @@ impl<'c> DiffProp<'c> {
         let circuit = self.circuit;
         let mut analyses = Vec::with_capacity(faults.len());
         for f in faults {
-            let flow = flow_net(f);
+            let flow = f.site.flow_net();
             // An output outside this fault's cone carries another fault's
             // difference (or ⊥) — never this fault's, so mask it out.
             let po_deltas: Vec<NodeId> = circuit
@@ -814,7 +765,7 @@ impl<'c> DiffProp<'c> {
         // Δ = f ⊕ v: the fault is excited where the line differs from its
         // stuck value.
         let delta = if f.value { m.not(fs) } else { fs };
-        init.flow_nets.push(flow_net(f).index());
+        init.flow_nets.push(f.site.flow_net().index());
         match f.site {
             FaultSite::Net(n) => {
                 init.deltas.insert(n.index(), delta);
@@ -1488,10 +1439,10 @@ mod tests {
     fn disjoint_stuck_at_batch(dp: &DiffProp<'_>, faults: &[StuckAtFault]) -> Vec<StuckAtFault> {
         let mut picked: Vec<StuckAtFault> = Vec::new();
         for f in faults {
-            if picked
-                .iter()
-                .all(|p| dp.reach.cones_disjoint(flow_net(p), flow_net(f)))
-            {
+            if picked.iter().all(|p| {
+                dp.reach
+                    .cones_disjoint(p.site.flow_net(), f.site.flow_net())
+            }) {
                 picked.push(*f);
             }
         }
@@ -1613,7 +1564,7 @@ mod tests {
         let (combined, gates, _) = steps.propagate_fault(&multi);
         assert!(combined.iter().filter(|d| !d.is_false()).count() > 1);
         for (f, a) in batch.iter().zip(&analyses) {
-            let flow = flow_net(f);
+            let flow = f.site.flow_net();
             let po_deltas = c
                 .outputs()
                 .iter()
@@ -1633,30 +1584,6 @@ mod tests {
         assert_eq!(got.op_cumulative_total(), want.op_cumulative_total());
         assert_eq!(got.unique, want.unique);
         assert_eq!(got.op_steps, want.op_steps);
-    }
-
-    #[test]
-    fn batch_from_snapshot_agrees_with_private_manager() {
-        let c = alu74181();
-        let snapshot = DiffProp::build_snapshot(&c, EngineConfig::default()).unwrap();
-        let digest = snapshot.table_digest();
-        let nodes = snapshot.num_nodes();
-        let mut dp = DiffProp::from_snapshot(&c, &snapshot, EngineConfig::default());
-        assert!(dp.good.manager().has_frozen_base());
-        let batch = disjoint_stuck_at_batch(&dp, &checkpoint_faults(&c));
-        let analyses = dp.try_analyze_stuck_at_batch(&batch).unwrap();
-        let mut reference = DiffProp::new(&c);
-        for (f, a) in batch.iter().zip(&analyses) {
-            let single = reference.analyze(&Fault::StuckAt(*f));
-            assert_eq!(a.test_count, single.test_count, "{f}");
-            assert_eq!(a.detectability.to_bits(), single.detectability.to_bits());
-        }
-        // The shared base never moved.
-        assert_eq!(snapshot.table_digest(), digest);
-        assert_eq!(snapshot.num_nodes(), nodes);
-        // Two-level lookups are attributed: the delta resolved good
-        // functions from the base.
-        assert!(dp.good.manager().stats().base_hits > 0);
     }
 
     #[test]
@@ -1689,36 +1616,19 @@ mod tests {
     #[test]
     fn auto_means_one_sift_at_build_for_every_engine() {
         // c1908s's fanin-DFS build is well over SIFT_TABLE_FLOOR, so Auto
-        // sifts it: a private engine and a thawed snapshot must agree on
-        // the sifted order, and it must differ from plain fanin-DFS.
+        // sifts it: every engine is thawed from the sifted snapshot, whose
+        // order must differ from plain fanin-DFS.
         let c = c1908_surrogate();
         let auto = EngineConfig {
             order: OrderStrategy::Auto,
             ..Default::default()
         };
-        let mut private = DiffProp::with_config(&c, auto);
-        let snapshot = DiffProp::build_snapshot(&c, auto).unwrap();
-        let mut thawed = DiffProp::from_snapshot(&c, &snapshot, auto);
+        let dp = DiffProp::with_config(&c, auto);
+        assert!(dp.good.manager().has_frozen_base());
         let fanin = GoodFunctions::build_with_order(&c, &OrderStrategy::FaninDfs.resolve(&c));
-        assert_eq!(
-            private.good.manager().order(),
-            thawed.good.manager().order()
-        );
-        assert_ne!(private.good.manager().order(), fanin.manager().order());
-        for f in checkpoint_faults(&c).into_iter().step_by(97) {
-            let fault = Fault::from(f);
-            let a = private.analyze(&fault);
-            let b = thawed.analyze(&fault);
-            assert_eq!(a.test_count, b.test_count, "{fault}");
-            assert_eq!(
-                a.detectability.to_bits(),
-                b.detectability.to_bits(),
-                "{fault}"
-            );
-            assert_eq!(a.observable_outputs, b.observable_outputs, "{fault}");
-            assert_eq!(a.gates_propagated, b.gates_propagated, "{fault}");
-        }
+        assert_ne!(dp.good.manager().order(), fanin.manager().order());
     }
+
     #[test]
     fn c1908s_quad_shortcut_matches_the_gate_by_gate_engine() {
         let c = c1908_surrogate();

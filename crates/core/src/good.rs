@@ -27,31 +27,15 @@ use dp_netlist::{Circuit, Driver, GateKind, NetId};
 pub struct GoodFunctions {
     manager: Manager,
     funcs: Vec<NodeId>,
-    /// Cut nets when built decomposed (see the `decomp` module); empty for
-    /// exact builds.
-    cut_nets: Vec<NetId>,
 }
 
 impl GoodFunctions {
-    /// Assembles a `GoodFunctions` from raw parts (decomposition builder).
-    pub(crate) fn from_parts(manager: Manager, funcs: Vec<NodeId>, cut_nets: Vec<NetId>) -> Self {
-        GoodFunctions {
-            manager,
-            funcs,
-            cut_nets,
-        }
+    /// Assembles a `GoodFunctions` from raw parts (a thaw or a decomposed
+    /// build).
+    pub(crate) fn from_parts(manager: Manager, funcs: Vec<NodeId>) -> Self {
+        GoodFunctions { manager, funcs }
     }
 
-    /// `true` when built with cut points — analyses over these functions
-    /// are approximations (paper \[21\]; see the `decomp` module docs).
-    pub fn is_decomposed(&self) -> bool {
-        !self.cut_nets.is_empty()
-    }
-
-    /// The cut nets of a decomposed build (empty when exact).
-    pub fn cut_nets(&self) -> &[NetId] {
-        &self.cut_nets
-    }
     /// Builds the good functions with the declared-input-order variable
     /// assignment.
     pub fn build(circuit: &Circuit) -> Self {
@@ -93,25 +77,12 @@ impl GoodFunctions {
         // circuits, just from a warm start).
         manager.reserve_nodes((circuit.num_nets() * 4).max(1 << 10));
         manager.set_budget(budget);
-        let mut funcs = vec![NodeId::FALSE; circuit.num_nets()];
-        for (i, &pi) in circuit.inputs().iter().enumerate() {
-            funcs[pi.index()] = manager.var(i as Var);
-        }
-        for n in circuit.nets() {
-            if let Driver::Gate { kind, fanins } = circuit.driver(n) {
-                let inputs: Vec<NodeId> = fanins.iter().map(|f| funcs[f.index()]).collect();
-                funcs[n.index()] = build_gate(&mut manager, *kind, &inputs);
-            }
-        }
+        let funcs = build_nets(circuit, &mut manager, |_, _, f| f);
         if let Some(err) = manager.budget_exceeded() {
             return Err(err);
         }
         manager.reset_budget_window();
-        Ok(GoodFunctions {
-            manager,
-            funcs,
-            cut_nets: Vec::new(),
-        })
+        Ok(GoodFunctions { manager, funcs })
     }
 
     /// The OBDD of a net's good function.
@@ -184,7 +155,6 @@ impl GoodFunctions {
         GoodSnapshot {
             frozen: self.manager.freeze(),
             funcs: self.funcs,
-            cut_nets: self.cut_nets,
         }
     }
 }
@@ -201,7 +171,6 @@ impl GoodFunctions {
 pub struct GoodSnapshot {
     frozen: FrozenManager,
     funcs: Vec<NodeId>,
-    cut_nets: Vec<NetId>,
 }
 
 impl GoodSnapshot {
@@ -209,11 +178,7 @@ impl GoodSnapshot {
     /// Every `NodeId` in the snapshot stays valid in the thawed copy (delta
     /// managers extend the frozen id space).
     pub fn thaw(&self) -> GoodFunctions {
-        GoodFunctions::from_parts(
-            self.frozen.thaw(),
-            self.funcs.clone(),
-            self.cut_nets.clone(),
-        )
+        GoodFunctions::from_parts(self.frozen.thaw(), self.funcs.clone())
     }
 
     /// The frozen manager shared by all thawed copies.
@@ -245,6 +210,29 @@ impl GoodSnapshot {
     pub fn build_stats(&self) -> &ManagerStats {
         self.frozen.build_stats()
     }
+}
+
+/// The one good-function gate loop: primary input `i` gets variable `i`,
+/// then every gate net, in topological order, gets its gate's function over
+/// its fanins' — passed through `substitute`, which returns it unchanged
+/// except where a decomposed build replaces it with a cut variable.
+pub(crate) fn build_nets(
+    circuit: &Circuit,
+    manager: &mut Manager,
+    mut substitute: impl FnMut(&mut Manager, NetId, NodeId) -> NodeId,
+) -> Vec<NodeId> {
+    let mut funcs = vec![NodeId::FALSE; circuit.num_nets()];
+    for (i, &pi) in circuit.inputs().iter().enumerate() {
+        funcs[pi.index()] = manager.var(i as Var);
+    }
+    for n in circuit.nets() {
+        if let Driver::Gate { kind, fanins } = circuit.driver(n) {
+            let inputs: Vec<NodeId> = fanins.iter().map(|f| funcs[f.index()]).collect();
+            let f = build_gate(manager, *kind, &inputs);
+            funcs[n.index()] = substitute(manager, n, f);
+        }
+    }
+    funcs
 }
 
 /// Builds a gate function over already-built fanin BDDs.

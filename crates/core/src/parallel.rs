@@ -118,7 +118,7 @@ use std::time::{Duration, Instant};
 
 use dp_bdd::ManagerStats;
 use dp_faults::{
-    collapse_faults, CollapseStats, CollapsedUniverse, Fault, FaultClass, FaultSite, StuckAtFault,
+    collapse_faults, CollapseStats, CollapsedUniverse, Fault, FaultClass, StuckAtFault,
 };
 use dp_netlist::{Circuit, NetId, Reachability};
 use dp_sim::sampled_fault_estimate;
@@ -126,7 +126,7 @@ use dp_telemetry::{
     Collector, CounterKind, HistKind, SharedCollector, SpanKind, TelemetryLevel, TelemetrySnapshot,
 };
 
-use crate::engine::{flow_net, DiffProp, EngineConfig, FaultAnalysis};
+use crate::engine::{DiffProp, EngineConfig, FaultAnalysis};
 use crate::good::GoodSnapshot;
 
 /// Index of an equivalence class in the sweep's collapsed class list — the
@@ -173,7 +173,8 @@ const FALLBACK_SEED: u64 = 1990;
 /// Full configuration of a fault-universe sweep — see [`sweep_universe`].
 #[derive(Debug, Clone, Copy)]
 pub struct SweepConfig {
-    /// Engine tuning (selective trace, Table 1, gc, budget).
+    /// Engine tuning (selective trace, Table 1, gc, budget, variable
+    /// order).
     pub engine: EngineConfig,
     /// Worker threads.
     pub parallelism: Parallelism,
@@ -292,7 +293,7 @@ impl FaultSummary {
 }
 
 /// What one worker did: the work it claimed from the shared queue and its
-/// private manager's counters.
+/// managers' counters.
 #[derive(Debug, Clone)]
 pub struct ShardReport {
     /// Worker index in `0..workers`.
@@ -313,9 +314,10 @@ pub struct ShardReport {
     /// signal: with work stealing, busy times should be close across
     /// workers even when per-fault costs are wildly skewed.
     pub busy: Duration,
-    /// Counters of the worker's private BDD manager at the end of its run
-    /// (default counters when the worker claimed nothing, never built an
-    /// engine, or lost its engine to a panic in its last class).
+    /// Counters of every BDD manager the worker ran, merged: its last
+    /// engine's at the end of its run plus each engine a panic dropped
+    /// (default counters when the worker claimed nothing or never built an
+    /// engine).
     pub stats: ManagerStats,
     /// Every panic this worker saw, as `(class id, message)` pairs in the
     /// order the classes were claimed. A panicked class's faults have no
@@ -684,12 +686,8 @@ fn class_flow_net(faults: &[Fault], class: &FaultClass, reach: &Reachability) ->
     let in_circuit = |net: NetId| net.index() < reach.num_nets();
     match &faults[class.representative] {
         Fault::StuckAt(f) => {
-            let stem_in_circuit = match f.site {
-                FaultSite::Net(_) => true,
-                FaultSite::Branch(b) => in_circuit(b.stem),
-            };
-            let net = flow_net(f);
-            (stem_in_circuit && in_circuit(net)).then_some(net)
+            let net = f.site.flow_net();
+            (in_circuit(f.site.net()) && in_circuit(net)).then_some(net)
         }
         // Bridges and multiple faults have several sites and no single flow
         // cone; they stay singleton.
@@ -819,6 +817,16 @@ impl ShardReport {
             telemetry: TelemetrySnapshot::default(),
         }
     }
+
+    /// Empties the engine slot, folding the engine's counters into
+    /// [`ShardReport::stats`] first: an engine dropped after a panic (the
+    /// unwind may have left its manager mid-operation) takes none of the
+    /// worker's work out of the merged view.
+    fn retire(&mut self, dp: &mut Option<DiffProp<'_>>) {
+        if let Some(dp) = dp.take() {
+            self.stats = self.stats.merged(dp.good().manager().stats());
+        }
+    }
 }
 
 /// One worker: claim chunks of batches from the shared queue until drained,
@@ -844,7 +852,7 @@ fn run_worker(work: &Work<'_>, worker: usize, emit: &mut dyn FnMut(StreamEvent))
                 .borrow_mut()
                 .record_hist(HistKind::BatchSize, batch.len() as u64);
             let fused = if batch.len() > 1 {
-                fused_pass(work, &mut dp, batch, &collector)
+                fused_pass(work, &mut dp, batch, &collector, &mut report)
             } else {
                 None
             };
@@ -871,11 +879,11 @@ fn run_worker(work: &Work<'_>, worker: usize, emit: &mut dyn FnMut(StreamEvent))
         collector.borrow_mut().finish(SpanKind::Chunk, chunk_timer);
     }
     if let Some(dp) = &dp {
-        report.stats = dp.good().manager().stats().clone();
         collector
             .borrow_mut()
             .raise(CounterKind::LiveNodes, dp.good().num_nodes() as u64);
     }
+    report.retire(&mut dp);
     {
         let mut c = collector.borrow_mut();
         harvest_manager_stats(&mut c, &report.stats);
@@ -887,13 +895,15 @@ fn run_worker(work: &Work<'_>, worker: usize, emit: &mut dyn FnMut(StreamEvent))
 
 /// The fused one-pass analysis of a multi-class batch, one analysis per
 /// class. `None` on a missing engine, a budget trip (the engine has already
-/// recovered) or a panic (which empties the engine slot): the batch then
-/// runs per class, which re-attributes a persistent panic to its class.
+/// recovered) or a panic (which retires the engine into `report`): the
+/// batch then runs per class, which re-attributes a persistent panic to its
+/// class.
 fn fused_pass<'a>(
     work: &Work<'a>,
     dp: &mut Option<DiffProp<'a>>,
     batch: &[usize],
     collector: &SharedCollector,
+    report: &mut ShardReport,
 ) -> Option<Vec<FaultAnalysis>> {
     let reps: Vec<StuckAtFault> = batch
         .iter()
@@ -917,7 +927,7 @@ fn fused_pass<'a>(
         }
         Ok(Err(_)) => None,
         Err(_) => {
-            *dp = None;
+            report.retire(dp);
             None
         }
     }
@@ -926,7 +936,7 @@ fn fused_pass<'a>(
 /// The per-class unit of worker progress, with panic isolation: expands the
 /// representative's `fused` analysis to every member or, without one, runs
 /// [`summarize_class`]. A panic drops the class's partial summaries and
-/// empties the engine slot.
+/// retires the engine into `report`.
 fn process_class<'a>(
     work: &Work<'a>,
     dp: &mut Option<DiffProp<'a>>,
@@ -960,7 +970,7 @@ fn process_class<'a>(
             report
                 .panics
                 .push((class_id, panic_message(payload.as_ref())));
-            *dp = None;
+            report.retire(dp);
         }
     }
     let mut c = collector.borrow_mut();
@@ -1121,7 +1131,7 @@ fn sampled_summary(
 mod tests {
     use super::*;
     use dp_bdd::BudgetConfig;
-    use dp_faults::{checkpoint_faults, enumerate_nfbfs, BridgeKind};
+    use dp_faults::{checkpoint_faults, enumerate_nfbfs, BridgeKind, FaultSite};
     use dp_netlist::generators::{alu74181, c17, c1908_surrogate, c432_surrogate, c95, full_adder};
 
     fn with_parallelism(parallelism: Parallelism) -> SweepConfig {

@@ -26,11 +26,12 @@ impl FaultSite {
         }
     }
 
-    /// For a branch site, the consuming `(gate, pin)`; `None` for net sites.
-    pub fn branch_sink(&self) -> Option<(NetId, usize)> {
+    /// Where the fault enters the circuit: the net every effect of the
+    /// fault flows through — the stuck net itself, or a branch's sink gate.
+    pub fn flow_net(&self) -> NetId {
         match self {
-            FaultSite::Net(_) => None,
-            FaultSite::Branch(b) => Some((b.sink, b.pin)),
+            FaultSite::Net(n) => *n,
+            FaultSite::Branch(b) => b.sink,
         }
     }
 }
@@ -246,7 +247,7 @@ mod tests {
                 FaultSite::Net(n) => assert!(c.is_input(n)),
                 FaultSite::Branch(b) => {
                     assert_eq!(f.site.net(), b.stem);
-                    assert_eq!(f.site.branch_sink(), Some((b.sink, b.pin)));
+                    assert_eq!(f.site.flow_net(), b.sink);
                 }
             }
         }

@@ -746,13 +746,13 @@ fn atpg(circuit: &Circuit) {
     let faults: Vec<_> = stuck_at_universe(circuit, false);
     let t = std::time::Instant::now();
     let tests = generate_tests(circuit, &faults);
+    eprintln!("atpg took {:?}", t.elapsed());
     println!(
-        "{} vectors cover {}/{} checkpoint faults ({} undetectable) in {:?}",
+        "{} vectors cover {}/{} checkpoint faults ({} undetectable)",
         tests.vectors.len(),
         tests.covered,
         faults.len(),
         tests.undetectable.len(),
-        t.elapsed()
     );
     for v in &tests.vectors {
         let s: String = v.iter().map(|&b| if b { '1' } else { '0' }).collect();
@@ -763,11 +763,11 @@ fn atpg(circuit: &Circuit) {
 fn redundancy(circuit: &Circuit) {
     let t = std::time::Instant::now();
     let report = find_redundancies(circuit);
+    eprintln!("redundancy took {:?}", t.elapsed());
     println!(
-        "{} of {} net faults redundant ({:?})",
+        "{} of {} net faults redundant",
         report.redundant.len(),
         report.examined,
-        t.elapsed()
     );
     for f in &report.redundant {
         println!("redundant: {} ({})", f, circuit.net_name(f.site.net()));

@@ -2,7 +2,8 @@
 //! argument grammar (a bad value is a usage error, exit 2, never a panic;
 //! flags compose in any order and in either `--flag value` or
 //! `--flag=value` form), the figure sections against the committed golden,
-//! and the report checker's verdicts.
+//! and the report checker's verdicts. Also the `atpg` and `redundancy`
+//! stdout against committed goldens (their timing goes to stderr).
 
 use std::collections::BTreeMap;
 use std::process::{Command, Output};
@@ -78,6 +79,16 @@ fn figures_sections_match_the_golden() {
     assert_eq!(printed.len(), 4, "{:?}", printed.keys());
     for (title, body) in &printed {
         assert_eq!(Some(body), golden.get(title), "section `{title}`");
+    }
+}
+
+#[test]
+fn atpg_and_redundancy_stdout_match_the_goldens() {
+    for (command, circuit) in [("atpg", "c95"), ("atpg", "alu74181"), ("redundancy", "c95")] {
+        let golden =
+            std::fs::read_to_string(repo_path(&format!("tests/golden/{command}_{circuit}.txt")))
+                .expect("atpg/redundancy golden");
+        assert_eq!(stdout(&[command, circuit]), golden, "{command} {circuit}");
     }
 }
 

@@ -136,15 +136,28 @@ fn every_panicked_class_is_reported() {
     assert_eq!(sweep.summaries.len(), healthy);
 }
 
-/// A branch fault whose sink is c95's last gate but whose stem is no net of
-/// c95 panics the engine. Its class must be the only one lost: the sweep
-/// keeps it out of every fused batch, and every healthy summary stays exact
-/// and bit-identical to a clean sweep, at one worker and at two.
+/// A branch fault whose sink is the circuit's last gate but whose stem is
+/// no net of the circuit: analysing it panics the engine.
+fn foreign_stem_branch(circuit: &Circuit) -> Fault {
+    use diffprop::faults::{FaultSite, StuckAtFault};
+    use diffprop::netlist::{FanoutBranch, NetId};
+
+    Fault::StuckAt(StuckAtFault {
+        site: FaultSite::Branch(FanoutBranch {
+            stem: NetId::from_index(100_000),
+            sink: circuit.gates().last().expect("the circuit has gates"),
+            pin: 0,
+        }),
+        value: false,
+    })
+}
+
+/// c95's foreign-stem branch must be the only class lost: the sweep keeps
+/// it out of every fused batch, and every healthy summary stays exact and
+/// bit-identical to a clean sweep, at one worker and at two.
 #[test]
 fn foreign_stem_branch_loses_only_its_own_class() {
-    use diffprop::faults::{FaultSite, StuckAtFault};
     use diffprop::netlist::generators::c95;
-    use diffprop::netlist::{FanoutBranch, NetId};
 
     let circuit = c95();
     let healthy: Vec<Fault> = checkpoint_faults(&circuit)
@@ -153,14 +166,7 @@ fn foreign_stem_branch_loses_only_its_own_class() {
         .collect();
     let clean = sweep_universe(&circuit, &healthy, &SweepConfig::default());
     let mut faults = healthy.clone();
-    faults.push(Fault::StuckAt(StuckAtFault {
-        site: FaultSite::Branch(FanoutBranch {
-            stem: NetId::from_index(100_000),
-            sink: circuit.gates().last().expect("c95 has gates"),
-            pin: 0,
-        }),
-        value: false,
-    }));
+    faults.push(foreign_stem_branch(&circuit));
     for parallelism in [Parallelism::Serial, Parallelism::Threads(2)] {
         let sweep = sweep_universe(
             &circuit,
@@ -186,6 +192,34 @@ fn foreign_stem_branch_loses_only_its_own_class() {
             assert_eq!(s.adherence.map(f64::to_bits), c.adherence.map(f64::to_bits));
         }
     }
+}
+
+/// The engine a panic drops takes its counters with it unless the worker
+/// folds them into its report first: a serial sweep that loses one class
+/// three faults from the end must still count (nearly) all the unique-table
+/// work of the clean sweep, not only what its rebuilt engine did.
+#[test]
+fn a_panicked_engine_keeps_its_counters() {
+    use diffprop::netlist::generators::c95;
+
+    let circuit = c95();
+    let healthy: Vec<Fault> = checkpoint_faults(&circuit)
+        .into_iter()
+        .map(Fault::from)
+        .collect();
+    let clean = sweep_universe(&circuit, &healthy, &SweepConfig::default());
+    let mut faults = healthy.clone();
+    faults.insert(faults.len() - 3, foreign_stem_branch(&circuit));
+    let poisoned = sweep_universe(&circuit, &faults, &SweepConfig::default());
+    assert_eq!(poisoned.panicked_classes().len(), 1);
+    let (got, want) = (
+        poisoned.merged_stats().unique.lookups,
+        clean.merged_stats().unique.lookups,
+    );
+    assert!(
+        got * 10 >= want * 9,
+        "poisoned sweep counted {got} unique lookups, clean sweep {want}"
+    );
 }
 
 proptest! {
