@@ -5,9 +5,9 @@
 //! cache of fault records: each (circuit, fault model) pair is swept once,
 //! on first use, and every driver that needs it reads the cached records.
 //! Each driver returns plain printable data. `diffprop figures` renders
-//! them (its paper-scale output is recorded in `EXPERIMENTS.md`), the
-//! paper-claims tests assert on them, and the Criterion harness in
-//! `crates/bench` times them.
+//! them (its paper-scale output is recorded in `EXPERIMENTS.md`, its
+//! smoke-scale output is pinned in `tests/golden/figures_smoke.txt`) and
+//! the paper-claims tests assert on them.
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};

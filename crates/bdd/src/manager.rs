@@ -469,14 +469,17 @@ impl Manager {
         }
         let (node, flip) = Node::canonical(var, lo, hi);
         // Two-level lookup: the frozen base first (immutable, so a present
-        // node is always a hit), then the private delta table. Each probe
+        // node is always a hit), then the private delta table. Each lookup
         // resolves against exactly one table, keeping
         // `unique.lookups == base_hits + delta_lookups`. Both tables store
-        // only arena indices; key comparison reads the arena in place.
+        // only arena indices; key comparison reads the arena in place. A
+        // node with a delta child cannot be in the base, so the base is
+        // probed only when both children are base nodes.
         let base_len = self.base_len();
         let base_hit = self
             .base
             .as_ref()
+            .filter(|_| node.lo.index().max(node.hi.index()) < base_len)
             .and_then(|base| base.unique.get(&node, &base.nodes, 0));
         let id = if let Some(id) = base_hit {
             self.stats.unique.hit();

@@ -15,7 +15,8 @@ use crate::good::{GoodFunctions, GoodSnapshot};
 use crate::order::OrderStrategy;
 
 /// Tuning knobs for [`DiffProp`] — the defaults reproduce the paper's
-/// algorithm; the alternatives exist for the ablation benchmarks.
+/// algorithm; the alternatives exist for the `ablations` section of
+/// `diffprop figures`.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
     /// Skip gates whose input differences are all zero (the paper's

@@ -19,7 +19,7 @@
 //! (asserted in tests); branch faults need the per-pin refinement DP gets
 //! for free, which is part of why the paper moved on.
 
-use dp_bdd::NodeId;
+use dp_bdd::{ManagerStats, NodeId};
 use dp_netlist::{Circuit, NetId};
 
 use crate::good::GoodFunctions;
@@ -43,6 +43,11 @@ pub struct Observability<'c> {
     circuit: &'c Circuit,
     /// Exact good functions (for excitation terms).
     good: GoodFunctions,
+    /// Counters of every per-net cut build, summed.
+    cut_work: ManagerStats,
+    /// Observability functions computed so far, by net index. The exact
+    /// manager is never collected, so the handles stay valid.
+    observed: Vec<Option<NodeId>>,
 }
 
 impl<'c> Observability<'c> {
@@ -51,18 +56,33 @@ impl<'c> Observability<'c> {
         Observability {
             circuit,
             good: GoodFunctions::build(circuit),
+            cut_work: ManagerStats::default(),
+            observed: vec![None; circuit.num_nets()],
         }
     }
 
     /// The observability function of `net` over the primary inputs: true on
     /// the vectors whose outputs are sensitive to the net's value.
     ///
-    /// Each call rebuilds the cut functions for this net (the cost CATAPULT
-    /// pays per line that DP folds into one propagation).
+    /// The first call for a net rebuilds the cut functions for it (the cost
+    /// CATAPULT pays per line that DP folds into one propagation); both
+    /// stuck values of the line then share the result.
     pub fn function(&mut self, net: NetId) -> NodeId {
-        if self.circuit.is_input(net) {
-            return self.pi_observability(net);
+        if let Some(o) = self.observed[net.index()] {
+            return o;
         }
+        let o = if self.circuit.is_input(net) {
+            self.pi_observability(net)
+        } else {
+            self.cut_observability(net)
+        };
+        self.observed[net.index()] = Some(o);
+        o
+    }
+
+    /// The observability of a gate-driven net: cut it, then OR every
+    /// output's Boolean difference with respect to the cut variable.
+    fn cut_observability(&mut self, net: NetId) -> NodeId {
         let cut = GoodFunctions::build_with_cuts(self.circuit, &[net]);
         let y = self.circuit.num_inputs() as u32;
         // O = ⋁_k ∂PO_k/∂y, a function of the PIs only.
@@ -81,6 +101,7 @@ impl<'c> Observability<'c> {
             let diff = m.xor(lo, hi);
             sensitive_over_cut = m.or(sensitive_over_cut, diff);
         }
+        self.cut_work = self.cut_work.merged(m.stats());
         // Transfer into the exact manager (same PI variable order; the cut
         // manager has one extra trailing variable y, absent from the
         // Boolean difference). Rebuild by cube enumeration would be
@@ -134,6 +155,12 @@ impl<'c> Observability<'c> {
     /// Shared good functions (and the manager owning returned nodes).
     pub fn good(&self) -> &GoodFunctions {
         &self.good
+    }
+
+    /// The whole analysis's counters: the exact manager's (good build and
+    /// transfers included) merged with every per-net cut build's.
+    pub fn stats(&self) -> ManagerStats {
+        self.cut_work.merged(self.good.manager().stats())
     }
 }
 

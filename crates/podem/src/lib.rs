@@ -12,8 +12,8 @@
 //!
 //! The test suite cross-validates PODEM's verdicts against Difference
 //! Propagation's exact detectabilities and its vectors against the
-//! bit-parallel fault simulator; the benchmark harness compares the two
-//! generators' costs.
+//! bit-parallel fault simulator; `diffprop figures --only ablations`
+//! counts the two generators' costs.
 //!
 //! # Examples
 //!
@@ -33,5 +33,5 @@
 mod engine;
 mod fivev;
 
-pub use engine::{generate_test, PodemResult, PodemStats};
+pub use engine::{generate_test, generate_test_with_stats, PodemResult, PodemStats};
 pub use fivev::{FiveV, Tern};

@@ -5,6 +5,8 @@
 //! selects some of them. Every section is computed by a driver of
 //! `dp_analysis::figures::Lab`, which sweeps each circuit's fault sets once
 //! and shares the records across sections; this module only renders text.
+//! The `ablations` section (exact cost counters, see `ablations.rs`) prints
+//! only when `--only` names it.
 //! The default configuration is paper scale (≈1000 sampled bridging faults
 //! per circuit and kind, full collapsed checkpoint sets); `--smoke` picks a
 //! reduced workload, and `--bf-sample` / `--sa-cap` and the sweep flags
@@ -39,8 +41,19 @@ use diffprop::telemetry::ReportFile;
 use crate::Opts;
 
 /// The sections `--only` selects, in print order.
-pub const SECTIONS: [&str; 11] = [
-    "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "ext", "obs", "models",
+pub const SECTIONS: [&str; 12] = [
+    "fig1",
+    "fig2",
+    "fig3",
+    "fig4",
+    "fig5",
+    "fig6",
+    "fig7",
+    "fig8",
+    "ext",
+    "obs",
+    "models",
+    "ablations",
 ];
 
 /// Runs `diffprop figures`: the base configuration `--smoke` picks, with
@@ -58,7 +71,8 @@ pub fn run(opts: &Opts) {
         ..base
     };
     let only = opts.only.as_deref();
-    let wants = |name: &str| only.is_none_or(|o| o.iter().any(|x| x == name));
+    let named = |name: &str| only.is_some_and(|o| o.iter().any(|x| x == name));
+    let wants = |name: &str| only.is_none() || named(name);
     let mut lab = Lab::new(config, benchmark_suite()).with_sweep_hook(report_sweep);
     let total = Instant::now();
 
@@ -200,6 +214,11 @@ pub fn run(opts: &Opts) {
                 );
             }
         }
+    }
+
+    if named("ablations") {
+        section("Ablations — exact cost counters of serial engines at pinned orders");
+        crate::ablations::print();
     }
 
     opts.write_telemetry(|| {

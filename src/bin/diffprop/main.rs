@@ -96,6 +96,7 @@ use diffprop::netlist::{find_xor_quads, generators, parse_bench, Circuit, Scoap}
 use diffprop::serve::{CircuitSpec, Client, PointParams, DEFAULT_ADDR};
 use diffprop::telemetry::json::JsonValue;
 
+mod ablations;
 mod figures;
 
 fn load(arg: &str) -> Circuit {
@@ -151,7 +152,8 @@ sections: {sections}
                       flag applies on top of it, wherever it stands
 --bf-sample N         max sampled bridging faults per circuit and kind (figures)
 --sa-cap N            max stuck-at faults per circuit (figures)
---only SECTION,...    print only these figure sections
+--only SECTION,...    print only these figure sections (ablations, the exact
+                      cost counters, prints only when named)
 --max-unique-ratio R  validate-report: OTHER's results must equal BASELINE's and
                       its summed unique-table lookups be at most R times
                       BASELINE's",

@@ -80,6 +80,17 @@ fn figures_sections_match_the_golden() {
     for (title, body) in &printed {
         assert_eq!(Some(body), golden.get(title), "section `{title}`");
     }
+    // A run without `--only` prints exactly the golden's sections: the
+    // ablation counters print only when named.
+    let plain = stdout(&["figures", "--smoke", "--sa-cap", "0", "--bf-sample", "0"]);
+    assert!(sections(&plain).keys().eq(golden.keys()), "{plain}");
+    // Every ablation row pins its own order, so the sweep's does not matter.
+    let ablations = std::fs::read_to_string(repo_path("tests/golden/figures_ablations.txt"))
+        .expect("ablations golden");
+    for order in ["identity", "auto"] {
+        let printed = stdout(&["figures", "--only", "ablations", "--order", order]);
+        assert_eq!(printed, ablations, "--order {order}");
+    }
 }
 
 #[test]
