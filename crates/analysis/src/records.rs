@@ -2,8 +2,8 @@
 
 use dp_core::{sweep_universe, FaultOutcome, SweepConfig};
 use dp_faults::{
-    checkpoint_faults, collapse_checkpoint_faults, enumerate_bridges, enumerate_nfbfs, pair_multis,
-    sample_nfbfs, sampled_multis, BridgeKind, BridgeTopology, Fault, FaultSite, SampleConfig,
+    checkpoint_faults, collapse_checkpoint_faults, enumerate_bridges, pair_multis, sample_nfbfs,
+    sampled_multis, BridgeKind, BridgeTopology, Fault, FaultSite, SampleConfig,
 };
 use dp_netlist::{Circuit, NetId};
 
@@ -157,20 +157,7 @@ pub fn bridging_universe(
     sample: Option<usize>,
     seed: u64,
 ) -> Vec<Fault> {
-    let all = enumerate_nfbfs(circuit, kind);
-    let picked = match sample {
-        Some(n) if n < all.len() => sample_nfbfs(
-            circuit,
-            &all,
-            SampleConfig {
-                count: n,
-                seed,
-                ..Default::default()
-            },
-        ),
-        _ => all,
-    };
-    picked.into_iter().map(Fault::from).collect()
+    bridge_universe(circuit, kind, BridgeTopology::NonFeedback, sample, seed)
 }
 
 /// The feedback-bridge universe for a circuit and bridge kind: every pair
@@ -183,7 +170,19 @@ pub fn feedback_bridging_universe(
     sample: Option<usize>,
     seed: u64,
 ) -> Vec<Fault> {
-    let all = enumerate_bridges(circuit, kind, BridgeTopology::Feedback);
+    bridge_universe(circuit, kind, BridgeTopology::Feedback, sample, seed)
+}
+
+/// One `(kind, topology)` cell of the bridge enumeration, sampled down to
+/// `sample` faults when it is larger.
+fn bridge_universe(
+    circuit: &Circuit,
+    kind: BridgeKind,
+    topology: BridgeTopology,
+    sample: Option<usize>,
+    seed: u64,
+) -> Vec<Fault> {
+    let all = enumerate_bridges(circuit, kind, topology);
     let picked = match sample {
         Some(n) if n < all.len() => sample_nfbfs(
             circuit,
@@ -242,10 +241,7 @@ pub fn fault_model_universe(
         "nfbf-or" => bridging_universe(circuit, BridgeKind::Or, sample, seed),
         "fbridge-and" => feedback_bridging_universe(circuit, BridgeKind::And, sample, seed),
         "fbridge-or" => feedback_bridging_universe(circuit, BridgeKind::Or, sample, seed),
-        "multi" => match sample {
-            None => multi_universe(circuit, 2, None, seed),
-            Some(n) => multi_universe(circuit, 2, Some(n), seed),
-        },
+        "multi" => multi_universe(circuit, 2, sample, seed),
         other => {
             return Err(format!(
                 "unknown fault model `{other}` (expected stuck, nfbf-and, nfbf-or, \

@@ -91,4 +91,4 @@ pub use parallel::{
     Parallelism, RecordSink, ShardReport, SweepConfig, SweepResult, WORKER_PANIC,
 };
 pub use redundancy::{find_redundancies, RedundancyReport};
-pub use report::{summaries_digest, summary_line, sweep_report};
+pub use report::{summaries_digest, summary_from_line, summary_line, sweep_report};

@@ -13,6 +13,7 @@
 
 use std::fmt::Write as _;
 
+use dp_faults::Fault;
 use dp_telemetry::{fnv1a64, ShardExecution, SweepExecution, SweepOutcome, SweepReport};
 
 use crate::parallel::{FaultOutcome, FaultSummary, SweepResult};
@@ -56,6 +57,73 @@ pub fn summary_line(index: usize, s: &FaultSummary) -> String {
         }
     }
     line
+}
+
+/// The inverse of [`summary_line`] against the fault list the line indexes:
+/// reads the line's own index, requires it to name a fault of `faults` and
+/// the fault column to be that fault's rendering, and rebuilds every scalar
+/// from its bit pattern, so the summary renders back to the identical line.
+/// Any other line is an `Err` naming what is wrong, never a panic.
+pub fn summary_from_line(line: &str, faults: &[Fault]) -> Result<(usize, FaultSummary), String> {
+    let fields: Vec<&str> = line.split('\t').collect();
+    let [index, name, det, count, obs, sfc, adh, outcome] = fields.as_slice() else {
+        return Err(format!("expected 8 tab-separated fields: {line:?}"));
+    };
+    let index: usize = index
+        .parse()
+        .map_err(|_| format!("bad record index `{index}`"))?;
+    let n = faults.len();
+    let fault = faults
+        .get(index)
+        .ok_or_else(|| format!("record index {index} is outside the {n} faults"))?;
+    if fault.to_string() != *name {
+        return Err(format!("record {index} names `{name}`, not `{fault}`"));
+    }
+    let bits = |s: &str, what: &str| {
+        u64::from_str_radix(s, 16).map_err(|_| format!("bad {what} bit pattern `{s}`"))
+    };
+    let outcome = match *outcome {
+        "exact" => FaultOutcome::Exact,
+        other => match (
+            other.strip_prefix("bounded:"),
+            other.strip_prefix("oscillating:"),
+        ) {
+            (Some(s), _) => FaultOutcome::Bounded {
+                samples: s.parse().map_err(|_| format!("bad outcome `{other}`"))?,
+            },
+            (_, Some(d)) => FaultOutcome::Oscillating {
+                density_bits: bits(d, "oscillation density")?,
+            },
+            _ => return Err(format!("bad outcome `{other}`")),
+        },
+    };
+    let summary = FaultSummary {
+        fault: fault.clone(),
+        detectability: f64::from_bits(bits(det, "detectability")?),
+        test_count: match *count {
+            "-" => None,
+            n => Some(n.parse().map_err(|_| format!("bad test count `{n}`"))?),
+        },
+        observable_outputs: obs
+            .chars()
+            .map(|c| match c {
+                '0' => Ok(false),
+                '1' => Ok(true),
+                _ => Err(format!("bad observability flag `{c}`")),
+            })
+            .collect::<Result<_, _>>()?,
+        site_function_constant: match *sfc {
+            "0" => false,
+            "1" => true,
+            other => return Err(format!("bad site-constant flag `{other}`")),
+        },
+        adherence: match *adh {
+            "-" => None,
+            a => Some(f64::from_bits(bits(a, "adherence")?)),
+        },
+        outcome,
+    };
+    Ok((index, summary))
 }
 
 /// FNV-1a digest over the canonical rendering of every summary, newline
@@ -125,8 +193,126 @@ pub fn sweep_report(circuit: &str, fault_model: &str, result: &SweepResult) -> S
 mod tests {
     use super::*;
     use crate::parallel::{sweep_universe, Parallelism, SweepConfig};
-    use dp_faults::{checkpoint_faults, Fault};
-    use dp_netlist::generators::c17;
+    use crate::EngineConfig;
+    use dp_bdd::BudgetConfig;
+    use dp_faults::{checkpoint_faults, enumerate_bridges, BridgeKind, BridgeTopology};
+    use dp_netlist::generators::{c17, c95};
+
+    /// Every summary of three sweeps, one per outcome kind (exact c95
+    /// checkpoint faults, budget-bounded ones, and c17 feedback bridges,
+    /// some of which oscillate), with the faults each line indexes.
+    fn every_outcome() -> Vec<(Vec<Fault>, Vec<FaultSummary>)> {
+        let c95 = c95();
+        let stuck: Vec<Fault> = checkpoint_faults(&c95)
+            .into_iter()
+            .map(Fault::from)
+            .collect();
+        let exact = sweep_universe(&c95, &stuck, &SweepConfig::default());
+        let budgeted = SweepConfig {
+            engine: EngineConfig {
+                budget: BudgetConfig::with_max_nodes(48),
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let bounded = sweep_universe(&c95, &stuck[..24], &budgeted);
+        let c17 = c17();
+        let bridges: Vec<Fault> =
+            enumerate_bridges(&c17, BridgeKind::And, BridgeTopology::Feedback)
+                .into_iter()
+                .map(Fault::from)
+                .collect();
+        let feedback = sweep_universe(&c17, &bridges, &SweepConfig::default());
+        vec![
+            (stuck.clone(), exact.summaries),
+            (stuck, bounded.summaries),
+            (bridges, feedback.summaries),
+        ]
+    }
+
+    #[test]
+    fn every_summary_line_reparses_to_the_identical_line() {
+        let sweeps = every_outcome();
+        let outcomes: Vec<&FaultOutcome> = sweeps
+            .iter()
+            .flat_map(|(_, summaries)| summaries.iter().map(|s| &s.outcome))
+            .collect();
+        assert!(outcomes.iter().any(|o| o.is_exact()));
+        assert!(outcomes.iter().any(|o| o.is_oscillating()));
+        assert!(outcomes
+            .iter()
+            .any(|o| matches!(o, FaultOutcome::Bounded { .. })));
+        for (faults, summaries) in &sweeps {
+            for (i, s) in summaries.iter().enumerate() {
+                let line = summary_line(i, s);
+                let (index, parsed) = summary_from_line(&line, faults).expect(&line);
+                assert_eq!(index, i);
+                assert_eq!(parsed.fault, faults[i]);
+                assert_eq!(summary_line(index, &parsed), line, "byte-identical");
+            }
+        }
+    }
+
+    #[test]
+    fn a_line_that_does_not_name_its_fault_is_an_error() {
+        let c = c17();
+        let faults: Vec<Fault> = checkpoint_faults(&c).into_iter().map(Fault::from).collect();
+        let sweep = sweep_universe(&c, &faults, &SweepConfig::default());
+        let line = summary_line(3, &sweep.summaries[3]);
+        let fault = faults[3].to_string();
+        let bad = [
+            // An index outside the fault list, and one past its end.
+            (line.replacen("3\t", "999\t", 1), "outside the"),
+            (
+                line.replacen("3\t", &format!("{}\t", faults.len()), 1),
+                "outside the",
+            ),
+            // The right index with another fault's name.
+            (line.replace(&fault, &faults[4].to_string()), "names"),
+            (line.replace(&fault, ""), "names"),
+        ];
+        for (line, why) in bad {
+            let e = summary_from_line(&line, &faults).expect_err(&line);
+            assert!(e.contains(why), "{line:?}: {e}");
+        }
+        assert!(summary_from_line(&line, &faults[..3]).is_err());
+        assert!(summary_from_line(&line, &faults).is_ok());
+    }
+
+    #[test]
+    fn every_malformed_field_is_an_error() {
+        let c = c17();
+        let faults: Vec<Fault> = checkpoint_faults(&c).into_iter().map(Fault::from).collect();
+        let sweep = sweep_universe(&c, &faults, &SweepConfig::default());
+        let line = summary_line(2, &sweep.summaries[2]);
+        let fields: Vec<&str> = line.split('\t').collect();
+        let with = |at: usize, value: &str| {
+            let mut f = fields.clone();
+            f[at] = value;
+            f.join("\t")
+        };
+        let bad = [
+            (String::new(), "8 tab-separated"),
+            (fields[..7].join("\t"), "8 tab-separated"),
+            (format!("{line}\texact"), "8 tab-separated"),
+            (with(0, "x"), "record index"),
+            (with(0, "-1"), "record index"),
+            (with(2, "zz"), "detectability"),
+            (with(2, "1ffffffffffffffff"), "detectability"),
+            (with(3, "1.5"), "test count"),
+            (with(4, "10x"), "observability"),
+            (with(5, "2"), "site-constant"),
+            (with(6, "q"), "adherence"),
+            (with(7, "approx"), "outcome"),
+            (with(7, "bounded:"), "outcome"),
+            (with(7, "bounded:-3"), "outcome"),
+            (with(7, "oscillating:xyz"), "oscillation density"),
+        ];
+        for (line, why) in bad {
+            let e = summary_from_line(&line, &faults).expect_err(&line);
+            assert!(e.contains(why), "{line:?}: {e}");
+        }
+    }
 
     #[test]
     fn digest_is_sensitive_to_every_summary_field() {

@@ -16,9 +16,12 @@
 //!   renamed or rewired circuit can never alias a stale snapshot; the order
 //!   strategy is part of the key because a snapshot freezes its variable
 //!   order — thawing a fanin-DFS base cannot serve an `identity` request's
-//!   cost model. Per-request budgets are deliberately *not* in the key:
-//!   budgets bound the fault propagations of one request, not the identity
-//!   of the good functions.
+//!   cost model.
+//! * The cache holds only unbudgeted builds, which cannot trip. A request
+//!   that carries a budget never reaches it: the server runs the local
+//!   code for it, building under the budget (a sweep that trips degrades
+//!   every class, as `diffprop analyze` does), so its answer is the local
+//!   run's and the cache's counters do not move.
 //! * Eviction is least-recently-used by byte size
 //!   ([`dp_core::GoodSnapshot::approx_bytes`]), but an entry with live
 //!   borrowers (`Arc::strong_count > 1`: some request is still sweeping

@@ -5,8 +5,8 @@
 //! ISCAS surrogates it is seconds of work before the first fault is even
 //! looked at. A batch CLI pays that price per invocation; `dp-serve` pays
 //! it once per `(circuit, order strategy)` pair and keeps the frozen
-//! [`dp_core::GoodSnapshot`] resident, so every subsequent request thaws
-//! delta managers against the shared base and performs **zero**
+//! [`dp_core::GoodSnapshot`] resident, so every subsequent unbudgeted
+//! request thaws delta managers against the shared base and performs **zero**
 //! good-function builds (provable from the manager counters: a warm
 //! sweep's `unique.lookups` plus the one-off build cost equals a cold
 //! sweep's, exactly).
@@ -36,7 +36,7 @@ pub mod server;
 pub use cache::{CacheEntry, CacheKey, SnapshotCache};
 pub use client::{Client, SweepOutcome};
 pub use protocol::{
-    CacheStatus, CircuitSpec, Frame, PointParams, ProtocolError, Request, SweepParams, WireSummary,
+    CacheStatus, CircuitSpec, Frame, PointParams, ProtocolError, Request, SweepParams,
     MAX_FALLBACK_SAMPLES, MAX_REQUEST_BYTES, PROTOCOL_VERSION,
 };
 pub use server::{Server, ServerConfig, DEFAULT_ADDR};

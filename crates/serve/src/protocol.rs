@@ -9,7 +9,8 @@
 //! results long before the sweep finishes. Each record carries the exact
 //! batch TSV rendering ([`dp_core::summary_line`]) — concatenating the
 //! `line` fields of a streamed sweep reproduces the batch output
-//! byte-for-byte, which the golden tests assert.
+//! byte-for-byte, which the golden tests assert. A client parses a line
+//! back against its own fault list with [`dp_core::summary_from_line`].
 //!
 //! All scalars that matter for bit-identity (`detectability`, `adherence`)
 //! travel as `f64` bit patterns inside the TSV line, never as decimal
@@ -17,8 +18,7 @@
 
 use std::fmt;
 
-use dp_core::{BudgetConfig, EngineConfig, FaultOutcome, FaultSummary, OrderStrategy, SweepConfig};
-use dp_faults::Fault;
+use dp_core::{BudgetConfig, EngineConfig, OrderStrategy, SweepConfig};
 use dp_netlist::{generators, parse_bench, Circuit};
 use dp_telemetry::json::JsonValue;
 
@@ -143,9 +143,9 @@ pub fn is_builtin(name: &str) -> bool {
 }
 
 /// Per-request sweep parameters. Everything that changes *which rows* come
-/// back (`count`, `collapse`, `budget`, `fallback_samples`) or the cache
-/// key (`order`) is explicit; execution detail the rows are invariant to
-/// (`threads`) is advisory to the server.
+/// back (`model`, `count`, `budget`, `fallback_samples`) or the cache key
+/// (`order`) is explicit. So is execution detail the rows are invariant
+/// to: `collapse`, and `threads`, which is advisory to the server.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepParams {
     /// Variable-order strategy — part of the snapshot-cache key.
@@ -166,8 +166,10 @@ pub struct SweepParams {
     /// Random vectors per budget-degraded estimate, at most
     /// [`MAX_FALLBACK_SAMPLES`].
     pub fallback_samples: u64,
-    /// Per-request BDD work budget. Applies to the fault propagations of
-    /// this request; the cache key deliberately excludes it.
+    /// Per-request BDD work budget, or [`BudgetConfig::UNLIMITED`]. A
+    /// budgeted sweep skips the snapshot cache and runs the local sweep,
+    /// which builds under the budget and, should the build trip, degrades
+    /// every class to a sampled estimate, so the rows equal the local run's.
     pub budget: BudgetConfig,
 }
 
@@ -193,7 +195,9 @@ impl Default for SweepParams {
 pub struct PointParams {
     /// Variable-order strategy — part of the snapshot-cache key.
     pub order: OrderStrategy,
-    /// Per-request BDD work budget (excluded from the cache key).
+    /// Per-request BDD work budget, or [`BudgetConfig::UNLIMITED`]. A
+    /// budgeted query skips the snapshot cache and builds under the budget:
+    /// a build it trips answers with an `error` frame.
     pub budget: BudgetConfig,
     /// Net name of the stuck-at site.
     pub net: String,
@@ -424,7 +428,8 @@ pub struct CacheStatus {
     pub budget_bytes: u64,
     /// Requests answered from a resident snapshot.
     pub hits: u64,
-    /// Requests that had to build (and then cached the result).
+    /// Requests that had to build (and then cached the result). A budgeted
+    /// request never uses the cache and counts as neither hit nor miss.
     pub misses: u64,
     /// Entries evicted to make room.
     pub evictions: u64,
@@ -559,98 +564,6 @@ impl Frame {
     }
 }
 
-/// A per-fault record decoded from the wire TSV line — every
-/// [`FaultSummary`] field except the fault itself, which the client
-/// re-derives locally (both sides build the identical universe, so the
-/// record's index names the fault).
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireSummary {
-    pub index: usize,
-    pub detectability: f64,
-    pub test_count: Option<u128>,
-    pub observable_outputs: Vec<bool>,
-    pub site_function_constant: bool,
-    pub adherence: Option<f64>,
-    pub outcome: FaultOutcome,
-}
-
-impl WireSummary {
-    /// Parses one [`dp_core::summary_line`] rendering. The `f64` fields are
-    /// decoded from their exact bit patterns, so a summary reconstructed
-    /// here renders back to the byte-identical line.
-    pub fn parse(line: &str) -> Result<WireSummary, ProtocolError> {
-        let fields: Vec<&str> = line.split('\t').collect();
-        let [index, _fault, det, count, obs, sfc, adh, outcome] = fields.as_slice() else {
-            return Err(err(format!("expected 8 tab-separated fields: {line:?}")));
-        };
-        let bits = |s: &str, what: &str| -> Result<f64, ProtocolError> {
-            u64::from_str_radix(s, 16)
-                .map(f64::from_bits)
-                .map_err(|_| err(format!("bad {what} bit pattern `{s}`")))
-        };
-        Ok(WireSummary {
-            index: index
-                .parse()
-                .map_err(|_| err(format!("bad record index `{index}`")))?,
-            detectability: bits(det, "detectability")?,
-            test_count: match *count {
-                "-" => None,
-                n => Some(
-                    n.parse()
-                        .map_err(|_| err(format!("bad test count `{n}`")))?,
-                ),
-            },
-            observable_outputs: obs
-                .chars()
-                .map(|c| match c {
-                    '0' => Ok(false),
-                    '1' => Ok(true),
-                    _ => Err(err(format!("bad observability flag `{c}`"))),
-                })
-                .collect::<Result<_, _>>()?,
-            site_function_constant: match *sfc {
-                "0" => false,
-                "1" => true,
-                other => return Err(err(format!("bad site-constant flag `{other}`"))),
-            },
-            adherence: match *adh {
-                "-" => None,
-                a => Some(bits(a, "adherence")?),
-            },
-            outcome: match *outcome {
-                "exact" => FaultOutcome::Exact,
-                other => {
-                    if let Some(s) = other.strip_prefix("bounded:") {
-                        let samples = s
-                            .parse()
-                            .map_err(|_| err(format!("bad outcome `{other}`")))?;
-                        FaultOutcome::Bounded { samples }
-                    } else if let Some(d) = other.strip_prefix("oscillating:") {
-                        let density_bits = u64::from_str_radix(d, 16)
-                            .map_err(|_| err(format!("bad outcome `{other}`")))?;
-                        FaultOutcome::Oscillating { density_bits }
-                    } else {
-                        return Err(err(format!("bad outcome `{other}`")));
-                    }
-                }
-            },
-        })
-    }
-
-    /// Joins the wire scalars with the locally-derived fault.
-    pub fn into_summary(self, fault: Fault) -> FaultSummary {
-        FaultSummary {
-            fault,
-            detectability: self.detectability,
-            test_count: self.test_count,
-            observable_outputs: self.observable_outputs,
-            site_function_constant: self.site_function_constant,
-            adherence: self.adherence,
-            outcome: self.outcome,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -734,25 +647,6 @@ mod tests {
             let line = frame.to_line();
             assert!(!line.contains('\n'), "one frame, one line: {line:?}");
             assert_eq!(Frame::from_line(&line).expect("parse back"), frame);
-        }
-    }
-
-    #[test]
-    fn wire_summary_reparses_to_the_identical_line() {
-        use dp_core::{summary_line, sweep_universe, SweepConfig};
-        use dp_faults::checkpoint_faults;
-        let circuit = generators::c17();
-        let faults: Vec<Fault> = checkpoint_faults(&circuit)
-            .into_iter()
-            .map(Fault::from)
-            .collect();
-        let sweep = sweep_universe(&circuit, &faults, &SweepConfig::default());
-        for (i, s) in sweep.summaries.iter().enumerate() {
-            let line = summary_line(i, s);
-            let wire = WireSummary::parse(&line).expect("parse wire line");
-            assert_eq!(wire.index, i);
-            let rebuilt = wire.into_summary(s.fault.clone());
-            assert_eq!(summary_line(i, &rebuilt), line, "byte-identical round trip");
         }
     }
 

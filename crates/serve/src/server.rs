@@ -3,9 +3,11 @@
 //!
 //! Requests stream their answers incrementally (see [`crate::protocol`]);
 //! the BDD work itself runs through [`dp_core::sweep_universe_ext`]'s warm
-//! path, so every request after the first for a `(circuit, order)` pair
-//! performs zero good-function builds — the acceptance criterion the
-//! `serve` integration tests pin with exact counter arithmetic.
+//! path, so every unbudgeted request after the first for a
+//! `(circuit, order)` pair performs zero good-function builds — the
+//! acceptance criterion the `serve` integration tests pin with exact
+//! counter arithmetic. A budgeted request skips the cache and runs the
+//! local code (see [`crate::cache`]).
 //!
 //! Snapshot builds happen *outside* the cache lock: a slow admission (tens
 //! of seconds on the deep surrogates) must not stall a concurrent request
@@ -21,9 +23,10 @@ use dp_analysis::fault_model_universe;
 use dp_bdd::BudgetConfig;
 use dp_core::{
     summary_line, sweep_report, sweep_universe_ext, DiffProp, EngineConfig, FaultSummary,
-    OrderStrategy, Parallelism, SweepConfig,
+    GoodSnapshot, OrderStrategy, Parallelism, SweepConfig,
 };
 use dp_faults::{Fault, FaultSite, StuckAtFault};
+use dp_netlist::Circuit;
 use dp_telemetry::json::JsonValue;
 use dp_telemetry::{report_to_json, StreamInfo};
 
@@ -233,33 +236,53 @@ fn handle_request(
             let _ = TcpStream::connect(state.addr);
             return Ok(true);
         }
-        Request::Sweep { circuit, params } => {
-            match resolve_entry(state, &circuit, params.order, params.budget) {
+        // A budgeted request skips the cache and runs the local code, which
+        // builds under its budget, so it answers as the local run does.
+        Request::Sweep { circuit, params } if params.budget != BudgetConfig::UNLIMITED => {
+            match circuit.compile() {
                 Err(message) => send(out, &Frame::Error { message })?,
-                Ok((entry, cache)) => stream_sweep(&entry, cache, &params, state.max_threads, out)?,
+                Ok(c) => stream_sweep(&c, None, "miss", &params, state.max_threads, out)?,
             }
         }
+        Request::Sweep { circuit, params } => match resolve_entry(state, &circuit, params.order) {
+            Err(message) => send(out, &Frame::Error { message })?,
+            Ok((entry, cache)) => stream_sweep(
+                &entry.circuit,
+                Some(&entry.snapshot),
+                cache,
+                &params,
+                state.max_threads,
+                out,
+            )?,
+        },
         Request::Detectability { circuit, point } | Request::Adherence { circuit, point } => {
-            match resolve_entry(state, &circuit, point.order, point.budget) {
+            let answer = if point.budget == BudgetConfig::UNLIMITED {
+                resolve_entry(state, &circuit, point.order).and_then(|(entry, cache)| {
+                    point_value(&entry.circuit, Some(&entry.snapshot), cache, &point)
+                })
+            } else {
+                circuit
+                    .compile()
+                    .and_then(|c| point_value(&c, None, "miss", &point))
+            };
+            match answer {
                 Err(message) => send(out, &Frame::Error { message })?,
-                Ok((entry, cache)) => match point_value(&entry, cache, &point) {
-                    Err(message) => send(out, &Frame::Error { message })?,
-                    Ok(fields) => send(out, &Frame::Value(fields))?,
-                },
+                Ok(fields) => send(out, &Frame::Value(fields))?,
             }
         }
     }
     Ok(false)
 }
 
-/// Compiles the circuit and resolves its snapshot through the cache:
-/// lookup under the lock, build *outside* it on a miss, admit the result.
-/// Returns the entry and the cache disposition (`"hit"` / `"miss"`).
+/// Compiles the circuit and resolves its unbudgeted snapshot through the
+/// cache: lookup under the lock, build *outside* it on a miss, admit the
+/// result. Returns the entry and the cache disposition (`"hit"` /
+/// `"miss"`). The cache holds only unbudgeted builds, which cannot trip;
+/// a request with a budget never reaches it.
 fn resolve_entry(
     state: &ServerState,
     spec: &CircuitSpec,
     order: OrderStrategy,
-    budget: BudgetConfig,
 ) -> Result<(Arc<CacheEntry>, &'static str), String> {
     let circuit = spec.compile()?;
     let key = CacheKey {
@@ -269,34 +292,32 @@ fn resolve_entry(
     if let Some(entry) = state.cache().lookup(&key) {
         return Ok((entry, "hit"));
     }
-    // Only successful builds are admitted: a budget-tripped build answers
-    // this request with an error and leaves the cache untouched.
     let snapshot = DiffProp::build_snapshot(
         &circuit,
         EngineConfig {
             order,
-            budget,
             ..Default::default()
         },
     )
-    .map_err(|e| format!("good-function snapshot build failed: {e}"))?;
+    .expect("unlimited budget cannot trip");
     let entry = Arc::new(CacheEntry { circuit, snapshot });
     let entry = state.cache().admit(key, entry);
     Ok((entry, "miss"))
 }
 
-/// Runs a warm-snapshot sweep on at most `max_threads` workers, framing
-/// each run of summaries the in-order reorder buffer releases and flushing
-/// once per run, then the `done` frame with the schema-v2 report (stream
-/// section filled in).
+/// Runs a sweep on at most `max_threads` workers, framing each run of
+/// summaries the in-order reorder buffer releases and flushing once per
+/// run, then the `done` frame with the schema-v2 report (stream section
+/// filled in). With `snapshot` the workers thaw it; without, the sweep
+/// builds its own, exactly as a local `diffprop analyze` does.
 fn stream_sweep(
-    entry: &CacheEntry,
+    circuit: &Circuit,
+    snapshot: Option<&GoodSnapshot>,
     cache: &'static str,
     params: &SweepParams,
     max_threads: usize,
     out: &mut impl Write,
 ) -> io::Result<()> {
-    let circuit = &entry.circuit;
     let mut faults = match fault_model_universe(circuit, &params.model, None, 0) {
         Ok(faults) => faults,
         Err(message) => return send(out, &Frame::Error { message }),
@@ -334,13 +355,7 @@ fn stream_sweep(
             Err(e) => io_failure = Some(e),
         }
     };
-    let result = sweep_universe_ext(
-        circuit,
-        &faults,
-        &config,
-        Some(&entry.snapshot),
-        Some(&mut on_run),
-    );
+    let result = sweep_universe_ext(circuit, &faults, &config, snapshot, Some(&mut on_run));
     if let Some(e) = io_failure {
         return Err(e);
     }
@@ -363,15 +378,17 @@ fn stream_sweep(
     )
 }
 
-/// Answers a point query from a thawed delta manager over the cached
-/// snapshot: exact detectability, and adherence against the syndrome
-/// bound — the same arithmetic the sweep applies per fault.
+/// Answers a point query from a thawed delta manager over `snapshot`, or,
+/// for a budgeted query, over one built under its budget (a build the
+/// budget trips is this query's error): exact detectability, and adherence
+/// against the syndrome bound — the same arithmetic the sweep applies per
+/// fault.
 fn point_value(
-    entry: &CacheEntry,
+    circuit: &Circuit,
+    snapshot: Option<&GoodSnapshot>,
     cache: &'static str,
     point: &PointParams,
 ) -> Result<JsonValue, String> {
-    let circuit = &entry.circuit;
     let net = circuit.find_net(&point.net).ok_or_else(|| {
         format!(
             "no net named `{}` in circuit `{}`",
@@ -383,15 +400,21 @@ fn point_value(
         site: FaultSite::Net(net),
         value: point.stuck_at,
     });
-    let mut dp = DiffProp::from_snapshot(
-        circuit,
-        &entry.snapshot,
-        EngineConfig {
-            order: point.order,
-            budget: point.budget,
-            ..Default::default()
-        },
-    );
+    let engine = EngineConfig {
+        order: point.order,
+        budget: point.budget,
+        ..Default::default()
+    };
+    let built;
+    let snapshot = match snapshot {
+        Some(snapshot) => snapshot,
+        None => {
+            built = DiffProp::build_snapshot(circuit, engine)
+                .map_err(|e| format!("good-function snapshot build failed: {e}"))?;
+            &built
+        }
+    };
+    let mut dp = DiffProp::from_snapshot(circuit, snapshot, engine);
     let analysis = dp.try_analyze(&fault).map_err(|e| e.to_string())?;
     let bound = dp.detectability_bound(&fault);
     let adherence = bound.and_then(|u| (u > 0.0).then(|| analysis.detectability / u));
@@ -501,13 +524,8 @@ mod tests {
         assert!(state.cache.is_poisoned());
         let spec = CircuitSpec::Builtin("c17".into());
         for expect in ["miss", "hit"] {
-            let (_, cache) = resolve_entry(
-                &state,
-                &spec,
-                OrderStrategy::Identity,
-                BudgetConfig::UNLIMITED,
-            )
-            .expect("resolves through the poisoned lock");
+            let (_, cache) = resolve_entry(&state, &spec, OrderStrategy::Identity)
+                .expect("resolves through the poisoned lock");
             assert_eq!(cache, expect);
         }
         let mut out = Vec::new();
@@ -570,9 +588,9 @@ mod tests {
                 ..Default::default()
             },
         );
-        let entry = CacheEntry { circuit, snapshot };
         let mut out = FlushCounter::default();
-        stream_sweep(&entry, "hit", &params, 1, &mut out).expect("in-memory stream");
+        stream_sweep(&circuit, Some(&snapshot), "hit", &params, 1, &mut out)
+            .expect("in-memory stream");
 
         // Byte-identical to one record frame per summary, in index order…
         let expected: String = batch

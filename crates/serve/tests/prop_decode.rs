@@ -1,18 +1,29 @@
 //! Never-panic properties of every decoder a `dp-serve` request or
 //! response line passes through: the JSON parser, `Request::from_line`,
-//! `Frame::from_line`, `WireSummary::parse` and `parse_bench`.
+//! `Frame::from_line`, `dp_core::summary_from_line` (the record lines a
+//! client parses back against its fault list) and `parse_bench`.
 //!
 //! Each property feeds arbitrary bytes, and damaged copies of valid lines
 //! (bytes replaced, inserted, deleted, cut, or a stretch or line repeated),
 //! through `String::from_utf8_lossy`. A decoder may accept or refuse what it
 //! gets; it must return either way.
 
-use dp_core::{summary_line, sweep_universe, BudgetConfig, OrderStrategy, SweepConfig};
+use dp_core::{
+    summary_from_line, summary_line, sweep_universe, BudgetConfig, OrderStrategy, SweepConfig,
+};
 use dp_faults::{checkpoint_faults, Fault};
 use dp_netlist::{generators, parse_bench, write_bench};
-use dp_serve::{CacheStatus, CircuitSpec, Frame, PointParams, Request, SweepParams, WireSummary};
+use dp_serve::{CacheStatus, CircuitSpec, Frame, PointParams, Request, SweepParams};
 use dp_telemetry::json::{self, JsonValue};
 use proptest::prelude::*;
+
+/// The fault list the corpus's summary lines index.
+fn c17_faults() -> Vec<Fault> {
+    checkpoint_faults(&generators::c17())
+        .into_iter()
+        .map(Fault::from)
+        .collect()
+}
 
 /// Valid request lines, frame lines, wire summaries and `.bench` texts.
 fn corpus() -> Vec<String> {
@@ -30,10 +41,7 @@ fn corpus() -> Vec<String> {
         net: "22".into(),
         stuck_at: true,
     };
-    let faults: Vec<Fault> = checkpoint_faults(&c17)
-        .into_iter()
-        .map(Fault::from)
-        .collect();
+    let faults = c17_faults();
     let sweep = sweep_universe(&c17, &faults[..4], &SweepConfig::default());
     let mut lines = vec![
         Request::Sweep {
@@ -127,7 +135,7 @@ fn decode_everything(text: &str) {
     let _ = json::parse(text);
     let _ = Request::from_line(text);
     let _ = Frame::from_line(text);
-    let _ = WireSummary::parse(text);
+    let _ = summary_from_line(text, &c17_faults());
     let _ = parse_bench(text, "fuzz");
 }
 
@@ -168,10 +176,11 @@ proptest! {
 
 #[test]
 fn the_corpus_decodes_cleanly() {
+    let faults = c17_faults();
     for line in corpus() {
         let decoded = Request::from_line(&line).is_ok()
             || Frame::from_line(&line).is_ok()
-            || WireSummary::parse(&line).is_ok()
+            || summary_from_line(&line, &faults).is_ok()
             || parse_bench(&line, "corpus").is_ok();
         assert!(decoded, "{line}");
     }

@@ -9,12 +9,12 @@ use std::thread;
 
 use dp_analysis::stuck_at_universe;
 use dp_core::{
-    summary_line, sweep_universe, sweep_universe_ext, DiffProp, EngineConfig, OrderStrategy,
-    Parallelism, SweepConfig,
+    summary_from_line, summary_line, sweep_universe, sweep_universe_ext, BudgetConfig, DiffProp,
+    EngineConfig, OrderStrategy, Parallelism, SweepConfig,
 };
 use dp_netlist::generators;
 use dp_serve::{
-    CircuitSpec, Client, Frame, PointParams, Server, ServerConfig, SweepParams, WireSummary,
+    CircuitSpec, Client, Frame, PointParams, Server, ServerConfig, SweepParams,
     MAX_FALLBACK_SAMPLES, MAX_REQUEST_BYTES,
 };
 use dp_telemetry::json::JsonValue;
@@ -163,6 +163,83 @@ fn repeat_sweep_hits_the_cache_and_performs_zero_good_function_builds() {
 }
 
 #[test]
+fn budgeted_requests_run_the_local_code_and_leave_the_cache_alone() {
+    let server = TestServer::start();
+    let mut client = server.client();
+    // A resident unbudgeted snapshot that a budgeted request must not use.
+    let (_, warmup) = sweep_lines(&mut client, "c95", 1);
+    assert_eq!(warmup.cache, "miss");
+
+    // 48 nodes is less than c95's good-function build: the local sweep
+    // degrades every class to a sampled estimate, and so must the server.
+    let budget = BudgetConfig::with_max_nodes(48);
+    let circuit = generators::c95();
+    let faults = stuck_at_universe(&circuit, true);
+    let local = sweep_universe(
+        &circuit,
+        &faults[..24],
+        &SweepConfig {
+            engine: EngineConfig {
+                budget,
+                ..Default::default()
+            },
+            fallback_samples: 0,
+            ..Default::default()
+        },
+    );
+    assert!(local.summaries.iter().all(|s| !s.outcome.is_exact()));
+    let mut lines = Vec::new();
+    let outcome = client
+        .sweep(
+            CircuitSpec::Builtin("c95".into()),
+            SweepParams {
+                count: 24,
+                fallback_samples: 0,
+                budget,
+                ..Default::default()
+            },
+            |_, line| lines.push(line.to_string()),
+        )
+        .expect("a budgeted sweep degrades, it does not fail");
+    let expected: Vec<String> = local
+        .summaries
+        .iter()
+        .enumerate()
+        .map(|(i, s)| summary_line(i, s))
+        .collect();
+    assert_eq!(lines, expected);
+    assert_eq!(outcome.cache, "miss");
+
+    // A point query builds under its budget: too small is an error, enough
+    // answers from its own build.
+    let net = circuit.net_name(circuit.inputs()[0]).to_string();
+    let point = |budget| PointParams {
+        order: OrderStrategy::Identity,
+        budget,
+        net: net.clone(),
+        stuck_at: false,
+    };
+    let c95 = || CircuitSpec::Builtin("c95".into());
+    let tripped = client
+        .point(false, c95(), point(budget))
+        .expect_err("trips");
+    assert!(
+        tripped.to_string().contains("snapshot build failed"),
+        "{tripped}"
+    );
+    let roomy = BudgetConfig::with_max_nodes(1 << 20);
+    let value = client.point(false, c95(), point(roomy)).expect("answers");
+    assert_eq!(value.get("cache").and_then(JsonValue::as_str), Some("miss"));
+
+    let status = client.status().expect("status");
+    assert_eq!(
+        (status.entries, status.misses, status.hits),
+        (1, 1, 0),
+        "budgeted requests neither use nor fill the cache"
+    );
+}
+
+#[test]
 fn concurrent_sweeps_against_one_cached_snapshot_stay_golden() {
     let server = TestServer::start();
     // Warm the cache once so both concurrent requests hit the same entry.
@@ -204,6 +281,7 @@ fn concurrent_sweeps_against_one_cached_snapshot_stay_golden() {
 fn record_order_is_strictly_ascending_and_indices_match() {
     let server = TestServer::start();
     let mut client = server.client();
+    let faults = stuck_at_universe(&generators::c17(), true);
     let mut indices = Vec::new();
     client
         .sweep(
@@ -214,8 +292,8 @@ fn record_order_is_strictly_ascending_and_indices_match() {
             },
             |i, line| {
                 indices.push(i);
-                let wire = WireSummary::parse(line).expect("wire line");
-                assert_eq!(wire.index, i, "frame index matches the line's own index");
+                let (index, _) = summary_from_line(line, &faults).expect("wire line");
+                assert_eq!(index, i, "frame index matches the line's own index");
             },
         )
         .expect("sweep");

@@ -88,8 +88,8 @@ use diffprop::analysis::{
     stuck_at_universe, Histogram,
 };
 use diffprop::core::{
-    find_redundancies, generate_tests, sweep_report, sweep_universe, BudgetConfig, EngineConfig,
-    FaultOutcome, OrderStrategy, Parallelism, SweepConfig,
+    find_redundancies, generate_tests, summary_from_line, sweep_report, sweep_universe,
+    BudgetConfig, EngineConfig, FaultOutcome, OrderStrategy, Parallelism, SweepConfig,
 };
 use diffprop::faults::BridgeKind;
 use diffprop::netlist::{find_xor_quads, generators, parse_bench, Circuit, Scoap};
@@ -341,16 +341,15 @@ fn main() {
         .get(2)
         .map(|s| s.parse().unwrap_or_else(|_| usage()))
         .unwrap_or(0);
+    let analyzed = if n == 0 { 20 } else { n };
+    if let ("analyze", Some(addr)) = (cmd, &opts.connect) {
+        return analyze_connect(target, analyzed, &opts, addr);
+    }
     let circuit = load(target);
 
     match cmd {
         "stats" => stats(&circuit),
-        "analyze" => match &opts.connect {
-            Some(addr) => {
-                analyze_connect(&circuit, target, if n == 0 { 20 } else { n }, &opts, addr)
-            }
-            None => analyze(&circuit, if n == 0 { 20 } else { n }, &opts),
-        },
+        "analyze" => analyze(&circuit, analyzed, &opts),
         "atpg" => atpg(&circuit),
         "redundancy" => redundancy(&circuit),
         "bridges" => bridges(&circuit, if n == 0 { 200 } else { n }),
@@ -622,19 +621,24 @@ fn analyze(circuit: &Circuit, n: usize, opts: &Opts) {
             .push(sweep_report(circuit.name(), &opts.model, &sweep));
         file.to_pretty_string()
     });
-    print_analysis(circuit, &faults, &sweep.summaries);
+    print_analysis(circuit, &sweep.summaries);
 }
 
 /// Runs `analyze` through a resident sweep server. The server streams one
-/// TSV record per fault; this function parses them back into summaries and
-/// feeds the same print path as the batch run, so stdout is byte-identical.
-fn analyze_connect(circuit: &Circuit, target: &str, n: usize, opts: &Opts, addr: &str) {
-    use diffprop::serve::{SweepParams, WireSummary};
+/// TSV record per fault; this function parses each back into a summary of
+/// its own fault list and feeds the same print path as the batch run, so
+/// stdout is byte-identical.
+fn analyze_connect(target: &str, n: usize, opts: &Opts, addr: &str) {
+    use diffprop::serve::SweepParams;
 
     let spec = circuit_spec(target);
-    // The fault list is derived locally from the identical circuit — the
-    // wire carries indices into it, not fault descriptions.
-    let mut faults = fault_model_universe(circuit, &opts.model, None, 0).unwrap_or_else(|e| {
+    // The fault list is derived from the very bytes the request carries, so
+    // the server derives the identical one: records name faults by index.
+    let circuit = spec.compile().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(1);
+    });
+    let mut faults = fault_model_universe(&circuit, &opts.model, None, 0).unwrap_or_else(|e| {
         eprintln!("{e}");
         usage()
     });
@@ -649,25 +653,21 @@ fn analyze_connect(circuit: &Circuit, target: &str, n: usize, opts: &Opts, addr:
         fallback_samples: opts.fallback_samples,
         budget: opts.budget(),
     };
-    let mut lines: Vec<(usize, String)> = Vec::new();
+    let mut summaries = Vec::with_capacity(faults.len());
     let outcome = client
-        .sweep(spec, params, |index, line| {
-            lines.push((index, line.to_string()));
+        .sweep(spec, params, |_, line| {
+            match summary_from_line(line, &faults) {
+                Ok((_, summary)) => summaries.push(summary),
+                Err(e) => {
+                    eprintln!("malformed record from {addr}: {e}");
+                    std::process::exit(1);
+                }
+            }
         })
         .unwrap_or_else(|e| {
             eprintln!("sweep via {addr} failed: {e}");
             std::process::exit(1);
         });
-    let mut kept = Vec::with_capacity(lines.len());
-    let mut summaries = Vec::with_capacity(lines.len());
-    for (index, line) in &lines {
-        let wire = WireSummary::parse(line).unwrap_or_else(|e| {
-            eprintln!("malformed record from {addr}: {e}");
-            std::process::exit(1);
-        });
-        kept.push(faults[*index].clone());
-        summaries.push(wire.into_summary(faults[*index].clone()));
-    }
     eprintln!(
         "{} faults in {} equivalence classes over {} worker(s)",
         faults.len(),
@@ -679,17 +679,13 @@ fn analyze_connect(circuit: &Circuit, target: &str, n: usize, opts: &Opts, addr:
         outcome.cache, outcome.unique_lookups, outcome.base_hits
     );
     opts.write_telemetry(|| outcome.report_document().to_pretty_string());
-    print_analysis(circuit, &kept, &summaries);
+    print_analysis(&circuit, &summaries);
 }
 
 /// The `analyze` output: per-fault rows, the outcome tally, and the
 /// detectability histogram. Shared by the local sweep and the `--connect`
 /// client so the two paths cannot drift apart.
-fn print_analysis(
-    circuit: &Circuit,
-    faults: &[diffprop::faults::Fault],
-    summaries: &[diffprop::core::FaultSummary],
-) {
+fn print_analysis(circuit: &Circuit, summaries: &[diffprop::core::FaultSummary]) {
     println!(
         "{:<28} {:>10} {:>12} {:>10} {:>6} {:>8}",
         "fault", "det prob", "exact tests", "adherence", "POs", "outcome"
@@ -736,7 +732,8 @@ fn print_analysis(
             "(bounded rows are estimates over {samples} random vectors; raise --node-budget for exact results)"
         );
     }
-    let records = records_from_summaries(circuit, faults, summaries);
+    let faults: Vec<_> = summaries.iter().map(|s| s.fault.clone()).collect();
+    let records = records_from_summaries(circuit, &faults, summaries);
     println!("\ndetectability profile:");
     print!(
         "{}",

@@ -94,11 +94,17 @@ fn figures_sections_match_the_golden() {
 }
 
 #[test]
-fn atpg_and_redundancy_stdout_match_the_goldens() {
-    for (command, circuit) in [("atpg", "c95"), ("atpg", "alu74181"), ("redundancy", "c95")] {
+fn circuit_subcommand_stdout_matches_the_goldens() {
+    for (command, circuit) in [
+        ("atpg", "c95"),
+        ("atpg", "alu74181"),
+        ("redundancy", "c95"),
+        ("stats", "c95"),
+        ("bridges", "c95"),
+    ] {
         let golden =
             std::fs::read_to_string(repo_path(&format!("tests/golden/{command}_{circuit}.txt")))
-                .expect("atpg/redundancy golden");
+                .expect("subcommand golden");
         assert_eq!(stdout(&[command, circuit]), golden, "{command} {circuit}");
     }
 }

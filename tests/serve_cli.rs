@@ -3,14 +3,17 @@
 //! through `analyze --connect`, `detectability`, `adherence`, `status` and
 //! `shutdown`, checking every answer against the local path.
 
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpListener;
 use std::process::{Child, Command, Output, Stdio};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use diffprop::core::DiffProp;
+use diffprop::analysis::fault_model_universe;
+use diffprop::core::{summary_line, sweep_universe, DiffProp, SweepConfig};
 use diffprop::faults::{Fault, FaultSite, StuckAtFault};
 use diffprop::netlist::generators;
+use diffprop::serve::Frame;
 use diffprop::telemetry::json::JsonValue;
 
 const BIN: &str = env!("CARGO_BIN_EXE_diffprop");
@@ -120,6 +123,94 @@ fn connected_analyze_prints_the_local_rows_and_reuses_the_snapshot() {
         "0",
     ];
     assert_eq!(stdout(&server.run(&bounded)), stdout(&diffprop(&bounded)));
+}
+
+#[test]
+fn a_budget_smaller_than_the_build_prints_the_local_rows_cold_and_warm() {
+    for (order, budget) in [("identity", "48"), ("fanin-dfs", "96")] {
+        let bounded = [
+            "analyze",
+            "c95",
+            "24",
+            "--order",
+            order,
+            "--node-budget",
+            budget,
+            "--fallback-samples",
+            "0",
+        ];
+        let local = stdout(&diffprop(&bounded));
+        assert!(local.contains("outcomes: 0 exact, 24 bounded"), "{local}");
+        let server = Server::start();
+        let cold = server.run(&bounded);
+        assert_eq!(stdout(&cold), local, "cold server, --order {order}");
+        // An unbudgeted sweep of the same order leaves a resident snapshot
+        // that the budgeted request must not answer from.
+        let warmup = server.run(&["analyze", "c95", "24", "--order", order]);
+        assert!(
+            stderr(&warmup).contains("cache miss"),
+            "{}",
+            stderr(&warmup)
+        );
+        let warm = server.run(&bounded);
+        assert_eq!(stdout(&warm), local, "warm server, --order {order}");
+    }
+}
+
+/// A one-connection stand-in for a server: it reads one request and
+/// answers with `frames`, whatever the request was.
+fn fake_server(frames: Vec<String>) -> (String, std::thread::JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind a loopback port");
+    let addr = listener.local_addr().expect("bound address").to_string();
+    let handle = std::thread::spawn(move || {
+        let Ok((mut stream, _)) = listener.accept() else {
+            return;
+        };
+        let mut request = String::new();
+        if let Ok(reader) = stream.try_clone() {
+            let _ = BufReader::new(reader).read_line(&mut request);
+        }
+        // The client may hang up after the first bad record.
+        for frame in frames {
+            let _ = writeln!(stream, "{frame}");
+        }
+    });
+    (addr, handle)
+}
+
+#[test]
+fn a_bad_record_ends_a_connected_analyze_with_an_error_not_a_panic() {
+    let circuit = generators::c17();
+    let faults = fault_model_universe(&circuit, "stuck", None, 0).expect("stuck universe");
+    let sweep = sweep_universe(&circuit, &faults[..2], &SweepConfig::default());
+    let good = summary_line(0, &sweep.summaries[0]);
+    let fault = faults[0].to_string();
+    let done = Frame::Done {
+        cache: "miss".into(),
+        unique_lookups: 0,
+        base_hits: 0,
+        report: JsonValue::obj(vec![]),
+    }
+    .to_line();
+    // Each record frame carries the index its line states.
+    for (index, line, why) in [
+        (999, good.replacen("0\t", "999\t", 1), "outside the"),
+        (0, good.replace(&fault, &faults[1].to_string()), "names"),
+        (0, good.replace("\texact", "\tmaybe"), "bad outcome"),
+        (0, "not a record".to_string(), "tab-separated"),
+    ] {
+        let record = Frame::Record { index, line }.to_line();
+        let (addr, server) = fake_server(vec![record, done.clone()]);
+        let out = diffprop(&["analyze", "c17", "2", "--connect", &addr]);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(1), "{why}: {err}");
+        assert!(
+            err.contains("malformed record") && err.contains(why),
+            "{why}: {err}"
+        );
+        assert!(out.stdout.is_empty(), "no rows printed: {why}");
+        server.join().expect("the stand-in server finishes");
+    }
 }
 
 #[test]
