@@ -31,7 +31,9 @@ use crate::budget::BudgetConfig;
 use crate::error::BddError;
 use crate::snapshot::{FrozenBase, FrozenManager};
 use crate::stats::ManagerStats;
-use crate::table::{OpCache, UniqueTable, DEFAULT_OP_CACHE_CAPACITY, DELTA_OP_CACHE_CAPACITY};
+use crate::table::{
+    OpCache, TupleMemo, UniqueTable, DEFAULT_OP_CACHE_CAPACITY, DELTA_OP_CACHE_CAPACITY,
+};
 
 /// A variable index in `0..num_vars`.
 ///
@@ -176,6 +178,9 @@ pub struct Manager {
     /// [`Manager::gc`] drops them).
     pub(crate) free: Vec<u32>,
     pub(crate) op_cache: OpCache,
+    /// The exact per-call memo of [`Manager::or_many`]; empty between
+    /// calls, and never part of a freeze.
+    pub(crate) or_memo: TupleMemo,
     /// `var_to_level[v]` is the position of variable `v` in the order.
     var_to_level: Vec<u32>,
     /// `level_to_var[l]` is the variable sitting at position `l`.
@@ -205,6 +210,7 @@ impl Manager {
             unique: UniqueTable::with_capacity(1024),
             free: Vec::new(),
             op_cache: OpCache::with_capacity(DEFAULT_OP_CACHE_CAPACITY),
+            or_memo: TupleMemo::default(),
             var_to_level: (0..num_vars as u32).collect(),
             level_to_var: (0..num_vars as u32).collect(),
             stats: ManagerStats::default(),
@@ -292,6 +298,7 @@ impl Manager {
             unique: UniqueTable::with_capacity(64),
             free: Vec::new(),
             op_cache: OpCache::with_capacity(DELTA_OP_CACHE_CAPACITY),
+            or_memo: TupleMemo::default(),
             stats: ManagerStats::default(),
             budget: BudgetConfig::UNLIMITED,
             op_steps: 0,

@@ -1,4 +1,5 @@
-//! Boolean operations: `apply`, negation, `ite`, cofactors and quantifiers.
+//! Boolean operations: `apply`, negation, `ite`, the n-ary `or_many`,
+//! cofactors and quantifiers.
 //!
 //! With complement edges every binary connective is a thin wrapper over a
 //! single memoised [`Manager::ite`] recursion:
@@ -17,6 +18,7 @@
 
 use crate::manager::{Manager, NodeId, Var};
 use crate::stats::OpKind;
+use crate::table::TupleMemo;
 
 /// A binary Boolean connective accepted by [`Manager::apply`].
 ///
@@ -96,6 +98,103 @@ impl Manager {
     /// `a ∨ b`. Shorthand for [`Manager::apply`] with [`BinOp::Or`].
     pub fn or(&mut self, a: NodeId, b: NodeId) -> NodeId {
         self.apply(BinOp::Or, a, b)
+    }
+
+    /// The disjunction of every function in `fs` (⊥ for an empty slice).
+    ///
+    /// One n-ary descent: each step splits all k operands at their top
+    /// level and recurses on the two cofactor tuples, so no intermediate
+    /// union is ever built, as a fold of binary [`Manager::or`]s builds
+    /// one per operand. By canonicity the result is the edge that fold
+    /// returns. Each step's tuple is normalised first: sorted by raw edge
+    /// (so `x` and `¬x` sit side by side), with ⊥ and repeats dropped; ⊤
+    /// or an `x, ¬x` pair gives ⊤, and a tuple of two goes to the binary
+    /// `or`, whose entries the op cache shares across calls.
+    ///
+    /// Longer tuples are memoised exactly, by the whole tuple, in a memo
+    /// that lives for one call. Each memo probe counts as one
+    /// [`OpKind::Or`] lookup and each step as one op step, so a budget
+    /// bounds the descent; a tripped call memoises nothing.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use dp_bdd::Manager;
+    /// let mut m = Manager::new(3);
+    /// let vs: Vec<_> = (0..3).map(|v| m.var(v)).collect();
+    /// let ab = m.or(vs[0], vs[1]);
+    /// let folded = m.or(ab, vs[2]);
+    /// assert_eq!(m.or_many(&vs), folded);
+    /// ```
+    pub fn or_many(&mut self, fs: &[NodeId]) -> NodeId {
+        let mut memo = std::mem::take(&mut self.or_memo);
+        memo.begin();
+        memo.stack.extend_from_slice(fs);
+        let r = self.or_many_rec(&mut memo, 0);
+        memo.end();
+        self.or_memo = memo;
+        r
+    }
+
+    /// One step of [`Manager::or_many`] on the tuple `memo.stack[start..]`,
+    /// which it may rewrite and extend; the caller truncates it back.
+    fn or_many_rec(&mut self, memo: &mut TupleMemo, start: usize) -> NodeId {
+        let ops = &mut memo.stack[start..];
+        ops.sort_unstable();
+        let mut k = 0;
+        for i in 0..ops.len() {
+            let x = ops[i];
+            if x.is_true() || (k > 0 && ops[k - 1] == x.complemented()) {
+                return NodeId::TRUE;
+            }
+            if x.is_false() || (k > 0 && ops[k - 1] == x) {
+                continue;
+            }
+            ops[k] = x;
+            k += 1;
+        }
+        let end = start + k;
+        memo.stack.truncate(end);
+        match k {
+            0 => return NodeId::FALSE,
+            1 => return memo.stack[start],
+            2 => return self.or(memo.stack[start], memo.stack[start + 1]),
+            _ => {}
+        }
+        if self.charge_op_step() {
+            return NodeId::TRUE;
+        }
+        if let Some(r) = memo.get(&memo.stack[start..end]) {
+            self.stats[OpKind::Or].hit();
+            return r;
+        }
+        self.stats[OpKind::Or].miss();
+        let level = memo.stack[start..end]
+            .iter()
+            .map(|&n| self.node_level(n))
+            .min()
+            .expect("three or more operands");
+        let mut cofactor = |m: &mut Manager, hi: bool| {
+            for i in start..end {
+                let n = memo.stack[i];
+                let c = match (m.node_level(n) == level, hi) {
+                    (true, false) => m.node_lo(n),
+                    (true, true) => m.node_hi(n),
+                    (false, _) => n,
+                };
+                memo.stack.push(c);
+            }
+            let r = m.or_many_rec(memo, end);
+            memo.stack.truncate(end);
+            r
+        };
+        let lo = cofactor(self, false);
+        let hi = cofactor(self, true);
+        let r = self.mk(self.var_at_level(level), lo, hi);
+        if !self.budget_tripped() {
+            memo.insert_stacked(start, end, r);
+        }
+        r
     }
 
     /// `a ⊕ b`. Shorthand for [`Manager::apply`] with [`BinOp::Xor`].

@@ -134,7 +134,7 @@ impl CacheCounters {
 /// Counters maintained by a [`Manager`](crate::Manager); read them through
 /// [`Manager::stats`](crate::Manager::stats).
 ///
-/// Every counter is cumulative; see the [module docs](self).
+/// Every counter is cumulative; see the module docs.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ManagerStats {
     /// Unique-table (hash-consing) probes made by `mk`. Cumulative.

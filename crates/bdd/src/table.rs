@@ -554,6 +554,144 @@ impl<V: Copy + Default> CompactMap<V> {
     }
 }
 
+/// Slots a [`TupleMemo`] starts every call with, and shrinks back to after
+/// one; its key arena keeps at most [`TUPLE_ARENA_FLOOR`] operands between
+/// calls.
+const TUPLE_SLOT_FLOOR: usize = 1 << 8;
+const TUPLE_ARENA_FLOOR: usize = 1 << 10;
+
+/// One [`TupleMemo`] slot: where the key's operands sit in the arena, the
+/// key's hash, and the memoised result. Occupied iff `stamp` is current.
+#[derive(Debug, Clone, Copy)]
+struct TupleSlot {
+    stamp: u32,
+    hash: u32,
+    start: u32,
+    len: u32,
+    value: NodeId,
+}
+
+const VACANT_TUPLE: TupleSlot = TupleSlot {
+    stamp: 0,
+    hash: 0,
+    start: 0,
+    len: 0,
+    value: NodeId::TRUE,
+};
+
+/// The exact memo of one `Manager::or_many` call: keyed by the full
+/// normalised operand tuple, never by a hash alone. Keys live back to back
+/// in one flat arena; an open-addressing, linear-probe slot array indexes
+/// them. A call opens with [`TupleMemo::begin`] (a stamp bump clears every
+/// slot) and closes with [`TupleMemo::end`], which shrinks both arrays back
+/// to a small floor, so no manager holds the largest union's memo between
+/// calls. `stack` is the recursion's operand scratch: each level's tuple is
+/// a suffix of it.
+#[derive(Debug, Default)]
+pub(crate) struct TupleMemo {
+    arena: Vec<NodeId>,
+    slots: Box<[TupleSlot]>,
+    len: usize,
+    stamp: u32,
+    pub(crate) stack: Vec<NodeId>,
+}
+
+impl TupleMemo {
+    #[inline]
+    fn hash(key: &[NodeId]) -> u64 {
+        key.chunks(2).fold(key.len() as u64, |h, pair| {
+            let lo = pair.get(1).map_or(u32::MAX, |n| n.0);
+            mix(h, ((pair[0].0 as u64) << 32) | lo as u64)
+        })
+    }
+
+    /// Starts a call with every slot vacant.
+    pub(crate) fn begin(&mut self) {
+        if self.slots.is_empty() {
+            self.slots = vec![VACANT_TUPLE; TUPLE_SLOT_FLOOR].into_boxed_slice();
+        }
+        if self.stamp == u32::MAX {
+            self.slots.fill(VACANT_TUPLE);
+            self.stamp = 0;
+        }
+        self.stamp += 1;
+    }
+
+    /// Ends a call: forgets every key and gives back what the call grew.
+    pub(crate) fn end(&mut self) {
+        self.len = 0;
+        self.arena.clear();
+        self.arena.shrink_to(TUPLE_ARENA_FLOOR);
+        self.stack.clear();
+        self.stack.shrink_to(TUPLE_ARENA_FLOOR);
+        if self.slots.len() > TUPLE_SLOT_FLOOR {
+            self.slots = Box::default();
+            self.stamp = 0;
+        }
+    }
+
+    /// The result memoised for `key`, if this call stored one.
+    pub(crate) fn get(&self, key: &[NodeId]) -> Option<NodeId> {
+        let hash = Self::hash(key) as u32;
+        let mask = self.slots.len() - 1;
+        let mut i = hash as usize & mask;
+        loop {
+            let s = self.slots[i];
+            if s.stamp != self.stamp {
+                return None;
+            }
+            if s.hash == hash
+                && s.len as usize == key.len()
+                && self.arena[s.start as usize..][..key.len()] == *key
+            {
+                return Some(s.value);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Memoises `value` for the tuple `stack[start..end]`, which the call
+    /// has not stored yet.
+    pub(crate) fn insert_stacked(&mut self, start: usize, end: usize, value: NodeId) {
+        if (self.len + 1) * LOAD_DEN > self.slots.len() * LOAD_NUM {
+            self.grow();
+        }
+        let key = &self.stack[start..end];
+        let hash = Self::hash(key) as u32;
+        let slot = TupleSlot {
+            stamp: self.stamp,
+            hash,
+            start: self.arena.len() as u32,
+            len: key.len() as u32,
+            value,
+        };
+        self.arena.extend_from_slice(key);
+        self.place(slot);
+        self.len += 1;
+    }
+
+    fn place(&mut self, slot: TupleSlot) {
+        let mask = self.slots.len() - 1;
+        let mut i = slot.hash as usize & mask;
+        while self.slots[i].stamp == self.stamp {
+            i = (i + 1) & mask;
+        }
+        self.slots[i] = slot;
+    }
+
+    fn grow(&mut self) {
+        let new_cap = self.slots.len() * 2;
+        let old = std::mem::replace(
+            &mut self.slots,
+            vec![VACANT_TUPLE; new_cap].into_boxed_slice(),
+        );
+        let stamp = std::mem::replace(&mut self.stamp, 1);
+        for s in old.iter().filter(|s| s.stamp == stamp) {
+            self.place(TupleSlot { stamp: 1, ..*s });
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

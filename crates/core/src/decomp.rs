@@ -12,8 +12,8 @@
 //!   which bounds the good-function *build* at the cut. It does not bound
 //!   the analyses: on c499s (64 cuts at 200 nodes) the build peaks at
 //!   1,869 nodes against 82,769 exact, but analysing the first 8
-//!   checkpoint faults peaks at 253,794 nodes and takes 2,202,901 op steps
-//!   against 145,791 and 1,161,163 exact (the cut-point group of
+//!   checkpoint faults peaks at 196,875 nodes and takes 1,675,593 op steps
+//!   against 139,859 and 471,763 exact (the cut-point group of
 //!   `diffprop figures --only ablations`);
 //! * fault analysis runs unchanged over the extended variable space
 //!   (primary inputs + cut variables);

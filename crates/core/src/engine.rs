@@ -4,7 +4,7 @@
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, HashMap};
 
-use dp_bdd::{BudgetConfig, Cube, Manager, NodeId};
+use dp_bdd::{BddError, BudgetConfig, Cube, Manager, ManagerStats, NodeId};
 use dp_faults::{BridgeKind, BridgingFault, Fault, FaultSite, MultiStuckAt, StuckAtFault};
 use dp_netlist::{find_xor_quads, Circuit, Driver, GateKind, NetId, Reachability, XorQuads};
 use dp_telemetry::{CounterKind, HistKind, SharedCollector, SpanKind};
@@ -288,7 +288,7 @@ impl<'c> DiffProp<'c> {
     /// the caller should fall back to simulation for the whole circuit.
     ///
     /// The build runs the strategy's static order, then, for
-    /// [`OrderStrategy::Auto`] over [`SIFT_TABLE_FLOOR`] nodes, one Rudell
+    /// [`OrderStrategy::Auto`] over `SIFT_TABLE_FLOOR` nodes, one Rudell
     /// sift. The sift is budget-exempt (`prop_sift_budget.rs` pins it) and
     /// preserves every function, so it moves cost only, never a result. An
     /// unsifted table is collected before freezing so the base carries only
@@ -298,10 +298,19 @@ impl<'c> DiffProp<'c> {
         circuit: &Circuit,
         config: EngineConfig,
     ) -> Result<GoodSnapshot, AnalysisError> {
+        Self::build_snapshot_counted(circuit, config)
+            .map_err(|(err, _)| AnalysisError::BudgetExceeded(err))
+    }
+
+    /// [`DiffProp::build_snapshot`], whose error also carries the counters
+    /// of the build that tripped.
+    pub(crate) fn build_snapshot_counted(
+        circuit: &Circuit,
+        config: EngineConfig,
+    ) -> Result<GoodSnapshot, (BddError, ManagerStats)> {
         let order = config.order;
         let mut good =
-            GoodFunctions::try_build_with_order(circuit, &order.resolve(circuit), config.budget)
-                .map_err(AnalysisError::BudgetExceeded)?;
+            GoodFunctions::try_build_counted(circuit, &order.resolve(circuit), config.budget)?;
         if order.autosifts() && good.num_nodes() > SIFT_TABLE_FLOOR {
             good.sift();
         } else {
@@ -481,8 +490,8 @@ impl<'c> DiffProp<'c> {
     }
 
     /// The shared result tail of every analysis: the complete test set is
-    /// the union of the per-output differences, and the exact metrics are
-    /// read off it. The acyclic defaults (constant site, no fixpoint, no
+    /// the union of the per-output differences, built by one n-ary
+    /// [`Manager::or_many`] descent, and the exact metrics are read off it. The acyclic defaults (constant site, no fixpoint, no
     /// oscillation) are left for the caller to override.
     fn finish(
         &mut self,
@@ -491,14 +500,7 @@ impl<'c> DiffProp<'c> {
         gates_propagated: u32,
     ) -> FaultAnalysis {
         let m = self.good.manager_mut();
-        let mut test_set = NodeId::FALSE;
-        for &d in &po_deltas {
-            // `or` with ⊥ is the identity; skipping it saves the op-cache
-            // traffic without touching the result.
-            if !d.is_false() {
-                test_set = m.or(test_set, d);
-            }
-        }
+        let test_set = m.or_many(&po_deltas);
         let (detectability, test_count) = m.density_and_count(test_set);
         let observable_outputs = po_deltas.iter().map(|d| !d.is_false()).collect();
         FaultAnalysis {

@@ -69,6 +69,17 @@ impl GoodFunctions {
         order: &[Var],
         budget: BudgetConfig,
     ) -> Result<Self, BddError> {
+        Self::try_build_counted(circuit, order, budget).map_err(|(err, _)| err)
+    }
+
+    /// [`GoodFunctions::try_build_with_order`], whose error also carries
+    /// the counters of the build that tripped, so a sweep can report the
+    /// work it spent before giving up.
+    pub(crate) fn try_build_counted(
+        circuit: &Circuit,
+        order: &[Var],
+        budget: BudgetConfig,
+    ) -> Result<Self, (BddError, ManagerStats)> {
         assert_eq!(order.len(), circuit.num_inputs(), "order length mismatch");
         let mut manager = Manager::with_order(order).expect("order must be a permutation");
         // Pre-size the unique table from the circuit: net count times a
@@ -79,7 +90,7 @@ impl GoodFunctions {
         manager.set_budget(budget);
         let funcs = build_nets(circuit, &mut manager, |_, _, f| f);
         if let Some(err) = manager.budget_exceeded() {
-            return Err(err);
+            return Err((err, manager.stats().clone()));
         }
         manager.reset_budget_window();
         Ok(GoodFunctions { manager, funcs })

@@ -510,16 +510,19 @@ pub fn sweep_universe_ext(
     };
     // Build and freeze the good functions once, on the sweeping thread —
     // unless the caller supplied a warm snapshot, in which case this sweep
-    // builds nothing at all. A budget too small for the build leaves `None`
-    // and every class degrades to a sampled estimate.
-    let built: Option<GoodSnapshot> = if classes.is_empty() || warm_snapshot.is_some() {
-        None
-    } else {
-        let build_timer = sweep_col.start();
-        let built = DiffProp::build_snapshot(circuit, config.engine).ok();
-        sweep_col.finish(SpanKind::Build, build_timer);
-        built
-    };
+    // builds nothing at all. A budget too small for the build leaves only
+    // the tripped build's counters, and every class degrades to a sampled
+    // estimate.
+    let built: Option<Result<GoodSnapshot, ManagerStats>> =
+        if classes.is_empty() || warm_snapshot.is_some() {
+            None
+        } else {
+            let build_timer = sweep_col.start();
+            let built =
+                DiffProp::build_snapshot_counted(circuit, config.engine).map_err(|(_, s)| s);
+            sweep_col.finish(SpanKind::Build, build_timer);
+            Some(built)
+        };
     // Never more workers than queue entries: an extra worker would thaw the
     // good functions only to find the queue drained.
     let workers = config.parallelism.workers().min(batches.len()).max(1);
@@ -529,7 +532,7 @@ pub fn sweep_universe_ext(
         classes,
         chunk: batches.len().div_ceil(workers * 8).clamp(1, 32),
         batches: &batches,
-        snapshot: warm_snapshot.or(built.as_ref()),
+        snapshot: warm_snapshot.or(built.as_ref().and_then(|b| b.as_ref().ok())),
         config,
         next: AtomicUsize::new(0),
     };
@@ -583,15 +586,18 @@ pub fn sweep_universe_ext(
     };
     let summaries = reorder.finish();
     // The one-off snapshot build cost is real work this sweep performed —
-    // but only when this sweep built it. A warm snapshot's build cost
-    // belongs to whoever built it (the server cache, a previous request):
-    // folding it here would double-count and hide the whole point of
-    // reuse, that a cache-hit sweep's counters are thaw-only.
-    if let Some(snap) = built.as_ref() {
+    // but only when this sweep built it, tripped or not. A warm snapshot's
+    // build cost belongs to whoever built it (the server cache, a previous
+    // request): folding it here would double-count and hide the whole
+    // point of reuse, that a cache-hit sweep's counters are thaw-only.
+    if let Some(build_stats) = built
+        .as_ref()
+        .map(|b| b.as_ref().map_or_else(|s| s, GoodSnapshot::build_stats))
+    {
         if let Some(first) = reports.first_mut() {
-            first.stats = first.stats.merged(snap.build_stats());
+            first.stats = first.stats.merged(build_stats);
         }
-        harvest_manager_stats(&mut sweep_col, snap.build_stats());
+        harvest_manager_stats(&mut sweep_col, build_stats);
     }
     sweep_col.finish(SpanKind::Sweep, sweep_timer);
     let totals = reports
