@@ -130,16 +130,17 @@ impl Manager {
         let mut memo = std::mem::take(&mut self.or_memo);
         memo.begin();
         memo.stack.extend_from_slice(fs);
-        let r = self.or_many_rec(&mut memo, 0);
+        let r = self.or_many_rec(&mut memo, 0, fs.len());
         memo.end();
         self.or_memo = memo;
         r
     }
 
-    /// One step of [`Manager::or_many`] on the tuple `memo.stack[start..]`,
-    /// which it may rewrite and extend; the caller truncates it back.
-    fn or_many_rec(&mut self, memo: &mut TupleMemo, start: usize) -> NodeId {
-        let ops = &mut memo.stack[start..];
+    /// One step of [`Manager::or_many`] on the tuple `memo.stack[start..end]`,
+    /// which it normalises in place. The cofactor tuples go on top of the
+    /// stack and are popped again before it returns.
+    fn or_many_rec(&mut self, memo: &mut TupleMemo, start: usize, end: usize) -> NodeId {
+        let ops = &mut memo.stack[start..end];
         ops.sort_unstable();
         let mut k = 0;
         for i in 0..ops.len() {
@@ -154,7 +155,6 @@ impl Manager {
             k += 1;
         }
         let end = start + k;
-        memo.stack.truncate(end);
         match k {
             0 => return NodeId::FALSE,
             1 => return memo.stack[start],
@@ -164,7 +164,8 @@ impl Manager {
         if self.charge_op_step() {
             return NodeId::TRUE;
         }
-        if let Some(r) = memo.get(&memo.stack[start..end]) {
+        let hash = memo.hash(start, end);
+        if let Some(r) = memo.get(start, end, hash) {
             self.stats[OpKind::Or].hit();
             return r;
         }
@@ -174,25 +175,28 @@ impl Manager {
             .map(|&n| self.node_level(n))
             .min()
             .expect("three or more operands");
-        let mut cofactor = |m: &mut Manager, hi: bool| {
-            for i in start..end {
-                let n = memo.stack[i];
-                let c = match (m.node_level(n) == level, hi) {
-                    (true, false) => m.node_lo(n),
-                    (true, true) => m.node_hi(n),
-                    (false, _) => n,
-                };
-                memo.stack.push(c);
-            }
-            let r = m.or_many_rec(memo, end);
-            memo.stack.truncate(end);
-            r
-        };
-        let lo = cofactor(self, false);
-        let hi = cofactor(self, true);
+        // Every operand is a non-terminal edge here: ⊤ returned and ⊥ was
+        // dropped above. One arena read gives both of its cofactors.
+        let top = memo.stack.len();
+        memo.stack.resize(top + 2 * k, NodeId::FALSE);
+        for i in 0..k {
+            let n = memo.stack[start + i];
+            let node = self.node_at(n.index());
+            let (lo, hi) = if self.level_of(node.var) == level {
+                let c = n.0 & 1;
+                (NodeId(node.lo.0 ^ c), NodeId(node.hi.0 ^ c))
+            } else {
+                (n, n)
+            };
+            memo.stack[top + i] = lo;
+            memo.stack[top + k + i] = hi;
+        }
+        let lo = self.or_many_rec(memo, top, top + k);
+        let hi = self.or_many_rec(memo, top + k, top + 2 * k);
+        memo.stack.truncate(top);
         let r = self.mk(self.var_at_level(level), lo, hi);
         if !self.budget_tripped() {
-            memo.insert_stacked(start, end, r);
+            memo.insert(start, end, hash, r);
         }
         r
     }
@@ -788,6 +792,116 @@ mod tests {
             let assignment: Vec<bool> = (0..3).map(|i| bits >> i & 1 == 1).collect();
             assert_eq!(m1.eval(f1, &assignment), m2.eval(f2, &assignment));
         }
+    }
+
+    /// The function whose truth table over `n` variables is `table` (bit
+    /// `i` is the value under the assignment whose bit `j` sets variable
+    /// `j`), built by Shannon expansion from the last variable down.
+    fn from_table(m: &mut Manager, table: u64, base: u32, var: i32) -> NodeId {
+        if var < 0 {
+            return m.constant(table >> base & 1 == 1);
+        }
+        let lo = from_table(m, table, base, var - 1);
+        let hi = from_table(m, table, base + (1 << var), var - 1);
+        let x = m.var(var as Var);
+        m.ite(x, hi, lo)
+    }
+
+    fn fold_or(m: &mut Manager, fs: &[NodeId]) -> NodeId {
+        fs.iter().fold(NodeId::FALSE, |acc, &f| m.or(acc, f))
+    }
+
+    #[test]
+    fn or_many_equals_the_binary_fold_exhaustively() {
+        // xorshift64: a fixed, dependency-free operand generator.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for n in 1..=6u32 {
+            let bits = 1u32 << n;
+            let mask = if bits == 64 {
+                u64::MAX
+            } else {
+                (1 << bits) - 1
+            };
+            let mut m = Manager::new(n as usize);
+            assert_eq!(m.or_many(&[]), NodeId::FALSE);
+            for _ in 0..60 {
+                let k = (next() % 13) as usize;
+                let mut ops: Vec<NodeId> = Vec::with_capacity(k);
+                let mut tables: Vec<u64> = Vec::with_capacity(k);
+                for _ in 0..k {
+                    // Mostly sparse functions, so the union is rarely ⊤
+                    // before the last operand; now and then a constant, a
+                    // repeat or a complement of an earlier operand.
+                    let (f, t) = match (next() % 16, ops.len()) {
+                        (0, _) => (NodeId::FALSE, 0),
+                        (1, _) => (NodeId::TRUE, mask),
+                        (2, j) if j > 0 => {
+                            let i = (next() % j as u64) as usize;
+                            (ops[i], tables[i])
+                        }
+                        (3, j) if j > 0 => {
+                            let i = (next() % j as u64) as usize;
+                            (ops[i].complemented(), !tables[i] & mask)
+                        }
+                        _ => {
+                            let t = next() & next() & next() & mask;
+                            (from_table(&mut m, t, 0, n as i32 - 1), t)
+                        }
+                    };
+                    ops.push(f);
+                    tables.push(t);
+                }
+                let r = m.or_many(&ops);
+                assert_eq!(r, fold_or(&mut m, &ops), "n = {n}, k = {k}");
+                let union = tables.iter().fold(0, |acc, t| acc | t);
+                exhaustive_check(&m, r, n as usize, |x| {
+                    let i = x
+                        .iter()
+                        .enumerate()
+                        .fold(0, |i, (j, &b)| i | (b as usize) << j);
+                    union >> i & 1 == 1
+                });
+            }
+            m.assert_canonical();
+        }
+    }
+
+    #[test]
+    fn or_many_normalises_its_operands() {
+        let mut m = Manager::new(4);
+        let v: Vec<NodeId> = (0..4).map(|i| m.var(i)).collect();
+        let (t, f) = (NodeId::TRUE, NodeId::FALSE);
+        assert_eq!(m.or_many(&[f, f]), f);
+        assert_eq!(m.or_many(&[f, v[2], f, v[2]]), v[2]);
+        assert_eq!(m.or_many(&[v[0], v[1], t, v[3]]), t);
+        assert_eq!(m.or_many(&[v[3], v[1], v[2], v[1].complemented()]), t);
+        let all = fold_or(&mut m, &v);
+        assert_eq!(m.or_many(&[v[3], v[0], v[2], v[1], v[0], f]), all);
+    }
+
+    #[test]
+    fn a_tripped_or_many_memoises_nothing() {
+        let mut m = Manager::new(8);
+        let ops: Vec<NodeId> = (0..7)
+            .map(|i| {
+                let (a, b) = (m.var(i), m.var(i + 1));
+                m.and(a, b)
+            })
+            .collect();
+        m.set_budget(crate::BudgetConfig::with_max_op_steps(3));
+        let _ = m.or_many(&ops);
+        assert!(m.budget_tripped(), "seven operands need more than 3 steps");
+        m.set_budget(crate::BudgetConfig::UNLIMITED);
+        let r = m.or_many(&ops);
+        assert!(!m.budget_tripped());
+        assert_eq!(r, fold_or(&mut m, &ops));
+        exhaustive_check(&m, r, 8, |x| x.windows(2).any(|w| w[0] && w[1]));
     }
 
     #[test]

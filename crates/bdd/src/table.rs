@@ -597,12 +597,14 @@ pub(crate) struct TupleMemo {
 }
 
 impl TupleMemo {
+    /// The hash of the key `stack[start..end]`.
     #[inline]
-    fn hash(key: &[NodeId]) -> u64 {
+    pub(crate) fn hash(&self, start: usize, end: usize) -> u32 {
+        let key = &self.stack[start..end];
         key.chunks(2).fold(key.len() as u64, |h, pair| {
             let lo = pair.get(1).map_or(u32::MAX, |n| n.0);
             mix(h, ((pair[0].0 as u64) << 32) | lo as u64)
-        })
+        }) as u32
     }
 
     /// Starts a call with every slot vacant.
@@ -630,9 +632,10 @@ impl TupleMemo {
         }
     }
 
-    /// The result memoised for `key`, if this call stored one.
-    pub(crate) fn get(&self, key: &[NodeId]) -> Option<NodeId> {
-        let hash = Self::hash(key) as u32;
+    /// The result memoised for the key `stack[start..end]` (whose hash is
+    /// `hash`), if this call stored one.
+    pub(crate) fn get(&self, start: usize, end: usize, hash: u32) -> Option<NodeId> {
+        let key = &self.stack[start..end];
         let mask = self.slots.len() - 1;
         let mut i = hash as usize & mask;
         loop {
@@ -650,22 +653,20 @@ impl TupleMemo {
         }
     }
 
-    /// Memoises `value` for the tuple `stack[start..end]`, which the call
+    /// Memoises `value` for the key `stack[start..end]`, which this call
     /// has not stored yet.
-    pub(crate) fn insert_stacked(&mut self, start: usize, end: usize, value: NodeId) {
+    pub(crate) fn insert(&mut self, start: usize, end: usize, hash: u32, value: NodeId) {
         if (self.len + 1) * LOAD_DEN > self.slots.len() * LOAD_NUM {
             self.grow();
         }
-        let key = &self.stack[start..end];
-        let hash = Self::hash(key) as u32;
         let slot = TupleSlot {
             stamp: self.stamp,
             hash,
             start: self.arena.len() as u32,
-            len: key.len() as u32,
+            len: (end - start) as u32,
             value,
         };
-        self.arena.extend_from_slice(key);
+        self.arena.extend_from_slice(&self.stack[start..end]);
         self.place(slot);
         self.len += 1;
     }

@@ -436,6 +436,39 @@ proptest! {
     }
 
     #[test]
+    fn or_many_on_a_thawed_manager_matches_the_fold(
+        base in proptest::collection::vec(arb_expr(), 1..6),
+        delta in proptest::collection::vec(arb_expr(), 1..6),
+        picks in proptest::collection::vec((0usize..12, 0u8..6), 0..13)
+    ) {
+        // Operands mix frozen-base edges with edges built after the thaw;
+        // a pick of 0 takes the complement, so `x, ¬x` pairs occur too.
+        let mut m = Manager::new(NVARS as usize);
+        let mut pool: Vec<NodeId> = base.iter().map(|e| build(&mut m, e)).collect();
+        let frozen = m.freeze();
+        let mut d = frozen.thaw();
+        pool.extend(delta.iter().map(|e| build(&mut d, e)));
+        let exprs: Vec<&Expr> = base.iter().chain(&delta).collect();
+        let ops: Vec<NodeId> = picks
+            .iter()
+            .map(|&(i, neg)| {
+                let f = pool[i % pool.len()];
+                if neg == 0 { d.not(f) } else { f }
+            })
+            .collect();
+        let r = d.or_many(&ops);
+        let fold = ops.iter().fold(NodeId::FALSE, |acc, &f| d.or(acc, f));
+        prop_assert_eq!(r, fold);
+        for env in assignments() {
+            let want = picks
+                .iter()
+                .any(|&(i, neg)| eval_expr(exprs[i % exprs.len()], &env) != (neg == 0));
+            prop_assert_eq!(d.eval(r, &env), want);
+        }
+        d.assert_canonical();
+    }
+
+    #[test]
     fn support_is_sound(e in arb_expr(), v in 0..NVARS) {
         // If v is not in the support, restricting it changes nothing.
         let mut m = Manager::new(NVARS as usize);

@@ -990,7 +990,7 @@ mod tests {
     use super::*;
     use dp_faults::{checkpoint_faults, enumerate_nfbfs, BridgingFault, StuckAtFault};
     use dp_netlist::generators::{
-        alu74181, c1355_surrogate, c17, c1908_surrogate, c95, full_adder,
+        alu74181, c1355_surrogate, c17, c1908_surrogate, c499_surrogate, c95, full_adder,
     };
     use dp_sim::exhaustive_detectability;
 
@@ -1630,6 +1630,29 @@ mod tests {
         assert!(dp.good.manager().has_frozen_base());
         let fanin = GoodFunctions::build_with_order(&c, &OrderStrategy::FaninDfs.resolve(&c));
         assert_ne!(dp.good.manager().order(), fanin.manager().order());
+    }
+
+    #[test]
+    fn c499s_test_sets_equal_the_binary_or_fold() {
+        // The complete test set is one n-ary `or`; by canonicity it is the
+        // edge a fold of binary `or`s over the same outputs returns.
+        let c = c499_surrogate();
+        let mut dp = DiffProp::with_config(
+            &c,
+            EngineConfig {
+                order: OrderStrategy::FaninDfs,
+                ..Default::default()
+            },
+        );
+        for f in checkpoint_faults(&c).into_iter().take(32) {
+            let a = dp.analyze(&Fault::from(f));
+            let m = dp.good.manager_mut();
+            let fold = a
+                .po_deltas
+                .iter()
+                .fold(NodeId::FALSE, |acc, &d| m.or(acc, d));
+            assert_eq!(a.test_set, fold, "{f}");
+        }
     }
 
     #[test]

@@ -513,16 +513,16 @@ pub fn sweep_universe_ext(
     // builds nothing at all. A budget too small for the build leaves only
     // the tripped build's counters, and every class degrades to a sampled
     // estimate.
-    let built: Option<Result<GoodSnapshot, ManagerStats>> =
-        if classes.is_empty() || warm_snapshot.is_some() {
-            None
-        } else {
-            let build_timer = sweep_col.start();
-            let built =
-                DiffProp::build_snapshot_counted(circuit, config.engine).map_err(|(_, s)| s);
-            sweep_col.finish(SpanKind::Build, build_timer);
-            Some(built)
-        };
+    let built: Option<Result<GoodSnapshot, ManagerStats>> = if classes.is_empty()
+        || warm_snapshot.is_some()
+    {
+        None
+    } else {
+        let build_timer = sweep_col.start();
+        let built = DiffProp::build_snapshot_counted(circuit, config.engine).map_err(|(_, s)| s);
+        sweep_col.finish(SpanKind::Build, build_timer);
+        Some(built)
+    };
     // Never more workers than queue entries: an extra worker would thaw the
     // good functions only to find the queue drained.
     let workers = config.parallelism.workers().min(batches.len()).max(1);

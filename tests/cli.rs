@@ -3,7 +3,8 @@
 //! flags compose in any order and in either `--flag value` or
 //! `--flag=value` form), the figure sections against the committed golden,
 //! and the report checker's verdicts. Also the `atpg` and `redundancy`
-//! stdout against committed goldens (their timing goes to stderr).
+//! stdout against committed goldens (their timing goes to stderr), and the
+//! counters an `analyze` report keeps when its build trips the budget.
 
 use std::collections::BTreeMap;
 use std::process::{Command, Output};
@@ -185,6 +186,38 @@ fn smoke_keeps_the_sweep_flags_wherever_they_stand() {
         }
         let verdict = stdout(&["validate-report", &path]);
         assert!(verdict.contains(": valid (schema_version"), "{verdict}");
+    }
+}
+
+#[test]
+fn a_tripped_build_reports_its_work() {
+    // A node budget smaller than c95's good functions trips the build, so
+    // every row is bounded; the report still counts what the build did.
+    let bounded = [
+        "analyze",
+        "c95",
+        "24",
+        "--node-budget",
+        "48",
+        "--fallback-samples",
+        "0",
+    ];
+    let path = temp_path("tripped_build.json");
+    let rows = stdout(&[&bounded[..], &["--telemetry", &path]].concat());
+    assert_eq!(rows, stdout(&bounded), "--telemetry changed stdout");
+    assert!(rows.contains("outcomes: 0 exact, 24 bounded"), "{rows}");
+    let text = std::fs::read_to_string(&path).expect("telemetry written");
+    let doc = diffprop::telemetry::parse_and_validate(&text).expect("schema-valid report");
+    let counters = doc
+        .get("reports")
+        .and_then(JsonValue::as_arr)
+        .and_then(|r| r[0].get("execution"))
+        .and_then(|e| e.get("totals"))
+        .and_then(|t| t.get("counters"))
+        .expect("totals counters");
+    for name in ["op_steps", "unique_lookups", "budget_trips"] {
+        let value = counters.get(name).and_then(JsonValue::as_u64);
+        assert!(value.is_some_and(|v| v > 0), "{name} = {value:?}");
     }
 }
 
