@@ -555,10 +555,11 @@ impl<V: Copy + Default> CompactMap<V> {
 }
 
 /// Slots a [`TupleMemo`] starts every call with, and shrinks back to after
-/// one; its key arena keeps at most [`TUPLE_ARENA_FLOOR`] operands between
-/// calls.
-const TUPLE_SLOT_FLOOR: usize = 1 << 8;
-const TUPLE_ARENA_FLOOR: usize = 1 << 10;
+/// one (20 KiB: enough for the unions of the small surrogates, so their
+/// calls never grow it); its key arena keeps at most [`TUPLE_ARENA_FLOOR`]
+/// operands between calls.
+const TUPLE_SLOT_FLOOR: usize = 1 << 10;
+const TUPLE_ARENA_FLOOR: usize = 1 << 12;
 
 /// One [`TupleMemo`] slot: where the key's operands sit in the arena, the
 /// key's hash, and the memoised result. Occupied iff `stamp` is current.

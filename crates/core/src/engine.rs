@@ -307,7 +307,7 @@ impl<'c> DiffProp<'c> {
     pub(crate) fn build_snapshot_counted(
         circuit: &Circuit,
         config: EngineConfig,
-    ) -> Result<GoodSnapshot, (BddError, ManagerStats)> {
+    ) -> Result<GoodSnapshot, (BddError, Box<ManagerStats>)> {
         let order = config.order;
         let mut good =
             GoodFunctions::try_build_counted(circuit, &order.resolve(circuit), config.budget)?;

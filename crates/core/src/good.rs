@@ -79,7 +79,7 @@ impl GoodFunctions {
         circuit: &Circuit,
         order: &[Var],
         budget: BudgetConfig,
-    ) -> Result<Self, (BddError, ManagerStats)> {
+    ) -> Result<Self, (BddError, Box<ManagerStats>)> {
         assert_eq!(order.len(), circuit.num_inputs(), "order length mismatch");
         let mut manager = Manager::with_order(order).expect("order must be a permutation");
         // Pre-size the unique table from the circuit: net count times a
@@ -90,7 +90,7 @@ impl GoodFunctions {
         manager.set_budget(budget);
         let funcs = build_nets(circuit, &mut manager, |_, _, f| f);
         if let Some(err) = manager.budget_exceeded() {
-            return Err((err, manager.stats().clone()));
+            return Err((err, Box::new(manager.stats().clone())));
         }
         manager.reset_budget_window();
         Ok(GoodFunctions { manager, funcs })

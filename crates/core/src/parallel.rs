@@ -513,7 +513,7 @@ pub fn sweep_universe_ext(
     // builds nothing at all. A budget too small for the build leaves only
     // the tripped build's counters, and every class degrades to a sampled
     // estimate.
-    let built: Option<Result<GoodSnapshot, ManagerStats>> = if classes.is_empty()
+    let built: Option<Result<GoodSnapshot, Box<ManagerStats>>> = if classes.is_empty()
         || warm_snapshot.is_some()
     {
         None
@@ -592,7 +592,7 @@ pub fn sweep_universe_ext(
     // point of reuse, that a cache-hit sweep's counters are thaw-only.
     if let Some(build_stats) = built
         .as_ref()
-        .map(|b| b.as_ref().map_or_else(|s| s, GoodSnapshot::build_stats))
+        .map(|b| b.as_ref().map_or_else(|s| &**s, GoodSnapshot::build_stats))
     {
         if let Some(first) = reports.first_mut() {
             first.stats = first.stats.merged(build_stats);
