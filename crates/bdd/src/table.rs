@@ -555,11 +555,12 @@ impl<V: Copy + Default> CompactMap<V> {
 }
 
 /// Slots a [`TupleMemo`] starts every call with, and shrinks back to after
-/// one (20 KiB: enough for the unions of the small surrogates, so their
-/// calls never grow it); its key arena keeps at most [`TUPLE_ARENA_FLOOR`]
-/// operands between calls.
-const TUPLE_SLOT_FLOOR: usize = 1 << 10;
-const TUPLE_ARENA_FLOOR: usize = 1 << 12;
+/// one; its key arena keeps at most [`TUPLE_ARENA_FLOOR`] operands between
+/// calls. A 1Ki-slot floor saved the alu74181 calls that outgrow 256 slots
+/// their regrowth, but the 36 KiB it kept raised perfbench
+/// `models-sampled` `peak_heap_mib` above the parent's.
+const TUPLE_SLOT_FLOOR: usize = 1 << 8;
+const TUPLE_ARENA_FLOOR: usize = 1 << 10;
 
 /// One [`TupleMemo`] slot: where the key's operands sit in the arena, the
 /// key's hash, and the memoised result. Occupied iff `stamp` is current.
