@@ -556,9 +556,9 @@ impl<V: Copy + Default> CompactMap<V> {
 
 /// Slots a [`TupleMemo`] starts every call with, and shrinks back to after
 /// one; its key arena keeps at most [`TUPLE_ARENA_FLOOR`] operands between
-/// calls. A 1Ki-slot floor saved the alu74181 calls that outgrow 256 slots
-/// their regrowth, but the 36 KiB it kept raised perfbench
-/// `models-sampled` `peak_heap_mib` above the parent's.
+/// calls. A 1Ki-slot floor, which spares mid-sized calls a regrowth,
+/// kept 36 KiB per manager and raised perfbench `models-sampled`
+/// `peak_heap_mib` above what the fold it replaced read.
 const TUPLE_SLOT_FLOOR: usize = 1 << 8;
 const TUPLE_ARENA_FLOOR: usize = 1 << 10;
 
@@ -587,8 +587,8 @@ const VACANT_TUPLE: TupleSlot = TupleSlot {
 /// them. A call opens with [`TupleMemo::begin`] (a stamp bump clears every
 /// slot) and closes with [`TupleMemo::end`], which shrinks both arrays back
 /// to a small floor, so no manager holds the largest union's memo between
-/// calls. `stack` is the recursion's operand scratch: each level's tuple is
-/// a suffix of it.
+/// calls. `stack` is the recursion's operand scratch: each step's tuple
+/// and its two cofactor tuples are ranges of it.
 #[derive(Debug, Default)]
 pub(crate) struct TupleMemo {
     arena: Vec<NodeId>,

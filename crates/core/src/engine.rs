@@ -491,7 +491,8 @@ impl<'c> DiffProp<'c> {
 
     /// The shared result tail of every analysis: the complete test set is
     /// the union of the per-output differences, built by one n-ary
-    /// [`Manager::or_many`] descent, and the exact metrics are read off it. The acyclic defaults (constant site, no fixpoint, no
+    /// [`Manager::or_many`] descent, and the exact metrics are read off
+    /// it. The acyclic defaults (constant site, no fixpoint, no
     /// oscillation) are left for the caller to override.
     fn finish(
         &mut self,
