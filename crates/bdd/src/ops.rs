@@ -873,19 +873,6 @@ mod tests {
     }
 
     #[test]
-    fn or_many_normalises_its_operands() {
-        let mut m = Manager::new(4);
-        let v: Vec<NodeId> = (0..4).map(|i| m.var(i)).collect();
-        let (t, f) = (NodeId::TRUE, NodeId::FALSE);
-        assert_eq!(m.or_many(&[f, f]), f);
-        assert_eq!(m.or_many(&[f, v[2], f, v[2]]), v[2]);
-        assert_eq!(m.or_many(&[v[0], v[1], t, v[3]]), t);
-        assert_eq!(m.or_many(&[v[3], v[1], v[2], v[1].complemented()]), t);
-        let all = fold_or(&mut m, &v);
-        assert_eq!(m.or_many(&[v[3], v[0], v[2], v[1], v[0], f]), all);
-    }
-
-    #[test]
     fn a_tripped_or_many_memoises_nothing() {
         let mut m = Manager::new(8);
         let ops: Vec<NodeId> = (0..7)
