@@ -5,7 +5,7 @@ use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, HashMap};
 
 use dp_bdd::{BddError, BudgetConfig, Cube, Manager, ManagerStats, NodeId};
-use dp_faults::{BridgeKind, BridgingFault, Fault, FaultSite, MultiStuckAt, StuckAtFault};
+use dp_faults::{BridgeKind, BridgingFault, Fault, FaultSite, StuckAtFault};
 use dp_netlist::{find_xor_quads, Circuit, Driver, GateKind, NetId, Reachability, XorQuads};
 use dp_telemetry::{CounterKind, HistKind, SharedCollector, SpanKind};
 
@@ -101,10 +101,12 @@ pub struct FaultAnalysis {
     /// bridging fault this is the paper's §4.2 test for "exhibits stuck-at
     /// behaviour". Always `true` for stuck-at faults.
     pub site_function_constant: bool,
-    /// Gate deltas the propagation loop computed for this fault — a
-    /// scheduling-invariant measure of propagation work (selective trace
-    /// skips do not count, and a four-NAND XOR quad propagated as one XOR
-    /// counts once).
+    /// Gate deltas the propagation loop computed for this fault's pass
+    /// (selective trace skips do not count, and a four-NAND XOR quad
+    /// propagated as one XOR counts once). A member of a fused batch
+    /// ([`DiffProp::try_analyze_stuck_at_batch`]) reports its shared pass's
+    /// count, so in a sweep the value depends on the batch plan
+    /// (`SweepConfig::batch`), but never on thread count or claim order.
     pub gates_propagated: u32,
     /// Ternary fixpoint sweeps a feedback-bridge analysis ran before the
     /// bridged wire stabilised. Zero for every acyclic fault model (single
@@ -500,9 +502,20 @@ impl<'c> DiffProp<'c> {
         po_deltas: Vec<NodeId>,
         gates_propagated: u32,
     ) -> FaultAnalysis {
-        let m = self.good.manager_mut();
-        let test_set = m.or_many(&po_deltas);
-        let (detectability, test_count) = m.density_and_count(test_set);
+        let test_set = self.good.manager_mut().or_many(&po_deltas);
+        self.finish_with(fault, po_deltas, test_set, gates_propagated)
+    }
+
+    /// [`DiffProp::finish`] for a caller that already holds the union of
+    /// `po_deltas`.
+    fn finish_with(
+        &mut self,
+        fault: Fault,
+        po_deltas: Vec<NodeId>,
+        test_set: NodeId,
+        gates_propagated: u32,
+    ) -> FaultAnalysis {
+        let (detectability, test_count) = self.good.manager().density_and_count(test_set);
         let observable_outputs = po_deltas.iter().map(|d| !d.is_false()).collect();
         FaultAnalysis {
             fault,
@@ -688,18 +701,26 @@ impl<'c> DiffProp<'c> {
     /// propagation pass, returning one independent [`FaultAnalysis`] per
     /// fault, in input order.
     ///
-    /// The pass propagates the batch as one multiple stuck-at fault
-    /// ([`Fault::MultiStuckAt`]) and splits its output differences back into
-    /// its members. That is sound exactly when the faults' fanout cones are
-    /// pairwise disjoint: difference fronts then live in disjoint regions,
-    /// no gate ever sees two fronts, so the combined difference at every net
-    /// equals the single-fault difference of the unique fault whose cone
-    /// contains it. Each member's outputs are masked against its own cone
-    /// ([`Reachability::reaches`]) and finished on their own, so the result
-    /// is **bit-identical** to analysing the fault alone (OBDD canonicity:
-    /// identical functions give identical scalars). The combined fault is
-    /// never finished: no test set or count is built for the batch as a
-    /// whole.
+    /// The pass propagates every site's difference at once and splits the
+    /// output differences back into the members. That is sound exactly
+    /// when the sites' fanout cones are pairwise disjoint: difference fronts
+    /// then live in disjoint regions, no gate ever sees two fronts, so the
+    /// combined difference at every net equals the single-fault difference
+    /// of the unique site whose cone contains it. Each member's outputs are
+    /// masked against its own cone ([`Reachability::reaches`]) and finished
+    /// on their own, so the result is **bit-identical** to analysing the
+    /// fault alone (OBDD canonicity: identical functions give identical
+    /// scalars). No test set or count is built for the batch as a whole.
+    ///
+    /// **A site may appear twice, once per stuck value.** Such a pair
+    /// shares one front: its site carries the inversion difference `⊤`,
+    /// whose output differences `S_o` are where inverting the line is
+    /// visible. A fault stuck at `v` differs from the good circuit exactly
+    /// where the line is not `v` and inverting it is visible, so each member
+    /// gets `lit ∧ S_o` per output and `lit ∧ ⋁ S_o` as its test set, with
+    /// `lit = f_s ⊕ v` its excitation. The union is built once per pair.
+    /// This holds for any site; the sweep pairs primary-input stems only
+    /// (see [`crate::plan_batches`]).
     ///
     /// `gates_propagated` reports the shared sweep's combined count on every
     /// member (the per-fault split is not observable from a shared pass).
@@ -710,8 +731,9 @@ impl<'c> DiffProp<'c> {
     ///
     /// # Panics
     ///
-    /// Panics if `faults` is empty or repeats a site; debug builds also
-    /// verify the cone-disjointness precondition.
+    /// Panics if `faults` is empty or repeats a fault (a site with the same
+    /// stuck value); debug builds also verify that distinct sites have
+    /// disjoint cones.
     pub fn try_analyze_stuck_at_batch(
         &mut self,
         faults: &[StuckAtFault],
@@ -720,21 +742,39 @@ impl<'c> DiffProp<'c> {
         if faults.len() == 1 {
             return Ok(vec![self.try_analyze(&Fault::StuckAt(faults[0]))?]);
         }
-        let batch = MultiStuckAt::new(faults.to_vec());
-        #[cfg(debug_assertions)]
+        // partner[i]: the member at the same site with the other value.
+        let mut partner: Vec<Option<usize>> = vec![None; faults.len()];
         for (i, a) in faults.iter().enumerate() {
-            for b in &faults[i + 1..] {
-                debug_assert!(
-                    self.reach
-                        .cones_disjoint(a.site.flow_net(), b.site.flow_net()),
-                    "batched faults must have disjoint fanout cones"
-                );
+            for (j, b) in faults.iter().enumerate().skip(i + 1) {
+                if a.site == b.site {
+                    assert_ne!(a.value, b.value, "a batch repeats the fault {a}");
+                    partner[i] = Some(j);
+                    partner[j] = Some(i);
+                } else {
+                    debug_assert!(
+                        self.reach
+                            .cones_disjoint(a.site.flow_net(), b.site.flow_net()),
+                        "batched faults at distinct sites must have disjoint fanout cones"
+                    );
+                }
             }
         }
-        let (combined, gates_propagated, _) = self.propagate_fault(&Fault::MultiStuckAt(batch));
+        self.maybe_gc();
+        self.good.manager_mut().reset_budget_window();
+        let mut init = SiteInit::default();
+        for (i, f) in faults.iter().enumerate() {
+            match partner[i] {
+                None => self.init_stuck_at(f, &mut init),
+                Some(j) if j > i => self.init_site(f.site, NodeId::TRUE, &mut init),
+                Some(_) => {} // initialised with its partner
+            }
+        }
+        let (combined, gates_propagated) = self.propagate(init);
         let circuit = self.circuit;
+        // A pair's union, built by its first member and reused by the other.
+        let mut unions: Vec<Option<NodeId>> = vec![None; faults.len()];
         let mut analyses = Vec::with_capacity(faults.len());
-        for f in faults {
+        for (i, f) in faults.iter().enumerate() {
             let flow = f.site.flow_net();
             // An output outside this fault's cone carries another fault's
             // difference (or ⊥) — never this fault's, so mask it out.
@@ -750,27 +790,53 @@ impl<'c> DiffProp<'c> {
                     }
                 })
                 .collect();
-            analyses.push(self.finish(Fault::StuckAt(*f), po_deltas, gates_propagated));
+            let fault = Fault::StuckAt(*f);
+            let Some(j) = partner[i] else {
+                analyses.push(self.finish(fault, po_deltas, gates_propagated));
+                continue;
+            };
+            let lit = self.excitation(f);
+            let m = self.good.manager_mut();
+            let union = unions[j].unwrap_or_else(|| m.or_many(&po_deltas));
+            unions[i] = Some(union);
+            let po_deltas = po_deltas
+                .iter()
+                .map(|&s| if s.is_false() { s } else { m.and(lit, s) })
+                .collect();
+            let test_set = m.and(lit, union);
+            analyses.push(self.finish_with(fault, po_deltas, test_set, gates_propagated));
         }
         // A window the shared pass tripped stays tripped through the
-        // members' or-folds, so this one check covers both.
+        // members' unions, so this one check covers both.
         match self.check_budget() {
             Some(err) => Err(err),
             None => Ok(analyses),
         }
     }
 
-    /// Adds one stuck-at component's pinned difference to a site
-    /// initialisation.
+    /// A stuck-at fault's excitation `f_s ⊕ v`: where the line differs
+    /// from its stuck value.
+    fn excitation(&self, f: &StuckAtFault) -> NodeId {
+        let fs = self.good.node(f.site.net());
+        if f.value {
+            self.good.manager().not(fs)
+        } else {
+            fs
+        }
+    }
+
+    /// Adds one stuck-at component's pinned difference, its excitation,
+    /// to a site initialisation.
     fn init_stuck_at(&mut self, f: &StuckAtFault, init: &mut SiteInit) {
-        let stem = f.site.net();
-        let fs = self.good.node(stem);
-        let m = self.good.manager_mut();
-        // Δ = f ⊕ v: the fault is excited where the line differs from its
-        // stuck value.
-        let delta = if f.value { m.not(fs) } else { fs };
-        init.flow_nets.push(f.site.flow_net().index());
-        match f.site {
+        let delta = self.excitation(f);
+        self.init_site(f.site, delta, init);
+    }
+
+    /// Pins `delta` on a site: a net's difference, or a branch's on its
+    /// sink pin.
+    fn init_site(&self, site: FaultSite, delta: NodeId, init: &mut SiteInit) {
+        init.flow_nets.push(site.flow_net().index());
+        match site {
             FaultSite::Net(n) => {
                 init.deltas.insert(n.index(), delta);
                 init.site_nets.insert(n.index());
@@ -989,7 +1055,9 @@ impl<'c> DiffProp<'c> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dp_faults::{checkpoint_faults, enumerate_nfbfs, BridgingFault, StuckAtFault};
+    use dp_faults::{
+        checkpoint_faults, enumerate_nfbfs, BridgingFault, MultiStuckAt, StuckAtFault,
+    };
     use dp_netlist::generators::{
         alu74181, c1355_surrogate, c17, c1908_surrogate, c499_surrogate, c95, full_adder,
     };
@@ -1591,8 +1659,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "pins one site twice")]
-    fn batch_rejects_duplicate_sites() {
+    #[should_panic(expected = "a batch repeats the fault")]
+    fn batch_rejects_a_repeated_fault() {
         let c = c17();
         let f = checkpoint_faults(&c)[0];
         let other = StuckAtFault {
@@ -1600,7 +1668,104 @@ mod tests {
             value: !f.value,
         };
         let mut dp = DiffProp::new(&c);
-        let _ = dp.try_analyze_stuck_at_batch(&[f, other]);
+        let _ = dp.try_analyze_stuck_at_batch(&[f, other, f]);
+    }
+
+    /// Both stuck-at faults of one site.
+    fn both_values(site: FaultSite) -> [StuckAtFault; 2] {
+        [false, true].map(|value| StuckAtFault { site, value })
+    }
+
+    /// Runs `batch` fused, then each member alone on the same engine. With
+    /// collection off no edge is ever renumbered, so by canonicity every
+    /// output difference and test set must be the very same edge.
+    fn assert_batch_matches_singles(c: &Circuit, batch: &[StuckAtFault]) {
+        let mut dp = DiffProp::with_config(
+            c,
+            EngineConfig {
+                gc_threshold: usize::MAX,
+                gc_growth: f64::INFINITY,
+                ..Default::default()
+            },
+        );
+        let fused = dp.try_analyze_stuck_at_batch(batch).unwrap();
+        assert_eq!(fused.len(), batch.len());
+        for (f, a) in batch.iter().zip(&fused) {
+            let single = dp.try_analyze(&Fault::StuckAt(*f)).unwrap();
+            let at = format!("{f} on {}", c.name());
+            assert_eq!(a.fault, single.fault, "{at}");
+            assert_eq!(a.test_count, single.test_count, "{at}");
+            assert_eq!(
+                a.detectability.to_bits(),
+                single.detectability.to_bits(),
+                "{at}"
+            );
+            assert_eq!(a.observable_outputs, single.observable_outputs, "{at}");
+            assert_eq!(a.po_deltas, single.po_deltas, "{at}");
+            assert_eq!(a.test_set, single.test_set, "{at}");
+        }
+    }
+
+    #[test]
+    fn pair_batches_are_bit_identical_to_single_analyses() {
+        for c in [c17(), c95(), alu74181()] {
+            for &x in c.inputs() {
+                assert_batch_matches_singles(&c, &both_values(FaultSite::Net(x)));
+            }
+        }
+        let c = c499_surrogate();
+        for &x in c.inputs().iter().step_by(8) {
+            let [f0, f1] = both_values(FaultSite::Net(x));
+            assert_batch_matches_singles(&c, &[f1, f0]);
+        }
+        // The rule holds at any site, though the sweep pairs inputs only.
+        let c = c95();
+        let branch = checkpoint_faults(&c)
+            .into_iter()
+            .find(|f| matches!(f.site, FaultSite::Branch(_)))
+            .expect("c95 has fanout branches");
+        assert_batch_matches_singles(&c, &both_values(branch.site));
+    }
+
+    #[test]
+    fn a_pair_at_an_input_that_is_also_an_output_sees_its_own_literal() {
+        use dp_netlist::{CircuitBuilder, GateKind};
+        let mut b = CircuitBuilder::new("pipo");
+        let x = b.input("x");
+        let y = b.input("y");
+        let g = b.gate("g", GateKind::And, &[x, y]).unwrap();
+        b.output(x);
+        b.output(g);
+        let c = b.finish().unwrap();
+        let pair = both_values(FaultSite::Net(x));
+        assert_batch_matches_singles(&c, &pair);
+        let mut dp = DiffProp::new(&c);
+        let analyses = dp.try_analyze_stuck_at_batch(&pair).unwrap();
+        let vx = dp.good.node(x);
+        assert_eq!(analyses[0].po_deltas[0], vx, "x/0 shows where x = 1");
+        assert_eq!(analyses[1].po_deltas[0], dp.good.manager().not(vx));
+    }
+
+    #[test]
+    fn pairs_fuse_with_cone_disjoint_singles() {
+        // Every input site of a cone-disjoint alu74181 batch gets its other
+        // polarity too: pairs and singles share one pass.
+        let c = alu74181();
+        let dp = DiffProp::new(&c);
+        let disjoint = disjoint_stuck_at_batch(&dp, &checkpoint_faults(&c));
+        let mut batch = Vec::new();
+        for f in disjoint {
+            batch.push(f);
+            if matches!(f.site, FaultSite::Net(n) if c.inputs().contains(&n)) {
+                batch.push(StuckAtFault {
+                    value: !f.value,
+                    ..f
+                });
+            }
+        }
+        let pairs = batch.windows(2).filter(|w| w[0].site == w[1].site).count();
+        assert!(pairs > 0 && 2 * pairs < batch.len(), "{batch:?}");
+        assert_batch_matches_singles(&c, &batch);
     }
 
     #[test]

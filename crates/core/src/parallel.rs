@@ -26,8 +26,11 @@
 //!   classes whose representative fanout cones are pairwise disjoint are
 //!   greedily packed ([`plan_batches`]) into one fused propagation pass per
 //!   batch ([`DiffProp::try_analyze_stuck_at_batch`]); the queue hands out
-//!   chunks of batches. Bridging classes and faults whose sites fall outside
-//!   the circuit stay singleton batches, so panic isolation is untouched.
+//!   chunks of batches. A primary input's two stem classes go into one
+//!   batch together, and the pass propagates that input's inversion once
+//!   for both stuck values. Bridging classes and faults whose sites fall
+//!   outside the circuit stay singleton batches, so panic isolation is
+//!   untouched.
 //!
 //! # Determinism
 //!
@@ -110,7 +113,7 @@
 //! assert_eq!(serial.summaries.len(), faults.len());
 //! ```
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -118,7 +121,7 @@ use std::time::{Duration, Instant};
 
 use dp_bdd::ManagerStats;
 use dp_faults::{
-    collapse_faults, CollapseStats, CollapsedUniverse, Fault, FaultClass, StuckAtFault,
+    collapse_faults, CollapseStats, CollapsedUniverse, Fault, FaultClass, FaultSite, StuckAtFault,
 };
 use dp_netlist::{Circuit, NetId, Reachability};
 use dp_sim::sampled_fault_estimate;
@@ -186,9 +189,11 @@ pub struct SweepConfig {
     /// fault — useful for ablation, never for results (they are identical).
     pub collapse: bool,
     /// Maximum stuck-at classes fused into one cone-disjoint propagation
-    /// batch (see [`plan_batches`]); `1` disables batching. Output-invariant
-    /// at every value — batches are planned before workers spawn, so the
-    /// packing never depends on thread count or claim order.
+    /// batch (see [`plan_batches`]); `1` disables batching, and with it the
+    /// pairing of a primary input's two stem faults into one pass (from
+    /// `2` up each such pair fills two slots). Output-invariant at every
+    /// value — batches are planned before workers spawn, so the packing
+    /// never depends on thread count or claim order.
     pub batch: usize,
     /// How much the sweep records about itself. Observation-only by
     /// contract — the level never changes a summary (pinned by the
@@ -620,12 +625,21 @@ pub fn sweep_universe_ext(
 /// Plans the sweep's work queue: greedy first-fit packing of classes into
 /// **cone-disjoint batches**, in collapse order.
 ///
-/// Each batch lists indices into `classes` (ascending). A class joins the
-/// first open batch whose accumulated cone mask its representative's fanout
-/// cone does not intersect, subject to `max` classes per batch; otherwise it
-/// opens a new batch. Batches of size > 1 are analysed in one fused
-/// propagation pass ([`DiffProp::try_analyze_stuck_at_batch`]), which is
-/// sound precisely because their difference fronts can never meet.
+/// Each batch lists indices into `classes`. A class joins the first open
+/// batch whose accumulated cone mask its representative's fanout cone does
+/// not intersect, subject to `max` classes per batch; otherwise it opens a
+/// new batch. Batches of size > 1 are analysed in one fused propagation
+/// pass ([`DiffProp::try_analyze_stuck_at_batch`]), which is sound
+/// precisely because their difference fronts can never meet.
+///
+/// With `max ≥ 2`, a **primary input's two stem faults** travel as one
+/// unit when both are class representatives: two slots, one cone, placed
+/// where the first of them falls in collapse order, the two classes side by
+/// side. The fused pass then propagates the input's inversion once and
+/// derives both polarities from it. Only primary inputs pair: there the
+/// excitation is one variable and the inverted front carries no trace of
+/// it, while a gate or branch site's inverted front lacks the pruning its
+/// excitation gives each polarity, and measured dearer than two passes.
 ///
 /// Kept singleton — never packed with anything:
 ///
@@ -647,6 +661,11 @@ pub fn plan_batches(
 ) -> Vec<Vec<usize>> {
     let max = max.max(1);
     let words = reach.num_words();
+    let partners = if max >= 2 {
+        input_partners(faults, classes, reach)
+    } else {
+        HashMap::new()
+    };
     let mut batches: Vec<Vec<usize>> = Vec::new();
     // Open batches still accepting members: (batch index, accumulated mask).
     let mut open: Vec<(usize, Vec<u64>)> = Vec::new();
@@ -660,13 +679,18 @@ pub fn plan_batches(
             batches.push(vec![c]);
             continue;
         }
-        let slot = open
-            .iter()
-            .position(|(b, mask)| batches[*b].len() < max && !reach.cone_intersects(flow, mask));
+        let unit = match partners.get(&c) {
+            Some(&p) if p < c => continue, // placed with its partner
+            Some(&p) => vec![c, p],
+            None => vec![c],
+        };
+        let slot = open.iter().position(|(b, mask)| {
+            batches[*b].len() + unit.len() <= max && !reach.cone_intersects(flow, mask)
+        });
         match slot {
             Some(s) => {
                 let (b, mask) = &mut open[s];
-                batches[*b].push(c);
+                batches[*b].extend(unit);
                 reach.cone_union_into(flow, mask);
                 if batches[*b].len() >= max {
                     open.swap_remove(s);
@@ -675,12 +699,44 @@ pub fn plan_batches(
             None => {
                 let mut mask = vec![0u64; words];
                 reach.cone_union_into(flow, &mut mask);
-                open.push((batches.len(), mask));
-                batches.push(vec![c]);
+                if unit.len() < max {
+                    open.push((batches.len(), mask));
+                }
+                batches.push(unit);
             }
         }
     }
     batches
+}
+
+/// The primary-input stem pairs among the class representatives, both
+/// ways: class → the class whose representative sticks the same input at
+/// the other value. Where a fault repeats, its first class pairs.
+fn input_partners(
+    faults: &[Fault],
+    classes: &[FaultClass],
+    reach: &Reachability,
+) -> HashMap<ClassId, ClassId> {
+    // (input net index, stuck value) → first class with that representative.
+    let mut first: HashMap<(usize, bool), ClassId> = HashMap::new();
+    for (c, class) in classes.iter().enumerate() {
+        if let Fault::StuckAt(StuckAtFault {
+            site: FaultSite::Net(n),
+            value,
+        }) = faults[class.representative]
+        {
+            if n.index() < reach.num_nets() && reach.is_input(n) {
+                first.entry((n.index(), value)).or_insert(c);
+            }
+        }
+    }
+    let mut partners = HashMap::new();
+    for (&(n, value), &c) in &first {
+        if let Some(&p) = first.get(&(n, !value)) {
+            partners.insert(c, p);
+        }
+    }
+    partners
 }
 
 /// The single net every effect of a class's representative flows through —
@@ -1652,24 +1708,118 @@ mod tests {
                 batches,
                 plan_batches(&faults, &collapsed.classes, &reach, max)
             );
-            // Soundness: representatives inside a batch are pairwise
-            // cone-disjoint.
             for b in &batches {
-                for (i, &x) in b.iter().enumerate() {
-                    for &y in &b[i + 1..] {
-                        let fx = class_flow_net(&faults, &collapsed.classes[x], &reach).unwrap();
-                        let fy = class_flow_net(&faults, &collapsed.classes[y], &reach).unwrap();
-                        assert!(
-                            reach.cones_disjoint(fx, fy),
-                            "batch packs overlapping cones"
-                        );
-                    }
-                }
+                assert_batch_is_sound(&faults, &collapsed.classes, &reach, b);
             }
         }
         // max > 1 actually fuses something on a circuit this wide.
         let batches = plan_batches(&faults, &collapsed.classes, &reach, 8);
         assert!(batches.iter().any(|b| b.len() > 1), "no fusion on alu74181");
+    }
+
+    /// Soundness of one planned batch: members at distinct sites are
+    /// pairwise cone-disjoint, and a site repeats only as a primary-input
+    /// stem, exactly twice, with opposite values.
+    fn assert_batch_is_sound(
+        faults: &[Fault],
+        classes: &[FaultClass],
+        reach: &Reachability,
+        batch: &[usize],
+    ) {
+        let rep = |c: usize| match &faults[classes[c].representative] {
+            Fault::StuckAt(f) => *f,
+            other => panic!("multi-site fault {other} packed into a batch"),
+        };
+        for (i, &x) in batch.iter().enumerate() {
+            let fx = rep(x);
+            let same: Vec<StuckAtFault> = batch
+                .iter()
+                .map(|&y| rep(y))
+                .filter(|f| f.site == fx.site)
+                .collect();
+            match same.as_slice() {
+                [_] => {}
+                [a, b] => {
+                    assert_ne!(a.value, b.value, "{fx} repeats in {batch:?}");
+                    assert!(
+                        matches!(fx.site, FaultSite::Net(n) if reach.is_input(n)),
+                        "{fx} pairs at a site that is not a primary input"
+                    );
+                }
+                _ => panic!("{fx}'s site appears {} times", same.len()),
+            }
+            for &y in &batch[i + 1..] {
+                let fy = rep(y);
+                if fy.site != fx.site {
+                    assert!(
+                        reach.cones_disjoint(fx.site.flow_net(), fy.site.flow_net()),
+                        "batch packs overlapping cones"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn plan_pairs_every_input_whose_two_faults_are_representatives() {
+        for circuit in [c17(), c95(), alu74181(), c432_surrogate()] {
+            let faults = stuck_at_universe(&circuit);
+            let collapsed = collapse_faults(&circuit, &faults);
+            let reach = Reachability::compute(&circuit);
+            let rep_class = |site: FaultSite, value: bool| {
+                collapsed.classes.iter().position(|class| {
+                    faults[class.representative] == Fault::StuckAt(StuckAtFault { site, value })
+                })
+            };
+            let mut pairs = 0;
+            for max in [2, 3, 8] {
+                let batches = plan_batches(&faults, &collapsed.classes, &reach, max);
+                for &x in circuit.inputs() {
+                    let site = FaultSite::Net(x);
+                    let (Some(c0), Some(c1)) = (rep_class(site, false), rep_class(site, true))
+                    else {
+                        continue;
+                    };
+                    pairs += 1;
+                    assert!(
+                        batches
+                            .iter()
+                            .any(|b| b.windows(2).any(|w| w == [c0, c1] || w == [c1, c0])),
+                        "{} at max {max}: input {x} is not paired",
+                        circuit.name()
+                    );
+                }
+                for b in &batches {
+                    assert_batch_is_sound(&faults, &collapsed.classes, &reach, b);
+                }
+            }
+            assert!(pairs > 0, "{} pairs nothing", circuit.name());
+            // One class per pass keeps every class alone.
+            let singles = plan_batches(&faults, &collapsed.classes, &reach, 1);
+            assert!(singles.iter().all(|b| b.len() == 1));
+        }
+    }
+
+    #[test]
+    fn a_sweep_records_one_fault_span_per_planned_batch() {
+        // A fused pass that fell back to one class per pass would record
+        // one span per class instead.
+        for circuit in [alu74181(), c432_surrogate()] {
+            let faults = stuck_at_universe(&circuit);
+            let collapsed = collapse_faults(&circuit, &faults);
+            let reach = Reachability::compute(&circuit);
+            let config = SweepConfig::default();
+            let batches = plan_batches(&faults, &collapsed.classes, &reach, config.batch);
+            assert!(batches.len() < collapsed.classes.len());
+            let sweep = sweep_universe(&circuit, &faults, &config);
+            assert!(sweep.is_complete());
+            assert_eq!(
+                sweep.totals.span(SpanKind::Fault).count,
+                batches.len() as u64,
+                "{}",
+                circuit.name()
+            );
+        }
     }
 
     #[test]

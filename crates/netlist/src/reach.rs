@@ -6,7 +6,7 @@
 //! computes the whole relation once as a bit matrix so every later query is
 //! a single bit test.
 
-use crate::circuit::{Circuit, NetId};
+use crate::circuit::{Circuit, Driver, NetId};
 
 /// Bit-matrix of transitive fanout: [`Reachability::reaches`]`(a, b)` is
 /// `true` when `b` lies in the fanout cone of `a` (including `a` itself).
@@ -38,6 +38,8 @@ pub struct Reachability {
     n: usize,
     words: usize,
     bits: Vec<u64>,
+    /// Per net: whether it is a primary input.
+    inputs: Vec<bool>,
 }
 
 impl Reachability {
@@ -61,7 +63,16 @@ impl Reachability {
                 }
             }
         }
-        Reachability { n, words, bits }
+        let inputs = circuit
+            .nets()
+            .map(|net| matches!(circuit.driver(net), Driver::Input))
+            .collect();
+        Reachability {
+            n,
+            words,
+            bits,
+            inputs,
+        }
     }
 
     /// Number of nets the relation covers (the circuit's net count).
@@ -75,6 +86,11 @@ impl Reachability {
         let (i, j) = (a.index(), b.index());
         debug_assert!(i < self.n && j < self.n);
         self.bits[i * self.words + j / 64] >> (j % 64) & 1 == 1
+    }
+
+    /// `true` when `a` is a primary input.
+    pub fn is_input(&self, a: NetId) -> bool {
+        self.inputs[a.index()]
     }
 
     /// `true` when `a` reaches at least one of `targets`.
@@ -168,6 +184,9 @@ mod tests {
         let r = Reachability::compute(&c);
         assert_eq!(r.num_nets(), c.num_nets());
         assert!(r.feeds_output_flags(&c).iter().all(|&b| b));
+        for a in c.nets() {
+            assert_eq!(r.is_input(a), c.inputs().contains(&a), "{a}");
+        }
     }
 
     #[test]
