@@ -717,8 +717,8 @@ fn input_partners(
     classes: &[FaultClass],
     reach: &Reachability,
 ) -> HashMap<ClassId, ClassId> {
-    // (input net index, stuck value) → first class with that representative.
-    let mut first: HashMap<(usize, bool), ClassId> = HashMap::new();
+    // Input net index → the first class sticking it at 0, and at 1.
+    let mut stems: HashMap<usize, [Option<ClassId>; 2]> = HashMap::new();
     for (c, class) in classes.iter().enumerate() {
         if let Fault::StuckAt(StuckAtFault {
             site: FaultSite::Net(n),
@@ -726,17 +726,15 @@ fn input_partners(
         }) = faults[class.representative]
         {
             if n.index() < reach.num_nets() && reach.is_input(n) {
-                first.entry((n.index(), value)).or_insert(c);
+                stems.entry(n.index()).or_default()[usize::from(value)].get_or_insert(c);
             }
         }
     }
-    let mut partners = HashMap::new();
-    for (&(n, value), &c) in &first {
-        if let Some(&p) = first.get(&(n, !value)) {
-            partners.insert(c, p);
-        }
-    }
-    partners
+    stems
+        .into_values()
+        .filter_map(|[c0, c1]| Some((c0?, c1?)))
+        .flat_map(|(c0, c1)| [(c0, c1), (c1, c0)])
+        .collect()
 }
 
 /// The single net every effect of a class's representative flows through —

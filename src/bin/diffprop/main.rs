@@ -57,7 +57,8 @@
 //!   the printed rows are byte-identical across strategies, but on the deep
 //!   surrogates (`c432s`...) a good order is orders of magnitude faster.
 //! * `--batch N` caps the cone-disjoint fault batches fused into single
-//!   propagation passes (default 8; `1` disables fusion). Execution-only:
+//!   propagation passes (default 8; `1` disables fusion, and with it one
+//!   pass for both stuck-at faults of a primary input). Execution-only:
 //!   rows are identical at every batch size.
 //!
 //! * `--connect ADDR` routes `analyze` through a running `diffprop serve`
