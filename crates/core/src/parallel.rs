@@ -661,11 +661,7 @@ pub fn plan_batches(
 ) -> Vec<Vec<usize>> {
     let max = max.max(1);
     let words = reach.num_words();
-    let partners = if max >= 2 {
-        input_partners(faults, classes, reach)
-    } else {
-        HashMap::new()
-    };
+    let partners = input_partners(faults, classes, reach);
     let mut batches: Vec<Vec<usize>> = Vec::new();
     // Open batches still accepting members: (batch index, accumulated mask).
     let mut open: Vec<(usize, Vec<u64>)> = Vec::new();
