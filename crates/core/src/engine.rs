@@ -103,10 +103,10 @@ pub struct FaultAnalysis {
     pub site_function_constant: bool,
     /// Gate deltas the propagation loop computed for this fault's pass
     /// (selective trace skips do not count, and a four-NAND XOR quad
-    /// propagated as one XOR counts once). A member of a fused batch
-    /// ([`DiffProp::try_analyze_stuck_at_batch`]) reports its shared pass's
-    /// count, so in a sweep the value depends on the batch plan
-    /// (`SweepConfig::batch`), but never on thread count or claim order.
+    /// propagated as one XOR counts once). A member of a region pass
+    /// ([`DiffProp::try_analyze_stuck_at_batch`]) reports the count of its
+    /// root's inversion pass, so in a sweep the value follows the region
+    /// plan (`SweepConfig::batch`), but never thread count or claim order.
     pub gates_propagated: u32,
     /// Ternary fixpoint sweeps a feedback-bridge analysis ran before the
     /// bridged wire stabilised. Zero for every acyclic fault model (single
@@ -697,33 +697,27 @@ impl<'c> DiffProp<'c> {
         (g, self.good.manager().not(g))
     }
 
-    /// Analyses a **batch of cone-disjoint single stuck-at faults** in one
-    /// propagation pass, returning one independent [`FaultAnalysis`] per
-    /// fault, in input order.
+    /// Analyses a **batch of single stuck-at faults that share one
+    /// fanout-free region root** in one propagation pass, returning one
+    /// independent [`FaultAnalysis`] per fault, in input order.
     ///
-    /// The pass propagates every site's difference at once and splits the
-    /// output differences back into the members. That is sound exactly
-    /// when the sites' fanout cones are pairwise disjoint: difference fronts
-    /// then live in disjoint regions, no gate ever sees two fronts, so the
-    /// combined difference at every net equals the single-fault difference
-    /// of the unique site whose cone contains it. Each member's outputs are
-    /// masked against its own cone ([`Reachability::reaches`]) and finished
-    /// on their own, so the result is **bit-identical** to analysing the
-    /// fault alone (OBDD canonicity: identical functions give identical
-    /// scalars). No test set or count is built for the batch as a whole.
+    /// Every fault in the region of root `r` ([`Reachability::region_root`]
+    /// of its flow net) reaches the outputs only through `r`, and every net
+    /// between its site and `r` has fanout 1 and carries no other fault. So
+    /// the faulty circuit is the good one with `r` replaced by `r ⊕ Δ_r`,
+    /// where `Δ_r` is the fault's own difference at `r`, and its output
+    /// differences are `Δ_r ∧ S_o`, with `S_o` the output difference of
+    /// inverting `r`. The pass propagates `⊤` from `r` once for every `S_o`
+    /// and builds `U = ⋁ S_o` once. Each member then walks its difference
+    /// from its site to `r` along the single-fanout chain (Table 1, one
+    /// differing pin per gate) and gets `Δ_r ∧ S_o` per output and
+    /// `Δ_r ∧ U` as its test set. Both polarities of one site are two
+    /// members. The result is **bit-identical** to analysing the fault
+    /// alone (OBDD canonicity: identical functions give identical scalars).
     ///
-    /// **A site may appear twice, once per stuck value.** Such a pair
-    /// shares one front: its site carries the inversion difference `⊤`,
-    /// whose output differences `S_o` are where inverting the line is
-    /// visible. A fault stuck at `v` differs from the good circuit exactly
-    /// where the line is not `v` and inverting it is visible, so each member
-    /// gets `lit ∧ S_o` per output and `lit ∧ ⋁ S_o` as its test set, with
-    /// `lit = f_s ⊕ v` its excitation. The union is built once per pair.
-    /// This holds for any site; the sweep pairs primary-input stems only
-    /// (see [`crate::plan_batches`]).
-    ///
-    /// `gates_propagated` reports the shared sweep's combined count on every
-    /// member (the per-fault split is not observable from a shared pass).
+    /// `gates_propagated` reports the `⊤` pass's count on every member (the
+    /// per-fault split is not observable from a shared pass); the walks are
+    /// not counted.
     ///
     /// On [`AnalysisError::BudgetExceeded`] the engine has recovered and the
     /// caller should retry the faults individually — a batch can trip a
@@ -731,9 +725,8 @@ impl<'c> DiffProp<'c> {
     ///
     /// # Panics
     ///
-    /// Panics if `faults` is empty or repeats a fault (a site with the same
-    /// stuck value); debug builds also verify that distinct sites have
-    /// disjoint cones.
+    /// Panics if `faults` is empty, repeats a fault (a site with the same
+    /// stuck value), or has members in two fanout-free regions.
     pub fn try_analyze_stuck_at_batch(
         &mut self,
         faults: &[StuckAtFault],
@@ -742,75 +735,76 @@ impl<'c> DiffProp<'c> {
         if faults.len() == 1 {
             return Ok(vec![self.try_analyze(&Fault::StuckAt(faults[0]))?]);
         }
-        // partner[i]: the member at the same site with the other value.
-        let mut partner: Vec<Option<usize>> = vec![None; faults.len()];
-        for (i, a) in faults.iter().enumerate() {
-            for (j, b) in faults.iter().enumerate().skip(i + 1) {
-                if a.site == b.site {
-                    assert_ne!(a.value, b.value, "a batch repeats the fault {a}");
-                    partner[i] = Some(j);
-                    partner[j] = Some(i);
-                } else {
-                    debug_assert!(
-                        self.reach
-                            .cones_disjoint(a.site.flow_net(), b.site.flow_net()),
-                        "batched faults at distinct sites must have disjoint fanout cones"
-                    );
-                }
-            }
+        let root = self.reach.region_root(faults[0].site.flow_net());
+        for (i, f) in faults.iter().enumerate() {
+            assert!(
+                self.reach.region_root(f.site.flow_net()) == root,
+                "batched faults must share one fanout-free region root: {f} is outside {root}'s region"
+            );
+            assert!(!faults[..i].contains(f), "a batch repeats the fault {f}");
         }
         self.maybe_gc();
         self.good.manager_mut().reset_budget_window();
         let mut init = SiteInit::default();
-        for (i, f) in faults.iter().enumerate() {
-            match partner[i] {
-                None => self.init_stuck_at(f, &mut init),
-                Some(j) if j > i => self.init_site(f.site, NodeId::TRUE, &mut init),
-                Some(_) => {} // initialised with its partner
-            }
-        }
-        let (combined, gates_propagated) = self.propagate(init);
-        let circuit = self.circuit;
-        // A pair's union, built by its first member and reused by the other.
-        let mut unions: Vec<Option<NodeId>> = vec![None; faults.len()];
+        self.init_site(FaultSite::Net(root), NodeId::TRUE, &mut init);
+        let (inversion, gates_propagated) = self.propagate(init);
+        let union = self.good.manager_mut().or_many(&inversion);
         let mut analyses = Vec::with_capacity(faults.len());
-        for (i, f) in faults.iter().enumerate() {
-            let flow = f.site.flow_net();
-            // An output outside this fault's cone carries another fault's
-            // difference (or ⊥) — never this fault's, so mask it out.
-            let po_deltas: Vec<NodeId> = circuit
-                .outputs()
-                .iter()
-                .zip(&combined)
-                .map(|(&o, &d)| {
-                    if self.reach.reaches(flow, o) {
-                        d
-                    } else {
-                        NodeId::FALSE
-                    }
-                })
-                .collect();
-            let fault = Fault::StuckAt(*f);
-            let Some(j) = partner[i] else {
-                analyses.push(self.finish(fault, po_deltas, gates_propagated));
-                continue;
-            };
-            let lit = self.excitation(f);
+        for f in faults {
+            let at_root = self.delta_at_root(f, root);
             let m = self.good.manager_mut();
-            let union = unions[j].unwrap_or_else(|| m.or_many(&po_deltas));
-            unions[i] = Some(union);
-            let po_deltas = po_deltas
+            let po_deltas = inversion
                 .iter()
-                .map(|&s| if s.is_false() { s } else { m.and(lit, s) })
+                .map(|&s| if s.is_false() { s } else { m.and(at_root, s) })
                 .collect();
-            let test_set = m.and(lit, union);
-            analyses.push(self.finish_with(fault, po_deltas, test_set, gates_propagated));
+            let test_set = m.and(at_root, union);
+            analyses.push(self.finish_with(
+                Fault::StuckAt(*f),
+                po_deltas,
+                test_set,
+                gates_propagated,
+            ));
         }
         // A window the shared pass tripped stays tripped through the
-        // members' unions, so this one check covers both.
+        // members' walks, so this one check covers both.
         match self.check_budget() {
             Some(err) => Err(err),
             None => Ok(analyses),
+        }
+    }
+
+    /// A stuck-at fault's difference at its region root `root`: its
+    /// excitation, carried gate by gate along the single-fanout chain from
+    /// its site (a branch enters its sink at one pin) with every other pin
+    /// fault-free.
+    fn delta_at_root(&mut self, f: &StuckAtFault, root: NetId) -> NodeId {
+        let lit = self.excitation(f);
+        let (mut net, mut delta) = match f.site {
+            FaultSite::Net(n) => (n, lit),
+            FaultSite::Branch(b) => (b.sink, self.pin_delta(b.sink, b.pin, lit)),
+        };
+        while net != root && !delta.is_false() {
+            let (sink, pin) = self.circuit.fanout(net)[0];
+            delta = self.pin_delta(sink, pin, delta);
+            net = sink;
+        }
+        delta
+    }
+
+    /// The output difference of `gate` when only input `pin` differs, by
+    /// `delta`.
+    fn pin_delta(&mut self, gate: NetId, pin: usize, delta: NodeId) -> NodeId {
+        let Driver::Gate { kind, fanins } = self.circuit.driver(gate) else {
+            unreachable!("a fanout sink is a gate");
+        };
+        let goods: Vec<NodeId> = fanins.iter().map(|&f| self.good.node(f)).collect();
+        let mut deltas = vec![NodeId::FALSE; fanins.len()];
+        deltas[pin] = delta;
+        let m = self.good.manager_mut();
+        if self.config.table1 {
+            delta_output(m, *kind, &goods, &deltas)
+        } else {
+            naive_delta_output(m, *kind, &goods, &deltas)
         }
     }
 
@@ -1506,19 +1500,30 @@ mod tests {
         assert!(analysis.detectability >= 0.5);
     }
 
-    /// Greedily selects checkpoint faults with pairwise-disjoint fanout
-    /// cones (white-box: uses the engine's own reachability relation).
-    fn disjoint_stuck_at_batch(dp: &DiffProp<'_>, faults: &[StuckAtFault]) -> Vec<StuckAtFault> {
-        let mut picked: Vec<StuckAtFault> = Vec::new();
+    /// Groups faults by the fanout-free region root of their flow net, in
+    /// first-appearance order (white-box: the engine's own relation).
+    fn region_batches(dp: &DiffProp<'_>, faults: &[StuckAtFault]) -> Vec<Vec<StuckAtFault>> {
+        let mut roots: Vec<NetId> = Vec::new();
+        let mut batches: Vec<Vec<StuckAtFault>> = Vec::new();
         for f in faults {
-            if picked.iter().all(|p| {
-                dp.reach
-                    .cones_disjoint(p.site.flow_net(), f.site.flow_net())
-            }) {
-                picked.push(*f);
+            let root = dp.reach.region_root(f.site.flow_net());
+            match roots.iter().position(|&r| r == root) {
+                Some(b) => batches[b].push(*f),
+                None => {
+                    roots.push(root);
+                    batches.push(vec![*f]);
+                }
             }
         }
-        picked
+        batches
+    }
+
+    /// The region of the most checkpoint faults.
+    fn largest_region(dp: &DiffProp<'_>) -> Vec<StuckAtFault> {
+        region_batches(dp, &checkpoint_faults(dp.circuit))
+            .into_iter()
+            .max_by_key(Vec::len)
+            .expect("a circuit has checkpoint faults")
     }
 
     #[test]
@@ -1526,35 +1531,42 @@ mod tests {
         let c = alu74181();
         let mut dp = DiffProp::new(&c);
         let mut reference = DiffProp::new(&c);
-        let batch = disjoint_stuck_at_batch(&dp, &checkpoint_faults(&c));
-        assert!(batch.len() > 1, "alu74181 has cone-disjoint checkpoints");
-        let analyses = dp.try_analyze_stuck_at_batch(&batch).unwrap();
-        assert_eq!(analyses.len(), batch.len());
-        for (f, a) in batch.iter().zip(&analyses) {
-            let single = reference.analyze(&Fault::StuckAt(*f));
-            assert_eq!(a.test_count, single.test_count, "{f}");
-            assert_eq!(
-                a.detectability.to_bits(),
-                single.detectability.to_bits(),
-                "{f}"
-            );
-            assert_eq!(a.observable_outputs, single.observable_outputs, "{f}");
-            assert!(a.site_function_constant);
-            // The masked per-output deltas carry the same functions.
-            for (&d, &e) in a.po_deltas.iter().zip(&single.po_deltas) {
+        let regions = region_batches(&dp, &checkpoint_faults(&c));
+        let mut fused = 0;
+        for batch in regions.iter().filter(|b| b.len() > 1) {
+            fused += 1;
+            let analyses = dp.try_analyze_stuck_at_batch(batch).unwrap();
+            assert_eq!(analyses.len(), batch.len());
+            for (f, a) in batch.iter().zip(&analyses) {
+                let single = reference.analyze(&Fault::StuckAt(*f));
+                assert_eq!(a.test_count, single.test_count, "{f}");
                 assert_eq!(
-                    dp.good.manager().density(d).to_bits(),
-                    reference.good.manager().density(e).to_bits()
+                    a.detectability.to_bits(),
+                    single.detectability.to_bits(),
+                    "{f}"
                 );
+                assert_eq!(a.observable_outputs, single.observable_outputs, "{f}");
+                assert!(a.site_function_constant);
+                // The per-output deltas carry the same functions.
+                for (&d, &e) in a.po_deltas.iter().zip(&single.po_deltas) {
+                    assert_eq!(
+                        dp.good.manager().density(d).to_bits(),
+                        reference.good.manager().density(e).to_bits()
+                    );
+                }
             }
         }
+        assert!(
+            fused > 1,
+            "alu74181 has regions of several checkpoint faults"
+        );
     }
 
     #[test]
     fn batched_analysis_matches_singles_on_disjoint_halves() {
-        // Two structurally independent cones in one circuit: the strongest
-        // exercise of per-output masking (each fault is observable at its
-        // own half's output only).
+        // Two structurally independent halves, one region each: every
+        // member of a half's batch is observable at its own half's output
+        // only.
         use dp_netlist::{CircuitBuilder, GateKind};
         let mut b = CircuitBuilder::new("halves");
         let x = b.input("x");
@@ -1566,91 +1578,111 @@ mod tests {
         b.output(g1);
         b.output(g2);
         let c = b.finish().unwrap();
-        let f1 = StuckAtFault {
-            site: dp_faults::FaultSite::Net(x),
-            value: true,
+        let stuck = |n: NetId, value: bool| StuckAtFault {
+            site: FaultSite::Net(n),
+            value,
         };
-        let f2 = StuckAtFault {
-            site: dp_faults::FaultSite::Net(u),
-            value: false,
-        };
+        let halves = [
+            [stuck(x, true), stuck(y, false)],
+            [stuck(u, false), stuck(v, true)],
+        ];
         let mut dp = DiffProp::new(&c);
-        let analyses = dp.try_analyze_stuck_at_batch(&[f1, f2]).unwrap();
-        // x s-a-1 is observable only at g1; u s-a-0 only at g2.
-        assert_eq!(analyses[0].observable_outputs, vec![true, false]);
-        assert_eq!(analyses[1].observable_outputs, vec![false, true]);
         let mut reference = DiffProp::new(&c);
-        for (f, a) in [f1, f2].iter().zip(&analyses) {
-            let single = reference.analyze(&Fault::StuckAt(*f));
-            assert_eq!(a.test_count, single.test_count, "{f}");
-            let (det, total) = exhaustive_detectability(&c, &Fault::StuckAt(*f));
-            assert_eq!(a.test_count, Some(det as u128));
-            assert!((a.detectability - det as f64 / total as f64).abs() < 1e-12);
+        for (k, batch) in halves.iter().enumerate() {
+            let analyses = dp.try_analyze_stuck_at_batch(batch).unwrap();
+            for (f, a) in batch.iter().zip(&analyses) {
+                let mut own = vec![false, false];
+                own[k] = true;
+                assert_eq!(a.observable_outputs, own, "{f}");
+                let single = reference.analyze(&Fault::StuckAt(*f));
+                assert_eq!(a.test_count, single.test_count, "{f}");
+                let (det, total) = exhaustive_detectability(&c, &Fault::StuckAt(*f));
+                assert_eq!(a.test_count, Some(det as u128));
+                assert!((a.detectability - det as f64 / total as f64).abs() < 1e-12);
+            }
         }
     }
 
     #[test]
-    fn batch_builds_no_union_over_the_combined_outputs() {
-        // Each fault of the batch is observable at one output of its own,
-        // and 2-input gates propagate without an `or`: a member's test set
-        // is its one output difference, so the batch computes no `or` at
-        // all unless it unites the combined outputs.
+    fn a_region_batch_builds_one_union_for_all_its_members() {
+        // The root r fans out to two outputs, and every gate is an AND or a
+        // NAND, whose one-pin differences need no `or`. The batch's only
+        // `or` work is the union of r's inversion fronts, built once for
+        // all ten members rather than once per member.
         use dp_bdd::OpKind;
         use dp_netlist::{CircuitBuilder, GateKind};
-        let mut b = CircuitBuilder::new("halves");
-        let x = b.input("x");
-        let y = b.input("y");
-        let u = b.input("u");
-        let v = b.input("v");
-        let g1 = b.gate("g1", GateKind::And, &[x, y]).unwrap();
-        let g2 = b.gate("g2", GateKind::Nor, &[u, v]).unwrap();
-        b.output(g1);
-        b.output(g2);
+        let mut b = CircuitBuilder::new("one-union");
+        let [x, y, z, u, v] = ["x", "y", "z", "u", "v"].map(|n| b.input(n));
+        let a = b.gate("a", GateKind::And, &[y, z]).unwrap();
+        let r = b.gate("r", GateKind::And, &[a, u]).unwrap();
+        let o1 = b.gate("o1", GateKind::And, &[r, x]).unwrap();
+        let o2 = b.gate("o2", GateKind::Nand, &[r, v]).unwrap();
+        b.output(o1);
+        b.output(o2);
         let c = b.finish().unwrap();
-        let faults = [x, u].map(|n| StuckAtFault {
-            site: dp_faults::FaultSite::Net(n),
-            value: false,
-        });
-        let mut dp = DiffProp::new(&c);
+        let snapshot = DiffProp::build_snapshot(&c, EngineConfig::default()).unwrap();
+        let mut dp = DiffProp::from_snapshot(&c, &snapshot, EngineConfig::default());
+        let mut twin = DiffProp::from_snapshot(&c, &snapshot, EngineConfig::default());
         let ors = |dp: &DiffProp<'_>| dp.good.manager().stats()[OpKind::Or].lookups;
         let before = ors(&dp);
-        let analyses = dp.try_analyze_stuck_at_batch(&faults).unwrap();
-        assert_eq!(ors(&dp), before);
+        let batch: Vec<StuckAtFault> = [y, z, a, u, r]
+            .into_iter()
+            .flat_map(|n| both_values(FaultSite::Net(n)))
+            .collect();
+        let analyses = dp.try_analyze_stuck_at_batch(&batch).unwrap();
         assert!(analyses.iter().all(FaultAnalysis::is_detectable));
+        let mut init = SiteInit::default();
+        twin.init_site(FaultSite::Net(r), NodeId::TRUE, &mut init);
+        let (inversion, _) = twin.propagate(init);
+        twin.good.manager_mut().or_many(&inversion);
+        assert!(ors(&dp) > before, "the union of two fronts is an `or`");
+        assert_eq!(ors(&dp), ors(&twin));
     }
 
     #[test]
     fn batch_costs_its_propagation_and_its_members_finishes() {
         // Two engines thawed from one snapshot start identical. One runs
-        // the batch; the other runs the shared propagation step and then
-        // each member's finish. Every exact counter must agree.
+        // the batch; the other runs the root's inversion pass and union
+        // once, then each member's walk to the root and its finish. Every
+        // exact counter must agree.
         let c = alu74181();
         let snapshot = DiffProp::build_snapshot(&c, EngineConfig::default()).unwrap();
         let mut dp = DiffProp::from_snapshot(&c, &snapshot, EngineConfig::default());
         let mut steps = DiffProp::from_snapshot(&c, &snapshot, EngineConfig::default());
-        let batch = disjoint_stuck_at_batch(&dp, &checkpoint_faults(&c));
+        // The largest region whose root reaches two or more outputs.
+        let fans_out = |b: &Vec<StuckAtFault>| {
+            let root = dp.reach.region_root(b[0].site.flow_net());
+            c.outputs()
+                .iter()
+                .filter(|&&o| dp.reach.reaches(root, o))
+                .count()
+                > 1
+        };
+        let batch = region_batches(&dp, &checkpoint_faults(&c))
+            .into_iter()
+            .filter(fans_out)
+            .max_by_key(Vec::len)
+            .expect("alu74181 has roots that reach several outputs");
         assert!(batch.len() > 1);
         let analyses = dp.try_analyze_stuck_at_batch(&batch).unwrap();
 
-        let multi = Fault::MultiStuckAt(MultiStuckAt::new(batch.clone()));
-        let (combined, gates, _) = steps.propagate_fault(&multi);
-        assert!(combined.iter().filter(|d| !d.is_false()).count() > 1);
+        let root = steps.reach.region_root(batch[0].site.flow_net());
+        let mut init = SiteInit::default();
+        steps.init_site(FaultSite::Net(root), NodeId::TRUE, &mut init);
+        let (inversion, gates) = steps.propagate(init);
+        assert!(inversion.iter().filter(|d| !d.is_false()).count() > 1);
+        let union = steps.good.manager_mut().or_many(&inversion);
         for (f, a) in batch.iter().zip(&analyses) {
-            let flow = f.site.flow_net();
-            let po_deltas = c
-                .outputs()
+            let at_root = steps.delta_at_root(f, root);
+            let m = steps.good.manager_mut();
+            let po_deltas = inversion
                 .iter()
-                .zip(&combined)
-                .map(|(&o, &d)| {
-                    if steps.reach.reaches(flow, o) {
-                        d
-                    } else {
-                        NodeId::FALSE
-                    }
-                })
+                .map(|&s| if s.is_false() { s } else { m.and(at_root, s) })
                 .collect();
-            let e = steps.finish(Fault::StuckAt(*f), po_deltas, gates);
+            let test_set = m.and(at_root, union);
+            let e = steps.finish_with(Fault::StuckAt(*f), po_deltas, test_set, gates);
             assert_eq!(a.test_set, e.test_set, "{f}");
+            assert_eq!(a.gates_propagated, gates, "{f}");
         }
         let (got, want) = (dp.good.manager().stats(), steps.good.manager().stats());
         assert_eq!(got.op_cumulative_total(), want.op_cumulative_total());
@@ -1671,28 +1703,45 @@ mod tests {
         let _ = dp.try_analyze_stuck_at_batch(&[f, other, f]);
     }
 
+    #[test]
+    #[should_panic(expected = "batched faults must share one fanout-free region root")]
+    fn batch_rejects_members_of_two_regions() {
+        // c17's input 1 lies in output 22's region, input 7 in output 23's.
+        let c = c17();
+        let at = |name: &str| StuckAtFault {
+            site: FaultSite::Net(c.find_net(name).unwrap()),
+            value: false,
+        };
+        let mut dp = DiffProp::new(&c);
+        let _ = dp.try_analyze_stuck_at_batch(&[at("1"), at("7")]);
+    }
+
     /// Both stuck-at faults of one site.
     fn both_values(site: FaultSite) -> [StuckAtFault; 2] {
         [false, true].map(|value| StuckAtFault { site, value })
     }
 
-    /// Runs `batch` fused, then each member alone on the same engine. With
-    /// collection off no edge is ever renumbered, so by canonicity every
-    /// output difference and test set must be the very same edge.
-    fn assert_batch_matches_singles(c: &Circuit, batch: &[StuckAtFault]) {
-        let mut dp = DiffProp::with_config(
+    /// An engine that never collects, so no edge is ever renumbered.
+    fn uncollected(c: &Circuit) -> DiffProp<'_> {
+        DiffProp::with_config(
             c,
             EngineConfig {
                 gc_threshold: usize::MAX,
                 gc_growth: f64::INFINITY,
                 ..Default::default()
             },
-        );
+        )
+    }
+
+    /// Runs `batch` fused, then each member alone on the same uncollected
+    /// engine: by canonicity every output difference and test set must be
+    /// the very same edge.
+    fn assert_batch_matches_singles(dp: &mut DiffProp<'_>, batch: &[StuckAtFault]) {
         let fused = dp.try_analyze_stuck_at_batch(batch).unwrap();
         assert_eq!(fused.len(), batch.len());
         for (f, a) in batch.iter().zip(&fused) {
             let single = dp.try_analyze(&Fault::StuckAt(*f)).unwrap();
-            let at = format!("{f} on {}", c.name());
+            let at = format!("{f} on {}", dp.circuit.name());
             assert_eq!(a.fault, single.fault, "{at}");
             assert_eq!(a.test_count, single.test_count, "{at}");
             assert_eq!(
@@ -1706,25 +1755,132 @@ mod tests {
         }
     }
 
+    /// Both polarities on every net and on every fanout branch.
+    fn pin_universe(c: &Circuit) -> Vec<StuckAtFault> {
+        let branches = c.fanout_branches().into_iter().map(FaultSite::Branch);
+        let nets = c.nets().map(FaultSite::Net);
+        nets.chain(branches).flat_map(both_values).collect()
+    }
+
+    #[test]
+    fn region_batches_are_bit_identical_to_single_analyses() {
+        for c in [c17(), c95(), alu74181()] {
+            let mut dp = uncollected(&c);
+            for batch in region_batches(&dp, &checkpoint_faults(&c)) {
+                assert_batch_matches_singles(&mut dp, &batch);
+            }
+        }
+        // c499s's XOR chains: every fourth region of several faults.
+        let c = c499_surrogate();
+        let mut dp = uncollected(&c);
+        let regions = region_batches(&dp, &checkpoint_faults(&c));
+        for batch in regions.iter().filter(|b| b.len() > 1).step_by(4) {
+            assert_batch_matches_singles(&mut dp, batch);
+        }
+    }
+
+    #[test]
+    fn c1908s_pin_level_regions_are_bit_identical_to_single_analyses() {
+        // Inside an XOR quad the first NAND fans out twice and is a root of
+        // its own, while a branch into a second-level NAND chains through
+        // the quad's output gate to that output's root.
+        let c = c1908_surrogate();
+        let mut dp = uncollected(&c);
+        let regions = region_batches(&dp, &pin_universe(&c));
+        let chained = |f: &StuckAtFault| match f.site {
+            FaultSite::Branch(b) => dp.reach.region_root(b.sink) != b.sink,
+            FaultSite::Net(_) => false,
+        };
+        let quad_internal = |n: NetId| dp.quads.owner_of(n).is_some();
+        assert!(regions.iter().flatten().any(chained));
+        assert!(regions
+            .iter()
+            .any(|b| quad_internal(dp.reach.region_root(b[0].site.flow_net()))));
+        for batch in regions.iter().filter(|b| b.len() > 1).step_by(3) {
+            assert_batch_matches_singles(&mut dp, batch);
+        }
+    }
+
+    #[test]
+    fn a_root_that_is_an_output_and_fans_out_matches_single_analyses() {
+        use dp_netlist::{CircuitBuilder, GateKind};
+        let mut b = CircuitBuilder::new("po-root");
+        let x = b.input("x");
+        let y = b.input("y");
+        let z = b.input("z");
+        let g = b.gate("g", GateKind::And, &[x, y]).unwrap();
+        let h = b.gate("h", GateKind::Or, &[g, z]).unwrap();
+        b.output(g);
+        b.output(h);
+        let c = b.finish().unwrap();
+        let mut dp = uncollected(&c);
+        assert_eq!(dp.reach.region_root(x), g);
+        let batch: Vec<StuckAtFault> = [x, y, g]
+            .into_iter()
+            .flat_map(|n| both_values(FaultSite::Net(n)))
+            .collect();
+        assert_batch_matches_singles(&mut dp, &batch);
+        for f in &batch {
+            let (det, _) = exhaustive_detectability(&c, &Fault::StuckAt(*f));
+            let a = dp.analyze(&Fault::StuckAt(*f));
+            assert_eq!(a.test_count, Some(det as u128), "{f}");
+        }
+    }
+
+    #[test]
+    fn a_branch_whose_stem_reconverges_inside_the_region_matches_single_analyses() {
+        // s fans out to g1 and g2, which both feed only h: both branches lie
+        // in h's region, and each meets the good stem again at h.
+        use dp_netlist::{CircuitBuilder, GateKind};
+        let mut b = CircuitBuilder::new("reconverge");
+        let s = b.input("s");
+        let p = b.input("p");
+        let q = b.input("q");
+        let g1 = b.gate("g1", GateKind::And, &[s, p]).unwrap();
+        let g2 = b.gate("g2", GateKind::Or, &[q, s]).unwrap();
+        let h = b.gate("h", GateKind::Nand, &[g1, g2]).unwrap();
+        b.output(h);
+        let c = b.finish().unwrap();
+        let mut dp = uncollected(&c);
+        let branches = c.fanout_branches();
+        assert_eq!(branches.len(), 2);
+        assert!(branches.iter().all(|b| dp.reach.region_root(b.sink) == h));
+        let sites = [p, q, g1, g2, h].into_iter().map(FaultSite::Net);
+        let batch: Vec<StuckAtFault> = branches
+            .into_iter()
+            .map(FaultSite::Branch)
+            .chain(sites)
+            .flat_map(both_values)
+            .collect();
+        assert_batch_matches_singles(&mut dp, &batch);
+        for f in &batch {
+            let (det, _) = exhaustive_detectability(&c, &Fault::StuckAt(*f));
+            let a = dp.analyze(&Fault::StuckAt(*f));
+            assert_eq!(a.test_count, Some(det as u128), "{f}");
+        }
+    }
+
     #[test]
     fn pair_batches_are_bit_identical_to_single_analyses() {
         for c in [c17(), c95(), alu74181()] {
+            let mut dp = uncollected(&c);
             for &x in c.inputs() {
-                assert_batch_matches_singles(&c, &both_values(FaultSite::Net(x)));
+                assert_batch_matches_singles(&mut dp, &both_values(FaultSite::Net(x)));
             }
         }
         let c = c499_surrogate();
+        let mut dp = uncollected(&c);
         for &x in c.inputs().iter().step_by(8) {
             let [f0, f1] = both_values(FaultSite::Net(x));
-            assert_batch_matches_singles(&c, &[f1, f0]);
+            assert_batch_matches_singles(&mut dp, &[f1, f0]);
         }
-        // The rule holds at any site, though the sweep pairs inputs only.
+        // The rule holds at any site, a fanout branch too.
         let c = c95();
         let branch = checkpoint_faults(&c)
             .into_iter()
             .find(|f| matches!(f.site, FaultSite::Branch(_)))
             .expect("c95 has fanout branches");
-        assert_batch_matches_singles(&c, &both_values(branch.site));
+        assert_batch_matches_singles(&mut uncollected(&c), &both_values(branch.site));
     }
 
     #[test]
@@ -1738,7 +1894,7 @@ mod tests {
         b.output(g);
         let c = b.finish().unwrap();
         let pair = both_values(FaultSite::Net(x));
-        assert_batch_matches_singles(&c, &pair);
+        assert_batch_matches_singles(&mut uncollected(&c), &pair);
         let mut dp = DiffProp::new(&c);
         let analyses = dp.try_analyze_stuck_at_batch(&pair).unwrap();
         let vx = dp.good.node(x);
@@ -1747,25 +1903,21 @@ mod tests {
     }
 
     #[test]
-    fn pairs_fuse_with_cone_disjoint_singles() {
-        // Every input site of a cone-disjoint alu74181 batch gets its other
-        // polarity too: pairs and singles share one pass.
+    fn pairs_fuse_with_single_polarities_of_one_region() {
+        // Every other site of alu74181's largest region keeps one polarity
+        // only: pairs and single polarities share one pass.
         let c = alu74181();
-        let dp = DiffProp::new(&c);
-        let disjoint = disjoint_stuck_at_batch(&dp, &checkpoint_faults(&c));
-        let mut batch = Vec::new();
-        for f in disjoint {
-            batch.push(f);
-            if matches!(f.site, FaultSite::Net(n) if c.inputs().contains(&n)) {
-                batch.push(StuckAtFault {
-                    value: !f.value,
-                    ..f
-                });
-            }
-        }
+        let mut dp = uncollected(&c);
+        let region = largest_region(&dp);
+        let batch: Vec<StuckAtFault> = region
+            .chunks(2)
+            .enumerate()
+            .flat_map(|(i, pair)| if i % 2 == 0 { pair } else { &pair[..1] })
+            .copied()
+            .collect();
         let pairs = batch.windows(2).filter(|w| w[0].site == w[1].site).count();
         assert!(pairs > 0 && 2 * pairs < batch.len(), "{batch:?}");
-        assert_batch_matches_singles(&c, &batch);
+        assert_batch_matches_singles(&mut dp, &batch);
     }
 
     #[test]
@@ -1865,16 +2017,12 @@ mod tests {
         let c = c1355_surrogate();
         let mut dp = DiffProp::new(&c);
         let mut reference = DiffProp::new(&c);
-        let mut rest: Vec<StuckAtFault> = checkpoint_faults(&c).into_iter().step_by(5).collect();
+        let faults: Vec<StuckAtFault> = checkpoint_faults(&c).into_iter().step_by(5).collect();
+        let regions = region_batches(&dp, &faults);
         let mut batches = 0;
-        while rest.len() > 1 && batches < 3 {
-            // Eight members, the sweep's default batch size.
-            let mut batch = disjoint_stuck_at_batch(&dp, &rest);
+        for mut batch in regions.into_iter().filter(|b| b.len() > 1).take(3) {
+            // At most eight members, the sweep's default batch size.
             batch.truncate(8);
-            rest.retain(|f| !batch.contains(f));
-            if batch.len() < 2 {
-                continue;
-            }
             batches += 1;
             let analyses = dp.try_analyze_stuck_at_batch(&batch).unwrap();
             for (f, a) in batch.iter().zip(&analyses) {
@@ -1888,6 +2036,9 @@ mod tests {
                 assert_eq!(a.observable_outputs, single.observable_outputs, "{f}");
             }
         }
-        assert_eq!(batches, 3, "c1355s has cone-disjoint checkpoint faults");
+        assert_eq!(
+            batches, 3,
+            "c1355s has regions of several checkpoint faults"
+        );
     }
 }

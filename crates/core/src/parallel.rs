@@ -22,15 +22,14 @@
 //!   and every worker thaws a lightweight delta manager over the shared
 //!   base — there is no per-worker build, and the one-off build is
 //!   accounted exactly once in the sweep totals.
-//! * **Cone-disjoint fault batches** ([`SweepConfig::batch`]): stuck-at
-//!   classes whose representative fanout cones are pairwise disjoint are
-//!   greedily packed ([`plan_batches`]) into one fused propagation pass per
-//!   batch ([`DiffProp::try_analyze_stuck_at_batch`]); the queue hands out
-//!   chunks of batches. A primary input's two stem classes go into one
-//!   batch together, and the pass propagates that input's inversion once
-//!   for both stuck values. Bridging classes and faults whose sites fall
-//!   outside the circuit stay singleton batches, so panic isolation is
-//!   untouched.
+//! * **Fanout-free region passes** ([`SweepConfig::batch`]): stuck-at
+//!   classes whose representatives share a fanout-free region root are
+//!   grouped ([`plan_batches`]) into one propagation pass per batch
+//!   ([`DiffProp::try_analyze_stuck_at_batch`]), which propagates the
+//!   root's inversion once and derives every member from its own
+//!   difference at the root; the queue hands out chunks of batches.
+//!   Bridging classes and faults whose sites fall outside the circuit stay
+//!   singleton batches, so panic isolation is untouched.
 //!
 //! # Determinism
 //!
@@ -113,7 +112,7 @@
 //! assert_eq!(serial.summaries.len(), faults.len());
 //! ```
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -121,7 +120,7 @@ use std::time::{Duration, Instant};
 
 use dp_bdd::ManagerStats;
 use dp_faults::{
-    collapse_faults, CollapseStats, CollapsedUniverse, Fault, FaultClass, FaultSite, StuckAtFault,
+    collapse_faults, CollapseStats, CollapsedUniverse, Fault, FaultClass, StuckAtFault,
 };
 use dp_netlist::{Circuit, NetId, Reachability};
 use dp_sim::sampled_fault_estimate;
@@ -165,7 +164,7 @@ impl Parallelism {
     }
 }
 
-/// Default cap on stuck-at classes fused into one cone-disjoint batch.
+/// Default cap on stuck-at classes sharing one region pass.
 const DEFAULT_BATCH: usize = 8;
 
 /// Base seed of the simulator fallback: fault `i` (global index) samples
@@ -188,11 +187,9 @@ pub struct SweepConfig {
     /// equivalence class (default). `false` restores one propagation per
     /// fault — useful for ablation, never for results (they are identical).
     pub collapse: bool,
-    /// Maximum stuck-at classes fused into one cone-disjoint propagation
-    /// batch (see [`plan_batches`]); `1` disables batching, and with it the
-    /// pairing of a primary input's two stem faults into one pass (from
-    /// `2` up each such pair fills two slots). Output-invariant at every
-    /// value — batches are planned before workers spawn, so the packing
+    /// Maximum stuck-at classes sharing one fanout-free region pass (see
+    /// [`plan_batches`]); `1` runs one class per pass. Output-invariant at
+    /// every value — batches are planned before workers spawn, so the plan
     /// never depends on thread count or claim order.
     pub batch: usize,
     /// How much the sweep records about itself. Observation-only by
@@ -425,8 +422,8 @@ impl SweepResult {
     }
 }
 
-/// The sweep entry point: collapse the universe, pack the classes into
-/// cone-disjoint batches, fan the batches out over a work-stealing queue,
+/// The sweep entry point: collapse the universe, group the classes into
+/// fanout-free region batches, fan the batches out over a work-stealing queue,
 /// and merge summaries back into input order.
 ///
 /// The good functions are built once, on the calling thread, and frozen
@@ -622,37 +619,31 @@ pub fn sweep_universe_ext(
     }
 }
 
-/// Plans the sweep's work queue: greedy first-fit packing of classes into
-/// **cone-disjoint batches**, in collapse order.
+/// Plans the sweep's work queue: stuck-at classes grouped by the
+/// **fanout-free region root** of their representative's flow net, in
+/// collapse order.
 ///
-/// Each batch lists indices into `classes`. A class joins the first open
-/// batch whose accumulated cone mask its representative's fanout cone does
-/// not intersect, subject to `max` classes per batch; otherwise it opens a
-/// new batch. Batches of size > 1 are analysed in one fused propagation
-/// pass ([`DiffProp::try_analyze_stuck_at_batch`]), which is sound
-/// precisely because their difference fronts can never meet.
-///
-/// With `max ≥ 2`, a **primary input's two stem faults** travel as one
-/// unit when both are class representatives: two slots, one cone, placed
-/// where the first of them falls in collapse order, the two classes side by
-/// side. The fused pass then propagates the input's inversion once and
-/// derives both polarities from it. Only primary inputs pair: there the
-/// excitation is one variable and the inverted front carries no trace of
-/// it, while a gate or branch site's inverted front lacks the pruning its
-/// excitation gives each polarity, and measured dearer than two passes.
+/// Each batch lists indices into `classes`. A class joins its root's open
+/// batch while that batch holds fewer than `max` classes (and not the same
+/// fault already); otherwise it opens a new batch for its root. Batches of
+/// size > 1 are analysed in one pass ([`DiffProp::try_analyze_stuck_at_batch`]):
+/// every fault in a region reaches the outputs only through its root, so
+/// the pass propagates the root's inversion once and each member derives
+/// its output differences from its own difference at the root. A region
+/// with one class stays a singleton and runs alone.
 ///
 /// Kept singleton — never packed with anything:
 ///
-/// * bridging classes (two sites, no single flow cone; they never collapse
-///   either),
+/// * bridging and multiple-fault classes (several sites, no single flow
+///   net),
 /// * stuck-at classes whose site is not wholly in the circuit — a net, or a
 ///   branch's stem or sink, that the circuit lacks (a foreign fault will
-///   panic the engine; keeping it alone keeps a fused pass from failing on
+///   panic the engine; keeping it alone keeps a shared pass from failing on
 ///   its account).
 ///
-/// Deterministic by construction: the packing depends only on the circuit's
-/// reachability relation, the class list, and `max` — never on thread
-/// count, chunk size, or claim order.
+/// Deterministic by construction: the plan depends only on the circuit's
+/// region roots, the class list, and `max` — never on thread count, chunk
+/// size, or claim order.
 pub fn plan_batches(
     faults: &[Fault],
     classes: &[FaultClass],
@@ -660,93 +651,47 @@ pub fn plan_batches(
     max: usize,
 ) -> Vec<Vec<usize>> {
     let max = max.max(1);
-    let words = reach.num_words();
-    let partners = input_partners(faults, classes, reach);
     let mut batches: Vec<Vec<usize>> = Vec::new();
-    // Open batches still accepting members: (batch index, accumulated mask).
-    let mut open: Vec<(usize, Vec<u64>)> = Vec::new();
+    // Per root net: the batch still accepting that region's classes.
+    let mut open: Vec<Option<usize>> = vec![None; reach.num_nets()];
     for (c, class) in classes.iter().enumerate() {
-        let flow = class_flow_net(faults, class, reach);
-        let Some(flow) = flow else {
+        let Some(root) = class_root(faults, class, reach) else {
             batches.push(vec![c]); // closed singleton: never packed
             continue;
         };
-        if max == 1 {
-            batches.push(vec![c]);
-            continue;
-        }
-        let unit = match partners.get(&c) {
-            Some(&p) if p < c => continue, // placed with its partner
-            Some(&p) => vec![c, p],
-            None => vec![c],
-        };
-        let slot = open.iter().position(|(b, mask)| {
-            batches[*b].len() + unit.len() <= max && !reach.cone_intersects(flow, mask)
-        });
-        match slot {
-            Some(s) => {
-                let (b, mask) = &mut open[s];
-                batches[*b].extend(unit);
-                reach.cone_union_into(flow, mask);
-                if batches[*b].len() >= max {
-                    open.swap_remove(s);
-                }
+        let rep = &faults[class.representative];
+        match open[root.index()] {
+            Some(b)
+                if batches[b].len() < max
+                    && batches[b]
+                        .iter()
+                        .all(|&d| faults[classes[d].representative] != *rep) =>
+            {
+                batches[b].push(c)
             }
-            None => {
-                let mut mask = vec![0u64; words];
-                reach.cone_union_into(flow, &mut mask);
-                if unit.len() < max {
-                    open.push((batches.len(), mask));
-                }
-                batches.push(unit);
+            _ => {
+                open[root.index()] = Some(batches.len());
+                batches.push(vec![c]);
             }
         }
     }
     batches
 }
 
-/// The primary-input stem pairs among the class representatives, both
-/// ways: class → the class whose representative sticks the same input at
-/// the other value. Where a fault repeats, its first class pairs.
-fn input_partners(
-    faults: &[Fault],
-    classes: &[FaultClass],
-    reach: &Reachability,
-) -> HashMap<ClassId, ClassId> {
-    // Input net index → the first class sticking it at 0, and at 1.
-    let mut stems: HashMap<usize, [Option<ClassId>; 2]> = HashMap::new();
-    for (c, class) in classes.iter().enumerate() {
-        if let Fault::StuckAt(StuckAtFault {
-            site: FaultSite::Net(n),
-            value,
-        }) = faults[class.representative]
-        {
-            if n.index() < reach.num_nets() && reach.is_input(n) {
-                stems.entry(n.index()).or_default()[usize::from(value)].get_or_insert(c);
-            }
-        }
-    }
-    stems
-        .into_values()
-        .filter_map(|[c0, c1]| Some((c0?, c1?)))
-        .flat_map(|(c0, c1)| [(c0, c1), (c1, c0)])
-        .collect()
-}
-
-/// The single net every effect of a class's representative flows through —
-/// the stuck net, or a branch fault's sink gate — when the class is
+/// The fanout-free region root of a class's representative — the root of
+/// the stuck net, or of a branch fault's sink gate — when the class is
 /// batchable; `None` keeps it singleton: bridges, multiple faults, and sites
 /// that are not wholly in the circuit (a branch's stem as well as its sink,
 /// the test `collapse_faults` applies).
-fn class_flow_net(faults: &[Fault], class: &FaultClass, reach: &Reachability) -> Option<NetId> {
+fn class_root(faults: &[Fault], class: &FaultClass, reach: &Reachability) -> Option<NetId> {
     let in_circuit = |net: NetId| net.index() < reach.num_nets();
     match &faults[class.representative] {
         Fault::StuckAt(f) => {
             let net = f.site.flow_net();
-            (in_circuit(f.site.net()) && in_circuit(net)).then_some(net)
+            (in_circuit(f.site.net()) && in_circuit(net)).then(|| reach.region_root(net))
         }
         // Bridges and multiple faults have several sites and no single flow
-        // cone; they stay singleton.
+        // net; they stay singleton.
         Fault::Bridging(_) | Fault::MultiStuckAt(_) => None,
     }
 }
@@ -1703,7 +1648,7 @@ mod tests {
                 plan_batches(&faults, &collapsed.classes, &reach, max)
             );
             for b in &batches {
-                assert_batch_is_sound(&faults, &collapsed.classes, &reach, b);
+                assert_eq!(batch_roots(&faults, &collapsed.classes, &reach, b).len(), 1);
             }
         }
         // max > 1 actually fuses something on a circuit this wide.
@@ -1711,87 +1656,110 @@ mod tests {
         assert!(batches.iter().any(|b| b.len() > 1), "no fusion on alu74181");
     }
 
-    /// Soundness of one planned batch: members at distinct sites are
-    /// pairwise cone-disjoint, and a site repeats only as a primary-input
-    /// stem, exactly twice, with opposite values.
-    fn assert_batch_is_sound(
+    /// The distinct fanout-free region roots of one planned batch's
+    /// representatives.
+    fn batch_roots(
         faults: &[Fault],
         classes: &[FaultClass],
         reach: &Reachability,
         batch: &[usize],
-    ) {
-        let rep = |c: usize| match &faults[classes[c].representative] {
-            Fault::StuckAt(f) => *f,
-            other => panic!("multi-site fault {other} packed into a batch"),
-        };
-        for (i, &x) in batch.iter().enumerate() {
-            let fx = rep(x);
-            let same: Vec<StuckAtFault> = batch
-                .iter()
-                .map(|&y| rep(y))
-                .filter(|f| f.site == fx.site)
-                .collect();
-            match same.as_slice() {
-                [_] => {}
-                [a, b] => {
-                    assert_ne!(a.value, b.value, "{fx} repeats in {batch:?}");
-                    assert!(
-                        matches!(fx.site, FaultSite::Net(n) if reach.is_input(n)),
-                        "{fx} pairs at a site that is not a primary input"
-                    );
-                }
-                _ => panic!("{fx}'s site appears {} times", same.len()),
+    ) -> Vec<NetId> {
+        let mut roots: Vec<NetId> = batch
+            .iter()
+            .map(|&c| match &faults[classes[c].representative] {
+                Fault::StuckAt(f) => reach.region_root(f.site.flow_net()),
+                other => panic!("multi-site fault {other} packed into a batch"),
+            })
+            .collect();
+        roots.dedup();
+        roots
+    }
+
+    /// Every region's classes, in collapse order, are planned as
+    /// consecutive batches of `max` (the last one possibly shorter).
+    fn assert_regions_planned_together(circuit: &Circuit, max: usize) {
+        let faults = stuck_at_universe(circuit);
+        let collapsed = collapse_faults(circuit, &faults);
+        let reach = Reachability::compute(circuit);
+        let batches = plan_batches(&faults, &collapsed.classes, &reach, max);
+        let mut regions: BTreeMap<NetId, Vec<ClassId>> = BTreeMap::new();
+        for (c, class) in collapsed.classes.iter().enumerate() {
+            if let Fault::StuckAt(f) = faults[class.representative] {
+                let root = reach.region_root(f.site.flow_net());
+                regions.entry(root).or_default().push(c);
             }
-            for &y in &batch[i + 1..] {
-                let fy = rep(y);
-                if fy.site != fx.site {
-                    assert!(
-                        reach.cones_disjoint(fx.site.flow_net(), fy.site.flow_net()),
-                        "batch packs overlapping cones"
-                    );
-                }
-            }
+        }
+        assert!(
+            regions.values().any(|r| r.len() > 1),
+            "{} has no region of two classes",
+            circuit.name()
+        );
+        for (root, members) in &regions {
+            let planned: Vec<&Vec<usize>> =
+                batches.iter().filter(|b| members.contains(&b[0])).collect();
+            let expected: Vec<&[usize]> = members.chunks(max).collect();
+            assert_eq!(
+                planned,
+                expected,
+                "{} at max {max}: region {root} is split",
+                circuit.name()
+            );
         }
     }
 
     #[test]
-    fn plan_pairs_every_input_whose_two_faults_are_representatives() {
+    fn plan_groups_every_region_with_two_or_more_representatives() {
         for circuit in [c17(), c95(), alu74181(), c432_surrogate()] {
+            for max in [2, 3, 8] {
+                assert_regions_planned_together(&circuit, max);
+            }
+            // One class per pass keeps every class alone.
             let faults = stuck_at_universe(&circuit);
             let collapsed = collapse_faults(&circuit, &faults);
             let reach = Reachability::compute(&circuit);
-            let rep_class = |site: FaultSite, value: bool| {
-                collapsed.classes.iter().position(|class| {
-                    faults[class.representative] == Fault::StuckAt(StuckAtFault { site, value })
-                })
-            };
-            let mut pairs = 0;
-            for max in [2, 3, 8] {
-                let batches = plan_batches(&faults, &collapsed.classes, &reach, max);
-                for &x in circuit.inputs() {
-                    let site = FaultSite::Net(x);
-                    let (Some(c0), Some(c1)) = (rep_class(site, false), rep_class(site, true))
-                    else {
-                        continue;
-                    };
-                    pairs += 1;
-                    assert!(
-                        batches
-                            .iter()
-                            .any(|b| b.windows(2).any(|w| w == [c0, c1] || w == [c1, c0])),
-                        "{} at max {max}: input {x} is not paired",
-                        circuit.name()
-                    );
-                }
-                for b in &batches {
-                    assert_batch_is_sound(&faults, &collapsed.classes, &reach, b);
-                }
-            }
-            assert!(pairs > 0, "{} pairs nothing", circuit.name());
-            // One class per pass keeps every class alone.
             let singles = plan_batches(&faults, &collapsed.classes, &reach, 1);
             assert!(singles.iter().all(|b| b.len() == 1));
         }
+    }
+
+    #[test]
+    fn default_plan_puts_every_region_together_in_batches_of_eight() {
+        let max = SweepConfig::default().batch;
+        assert_eq!(max, 8);
+        for circuit in [alu74181(), c432_surrogate()] {
+            assert_regions_planned_together(&circuit, max);
+        }
+    }
+
+    #[test]
+    fn a_repeated_fault_opens_a_new_batch_for_its_region() {
+        // Without collapsing, a fault listed twice is two classes with one
+        // root; a pass that held both would repeat the fault.
+        let circuit = c17();
+        let mut faults = stuck_at_universe(&circuit);
+        faults.push(faults[0].clone());
+        let classes: Vec<FaultClass> = (0..faults.len())
+            .map(|i| FaultClass {
+                representative: i,
+                members: vec![i],
+            })
+            .collect();
+        let reach = Reachability::compute(&circuit);
+        let batches = plan_batches(&faults, &classes, &reach, 8);
+        let last = faults.len() - 1;
+        assert!(batches
+            .iter()
+            .all(|b| !(b.contains(&0) && b.contains(&last))));
+        let sweep = sweep_universe(
+            &circuit,
+            &faults,
+            &SweepConfig {
+                collapse: false,
+                ..Default::default()
+            },
+        );
+        assert!(sweep.is_complete());
+        assert_eq!(sweep.summaries[0], sweep.summaries[last]);
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! Difference Propagation engine (cone-restricted propagation) need fast
 //! answers to "does net `a` structurally influence net `b`?". This module
 //! computes the whole relation once as a bit matrix so every later query is
-//! a single bit test.
+//! a single bit test. The same sweep records each net's fanout-free region
+//! root, the one net every path from it to an output passes through.
 
-use crate::circuit::{Circuit, Driver, NetId};
+use crate::circuit::{Circuit, NetId};
 
 /// Bit-matrix of transitive fanout: [`Reachability::reaches`]`(a, b)` is
 /// `true` when `b` lies in the fanout cone of `a` (including `a` itself).
@@ -38,8 +39,8 @@ pub struct Reachability {
     n: usize,
     words: usize,
     bits: Vec<u64>,
-    /// Per net: whether it is a primary input.
-    inputs: Vec<bool>,
+    /// Per net: the root of its fanout-free region.
+    roots: Vec<NetId>,
 }
 
 impl Reachability {
@@ -48,8 +49,13 @@ impl Reachability {
         let n = circuit.num_nets();
         let words = n.div_ceil(64).max(1);
         let mut bits = vec![0u64; n * words];
-        // Process nets in reverse topological order so consumer rows are
-        // complete when a net is visited.
+        let mut is_output = vec![false; n];
+        for &o in circuit.outputs() {
+            is_output[o.index()] = true;
+        }
+        let mut roots: Vec<NetId> = circuit.nets().collect();
+        // Process nets in reverse topological order so consumer rows (and
+        // roots) are complete when a net is visited.
         for i in (0..n).rev() {
             let net = NetId::from_index(i);
             // Self-reachability.
@@ -62,16 +68,17 @@ impl Reachability {
                     bits[lo + w] |= bits[hi + w];
                 }
             }
+            if let [(sink, _)] = circuit.fanout(net) {
+                if !is_output[i] {
+                    roots[i] = roots[sink.index()];
+                }
+            }
         }
-        let inputs = circuit
-            .nets()
-            .map(|net| matches!(circuit.driver(net), Driver::Input))
-            .collect();
         Reachability {
             n,
             words,
             bits,
-            inputs,
+            roots,
         }
     }
 
@@ -88,65 +95,18 @@ impl Reachability {
         self.bits[i * self.words + j / 64] >> (j % 64) & 1 == 1
     }
 
-    /// `true` when `a` is a primary input.
-    pub fn is_input(&self, a: NetId) -> bool {
-        self.inputs[a.index()]
+    /// The root of `a`'s fanout-free region: `a` itself when it is a
+    /// primary output or its fanout count is not 1 (a net feeding two pins
+    /// of one gate counts twice), otherwise its single sink's root. Every
+    /// path from `a` to a primary output passes through this net, and every
+    /// net on the way to it has fanout exactly 1.
+    pub fn region_root(&self, a: NetId) -> NetId {
+        self.roots[a.index()]
     }
 
     /// `true` when `a` reaches at least one of `targets`.
     pub fn reaches_any(&self, a: NetId, targets: &[NetId]) -> bool {
         targets.iter().any(|&t| self.reaches(a, t))
-    }
-
-    /// Words per cone row — the length of the masks consumed by
-    /// [`Reachability::cone_union_into`] and [`Reachability::cone_intersects`].
-    pub fn num_words(&self) -> usize {
-        self.words
-    }
-
-    /// ORs the fanout-cone row of `a` (self included) into `mask`, an
-    /// accumulator of `num_words()` words. Batch schedulers use this to grow
-    /// the footprint of a set of fault cones one site at a time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a` is not a net of the relation or `mask` has the wrong
-    /// length — out-of-range sites (e.g. a fault imported from a different
-    /// circuit) must be screened by the caller, not silently packed.
-    pub fn cone_union_into(&self, a: NetId, mask: &mut [u64]) {
-        let i = a.index();
-        assert!(i < self.n, "net index {i} out of range ({} nets)", self.n);
-        assert_eq!(mask.len(), self.words, "mask length mismatch");
-        for (m, &w) in mask
-            .iter_mut()
-            .zip(&self.bits[i * self.words..(i + 1) * self.words])
-        {
-            *m |= w;
-        }
-    }
-
-    /// `true` when the fanout cone of `a` shares at least one net with the
-    /// accumulated `mask` (same panics as [`Reachability::cone_union_into`]).
-    pub fn cone_intersects(&self, a: NetId, mask: &[u64]) -> bool {
-        let i = a.index();
-        assert!(i < self.n, "net index {i} out of range ({} nets)", self.n);
-        assert_eq!(mask.len(), self.words, "mask length mismatch");
-        self.bits[i * self.words..(i + 1) * self.words]
-            .iter()
-            .zip(mask)
-            .any(|(&w, &m)| w & m != 0)
-    }
-
-    /// `true` when the fanout cones of `a` and `b` have no net in common —
-    /// the soundness condition for analysing two faults in one propagation
-    /// pass (their difference fronts can never meet).
-    pub fn cones_disjoint(&self, a: NetId, b: NetId) -> bool {
-        let (i, j) = (a.index(), b.index());
-        assert!(i < self.n && j < self.n, "net index out of range");
-        self.bits[i * self.words..(i + 1) * self.words]
-            .iter()
-            .zip(&self.bits[j * self.words..(j + 1) * self.words])
-            .all(|(&w, &v)| w & v == 0)
     }
 
     /// Per-net flag: does the net reach at least one primary output of
@@ -163,7 +123,7 @@ impl Reachability {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators::c17;
+    use crate::generators::{alu74181, c17, c1908_surrogate, c95};
     use crate::CircuitBuilder;
 
     #[test]
@@ -184,41 +144,53 @@ mod tests {
         let r = Reachability::compute(&c);
         assert_eq!(r.num_nets(), c.num_nets());
         assert!(r.feeds_output_flags(&c).iter().all(|&b| b));
-        for a in c.nets() {
-            assert_eq!(r.is_input(a), c.inputs().contains(&a), "{a}");
+    }
+
+    #[test]
+    fn c17_region_roots_match_the_hand_table() {
+        let c = c17();
+        let r = Reachability::compute(&c);
+        // 16, 11 and 3 fan out twice; 22 and 23 are outputs.
+        let table = [
+            ("1", "22"),
+            ("2", "16"),
+            ("3", "3"),
+            ("6", "11"),
+            ("7", "23"),
+            ("10", "22"),
+            ("11", "11"),
+            ("16", "16"),
+            ("19", "23"),
+            ("22", "22"),
+            ("23", "23"),
+        ];
+        assert_eq!(table.len(), c.num_nets());
+        for (net, root) in table {
+            let (net, root) = (c.find_net(net).unwrap(), c.find_net(root).unwrap());
+            assert_eq!(r.region_root(net), root, "{}", c.net_name(net));
         }
     }
 
     #[test]
-    fn cone_masks_agree_with_pairwise_queries() {
-        let c = c17();
-        let r = Reachability::compute(&c);
-        for a in c.nets() {
-            let mut mask = vec![0u64; r.num_words()];
-            r.cone_union_into(a, &mut mask);
-            for b in c.nets() {
-                // The mask is exactly a's cone, so intersecting b's cone
-                // with it is the disjointness complement.
-                assert_eq!(
-                    r.cone_intersects(b, &mask),
-                    !r.cones_disjoint(a, b),
-                    "{a} vs {b}"
+    fn every_region_chain_is_single_fanout_up_to_its_root() {
+        for c in [c95(), alu74181(), c1908_surrogate()] {
+            let r = Reachability::compute(&c);
+            for net in c.nets() {
+                let root = r.region_root(net);
+                assert!(
+                    c.is_output(root) || c.fanout(root).len() != 1,
+                    "{}: root {root} of {net} is inside a region",
+                    c.name()
                 );
-                // Disjointness is symmetric and reflexively false.
-                assert_eq!(r.cones_disjoint(a, b), r.cones_disjoint(b, a));
-            }
-            assert!(!r.cones_disjoint(a, a), "a cone always meets itself");
-        }
-    }
-
-    #[test]
-    fn disjoint_cones_share_no_net() {
-        let c = c17();
-        let r = Reachability::compute(&c);
-        for a in c.nets() {
-            for b in c.nets() {
-                let overlap = c.nets().any(|x| r.reaches(a, x) && r.reaches(b, x));
-                assert_eq!(r.cones_disjoint(a, b), !overlap, "{a} vs {b}");
+                assert!(r.reaches(net, root), "{}: {net} misses {root}", c.name());
+                let mut n = net;
+                while n != root {
+                    assert!(!c.is_output(n), "{}: chain passes output {n}", c.name());
+                    let [(sink, _)] = c.fanout(n) else {
+                        panic!("{}: chain net {n} fans out", c.name());
+                    };
+                    n = *sink;
+                }
             }
         }
     }

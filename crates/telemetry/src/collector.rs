@@ -242,7 +242,7 @@ pub enum HistKind {
     /// Members per analysed equivalence class.
     ClassSize,
     /// Classes per work-queue batch (1 for every unpackable or unbatched
-    /// class; > 1 only for fused cone-disjoint stuck-at batches).
+    /// class; > 1 only for stuck-at classes sharing a region pass).
     BatchSize,
     /// Ternary fixpoint iterations per feedback-bridge analysis (the
     /// number of loop evaluations before the wired value stabilised).

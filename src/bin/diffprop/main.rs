@@ -56,10 +56,10 @@
 //!   right after they are built. Execution-only:
 //!   the printed rows are byte-identical across strategies, but on the deep
 //!   surrogates (`c432s`...) a good order is orders of magnitude faster.
-//! * `--batch N` caps the cone-disjoint fault batches fused into single
-//!   propagation passes (default 8; `1` disables fusion, and with it one
-//!   pass for both stuck-at faults of a primary input). Execution-only:
-//!   rows are identical at every batch size.
+//! * `--batch N` caps the stuck-at classes sharing one fanout-free region
+//!   pass, which propagates the region root's inversion once for all of
+//!   them (default 8; `1` runs one class per pass). Execution-only: rows
+//!   are identical at every batch size.
 //!
 //! * `--connect ADDR` routes `analyze` through a running `diffprop serve`
 //!   instead of sweeping locally: the server streams the
@@ -142,8 +142,8 @@ sections: {sections}
 --order S             OBDD variable-order strategy (default identity);
                       auto = fanin-dfs + one sift at build. Rows are identical
                       across strategies, wall clock is not
---batch N             max cone-disjoint faults fused per propagation pass
-                      (default 8, 1 disables fusion; rows are identical)
+--batch N             max classes sharing one region pass (default 8,
+                      1 runs one class per pass; rows are identical)
 --connect ADDR        run `analyze` through a resident sweep server instead of
                       sweeping locally (stdout is byte-identical to the batch run);
                       detectability, adherence, status and shutdown ask the server

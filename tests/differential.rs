@@ -22,7 +22,7 @@ use common::{
 use diffprop::core::{
     plan_batches, sweep_universe, DiffProp, EngineConfig, OrderStrategy, Parallelism, SweepConfig,
 };
-use diffprop::faults::{collapse_faults, Fault, FaultSite};
+use diffprop::faults::{collapse_faults, Fault};
 use diffprop::netlist::generators::{
     alu74181, c17, c432_surrogate, c499_surrogate, c95, full_adder,
 };
@@ -341,15 +341,14 @@ fn c432s_sampled_stuck_at_matches_scalar_oracle_under_ordering() {
 }
 
 // ---------------------------------------------------------------------------
-// Batch-vs-single layer: cone-disjoint fused propagation is a pure
-// scheduling change.
+// Batch-vs-single layer: a fanout-free region pass is a pure scheduling
+// change.
 //
-// The fused batch path (PR7) analyses several cone-disjoint stuck-at
-// faults in one propagation pass. Differentially, every batched summary
-// must equal — bit for bit — what a fresh engine computes for the same
-// fault alone; and the greedy packer itself must be deterministic and
-// sound (pairwise-disjoint cones inside every batch, where only a primary
-// input's two stem faults may share a site and so a cone).
+// The batch path analyses the stuck-at faults of one fanout-free region in
+// one propagation pass. Differentially, every batched summary must equal —
+// bit for bit — what a fresh engine computes for the same fault alone; and
+// the planner itself must be deterministic and sound (one region root per
+// batch, never more than the cap).
 // ---------------------------------------------------------------------------
 
 /// Sweeps `faults` with fused batches enabled and checks every summary
@@ -423,42 +422,32 @@ fn batch_packing_is_deterministic_and_cone_sound() {
         let mut seen: Vec<usize> = batches.iter().flatten().copied().collect();
         seen.sort_unstable();
         assert_eq!(seen, (0..collapsed.classes.len()).collect::<Vec<_>>());
-        // Sound: representatives at distinct sites have pairwise-disjoint
-        // fanout cones (the condition that makes fusion exact), and a site
-        // repeats only as a primary-input stem, twice, once per value.
-        let rep = |class: usize| match &faults[collapsed.classes[class].representative] {
-            Fault::StuckAt(f) => *f,
-            Fault::Bridging(_) | Fault::MultiStuckAt(_) => {
-                panic!("multi-site fault packed into a batch")
-            }
-        };
+        assert!(
+            batches.iter().any(|b| b.len() > 1),
+            "no fusion on {}",
+            circuit.name()
+        );
+        // Sound: every representative of a batch is a stuck-at fault in
+        // one fanout-free region (the condition that makes one pass exact),
+        // and no batch exceeds the cap.
         for batch in &batches {
             assert!(batch.len() <= 8);
-            for (i, &x) in batch.iter().enumerate() {
-                let fx = rep(x);
-                let twins: Vec<_> = batch
-                    .iter()
-                    .map(|&y| rep(y))
-                    .filter(|f| f.site == fx.site)
-                    .collect();
-                if twins.len() > 1 {
-                    assert_eq!(twins.len(), 2, "{fx} repeats in {batch:?}");
-                    assert_ne!(twins[0].value, twins[1].value, "{fx} repeats");
-                    assert!(
-                        matches!(fx.site, FaultSite::Net(n) if circuit.inputs().contains(&n)),
-                        "{fx} pairs at a site that is not a primary input"
-                    );
-                }
-                for &y in &batch[i + 1..] {
-                    let fy = rep(y);
-                    assert!(
-                        fy.site == fx.site
-                            || reach.cones_disjoint(fx.site.flow_net(), fy.site.flow_net()),
-                        "batch on {} packs overlapping cones",
-                        circuit.name()
-                    );
-                }
-            }
+            let mut roots: Vec<_> = batch
+                .iter()
+                .map(|&c| match &faults[collapsed.classes[c].representative] {
+                    Fault::StuckAt(f) => reach.region_root(f.site.flow_net()),
+                    Fault::Bridging(_) | Fault::MultiStuckAt(_) => {
+                        panic!("multi-site fault packed into a batch")
+                    }
+                })
+                .collect();
+            roots.dedup();
+            assert_eq!(
+                roots.len(),
+                1,
+                "batch on {} spans regions {roots:?}",
+                circuit.name()
+            );
         }
     }
 }
