@@ -423,8 +423,8 @@ impl SweepResult {
 }
 
 /// The sweep entry point: collapse the universe, group the classes into
-/// fanout-free region batches, fan the batches out over a work-stealing queue,
-/// and merge summaries back into input order.
+/// fanout-free region batches, fan the batches out over a work-stealing
+/// queue, and merge summaries back into input order.
 ///
 /// The good functions are built once, on the calling thread, and frozen
 /// into a [`GoodSnapshot`]; each worker thaws its own delta manager over
@@ -626,11 +626,12 @@ pub fn sweep_universe_ext(
 /// Each batch lists indices into `classes`. A class joins its root's open
 /// batch while that batch holds fewer than `max` classes (and not the same
 /// fault already); otherwise it opens a new batch for its root. Batches of
-/// size > 1 are analysed in one pass ([`DiffProp::try_analyze_stuck_at_batch`]):
-/// every fault in a region reaches the outputs only through its root, so
-/// the pass propagates the root's inversion once and each member derives
-/// its output differences from its own difference at the root. A region
-/// with one class stays a singleton and runs alone.
+/// size > 1 are analysed in one pass
+/// ([`DiffProp::try_analyze_stuck_at_batch`]): every fault in a region
+/// reaches the outputs only through its root, so the pass propagates the
+/// root's inversion once and each member derives its output differences
+/// from its own difference at the root. A region with one class stays a
+/// singleton and runs alone.
 ///
 /// Kept singleton — never packed with anything:
 ///
